@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import photon, qmatrix, spin_half
+from . import geometry, photon, qmatrix, spin_half
 from .qmatrix import ID2, SIGMA_X, SIGMA_Y, QubitChannel
 
 SPIN_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -114,12 +114,21 @@ class ConsistencyReport:
     grid_nodes: int
 
 
+def _bloch_vector(rho) -> np.ndarray:
+    """(x, y, z) with rho = (I + r.sigma)/2."""
+    return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
 def consistency_check(
     spec,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
     beta: float = 0.6,
 ) -> ConsistencyReport:
     """Compare the channel image of spin-up with the boosted reduction.
+
+    The boosted reduction of spin-up has Bloch vector T e_z, with T the
+    Bloch matrix of spin_half.wigner_kernel; the channel image has
+    (0, 0, 1 - G^2/2).  The trace distance is half their separation.
 
     The mixing parameter is realized at fixed `beta` by scaling the packet
     width, so the leading-order residual scales as gamma^4 for collinear
@@ -131,13 +140,13 @@ def consistency_check(
     theta = spec.theta if isinstance(spec, BoostChannelSpec) else 0.0
     if gamma == 0.0:
         return ConsistencyReport(gamma, theta, 0.0, 0.0, 0.0, 0.0, grid_resolution**3)
-    rho_channel = decoherence_channel(gamma).apply(SPIN_UP)
-    mix = (1.0 - np.sqrt(1.0 - beta * beta)) / beta
-    delta_over_m = gamma / mix
-    lam = spin_half.boost_for_angle(beta, theta)
-    packet = spin_half.gaussian_spin_up(delta_over_m, 1.0, grid_resolution)
-    rho_boost = spin_half.reduced_spin_density(spin_half.boost_packet(lam, packet))
-    dist = qmatrix.trace_distance(rho_boost, rho_channel)
+    r_channel = _bloch_vector(decoherence_channel(gamma).apply(SPIN_UP))
+    delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, beta)
+    probs, rots = spin_half.wigner_kernel(
+        spin_half.boost_for_angle(beta, theta), delta_over_m, 1.0, grid_resolution
+    )
+    r_boost = geometry.bloch_map(probs, rots)[:, 2]
+    dist = 0.5 * float(np.linalg.norm(r_boost - r_channel))
     return ConsistencyReport(
         gamma=gamma,
         theta=theta,

@@ -6,6 +6,15 @@ act on each particle separately: nodes transport, invariant weights ride
 along unchanged, and each spin index is rotated by the SU(2) Wigner matrix
 of its own momentum.  Entanglement is quantified by the Wootters
 concurrence of the 4x4 spin-spin reduction.
+
+Sweeps never build the (n1, n2) pair amplitude.  For the singlet times a
+product of identical Gaussian profiles, the boosted spin-spin state is
+fixed by the Bloch matrix T = sum_n p_n W_n of one particle
+(spin_half.wigner_kernel on the INVARIANT grid): its correlation tensor is
+-T T^T and its marginals stay maximally mixed.  The concurrence is then
+(|T|_F^2 - 1)/2, evaluated in the deficit form
+1 - sum_n p_n |W_n - T|_F^2 / 2, so a sweep row costs O(N) time and memory
+in the N nodes of one particle's grid instead of O(N^2).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, qmatrix
+from . import geometry, qmatrix, spin_half
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize
 
 DEFAULT_NODES_PER_AXIS = 8
@@ -22,6 +31,12 @@ DEFAULT_NODES_PER_AXIS = 8
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
 
 _YY = np.kron(qmatrix.SIGMA_Y, qmatrix.SIGMA_Y)
+
+# sigma_k (x) sigma_l for k, l in x, y, z, shape (3, 3, 4, 4)
+_PAULI_PAIRS = np.array([
+    [np.kron(a, b) for b in (qmatrix.SIGMA_X, qmatrix.SIGMA_Y, qmatrix.SIGMA_Z)]
+    for a in (qmatrix.SIGMA_X, qmatrix.SIGMA_Y, qmatrix.SIGMA_Z)
+])
 
 
 @dataclass(frozen=True)
@@ -121,13 +136,32 @@ def concurrence(rho) -> float:
     return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
 
 
+def boosted_singlet(
+    lam: np.ndarray,
+    delta: float,
+    mass: float,
+    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
+):
+    """Concurrence and 4x4 spin-spin state of the boosted bell_gaussian singlet.
+
+    Both particles share the Bloch matrix T of the boosted Gaussian, so the
+    state is (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4.  The
+    concurrence is taken from the deficit form
+    max(0, 1 - sum_n p_n |W_n - T|_F^2 / 2), equal to (|T|_F^2 - 1)/2
+    without its cancellation near a pure state.
+    """
+    probs, rots = spin_half.wigner_kernel(lam, delta, mass, nodes_per_axis, Measure.INVARIANT)
+    t = geometry.bloch_map(probs, rots)
+    rho = 0.25 * (np.eye(4) - np.einsum("kl,klab->ab", t @ t.T, _PAULI_PAIRS))
+    deficit = 0.5 * (probs @ np.sum((rots - t) ** 2, axis=(1, 2)))
+    return max(0.0, 1.0 - float(deficit)), rho
+
+
 def _row_values(delta_over_m, beta, mass, nodes_per_axis):
-    state = bell_gaussian(delta_over_m * mass, mass, nodes_per_axis)
-    if beta != 0.0:
-        state = boost_pair(geometry.boost_from_velocity([0.0, 0.0, beta]), state)
-    rho = spin_spin_density(state)
+    lam = geometry.boost_from_velocity([0.0, 0.0, beta])
+    conc, rho = boosted_singlet(lam, delta_over_m * mass, mass, nodes_per_axis)
     marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
-    return concurrence(rho), qmatrix.entropy(marginal)
+    return conc, qmatrix.entropy(marginal)
 
 
 def sweep_row(

@@ -213,6 +213,41 @@ def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
     return u
 
 
+# Nodes per block of the batched little-group pipeline; bounds its (n, 4, 4)
+# temporaries to about 1 MB each at any grid size.
+_WIGNER_BLOCK = 8192
+
+
+def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
+    """Transport momenta through `lam` and return their 3x3 Wigner rotations.
+
+    Returns (p4_out, W): the (n, 4) transported four-momenta and the
+    (n, 3, 3) spatial blocks W_n of the little-group elements
+    B(L q_n)^{-1} L B(q_n) at the incoming momenta q_n.  Raises when a node
+    is off shell or an element fails to fix the time axis beyond 1e-9.
+    """
+    lam = np.asarray(lam, dtype=float)
+    q4 = four_momentum(mass, momenta)
+    p4 = q4 @ lam.T
+    rots = np.empty((q4.shape[0], 3, 3))
+    defect = 0.0
+    for start in range(0, q4.shape[0], _WIGNER_BLOCK):
+        block = slice(start, start + _WIGNER_BLOCK)
+        b_in = standard_boost(q4[block], mass)
+        b_out_inv = lorentz_inverse(standard_boost(p4[block], mass))
+        w4 = b_out_inv @ (lam @ b_in)
+        defect = max(
+            defect,
+            float(np.abs(w4[:, 0, 0] - 1.0).max()),
+            float(np.abs(w4[:, 0, 1:]).max()),
+            float(np.abs(w4[:, 1:, 0]).max()),
+        )
+        rots[block] = w4[:, 1:, 1:]
+    if defect > 1e-9:
+        raise ValueError(f"little-group elements do not fix the time axis ({defect:.3g})")
+    return p4, rots
+
+
 def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     """Transport momenta through `lam` and return their spin-1/2 Wigner matrices.
 
@@ -220,17 +255,10 @@ def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     four-momenta and U the (n, 2, 2) stack of SU(2) Wigner rotations
     evaluated at the incoming momenta.
     """
-    lam = np.asarray(lam, dtype=float)
-    q4 = four_momentum(mass, momenta)
-    p4 = q4 @ lam.T
-    b_in = standard_boost(q4, mass)
-    b_out_inv = lorentz_inverse(standard_boost(p4, mass))
-    w4 = b_out_inv @ (lam @ b_in)
-    defect = max(
-        float(np.abs(w4[:, 0, 0] - 1.0).max()),
-        float(np.abs(w4[:, 0, 1:]).max()),
-        float(np.abs(w4[:, 1:, 0]).max()),
-    )
-    if defect > 1e-9:
-        raise ValueError(f"little-group elements do not fix the time axis ({defect:.3g})")
-    return p4, rotations_to_su2(w4[:, 1:, 1:])
+    p4, rots = wigner_rotation_batch(lam, momenta, mass)
+    return p4, rotations_to_su2(rots)
+
+
+def bloch_map(probs: np.ndarray, rots: np.ndarray) -> np.ndarray:
+    """Bloch matrix T = sum_n p_n W_n of the random-unitary channel."""
+    return np.einsum("n,nij->ij", probs, rots)

@@ -7,6 +7,13 @@ the energy-ratio prefactor sqrt(q0 / (Lq)0), and scale the weight by the
 inverse Jacobian (Lq)0 / q0, so the quadrature norm is conserved exactly
 and no resampling or interpolation ever happens.
 
+Sweeps never build a boosted packet.  Tracing out the momentum of a
+boosted packet with node probabilities p_n = w_n |h_n|^2 is the
+random-unitary channel with Bloch matrix T = sum_n p_n W_n, the momentum
+average of the 3x3 Wigner rotations (`wigner_kernel`).  The boosted
+spin-up and spin-down states are (I +- r.sigma)/2 with r = T e_z, so every
+sweep observable costs O(N) time and memory in the N grid nodes.
+
 The dimensionless boost-mixing parameter is
 gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
 boost directions for sweeps lie in the x-z plane at angle theta from z
@@ -18,10 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry, qmatrix
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, inner_product
+from .wavepacket import (
+    GaussianSpec,
+    Measure,
+    MomentumGrid,
+    gauss_grid,
+    inner_product,
+    normalize,
+)
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -77,10 +90,6 @@ def gaussian_spin_up(delta, mass, nodes_per_axis=DEFAULT_NODES_PER_AXIS) -> Spin
     return gaussian_packet(delta, mass, nodes_per_axis, spinor=(1.0, 0.0))
 
 
-def gaussian_spin_down(delta, mass, nodes_per_axis=DEFAULT_NODES_PER_AXIS) -> SpinorPacket:
-    return gaussian_packet(delta, mass, nodes_per_axis, spinor=(0.0, 1.0))
-
-
 def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
     """Apply a Lorentz transformation to a packet (node transport, no resampling)."""
     p4_out, wigner = geometry.wigner_su2_batch(lam, psi.grid.nodes, psi.mass)
@@ -102,35 +111,80 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     return qmatrix.hermitize(tau)
 
 
+def wigner_kernel(
+    lam: np.ndarray,
+    delta: float,
+    mass: float,
+    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
+    convention: Measure = Measure.PLAIN,
+):
+    """Node probabilities and Wigner rotations of a boosted Gaussian packet.
+
+    The packet is the zero-centered isotropic profile
+    h = exp(-|p|^2 / (2 delta^2)), normalized under `convention`.  Returns
+    (p, W): the (n,) probabilities p_n = w_n |h_n|^2 and the (n, 3, 3)
+    rotations W_n of the little group of `lam` at the nodes.  Tracing out
+    the momentum of the boosted packet is the channel
+    rho -> sum_n p_n U_n rho U_n^dagger, whose Bloch matrix is
+    geometry.bloch_map(p, W).
+    """
+    if delta <= 0.0 or mass <= 0.0:
+        raise ValueError("width and mass must be positive")
+    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, convention, mass=mass)
+    profile = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta * delta)))
+    probs = grid.weights * profile**2
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-8:
+        raise ValueError(f"node probabilities sum to {total:.12g}, not 1")
+    _, rots = geometry.wigner_rotation_batch(lam, grid.nodes, mass)
+    return probs, rots
+
+
+def _boosted_pair(lam, delta, mass, nodes_per_axis):
+    """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down pair.
+
+    The boosted states are (I +- r.sigma)/2 with r = T e_z = sum_n p_n v_n
+    and v_n = W_n e_z.  Since |v_n| = 1 the error (1 - |r|)/2 equals
+    sum_n p_n |v_n - r|^2 / (2 (1 + |r|)), the variance form used here,
+    which keeps its relative accuracy in the small-error (Gamma^2) regime.
+    """
+    probs, rots = wigner_kernel(lam, delta, mass, nodes_per_axis)
+    v = rots[:, :, 2]
+    r = probs @ v
+    spread = probs @ np.sum((v - r) ** 2, axis=1)
+    p_error = float(0.5 * spread / (1.0 + np.linalg.norm(r)))
+    r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
+    return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
+
+
 def gamma_parameter(delta: float, mass: float, beta: float) -> float:
-    """(delta/mass) (1 - sqrt(1 - beta^2)) / beta, continued to 0 at beta = 0."""
+    """(delta/mass) (1 - sqrt(1 - beta^2)) / beta, continued to 0 at beta = 0.
+
+    Evaluated as (delta/mass) beta / (1 + sqrt(1 - beta^2)), which does not
+    cancel at small beta.
+    """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    if beta == 0.0:
-        return 0.0
-    return (delta / mass) * (1.0 - np.sqrt(1.0 - beta * beta)) / beta
+    return (delta / mass) * beta / (1.0 + np.sqrt(1.0 - beta * beta))
 
 
 def beta_for_gamma(gamma: float, delta_over_m: float) -> float:
     """Invert gamma_parameter for beta at fixed delta/mass.
 
-    Requires gamma < delta/mass, since (1 - sqrt(1 - b^2))/b < 1.
+    With t = gamma / (delta/m) = tan(phi/2) and beta = sin(phi), the
+    inverse is beta = 2t / (1 + t^2).  Requires gamma < delta/mass, since
+    (1 - sqrt(1 - b^2))/b < 1.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    if gamma == 0.0:
-        return 0.0
-    target = gamma / delta_over_m
-    if target >= 1.0:
+    t = gamma / delta_over_m
+    if t >= 1.0:
         raise ValueError(
             f"gamma {gamma:.6g} unreachable at delta/m = {delta_over_m:.6g}"
         )
-    return float(brentq(
-        lambda b: (1.0 - np.sqrt(1.0 - b * b)) / b - target,
-        1e-15, 1.0 - 1e-15, xtol=1e-14,
-    ))
+    return 2.0 * t / (1.0 + t * t)
 
 
 def boost_for_angle(beta: float, theta: float) -> np.ndarray:
@@ -141,24 +195,22 @@ def boost_for_angle(beta: float, theta: float) -> np.ndarray:
 
 def boosted_pair_densities(delta, mass, beta, theta, nodes_per_axis=DEFAULT_NODES_PER_AXIS):
     """Reduced spin states of boosted spin-up and spin-down Gaussian packets."""
-    lam = boost_for_angle(beta, theta)
-    up = boost_packet(lam, gaussian_spin_up(delta, mass, nodes_per_axis))
-    down = boost_packet(lam, gaussian_spin_down(delta, mass, nodes_per_axis))
-    return reduced_spin_density(up), reduced_spin_density(down)
+    return _boosted_pair(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)[:2]
 
 
 def boosted_pair_error(delta, mass, beta, theta, nodes_per_axis=DEFAULT_NODES_PER_AXIS) -> float:
     """Helstrom error for the boosted images of the orthogonal spin pair."""
-    tau_up, tau_down = boosted_pair_densities(delta, mass, beta, theta, nodes_per_axis)
-    return qmatrix.helstrom_error(tau_up, tau_down)
+    return _boosted_pair(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)[2]
 
 
 def _row_values(theta, gamma, delta_over_m, mass, nodes_per_axis):
     beta = beta_for_gamma(gamma, delta_over_m)
-    tau_up, tau_down = boosted_pair_densities(
-        delta_over_m * mass, mass, beta, theta, nodes_per_axis
-    )
-    return beta, qmatrix.entropy(tau_up), qmatrix.helstrom_error(tau_up, tau_down)
+    p_error = _boosted_pair(
+        boost_for_angle(beta, theta), delta_over_m * mass, mass, nodes_per_axis
+    )[2]
+    # tau_up has eigenvalues (1 +- |r|)/2 = 1 - p_error, p_error; taking them
+    # from the variance form keeps the small one accurate at small Gamma
+    return beta, qmatrix.entropy(np.diag([1.0 - p_error, p_error])), p_error
 
 
 def sweep_row(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ SINGLET_PROJ = np.outer(SINGLET_VEC, SINGLET_VEC)
 
 # converged references (14 nodes per axis), delta/m = 0.5, boost along z
 WIDE_CONCURRENCE = {0.3: 0.995657620498, 0.6: 0.979630704677, 0.9: 0.929088525664}
+
+
+def concurrence_sv_oracle(rho):
+    """Wootters concurrence from the singular values of sqrt(rho) YY sqrt(rho)^*.
+
+    Unlike the eigenvalues of rho rho~, these keep absolute accuracy near
+    a pure state.
+    """
+    mu, vecs = np.linalg.eigh(qm.hermitize(rho))
+    root = (vecs * np.sqrt(np.clip(mu, 0.0, None))) @ vecs.conj().T
+    yy = np.kron(qm.SIGMA_Y, qm.SIGMA_Y)
+    lam = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def spin_spin_oracle(state):
@@ -113,6 +128,30 @@ def test_concurrence_local_unitary_invariance():
     g = np.einsum("ab,nmbd->nmad", v, boosted.g)
     rotated = en.TwoParticleAmplitude(grid1=boosted.grid1, grid2=boosted.grid2, g=g)
     assert en.concurrence(en.spin_spin_density(rotated)) == pytest.approx(base, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("delta_over_m", [0.5, 1e-4])
+@pytest.mark.parametrize("velocity", [[0.0, 0.0, 0.8], [0.3, -0.4, 0.6]])
+def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
+    lam = geo.boost_from_velocity(velocity)
+    conc, rho = en.boosted_singlet(lam, delta_over_m, 1.0, n)
+    rho_pair = en.spin_spin_density(en.boost_pair(lam, en.bell_gaussian(delta_over_m, 1.0, n)))
+    np.testing.assert_allclose(rho, rho_pair, atol=1e-12)
+    assert conc == pytest.approx(concurrence_sv_oracle(rho_pair), abs=1e-10)
+    # the eigenvalues of rho rho~ lose half their digits near a pure state
+    assert conc == pytest.approx(en.concurrence(rho_pair), abs=1e-8)
+
+
+def test_sweep_row_memory_bounded():
+    tracemalloc.start()
+    try:
+        row = en.sweep_row(0.5, 0.9, nodes_per_axis=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(row["concurrence"])
+    assert peak < 100e6
 
 
 def test_sweep_rows():

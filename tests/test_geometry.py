@@ -156,6 +156,21 @@ def test_little_group_closure():
         np.testing.assert_allclose(w2 @ w1, w12, atol=1e-10)
 
 
+def test_wigner_rotation_batch_matches_single_node(monkeypatch):
+    m = 1.2
+    lam = geo.boost_from_velocity(random_beta(RNG, 0.9))
+    momenta = RNG.normal(scale=m, size=(40, 3))
+    p4, rots = geo.wigner_rotation_batch(lam, momenta, m)
+    for q, p_out, w in zip(momenta, p4, rots):
+        q4 = geo.four_momentum(m, q)
+        np.testing.assert_allclose(p_out, lam @ q4, atol=1e-12)
+        np.testing.assert_allclose(w, geo.wigner_rotation(lam, q4, m), atol=1e-12)
+    monkeypatch.setattr(geo, "_WIGNER_BLOCK", 7)
+    np.testing.assert_array_equal(geo.wigner_rotation_batch(lam, momenta, m)[1], rots)
+    _, u = geo.wigner_su2_batch(lam, momenta, m)
+    np.testing.assert_allclose(u, geo.rotations_to_su2(rots), atol=1e-15)
+
+
 def test_onshell_transport():
     m = 1.7
     for _ in range(20):

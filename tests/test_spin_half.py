@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,17 @@ def test_beta_for_gamma_inversion():
         sh.beta_for_gamma(0.7, 0.5)
 
 
+@pytest.mark.parametrize("ratio", [1e-8, 1e-6, 0.25, 0.5])
+@pytest.mark.parametrize("delta_over_m", [1.0, 0.3])
+def test_beta_gamma_round_trip(ratio, delta_over_m):
+    gamma = ratio * delta_over_m
+    beta = sh.beta_for_gamma(gamma, delta_over_m)
+    assert sh.gamma_parameter(delta_over_m, 1.0, beta) == pytest.approx(gamma, rel=1e-14)
+    if ratio <= 1e-6:
+        # small-beta expansion: gamma ~ (delta/m) beta / 2
+        assert beta == pytest.approx(2.0 * ratio, rel=1e-11)
+
+
 def test_gamma_monotonicity():
     betas = np.linspace(0.05, 0.95, 10)
     gammas = [sh.gamma_parameter(0.5, 1.0, b) for b in betas]
@@ -151,6 +164,52 @@ def test_pair_error_quadratic_law():
         ratios.append(sh.boosted_pair_error(1.0, 1.0, beta, np.pi / 2, 12) / gamma**2)
     ratios = np.array(ratios)
     assert ratios.max() / ratios.min() < 1.05
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 0.7])
+def test_pair_error_small_gamma_ratio(theta):
+    # the variance form keeps P/Gamma^2 flat far below the Helstrom path's
+    # cancellation floor
+    ratios = np.array([
+        sh.boosted_pair_error(1.0, 1.0, sh.beta_for_gamma(gamma, 1.0), theta, 16) / gamma**2
+        for gamma in (1e-4, 1e-5, 1e-6)
+    ])
+    assert ratios.max() / ratios.min() - 1.0 < 1e-8
+    # tau_up has eigenvalues P and 1 - P, so its entropy is the binary entropy
+    # of P; rounding 1 - P costs up to 2e-5 relative at Gamma = 1e-6
+    for gamma in (1e-4, 1e-5, 1e-6):
+        row = sh.sweep_row(theta, gamma, nodes_per_axis=16, check_convergence=False)
+        p = row["p_error"]
+        binary = -(p * np.log2(p) + (1.0 - p) * np.log1p(-p) / np.log(2.0))
+        assert row["entropy_bits"] == pytest.approx(binary, rel=1e-4, abs=0.0)
+
+
+def bloch_vector(rho):
+    return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+def test_wigner_kernel_bloch_map_matches_boosted_packet():
+    for _ in range(5):
+        velocity = RNG.normal(size=3)
+        velocity *= RNG.uniform(0.2, 0.9) / np.linalg.norm(velocity)
+        lam = geo.boost_from_velocity(velocity)
+        spinor = RNG.normal(size=2) + 1j * RNG.normal(size=2)
+        packet = sh.gaussian_packet(0.8, 1.0, 8, spinor=spinor)
+        before = bloch_vector(sh.reduced_spin_density(packet))
+        after = bloch_vector(sh.reduced_spin_density(sh.boost_packet(lam, packet)))
+        probs, rots = sh.wigner_kernel(lam, 0.8, 1.0, 8)
+        np.testing.assert_allclose(geo.bloch_map(probs, rots) @ before, after, atol=1e-13)
+
+
+def test_spin_row_memory_bounded():
+    tracemalloc.start()
+    try:
+        row = sh.sweep_row(np.pi / 2, 0.25, nodes_per_axis=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["converged"]
+    assert peak < 100e6
 
 
 def test_pair_error_refined_grid_pin():

@@ -68,13 +68,8 @@ class ChannelReport:
         }
 
 
-def _gamma_of(spec) -> float:
-    return spec.gamma if isinstance(spec, BoostChannelSpec) else float(spec)
-
-
-def decoherence_channel(spec) -> QubitChannel:
+def decoherence_channel(gamma: float) -> QubitChannel:
     """Kraus form {sqrt(1 - G^2/4) I, G/sqrt(8) sx, G/sqrt(8) sy}."""
-    gamma = _gamma_of(spec)
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     if gamma > 2.0:
@@ -88,15 +83,13 @@ def decoherence_channel(spec) -> QubitChannel:
     )
 
 
-def certify(spec) -> ChannelReport:
+def certify(spec: BoostChannelSpec) -> ChannelReport:
     """CP/TP report with the minimum Choi eigenvalue always included."""
-    gamma = _gamma_of(spec)
-    theta = spec.theta if isinstance(spec, BoostChannelSpec) else 0.0
-    ch = decoherence_channel(gamma)
+    ch = decoherence_channel(spec.gamma)
     is_cp, min_eig = qmatrix.is_completely_positive(ch, tol=1e-12)
     return ChannelReport(
-        gamma=gamma,
-        theta=theta,
+        gamma=spec.gamma,
+        theta=spec.theta,
         is_cp=is_cp,
         is_tp=ch.is_trace_preserving(tol=1e-12),
         min_choi_eig=min_eig,
@@ -120,7 +113,7 @@ def _bloch_vector(rho) -> np.ndarray:
 
 
 def consistency_check(
-    spec,
+    spec: BoostChannelSpec,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
     beta: float = 0.6,
 ) -> ConsistencyReport:
@@ -136,8 +129,7 @@ def consistency_check(
     coefficient differs from the boosted one (the angular factor is
     (1 + cos^2 theta)/2), so the distance is reported, never asserted.
     """
-    gamma = _gamma_of(spec)
-    theta = spec.theta if isinstance(spec, BoostChannelSpec) else 0.0
+    gamma, theta = spec.gamma, spec.theta
     if gamma == 0.0:
         return ConsistencyReport(gamma, theta, 0.0, 0.0, 0.0, 0.0, grid_resolution**3)
     r_channel = _bloch_vector(decoherence_channel(gamma).apply(SPIN_UP))

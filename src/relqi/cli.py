@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import channel, entangle, photon, spin_half
+from .wavepacket import refinement_converged
 
 SPIN_HEADER = "theta,gamma,beta,delta_over_m,entropy_bits,p_error,grid_nodes,converged"
 PHOTON_HEADER = "kA,delta_r,delta_z,v,p_error,p_error_closed_form,grid_nodes,converged"
@@ -128,7 +129,8 @@ def _rel_delta(coarse: float, fine: float) -> float:
     return abs(fine - coarse) / max(abs(fine), 1e-300)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The `relqi` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="relqi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -143,17 +145,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-convergence", action="store_true",
                        help="skip the refined-grid convergence check")
 
-    p = sub.add_parser("spin-entropy", help="spin entropy over (theta, gamma)")
-    p.add_argument("--theta", default="0:3.14159:0.19635")
-    p.add_argument("--gamma", default="0,0.25,0.5")
-    p.add_argument("--delta-over-m", type=float, default=1.0)
-    common(p, spin_half.DEFAULT_NODES_PER_AXIS)
-
-    p = sub.add_parser("spin-distinguish", help="pair error over (theta, gamma)")
-    p.add_argument("--theta", default="1.5707963268")
-    p.add_argument("--gamma", default="0.001,0.002,0.005")
-    p.add_argument("--delta-over-m", type=float, default=1.0)
-    common(p, spin_half.DEFAULT_NODES_PER_AXIS)
+    for name, help_text, theta, gamma in (
+        ("spin-entropy", "spin entropy over (theta, gamma)", "0:3.14159:0.19635",
+         "0,0.25,0.5"),
+        ("spin-distinguish", "pair error over (theta, gamma)", "1.5707963268",
+         "0.001,0.002,0.005"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--theta", default=theta)
+        p.add_argument("--gamma", default=gamma)
+        p.add_argument("--delta-over-m", type=float, default=1.0)
+        common(p, spin_half.DEFAULT_NODES_PER_AXIS)
 
     p = sub.add_parser("photon-density", help="3x3 polarization matrix of a beam")
     p.add_argument("--kA", type=float, default=100.0)
@@ -191,10 +193,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="observable values at n and 2n nodes per axis")
     common(p, 8)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args) -> None:
+def _apply_config(args, subparser) -> None:
+    """Override parsed flags with the --config entries.
+
+    Each entry goes through its flag's own `type` and `choices`, so a value
+    means what it would mean on the command line.
+    """
     if not args.config:
         return
     try:
@@ -204,11 +211,24 @@ def _apply_config(args) -> None:
         raise ConfigError(f"config: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigError("config: top-level JSON object required")
+    actions = {a.dest: a for a in subparser._actions if hasattr(args, a.dest)}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"config: unknown field {key!r}")
-        setattr(args, attr, value)
+        if action.nargs == 0 and not isinstance(value, bool):
+            raise ConfigError(f"{key}: expected true or false, got {value!r}")
+        if action.type is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            try:
+                value = action.type(text)
+            except ValueError:
+                raise ConfigError(
+                    f"{key}: invalid {action.type.__name__} value {value!r}"
+                ) from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{key}: {value!r} is not one of {list(action.choices)}")
+        setattr(args, action.dest, value)
 
 
 def _require_positive(value, field: str) -> float:
@@ -233,21 +253,20 @@ def _validate(args) -> None:
             raise ConfigError("resolution: must be >= 1")
     elif args.resolution < 4:
         raise ConfigError("resolution: must be >= 4")
-    for field in ("kA", "dr", "dz"):
-        value = getattr(args, field, None)
+    for attr in ("kA", "dr", "dz", "delta_over_m"):
+        value = getattr(args, attr, None)
         if value is not None and not isinstance(value, str):
-            _require_positive(value, field)
-    if getattr(args, "delta_over_m", None) is not None:
-        if not isinstance(args.delta_over_m, str):
-            _require_positive(args.delta_over_m, "delta-over-m")
+            _require_positive(value, attr.replace("_", "-"))
 
 
-def _cmd_spin(args, thetas, gammas) -> int:
+def _cmd_spin(args) -> int:
+    thetas = parse_values(str(args.theta), "theta")
+    gammas = parse_values(str(args.gamma), "gamma")
     for gamma in gammas:
         if gamma < 0.0:
             raise ConfigError("gamma: must be nonnegative")
     kwargs = dict(
-        delta_over_m=_require_positive(args.delta_over_m, "delta-over-m"),
+        delta_over_m=args.delta_over_m,
         nodes_per_axis=args.resolution,
         tolerance=args.tolerance,
         check_convergence=not args.no_convergence,
@@ -266,8 +285,7 @@ def _cmd_photon_density(args) -> int:
     rho = rho_at(args.resolution)
     converged = True
     if not args.no_convergence:
-        delta = np.abs(rho_at(2 * args.resolution) - rho).max()
-        converged = bool(delta < args.tolerance)
+        converged = refinement_converged(rho, rho_at(2 * args.resolution), args.tolerance)
     _write(args.out, _json({
         "kA": args.kA,
         "delta_r": args.dr,
@@ -283,35 +301,27 @@ def _cmd_photon_density(args) -> int:
 
 
 def _photon_row(args, delta_r, v):
-    if v == 0.0:
-        pe = photon.circular_pair_error(args.kA, args.dz, delta_r, args.resolution)
-        closed = delta_r**2 / (4.0 * args.kA**2)
-        pe_fine = (
-            photon.circular_pair_error(args.kA, args.dz, delta_r, 2 * args.resolution)
-            if not args.no_convergence else pe
-        )
-    else:
-        rep = photon.doppler_report(args.kA, args.dz, delta_r, v, args.resolution)
-        pe = rep.pe_boosted
-        closed = rep.closed_form_ratio * delta_r**2 / (4.0 * args.kA**2)
-        pe_fine = (
-            photon.doppler_report(args.kA, args.dz, delta_r, v, 2 * args.resolution).pe_boosted
-            if not args.no_convergence else pe
-        )
+    def pe_at(n):
+        return photon.circular_pair_error(args.kA, args.dz, delta_r, n, v)
+
+    pe = pe_at(args.resolution)
+    converged = True
+    if not args.no_convergence:
+        converged = refinement_converged(pe, pe_at(2 * args.resolution), args.tolerance)
     return {
         "kA": args.kA,
         "delta_r": delta_r,
         "delta_z": args.dz,
         "v": v,
         "p_error": pe,
-        "p_error_closed_form": closed,
+        "p_error_closed_form": (1.0 + v) / (1.0 - v) * delta_r**2 / (4.0 * args.kA**2),
         "grid_nodes": args.resolution**3,
-        "converged": bool(abs(pe_fine - pe) < args.tolerance),
+        "converged": converged,
     }
 
 
 def _cmd_photon_distinguish(args) -> int:
-    drs = parse_values(args.dr, "dr") if isinstance(args.dr, str) else [float(args.dr)]
+    drs = [_require_positive(dr, "dr") for dr in parse_values(str(args.dr), "dr")]
     rows = _map_rows(lambda dr: _photon_row(args, dr, 0.0), drs)
     _write(args.out, _csv(PHOTON_HEADER, rows))
     return 0 if _all_converged(rows) else 1
@@ -326,9 +336,8 @@ def _cmd_doppler(args) -> int:
         converged = True
         if not args.no_convergence:
             fine = photon.doppler_report(args.kA, args.dz, args.dr, v, 2 * args.resolution)
-            converged = bool(
-                abs(fine.ratio - rep.ratio) < args.tolerance
-                and abs(fine.pe_boosted - rep.pe_boosted) < args.tolerance
+            converged = refinement_converged(
+                (rep.ratio, rep.pe_boosted), (fine.ratio, fine.pe_boosted), args.tolerance
             )
         payload = rep.as_dict()
         payload.update(tolerance=args.tolerance, converged=converged)
@@ -429,39 +438,30 @@ def _cmd_convergence(args) -> int:
     return 0 if _all_converged(rows) else 1
 
 
+_COMMANDS = {
+    "spin-entropy": _cmd_spin,
+    "spin-distinguish": _cmd_spin,
+    "photon-density": _cmd_photon_density,
+    "photon-distinguish": _cmd_photon_distinguish,
+    "doppler": _cmd_doppler,
+    "channel-audit": _cmd_channel_audit,
+    "entangle-sweep": _cmd_entangle,
+    "convergence": _cmd_convergence,
+}
+
+
 def run(argv) -> int:
     """Parse arguments, run the subcommand, return the exit code."""
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config(args)
+        _apply_config(args, subparsers[args.command])
         _validate(args)
-        if args.command == "spin-entropy":
-            return _cmd_spin(args, parse_values(str(args.theta), "theta"),
-                             parse_values(str(args.gamma), "gamma"))
-        if args.command == "spin-distinguish":
-            return _cmd_spin(args, parse_values(str(args.theta), "theta"),
-                             parse_values(str(args.gamma), "gamma"))
-        if args.command == "photon-density":
-            return _cmd_photon_density(args)
-        if args.command == "photon-distinguish":
-            return _cmd_photon_distinguish(args)
-        if args.command == "doppler":
-            return _cmd_doppler(args)
-        if args.command == "channel-audit":
-            return _cmd_channel_audit(args)
-        if args.command == "entangle-sweep":
-            return _cmd_entangle(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        raise ConfigError(f"command: unknown {args.command!r}")
-    except ConfigError as exc:
-        print(f"relqi: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, ValueError) as exc:
         print(f"relqi: configuration error: {exc}", file=sys.stderr)
         return 2
 

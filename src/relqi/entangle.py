@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, qmatrix, spin_half
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize
+from .wavepacket import (GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize,
+                         refinement_converged)
 
 DEFAULT_NODES_PER_AXIS = 8
 
@@ -196,7 +197,7 @@ def sweep_row(
     if check_convergence:
         refined = max(nodes_per_axis + 2, (3 * nodes_per_axis) // 2)
         conc2, _ = _row_values(delta_over_m, beta, mass, refined)
-        row["converged"] = bool(abs(conc2 - conc) < tolerance)
+        row["converged"] = refinement_converged(conc, conc2, tolerance)
     return row
 
 

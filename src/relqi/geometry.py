@@ -10,7 +10,6 @@ taking the rest momentum (m, 0, 0, 0) to p.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _Rotation
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -81,6 +80,14 @@ def observer_boost(velocity) -> np.ndarray:
     return boost_from_velocity(-np.asarray(velocity, dtype=float))
 
 
+def _require_on_shell(p4: np.ndarray, mass: float) -> None:
+    energy = p4[..., 0]
+    scale = energy * energy + np.sum(p4[..., 1:] ** 2, axis=-1)
+    defect = np.abs(minkowski_norm2(p4) - mass * mass)
+    if np.any(defect > 1e-10 * scale) or np.any(energy <= 0.0):
+        raise ValueError("momentum is off shell for the given mass")
+
+
 def standard_boost(p4, mass: float) -> np.ndarray:
     """Pure boost B(p) with B(p) (m,0,0,0) = p, for on-shell p (batched).
 
@@ -88,12 +95,9 @@ def standard_boost(p4, mass: float) -> np.ndarray:
     off shell beyond a relative 1e-10.
     """
     p4 = np.asarray(p4, dtype=float)
+    _require_on_shell(p4, mass)
     energy = p4[..., 0]
     sp = p4[..., 1:]
-    scale = energy * energy + np.sum(sp * sp, axis=-1)
-    defect = np.abs(minkowski_norm2(p4) - mass * mass)
-    if np.any(defect > 1e-10 * scale) or np.any(energy <= 0.0):
-        raise ValueError("momentum is off shell for the given mass")
     out = np.zeros(p4.shape[:-1] + (4, 4))
     out[..., 0, 0] = energy / mass
     out[..., 0, 1:] = sp / mass
@@ -105,23 +109,14 @@ def standard_boost(p4, mass: float) -> np.ndarray:
 
 
 def wigner_rotation(lam: np.ndarray, p4, mass: float) -> np.ndarray:
-    """Little-group rotation W = B(Lp)^{-1} L B(p) as a 3x3 matrix."""
+    """Little-group rotation W = B(Lp)^{-1} L B(p) as a 3x3 matrix.
+
+    Raises for a momentum off shell beyond a relative 1e-10, as
+    standard_boost does.
+    """
     p4 = np.asarray(p4, dtype=float)
-    w4 = _little_group_element(lam, p4, mass)
-    return w4[1:, 1:]
-
-
-def _little_group_element(lam, p4, mass):
-    b_in = standard_boost(p4, mass)
-    p_out = np.asarray(lam, dtype=float) @ p4
-    b_out_inv = lorentz_inverse(standard_boost(p_out, mass))
-    w4 = b_out_inv @ lam @ b_in
-    defect = max(
-        abs(w4[0, 0] - 1.0), float(np.abs(w4[0, 1:]).max()), float(np.abs(w4[1:, 0]).max())
-    )
-    if defect > 1e-10:
-        raise ValueError(f"little-group element does not fix the time axis ({defect:.3g})")
-    return w4
+    _require_on_shell(p4, mass)
+    return wigner_rotation_batch(lam, p4[None, 1:], mass)[1][0]
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
@@ -133,12 +128,15 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 
 def _skew(n):
-    return np.array(
+    """Cross-product matrices [n]_x of (..., 3) vectors."""
+    zero = np.zeros(np.shape(n)[:-1])
+    return np.stack(
         [
-            [0.0, -n[2], n[1]],
-            [n[2], 0.0, -n[0]],
-            [-n[1], n[0], 0.0],
-        ]
+            np.stack([zero, -n[..., 2], n[..., 1]], axis=-1),
+            np.stack([n[..., 2], zero, -n[..., 0]], axis=-1),
+            np.stack([-n[..., 1], n[..., 0], zero], axis=-1),
+        ],
+        axis=-2,
     )
 
 
@@ -167,14 +165,7 @@ def standard_rotation_batch(khats: np.ndarray) -> np.ndarray:
     out[flipped] = np.diag([1.0, -1.0, -1.0])
     regular = ~degenerate
     if np.any(regular):
-        u = axis[regular] / sin_t[regular, None]
-        k = np.zeros((u.shape[0], 3, 3))
-        k[:, 0, 1] = -u[:, 2]
-        k[:, 0, 2] = u[:, 1]
-        k[:, 1, 0] = u[:, 2]
-        k[:, 1, 2] = -u[:, 0]
-        k[:, 2, 0] = -u[:, 1]
-        k[:, 2, 1] = u[:, 0]
+        k = _skew(axis[regular] / sin_t[regular, None])
         out[regular] = (
             np.eye(3)
             + sin_t[regular, None, None] * k
@@ -190,26 +181,39 @@ def rotation_to_su2(rot: np.ndarray) -> np.ndarray:
     U (v.sigma) U^dagger = (R v).sigma.  The overall sign is fixed by the
     axis-angle convention; it cancels in every density-matrix output.
     """
-    rot = np.asarray(rot, dtype=float)
-    return rotations_to_su2(rot[None, :, :])[0]
+    return rotations_to_su2(rot)
 
 
 def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
-    """Vectorized rotation_to_su2 for an (n, 3, 3) stack."""
-    rotvec = _Rotation.from_matrix(np.asarray(rots, dtype=float)).as_rotvec()
-    rotvec = np.atleast_2d(rotvec)
-    theta = np.linalg.norm(rotvec, axis=-1)
-    axis = np.zeros_like(rotvec)
-    axis[:, 2] = 1.0  # arbitrary axis where theta == 0 (sin term vanishes)
-    nz = theta > 0.0
-    axis[nz] = rotvec[nz] / theta[nz, None]
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    u = np.empty(rotvec.shape[:-1] + (2, 2), dtype=complex)
-    u[..., 0, 0] = c - 1j * s * axis[..., 2]
-    u[..., 0, 1] = -s * axis[..., 1] - 1j * s * axis[..., 0]
-    u[..., 1, 0] = s * axis[..., 1] - 1j * s * axis[..., 0]
-    u[..., 1, 1] = c + 1j * s * axis[..., 2]
+    """Vectorized rotation_to_su2 for an (..., 3, 3) stack.
+
+    Shepperd's method: for the unit quaternion q = (x, y, z, w) of a rotation
+    R, the symmetric matrix K built from R below equals 4 q q^T, so its row
+    p is 4 q_p q.  The row whose pivot is the largest of R_xx, R_yy, R_zz
+    and tr R (the largest |q_p|) is normalized, with the sign that makes
+    w >= 0; then U = w I - i (x, y, z).sigma.
+    """
+    r = np.asarray(rots, dtype=float)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    trace = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
+    k = np.empty(r.shape[:-2] + (4, 4))
+    k[..., :3, :3] = r + np.swapaxes(r, -1, -2)
+    k[..., [0, 1, 2], [0, 1, 2]] = 1.0 - trace[..., None] + 2.0 * diag
+    k[..., 3, :3] = k[..., :3, 3] = np.stack(
+        [r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]],
+        axis=-1,
+    )
+    k[..., 3, 3] = 1.0 + trace
+    pivot = np.argmax(np.concatenate([diag, trace[..., None]], axis=-1), axis=-1)
+    q = np.take_along_axis(k, pivot[..., None, None], axis=-2)[..., 0, :]
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q[q[..., 3] < 0.0] *= -1.0
+    x, y, z, w = np.moveaxis(q, -1, 0)
+    u = np.empty(r.shape[:-2] + (2, 2), dtype=complex)
+    u[..., 0, 0] = w - 1j * z
+    u[..., 0, 1] = -y - 1j * x
+    u[..., 1, 0] = y - 1j * x
+    u[..., 1, 1] = w + 1j * z
     return u
 
 

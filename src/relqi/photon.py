@@ -283,14 +283,22 @@ def circular_pair_error(
     delta_z: float,
     delta_r: float,
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
+    v: float = 0.0,
 ) -> float:
     """Helstrom error between the two circular beams of a common profile.
 
-    Strictly positive for any finite radial spread; tends to the leading
-    order delta_r^2 / (4 k_mean^2) as delta_r / k_mean -> 0.
+    `v` is the speed of an observer moving along z; at v = 0 the beams are
+    compared in their rest frame, with no boost.  Strictly positive for any
+    finite radial spread; tends to the leading order
+    (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) as delta_r / k_mean -> 0.
     """
+    if abs(v) >= 1.0:
+        raise ValueError("observer speed must satisfy |v| < 1")
     plus = gaussian_beam(k_mean, delta_z, delta_r, +1, nodes_per_axis)
     minus = gaussian_beam(k_mean, delta_z, delta_r, -1, nodes_per_axis)
+    if v != 0.0:
+        lam = geometry.observer_boost(np.array([0.0, 0.0, v]))
+        plus, minus = boost_photon(lam, plus), boost_photon(lam, minus)
     return orthogonality_audit(plus, minus)
 
 
@@ -339,13 +347,8 @@ def doppler_report(
     beam and scales the error by (1 + v)/(1 - v) at leading order; negative
     v shrinks it by the same law.
     """
-    if abs(v) >= 1.0:
-        raise ValueError("observer speed must satisfy |v| < 1")
-    plus = gaussian_beam(k_mean, delta_z, delta_r, +1, nodes_per_axis)
-    minus = gaussian_beam(k_mean, delta_z, delta_r, -1, nodes_per_axis)
-    pe_rest = orthogonality_audit(plus, minus)
-    lam = geometry.observer_boost(np.array([0.0, 0.0, v]))
-    pe_boosted = orthogonality_audit(boost_photon(lam, plus), boost_photon(lam, minus))
+    pe_rest = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis)
+    pe_boosted = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis, v)
     return DopplerReport(
         k_mean=k_mean,
         delta_z=delta_z,
@@ -357,14 +360,3 @@ def doppler_report(
         closed_form_ratio=(1.0 + v) / (1.0 - v),
         grid_nodes=nodes_per_axis**3,
     )
-
-
-def doppler_error(
-    k_mean: float,
-    delta_z: float,
-    delta_r: float,
-    v: float,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-) -> float:
-    """Recomputed pair error in the moving observer's frame."""
-    return doppler_report(k_mean, delta_z, delta_r, v, nodes_per_axis).pe_boosted

@@ -127,10 +127,6 @@ class QubitChannel:
             self.dim = int(round(np.sqrt(self._superop.shape[0])))
 
     @classmethod
-    def from_kraus(cls, ops) -> "QubitChannel":
-        return cls(kraus=ops)
-
-    @classmethod
     def from_superoperator(cls, mat) -> "QubitChannel":
         return cls(superop=mat)
 
@@ -168,10 +164,6 @@ class QubitChannel:
             choi = choi_matrix(self)
             acc = partial_trace(choi, (self.dim, self.dim), side="right")
         return bool(np.abs(acc - np.eye(self.dim)).max() <= tol)
-
-
-def apply_channel(channel: QubitChannel, rho) -> np.ndarray:
-    return channel.apply(rho)
 
 
 def choi_matrix(channel: QubitChannel) -> np.ndarray:

@@ -34,6 +34,7 @@ from .wavepacket import (
     gauss_grid,
     inner_product,
     normalize,
+    refinement_converged,
 )
 
 DEFAULT_NODES_PER_AXIS = 12
@@ -249,9 +250,7 @@ def sweep_row(
     row.update(beta=beta, entropy_bits=ent, p_error=perr, converged=True)
     if check_convergence:
         _, ent2, perr2 = _row_values(theta, gamma, delta_over_m, mass, 2 * nodes_per_axis)
-        row["converged"] = bool(
-            abs(ent2 - ent) < tolerance and abs(perr2 - perr) < tolerance
-        )
+        row["converged"] = refinement_converged((ent, perr), (ent2, perr2), tolerance)
     return row
 
 

@@ -172,6 +172,15 @@ def normalize(grid: MomentumGrid, f: np.ndarray) -> np.ndarray:
     return np.asarray(f) / n
 
 
+def refinement_converged(coarse, fine, tolerance: float) -> bool:
+    """Whether a refined grid moves every observable by less than `tolerance`.
+
+    `coarse` and `fine` are matching scalars, tuples or arrays; the test is
+    max |fine - coarse| < tolerance, absolute.
+    """
+    return bool(np.max(np.abs(np.subtract(fine, coarse))) < tolerance)
+
+
 def grid_config(
     spec: GaussianSpec, nodes_per_axis: int, convention: Measure, mass: float = 0.0
 ) -> dict:

@@ -55,7 +55,7 @@ def test_certify_reports():
     assert rep.is_cp and rep.is_tp
     assert rep.min_choi_eig >= -1e-12
     assert rep.gamma == 0.5 and rep.theta == 0.3
-    rep0 = ch.certify(0.0)
+    rep0 = ch.certify(ch.BoostChannelSpec(0.0))
     assert rep0.is_cp and rep0.is_tp and rep0.min_choi_eig >= -1e-12
     d = rep.as_dict()
     assert set(d) == {

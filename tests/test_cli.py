@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +182,46 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     cfg.write_text('{"no_such_field": 1}')
     assert cli.run(["spin-entropy", "--config", str(cfg), "--out", "-"]) == 2
     assert "no_such_field" in capsys.readouterr().err
+    cfg.write_text('{"resolution": "8.5"}')
+    assert cli.run(["spin-entropy", "--config", str(cfg), "--out", "-"]) == 2
+    assert "resolution" in capsys.readouterr().err
+    cfg.write_text('{"helicity": 0}')
+    assert cli.run(["photon-density", "--config", str(cfg), "--out", "-"]) == 2
+    assert "helicity" in capsys.readouterr().err
+    assert cli.run(["photon-distinguish", "--dr=-1,1", "--out", "-"]) == 2
+    assert "dr: must be positive" in capsys.readouterr().err
+
+
+def test_config_values_read_as_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolution": "6", "kA": 100}))
+    out = tmp_path / "rho.json"
+    code = cli.run(["photon-density", "--no-convergence", "--config", str(cfg),
+                    "--out", str(out)])
+    assert code == 0
+    flags = tmp_path / "flags.json"
+    assert cli.run(["photon-density", "--no-convergence", "--resolution", "6",
+                    "--kA", "100", "--out", str(flags)]) == 0
+    assert read(out) == read(flags)  # "kA": 100.0 in both, as --kA parses it
+
+
+def test_config_entries_without_type_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dr": null}')
+    assert cli.run(["photon-distinguish", "--config", str(cfg), "--out", "-"]) == 2
+    assert "dr" in capsys.readouterr().err
+    cfg.write_text('{"no_convergence": "false"}')
+    assert cli.run(["spin-distinguish", "--config", str(cfg), "--out", "-"]) == 2
+    assert "no_convergence" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, relqi.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_command_exits_2(capsys):

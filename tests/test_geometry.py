@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
 from relqi import geometry as geo
 
@@ -41,6 +42,34 @@ def exp_boost(p4, mass):
     xi = np.arccosh(p4[0] / mass)
     n = sp / norm
     return expm(xi * sum(n[i] * BOOST_GEN[i] for i in range(3)))
+
+
+def little_group_element(lam, p4, mass):
+    """Single-node 4x4 pipeline B(Lp)^{-1} L B(p), with its time-axis check."""
+    b_in = geo.standard_boost(p4, mass)
+    b_out_inv = geo.lorentz_inverse(geo.standard_boost(lam @ p4, mass))
+    w4 = b_out_inv @ lam @ b_in
+    defect = max(abs(w4[0, 0] - 1.0), np.abs(w4[0, 1:]).max(), np.abs(w4[1:, 0]).max())
+    assert defect <= 1e-10
+    return w4
+
+
+def rotvec_su2_lift(rots):
+    """exp(-i theta n.sigma / 2) from scipy's rotation vector, theta in [0, pi]."""
+    rotvec = np.atleast_2d(Rotation.from_matrix(rots).as_rotvec())
+    theta = np.linalg.norm(rotvec, axis=-1)
+    axis = np.zeros_like(rotvec)
+    axis[:, 2] = 1.0  # arbitrary axis where theta == 0 (sin term vanishes)
+    nz = theta > 0.0
+    axis[nz] = rotvec[nz] / theta[nz, None]
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    u = np.empty(rotvec.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = c - 1j * s * axis[..., 2]
+    u[..., 0, 1] = -s * axis[..., 1] - 1j * s * axis[..., 0]
+    u[..., 1, 0] = s * axis[..., 1] - 1j * s * axis[..., 0]
+    u[..., 1, 1] = c + 1j * s * axis[..., 2]
+    return u
 
 
 def test_boost_zero_velocity_is_identity():
@@ -144,6 +173,12 @@ def test_wigner_rotation_matrix_product_oracle():
     np.testing.assert_allclose(w, geo.rotation_about([0.0, 1.0, 0.0], -angle), atol=1e-10)
 
 
+def test_wigner_rotation_rejects_off_shell():
+    lam = geo.boost_from_velocity([0.0, 0.0, 0.6])
+    with pytest.raises(ValueError, match="off shell"):
+        geo.wigner_rotation(lam, np.array([1.0, 0.0, 0.0, 0.9]), 1.0)
+
+
 def test_little_group_closure():
     m = 0.8
     for _ in range(20):
@@ -164,7 +199,7 @@ def test_wigner_rotation_batch_matches_single_node(monkeypatch):
     for q, p_out, w in zip(momenta, p4, rots):
         q4 = geo.four_momentum(m, q)
         np.testing.assert_allclose(p_out, lam @ q4, atol=1e-12)
-        np.testing.assert_allclose(w, geo.wigner_rotation(lam, q4, m), atol=1e-12)
+        np.testing.assert_allclose(w, little_group_element(lam, q4, m)[1:, 1:], atol=1e-12)
     monkeypatch.setattr(geo, "_WIGNER_BLOCK", 7)
     np.testing.assert_array_equal(geo.wigner_rotation_batch(lam, momenta, m)[1], rots)
     _, u = geo.wigner_su2_batch(lam, momenta, m)
@@ -211,6 +246,30 @@ def test_su2_projective_homomorphism():
         assert (
             np.abs(u12 - prod).max() < 1e-10 or np.abs(u12 + prod).max() < 1e-10
         )
+
+
+def test_su2_lift_matches_rotvec_oracle():
+    rots = Rotation.random(10000, RNG.integers(2**32)).as_matrix()
+    np.testing.assert_allclose(geo.rotations_to_su2(rots), rotvec_su2_lift(rots),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_su2_lift_every_pivot_and_half_turns():
+    # Shepperd's pivot is the largest of (R_xx, R_yy, R_zz, trace): near-half
+    # turns about each axis pick that axis' diagonal, small angles the trace.
+    rots = [geo.rotation_about([0.0, 0.0, 1.0], np.pi),
+            geo.rotation_about([1.0, 1.0, 0.0], np.pi)]
+    for axis in np.eye(3):
+        for angle in (np.pi, np.pi - 1e-9, 3.0):
+            rots.append(geo.rotation_about(axis + 0.05 * RNG.normal(size=3), angle))
+    for angle in (0.0, 1e-9, 0.5, 2.0):
+        rots.append(geo.rotation_about(RNG.normal(size=3), angle))
+    rots = np.array(rots)
+    trace = np.trace(rots, axis1=1, axis2=2)
+    pivots = np.argmax(np.stack([rots[:, 0, 0], rots[:, 1, 1], rots[:, 2, 2], trace], 1), 1)
+    assert set(pivots) == {0, 1, 2, 3}
+    np.testing.assert_allclose(geo.rotations_to_su2(rots), rotvec_su2_lift(rots),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_standard_rotation_conventions():

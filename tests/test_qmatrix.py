@@ -116,7 +116,7 @@ def test_helstrom_symmetry_and_invariance():
 
 def test_apply_channel_identity():
     rho = qm.random_density(RNG)
-    np.testing.assert_allclose(qm.apply_channel(qm.identity_channel(), rho), rho, atol=1e-14)
+    np.testing.assert_allclose(qm.identity_channel().apply(rho), rho, atol=1e-14)
 
 
 def test_kraus_vs_superoperator_forms():

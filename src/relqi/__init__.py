@@ -12,7 +12,7 @@ from .entangle import TwoParticleAmplitude, bell_gaussian, boost_pair, concurren
 from .geometry import (
     boost_from_velocity,
     observer_boost,
-    rotation_to_su2,
+    rotations_to_su2,
     standard_boost,
     standard_rotation,
     wigner_rotation,

@@ -12,7 +12,7 @@ positive map can do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,17 +55,7 @@ class ChannelReport:
     verdict: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "theta": self.theta,
-            "is_cp": self.is_cp,
-            "is_tp": self.is_tp,
-            "min_choi_eig": self.min_choi_eig,
-            "trace_distance": self.trace_distance,
-            "pe_before": self.pe_before,
-            "pe_after": self.pe_after,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def decoherence_channel(gamma: float) -> QubitChannel:

@@ -127,14 +127,19 @@ def single_spin_density(state: TwoParticleAmplitude, particle: int = 1) -> np.nd
 
 
 def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+    """Wootters concurrence of a two-qubit density matrix.
+
+    Taken from the singular values of sqrt(rho) (Y x Y) sqrt(rho)^*, which
+    keep their absolute accuracy near a pure state (the eigenvalues of
+    rho rho~ do not); negative eigenvalues of rho are clipped to 0.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for 4x4 density matrices")
-    r = rho @ _YY @ rho.conj() @ _YY
-    eigs = np.sort(np.abs(np.real(np.linalg.eigvals(r))))[::-1]
-    roots = np.sqrt(eigs)
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+    mu, vecs = np.linalg.eigh(qmatrix.hermitize(rho))
+    root = (vecs * np.sqrt(np.clip(mu, 0.0, None))) @ vecs.conj().T
+    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
 def boosted_singlet(
@@ -176,9 +181,9 @@ def sweep_row(
 ) -> dict:
     """One sweep entry: concurrence of the boosted singlet at (delta/m, beta).
 
-    The convergence check refines the per-axis count by 3/2 (pair grids
-    grow as the sixth power of it, so full doubling is reserved for the
-    dedicated convergence report at small n).
+    With check_convergence the concurrence is recomputed at twice the
+    resolution, as for the spin and photon rows, and the row is flagged
+    converged when it moves by less than `tolerance`.
     """
     row = {
         "delta_over_m": float(delta_over_m),
@@ -195,8 +200,7 @@ def sweep_row(
         return row
     row.update(concurrence=conc, entropy_of_marginal_bits=ent, converged=True)
     if check_convergence:
-        refined = max(nodes_per_axis + 2, (3 * nodes_per_axis) // 2)
-        conc2, _ = _row_values(delta_over_m, beta, mass, refined)
+        conc2, _ = _row_values(delta_over_m, beta, mass, 2 * nodes_per_axis)
         row["converged"] = refinement_converged(conc, conc2, tolerance)
     return row
 

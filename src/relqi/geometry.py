@@ -174,18 +174,13 @@ def standard_rotation_batch(khats: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_to_su2(rot: np.ndarray) -> np.ndarray:
-    """SU(2) image exp(-i theta n.sigma / 2) of a rotation, theta in [0, pi].
+def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
+    """SU(2) images exp(-i theta n.sigma / 2) of rotations, theta in [0, pi].
 
-    Conjugating the Pauli vector with the result reproduces the rotation:
+    `rots` is one 3x3 rotation or an (..., 3, 3) stack.  Conjugating the
+    Pauli vector with the result reproduces the rotation:
     U (v.sigma) U^dagger = (R v).sigma.  The overall sign is fixed by the
     axis-angle convention; it cancels in every density-matrix output.
-    """
-    return rotations_to_su2(rot)
-
-
-def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
-    """Vectorized rotation_to_su2 for an (..., 3, 3) stack.
 
     Shepperd's method: for the unit quaternion q = (x, y, z, w) of a rotation
     R, the symmetric matrix K built from R below equals 4 q q^T, so its row

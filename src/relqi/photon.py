@@ -8,7 +8,13 @@ standard rotation, and the measurement vector attached to a real direction
 d is its transverse projection b_d(k) = d - (d.khat) khat.  The effective
 3x3 polarization matrix rho_mn = integral dmu |f|^2 alpha_m alpha_n^*
 coincides entry by entry with the tomographic reconstruction from POVM
-expectation values; both routes are implemented and cross-checked.
+expectation values; the tests check the two routes against each other.
+
+Circular beams need neither route: with P_T the transverse projector and
+[khat]_x the cross-product matrix, helicity +-1 beams of one profile are
+(<P_T> +- i[<khat>]_x)/2, with Helstrom error (1 - |<khat>|)/2.
+`circular_pair_error` and the Doppler report read only the node
+probabilities and observer-frame directions (`_beam_kernel`), in O(N).
 
 Boosts transport nodes along L k with the invariant-measure weights and the
 helicity amplitudes unchanged (the transported 3-vector is the standard
@@ -18,8 +24,9 @@ zero); pure spatial rotations act on polarization vectors exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -198,21 +205,11 @@ def build_povm(grid: MomentumGrid) -> PolarizationPOVM:
     return PolarizationPOVM(grid=grid, bvecs=bvecs)
 
 
-def effective_density(psi: PhotonPacket, validate: bool = True) -> np.ndarray:
-    """3x3 polarization matrix integral dmu |f|^2 alpha alpha^dagger.
-
-    With validate=True the tomographic POVM reconstruction is evaluated as
-    well and the two routes are required to agree to 1e-10.
-    """
+def effective_density(psi: PhotonPacket) -> np.ndarray:
+    """3x3 polarization matrix integral dmu |f|^2 alpha alpha^dagger."""
     w2 = psi.grid.weights * np.abs(psi.profile) ** 2
     alpha = psi.alpha_vectors()
-    rho = qmatrix.hermitize(np.einsum("n,nm,nc->mc", w2, alpha, alpha.conj()))
-    if validate:
-        other = effective_density_tomography(psi)
-        gap = float(np.abs(rho - other).max())
-        if gap > 1e-10:
-            raise RuntimeError(f"polarization matrix routes disagree by {gap:.3g}")
-    return rho
+    return qmatrix.hermitize(np.einsum("n,nm,nc->mc", w2, alpha, alpha.conj()))
 
 
 def effective_density_tomography(psi: PhotonPacket) -> np.ndarray:
@@ -278,6 +275,19 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
 
 
+def _beam_kernel(k_mean, delta_z, delta_r, nodes_per_axis, v):
+    """(p, khat) of a gaussian_beam: p_n = w_n |f_n|^2 and the node directions
+    seen by an observer moving along z at speed v.  The nodes go through
+    boost_photon, so the beam guards and the energy and norm checks apply.
+    """
+    if abs(v) >= 1.0:
+        raise ValueError("observer speed must satisfy |v| < 1")
+    beam = gaussian_beam(k_mean, delta_z, delta_r, +1, nodes_per_axis)
+    if v != 0.0:
+        beam = boost_photon(geometry.observer_boost(np.array([0.0, 0.0, v])), beam)
+    return beam.grid.weights * np.abs(beam.profile) ** 2, beam.khat()
+
+
 def circular_pair_error(
     k_mean: float,
     delta_z: float,
@@ -288,18 +298,13 @@ def circular_pair_error(
     """Helstrom error between the two circular beams of a common profile.
 
     `v` is the speed of an observer moving along z; at v = 0 the beams are
-    compared in their rest frame, with no boost.  Strictly positive for any
-    finite radial spread; tends to the leading order
+    compared in their rest frame, with no boost.  The error (1 - |<khat>|)/2
+    is qmatrix.mixture_pair_error of the directions khat_n.  Strictly
+    positive for any finite radial spread; tends to the leading order
     (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) as delta_r / k_mean -> 0.
     """
-    if abs(v) >= 1.0:
-        raise ValueError("observer speed must satisfy |v| < 1")
-    plus = gaussian_beam(k_mean, delta_z, delta_r, +1, nodes_per_axis)
-    minus = gaussian_beam(k_mean, delta_z, delta_r, -1, nodes_per_axis)
-    if v != 0.0:
-        lam = geometry.observer_boost(np.array([0.0, 0.0, v]))
-        plus, minus = boost_photon(lam, plus), boost_photon(lam, minus)
-    return orthogonality_audit(plus, minus)
+    probs, khat = _beam_kernel(k_mean, delta_z, delta_r, nodes_per_axis, v)
+    return qmatrix.mixture_pair_error(probs, khat)
 
 
 def orthogonality_audit(psi1: PhotonPacket, psi2: PhotonPacket) -> float:
@@ -321,17 +326,9 @@ class DopplerReport:
     grid_nodes: int
 
     def as_dict(self) -> dict:
-        return {
-            "kA": self.k_mean,
-            "delta_z": self.delta_z,
-            "delta_r": self.delta_r,
-            "v": self.v,
-            "pe_rest": self.pe_rest,
-            "pe_boosted": self.pe_boosted,
-            "ratio": self.ratio,
-            "closed_form_ratio": self.closed_form_ratio,
-            "grid_nodes": self.grid_nodes,
-        }
+        out = asdict(self)
+        out["kA"] = out.pop("k_mean")
+        return out
 
 
 def doppler_report(
@@ -345,7 +342,8 @@ def doppler_report(
 
     Positive v (observer receding along the propagation axis) redshifts the
     beam and scales the error by (1 + v)/(1 - v) at leading order; negative
-    v shrinks it by the same law.
+    v shrinks it by the same law.  A beam with no spread (a single node)
+    has both errors exactly 0 and the ratio is NaN.
     """
     pe_rest = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis)
     pe_boosted = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis, v)
@@ -356,7 +354,7 @@ def doppler_report(
         v=v,
         pe_rest=pe_rest,
         pe_boosted=pe_boosted,
-        ratio=pe_boosted / pe_rest,
+        ratio=pe_boosted / pe_rest if pe_rest > 0.0 else math.nan,
         closed_form_ratio=(1.0 + v) / (1.0 - v),
         grid_nodes=nodes_per_axis**3,
     )

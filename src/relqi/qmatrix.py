@@ -101,12 +101,19 @@ def helstrom_error(rho1, rho2) -> float:
     return min(0.5, max(0.0, float(0.5 - 0.25 * np.abs(eigs).sum())))
 
 
-def trace_distance(rho1, rho2) -> float:
-    """||rho1 - rho2||_1 / 2 via the eigenvalues of the difference."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    eigs = np.linalg.eigvalsh(hermitize(rho1 - rho2))
-    return float(0.5 * np.abs(eigs).sum())
+def mixture_pair_error(probs, units) -> float:
+    """Helstrom error (1 - |r|)/2 of the pair fixed by r = sum_n p_n u_n.
+
+    `probs` (n,) sum to 1; `units` (n, 3) are unit vectors.  Spins:
+    u_n = W_n e_z, the pair is (I +- r.sigma)/2 and r.sigma has eigenvalues
+    +-|r|.  Circular photons: u_n = khat_n, the pair is (<P_T> +- i[r]_x)/2
+    and rho+ - rho- = i[r]_x has eigenvalues 0, +-|r|.  Since |u_n| = 1 the
+    error equals sum_n p_n |u_n - r|^2 / (2 (1 + |r|)), the variance form
+    evaluated here: it keeps its relative accuracy at small errors.
+    """
+    r = probs @ units
+    spread = probs @ np.sum((units - r) ** 2, axis=1)
+    return float(0.5 * spread / (1.0 + np.linalg.norm(r)))
 
 
 class QubitChannel:

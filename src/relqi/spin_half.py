@@ -145,15 +145,13 @@ def _boosted_pair(lam, delta, mass, nodes_per_axis):
     """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down pair.
 
     The boosted states are (I +- r.sigma)/2 with r = T e_z = sum_n p_n v_n
-    and v_n = W_n e_z.  Since |v_n| = 1 the error (1 - |r|)/2 equals
-    sum_n p_n |v_n - r|^2 / (2 (1 + |r|)), the variance form used here,
+    and v_n = W_n e_z; the error is qmatrix.mixture_pair_error of the v_n,
     which keeps its relative accuracy in the small-error (Gamma^2) regime.
     """
     probs, rots = wigner_kernel(lam, delta, mass, nodes_per_axis)
     v = rots[:, :, 2]
     r = probs @ v
-    spread = probs @ np.sum((v - r) ** 2, axis=1)
-    p_error = float(0.5 * spread / (1.0 + np.linalg.norm(r)))
+    p_error = qmatrix.mixture_pair_error(probs, v)
     r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
     return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
 

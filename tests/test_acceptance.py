@@ -107,7 +107,7 @@ def criterion_06_povm_completeness_and_dual_route():
     for _ in range(50):
         psi = _random_packet(grid, RNG)
         worst_residual = max(worst_residual, povm.completeness_residual(psi))
-        direct = ph.effective_density(psi, validate=False)
+        direct = ph.effective_density(psi)
         tomo = ph.effective_density_tomography(psi)
         worst_gap = max(worst_gap, float(np.abs(direct - tomo).max()))
     assert worst_residual < 1e-10

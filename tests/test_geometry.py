@@ -216,11 +216,11 @@ def test_onshell_transport():
 
 
 def test_su2_identity():
-    np.testing.assert_allclose(geo.rotation_to_su2(np.eye(3)), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(geo.rotations_to_su2(np.eye(3)), np.eye(2), atol=1e-14)
 
 
 def test_su2_pi_about_z():
-    u = geo.rotation_to_su2(geo.rotation_about([0, 0, 1], np.pi))
+    u = geo.rotations_to_su2(geo.rotation_about([0, 0, 1], np.pi))
     np.testing.assert_allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]),
                                atol=1e-12)
 
@@ -228,7 +228,7 @@ def test_su2_pi_about_z():
 def test_su2_covers_rotation():
     for _ in range(100):
         rot = geo.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
-        u = geo.rotation_to_su2(rot)
+        u = geo.rotations_to_su2(rot)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
         v = RNG.normal(size=3)
         lhs = u @ (v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]) @ u.conj().T
@@ -241,8 +241,8 @@ def test_su2_projective_homomorphism():
     for _ in range(30):
         r1 = geo.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
         r2 = geo.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
-        u12 = geo.rotation_to_su2(r1 @ r2)
-        prod = geo.rotation_to_su2(r1) @ geo.rotation_to_su2(r2)
+        u12 = geo.rotations_to_su2(r1 @ r2)
+        prod = geo.rotations_to_su2(r1) @ geo.rotations_to_su2(r2)
         assert (
             np.abs(u12 - prod).max() < 1e-10 or np.abs(u12 + prod).max() < 1e-10
         )

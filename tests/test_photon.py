@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ def test_effective_density_dual_route_random():
     grid = gauss_grid(GaussianSpec.beam(60.0, 0.4, 5.0), 5, Measure.INVARIANT)
     for _ in range(50):
         psi = random_packet(grid, RNG)
-        direct = ph.effective_density(psi, validate=False)
+        direct = ph.effective_density(psi)
         tomo = ph.effective_density_tomography(psi)
         assert np.abs(direct - tomo).max() < 1e-10
         qm.check_density_matrix(direct, tol=1e-8)
@@ -206,6 +208,33 @@ def test_orthogonality_audit_circular_pair():
     pe = ph.orthogonality_audit(plus, minus)
     assert pe > 0.0
     assert pe == pytest.approx(ph.circular_pair_error(k, 0.5, 5.0, 10), abs=1e-15)
+    for v in (-0.9, -0.5, 0.5):
+        lam = geo.observer_boost([0.0, 0.0, v])
+        audit = ph.orthogonality_audit(ph.boost_photon(lam, plus), ph.boost_photon(lam, minus))
+        pe_v = ph.circular_pair_error(k, 0.5, 5.0, 10, v)
+        assert pe_v == pytest.approx(audit, rel=1e-10, abs=0.0)
+
+
+def variance_form_oracle(beam):
+    """(1 - |<khat>|)/2 in variance form, every sum taken by math.fsum."""
+    p = beam.grid.weights * np.abs(beam.profile) ** 2
+    khat = beam.khat()
+    r = [math.fsum(p * khat[:, c]) for c in range(3)]
+    spread = math.fsum(p * np.sum((khat - r) ** 2, axis=1))
+    return 0.5 * spread / (1.0 + math.sqrt(math.fsum(x * x for x in r)))
+
+
+@pytest.mark.parametrize("k, dz, dr, n, v", [
+    (100.0, 0.001, 0.01, 8, 0.0),
+    (100.0, 0.1, 1.0, 12, -0.9),
+])
+def test_circular_pair_error_small_error_precision(k, dz, dr, n, v):
+    beam = ph.gaussian_beam(k, dz, dr, +1, n)
+    if v != 0.0:
+        beam = ph.boost_photon(geo.observer_boost([0.0, 0.0, v]), beam)
+    expected = variance_form_oracle(beam)
+    pe = ph.circular_pair_error(k, dz, dr, n, v)
+    assert pe == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_orthogonality_audit_monochromatic_limit():
@@ -223,7 +252,7 @@ def test_doppler_closed_form_ratios():
     for v, expected in ((-0.5, 1.0 / 3.0), (-0.25, 0.6), (0.25, 5.0 / 3.0), (0.5, 3.0)):
         rep = ph.doppler_report(100.0, 0.1, 1.0, v, 12)
         assert rep.ratio == pytest.approx(expected, rel=0.05)
-        assert rep.closed_form_ratio == pytest.approx(expected, rel=1e-12)
+        assert rep.closed_form_ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_doppler_leading_order_improves_with_narrow_beams():

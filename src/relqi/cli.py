@@ -8,7 +8,8 @@ need the `--flag=value` form.  Floats are printed with 12 significant
 digits, so a fixed configuration yields byte-identical output regardless of
 the worker count (capped by the RELQI_THREADS environment variable).
 Exit codes: 0 success, 1 numerical non-convergence (output still written),
-2 configuration error.
+2 configuration error.  A spin or entanglement sweep row that fails is
+written as NaN, and its reason is printed on stderr.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ def _write(path: str, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def _report_failed_rows(rows, keys) -> None:
+    """Print the `error` note of each row that failed, named by its `keys`."""
+    for row in rows:
+        if "error" in row:
+            where = " ".join(f"{k}={_fmt(row[k])}" for k in keys)
+            print(f"relqi: row {where}: {row['error']}", file=sys.stderr)
 
 
 def _all_converged(rows) -> bool:
@@ -273,6 +282,7 @@ def _cmd_spin(args) -> int:
     )
     pairs = [(t, g) for t in thetas for g in gammas]
     rows = _map_rows(lambda tg: spin_half.sweep_row(tg[0], tg[1], **kwargs), pairs)
+    _report_failed_rows(rows, ("theta", "gamma"))
     _write(args.out, _csv(SPIN_HEADER, rows))
     return 0 if _all_converged(rows) else 1
 
@@ -381,6 +391,7 @@ def _cmd_entangle(args) -> int:
     )
     pairs = [(dm, b) for dm in dms for b in betas]
     rows = _map_rows(lambda db: entangle.sweep_row(db[0], db[1], **kwargs), pairs)
+    _report_failed_rows(rows, ("delta_over_m", "beta"))
     _write(args.out, _csv(ENTANGLE_HEADER, rows))
     return 0 if _all_converged(rows) else 1
 

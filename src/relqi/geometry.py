@@ -1,10 +1,14 @@
 """Special-relativistic kinematics: boosts, rotations, Wigner rotations.
 
 Conventions: units c = hbar = 1, metric diag(+,-,-,-), four-vectors ordered
-(t, x, y, z).  All transformations are proper orthochronous.  The Wigner
-rotation of a massive particle is realized through the little-group
-construction W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure boost
-taking the rest momentum (m, 0, 0, 0) to p.
+(t, x, y, z).  All transformations are proper orthochronous; the Wigner
+kernel rejects any other.  The Wigner rotation of a massive particle is the
+little-group element W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure
+boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_rotation_batch
+evaluates it as the SL(2,C) product A(Lp)^{-1} A(L) A(p), with
+A(p) = (E + m + p.sigma) / sqrt(2m(E + m)) the spinor image of B(p), in
+real component arithmetic on (n,) arrays: the 4x4 matrix product is kept
+only as a test oracle.
 """
 
 from __future__ import annotations
@@ -16,20 +20,25 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _norm2(v) -> np.ndarray:
+    """|v|^2 over the last axis of (..., 3) vectors, summed in index order."""
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
+
+
 def four_momentum(mass: float, momenta) -> np.ndarray:
     """On-shell four-momentum (E, p) with E = sqrt(m^2 + |p|^2).
 
     `momenta` may be a single 3-vector or an (n, 3) array.
     """
     p = np.asarray(momenta, dtype=float)
-    energy = np.sqrt(mass * mass + np.sum(p * p, axis=-1))
+    energy = np.sqrt(mass * mass + _norm2(p))
     return np.concatenate([energy[..., None], p], axis=-1)
 
 
 def minkowski_norm2(p4) -> np.ndarray:
     """Invariant p.p = E^2 - |p|^2 (batched over leading axes)."""
     p4 = np.asarray(p4, dtype=float)
-    return p4[..., 0] ** 2 - np.sum(p4[..., 1:] ** 2, axis=-1)
+    return p4[..., 0] ** 2 - _norm2(p4[..., 1:])
 
 
 def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
@@ -82,9 +91,9 @@ def observer_boost(velocity) -> np.ndarray:
 
 def _require_on_shell(p4: np.ndarray, mass: float) -> None:
     energy = p4[..., 0]
-    scale = energy * energy + np.sum(p4[..., 1:] ** 2, axis=-1)
-    defect = np.abs(minkowski_norm2(p4) - mass * mass)
-    if np.any(defect > 1e-10 * scale) or np.any(energy <= 0.0):
+    e2 = energy * energy
+    sp2 = _norm2(p4[..., 1:])
+    if np.any(np.abs(e2 - sp2 - mass * mass) > 1e-10 * (e2 + sp2)) or np.any(energy <= 0.0):
         raise ValueError("momentum is off shell for the given mass")
 
 
@@ -174,19 +183,14 @@ def standard_rotation_batch(khats: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
-    """SU(2) images exp(-i theta n.sigma / 2) of rotations, theta in [0, pi].
-
-    `rots` is one 3x3 rotation or an (..., 3, 3) stack.  Conjugating the
-    Pauli vector with the result reproduces the rotation:
-    U (v.sigma) U^dagger = (R v).sigma.  The overall sign is fixed by the
-    axis-angle convention; it cancels in every density-matrix output.
+def _rotation_quaternion(rots: np.ndarray) -> np.ndarray:
+    """Unit quaternions (x, y, z, w), w >= 0, of (..., 3, 3) rotations.
 
     Shepperd's method: for the unit quaternion q = (x, y, z, w) of a rotation
     R, the symmetric matrix K built from R below equals 4 q q^T, so its row
     p is 4 q_p q.  The row whose pivot is the largest of R_xx, R_yy, R_zz
     and tr R (the largest |q_p|) is normalized, with the sign that makes
-    w >= 0; then U = w I - i (x, y, z).sigma.
+    w >= 0.
     """
     r = np.asarray(rots, dtype=float)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -203,8 +207,22 @@ def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
     q = np.take_along_axis(k, pivot[..., None, None], axis=-2)[..., 0, :]
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     q[q[..., 3] < 0.0] *= -1.0
+    return q
+
+
+def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
+    """SU(2) images exp(-i theta n.sigma / 2) of rotations, theta in [0, pi].
+
+    `rots` is one 3x3 rotation or an (..., 3, 3) stack.  Conjugating the
+    Pauli vector with the result reproduces the rotation:
+    U (v.sigma) U^dagger = (R v).sigma.  The overall sign is fixed by the
+    axis-angle convention; it cancels in every density-matrix output.
+    With (x, y, z, w) the unit quaternion of R, w >= 0,
+    U = w I - i (x, y, z).sigma.
+    """
+    q = _rotation_quaternion(rots)
     x, y, z, w = np.moveaxis(q, -1, 0)
-    u = np.empty(r.shape[:-2] + (2, 2), dtype=complex)
+    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
     u[..., 0, 0] = w - 1j * z
     u[..., 0, 1] = -y - 1j * x
     u[..., 1, 0] = y - 1j * x
@@ -212,36 +230,108 @@ def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
     return u
 
 
-# Nodes per block of the batched little-group pipeline; bounds its (n, 4, 4)
-# temporaries to about 1 MB each at any grid size.
+# Nodes per block of the little-group kernel; bounds its (n,) temporaries to
+# about 64 kB each at any grid size.
 _WIGNER_BLOCK = 8192
+
+
+def _cross(a, b):
+    """Cross product of two vectors given as triples of (n,) arrays or floats."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     """Transport momenta through `lam` and return their 3x3 Wigner rotations.
 
-    Returns (p4_out, W): the (n, 4) transported four-momenta and the
-    (n, 3, 3) spatial blocks W_n of the little-group elements
-    B(L q_n)^{-1} L B(q_n) at the incoming momenta q_n.  Raises when a node
-    is off shell or an element fails to fix the time axis beyond 1e-9.
+    Returns (p4_out, W): the (n, 4) transported four-momenta p_n = L q_n and
+    the (n, 3, 3) spatial blocks W_n of the little-group elements
+    B(p_n)^{-1} L B(q_n) at the incoming momenta q_n.
+
+    The elements are the closed-form SL(2,C) products
+    U_n = A(p_n)^{-1} A(L) A(q_n) with A(q) = (E + m + q.sigma) / sqrt(2m(E + m)),
+    taken in real component arithmetic on (n,) arrays.  `lam` is split once
+    into B R, with B the pure boost along its time column and R a rotation,
+    so that W(L, q) = W(B, R q) R.  With A(B) = c0 + c.sigma and
+    A(R q) = a0 + a.sigma, the product is X = x0 + (xr + i xi).sigma,
+    where x0 = c0 a0 + c.a, xr = c0 a + a0 c and xi = c x a; with
+    A(p)^{-1} = b0 - b.sigma, U = w - i (x, y, z).sigma where
+    w = b0 x0 - b.xr and (x, y, z) = b x xr - b0 xi.  W_n is the rotation
+    of that unit quaternion composed with R.
+
+    Raises for a `lam` that is improper or not orthochronous, when a node is
+    off shell, or when an element leaves the time axis beyond 1e-9: that is
+    the non-SU(2) part of U, b.xi and b0 xr - x0 b + b x xi.
     """
     lam = np.asarray(lam, dtype=float)
+    if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
+        raise ValueError("the Lorentz transformation must be proper and orthochronous")
     q4 = four_momentum(mass, momenta)
     p4 = q4 @ lam.T
+    _require_on_shell(q4, mass)
+    _require_on_shell(p4, mass)
+    # lam = B R; r4 = B^{-1} lam fixes the time axis up to rounding
+    boost = standard_boost(lam[:, 0], 1.0)
+    r4 = lorentz_inverse(boost) @ lam
+    defect = max(
+        abs(r4[0, 0] - 1.0), float(np.abs(r4[0, 1:]).max()), float(np.abs(r4[1:, 0]).max())
+    )
+    rot = r4[1:, 1:]
+    *rv, rw = _rotation_quaternion(rot)
+    # Unnormalized factors: A(B) ~ (gamma + 1) + g.sigma, A(R q) ~ (E + m) + (R q).sigma
+    # and A(p)^{-1} ~ (E' + m) - p.sigma; `scale` restores the unit determinant.
+    c0 = boost[0, 0] + 1.0
+    c = tuple(boost[1:, 0])
+    rq = rot @ q4[:, 1:].T
     rots = np.empty((q4.shape[0], 3, 3))
-    defect = 0.0
     for start in range(0, q4.shape[0], _WIGNER_BLOCK):
         block = slice(start, start + _WIGNER_BLOCK)
-        b_in = standard_boost(q4[block], mass)
-        b_out_inv = lorentz_inverse(standard_boost(p4[block], mass))
-        w4 = b_out_inv @ (lam @ b_in)
+        a0 = q4[block, 0] + mass
+        a = tuple(rq[:, block])
+        e_out, *b = np.ascontiguousarray(p4[block].T)
+        b0 = e_out + mass
+        scale = 1.0 / np.sqrt(8.0 * mass * mass * c0 * a0 * b0)
+        x0 = c0 * a0 + _dot(c, a)
+        xr = tuple(c0 * ak + a0 * ck for ak, ck in zip(a, c))
+        xi = _cross(c, a)
+        b_xr = _cross(b, xr)
+        b_xi = _cross(b, xi)
         defect = max(
             defect,
-            float(np.abs(w4[:, 0, 0] - 1.0).max()),
-            float(np.abs(w4[:, 0, 1:]).max()),
-            float(np.abs(w4[:, 1:, 0]).max()),
+            float(np.abs(_dot(b, xi) * scale).max()),
+            *(
+                float(np.abs((b0 * xrk - x0 * bk + bxk) * scale).max())
+                for xrk, bk, bxk in zip(xr, b, b_xi)
+            ),
         )
-        rots[block] = w4[:, 1:, 1:]
+        w = (b0 * x0 - _dot(b, xr)) * scale
+        v = tuple((bxk - b0 * xik) * scale for bxk, xik in zip(b_xr, xi))
+        # quaternion of W(B, R q) R: (w, v)(rw, rv)
+        qw = w * rw - _dot(v, rv)
+        qx, qy, qz = (
+            w * rk + rw * vk + ck for rk, vk, ck in zip(rv, v, _cross(v, rv))
+        )
+        x2, y2, z2 = qx + qx, qy + qy, qz + qz
+        xx, yy, zz = qx * x2, qy * y2, qz * z2
+        xy, xz, yz = qx * y2, qx * z2, qy * z2
+        wx, wy, wz = qw * x2, qw * y2, qw * z2
+        out = rots[block]
+        out[:, 0, 0] = 1.0 - (yy + zz)
+        out[:, 0, 1] = xy - wz
+        out[:, 0, 2] = xz + wy
+        out[:, 1, 0] = xy + wz
+        out[:, 1, 1] = 1.0 - (xx + zz)
+        out[:, 1, 2] = yz - wx
+        out[:, 2, 0] = xz - wy
+        out[:, 2, 1] = yz + wx
+        out[:, 2, 2] = 1.0 - (xx + yy)
     if defect > 1e-9:
         raise ValueError(f"little-group elements do not fix the time axis ({defect:.3g})")
     return p4, rots

@@ -22,6 +22,8 @@ boost directions for sweeps lie in the x-z plane at angle theta from z
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +114,23 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     return qmatrix.hermitize(tau)
 
 
+# Serializes the grid cache so that concurrent sweep rows build each grid once.
+_GRID_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=4)
+def _packet_nodes(delta, mass, nodes_per_axis, convention):
+    """Read-only nodes and probabilities p_n = w_n |h_n|^2 of the Gaussian packet."""
+    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, convention, mass=mass)
+    profile = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta * delta)))
+    probs = grid.weights * profile**2
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-8:
+        raise ValueError(f"node probabilities sum to {total:.12g}, not 1")
+    probs.setflags(write=False)
+    return grid.nodes, probs
+
+
 def wigner_kernel(
     lam: np.ndarray,
     delta: float,
@@ -123,21 +142,22 @@ def wigner_kernel(
 
     The packet is the zero-centered isotropic profile
     h = exp(-|p|^2 / (2 delta^2)), normalized under `convention`.  Returns
-    (p, W): the (n,) probabilities p_n = w_n |h_n|^2 and the (n, 3, 3)
-    rotations W_n of the little group of `lam` at the nodes.  Tracing out
-    the momentum of the boosted packet is the channel
+    (p, W): the (n,) probabilities p_n = w_n |h_n|^2 (read-only) and the
+    (n, 3, 3) rotations W_n of the little group of `lam` at the nodes, from
+    the closed-form SL(2,C) kernel geometry.wigner_rotation_batch.
+    Tracing out the momentum of the boosted packet is the channel
     rho -> sum_n p_n U_n rho U_n^dagger, whose Bloch matrix is
     geometry.bloch_map(p, W).
+
+    The nodes and probabilities depend only on (delta, mass, nodes_per_axis,
+    convention), and the four most recently used are cached, so a sweep
+    builds one grid per resolution and checks its probability sum once.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
-    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, convention, mass=mass)
-    profile = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta * delta)))
-    probs = grid.weights * profile**2
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-8:
-        raise ValueError(f"node probabilities sum to {total:.12g}, not 1")
-    _, rots = geometry.wigner_rotation_batch(lam, grid.nodes, mass)
+    with _GRID_LOCK:
+        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention)
+    _, rots = geometry.wigner_rotation_batch(lam, nodes, mass)
     return probs, rots
 
 

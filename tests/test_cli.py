@@ -239,6 +239,27 @@ def test_nonconvergence_exit_code(tmp_path):
     assert lines[1].endswith("false")  # report still written
 
 
+def test_failed_rows_say_why(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = cli.run([
+        "spin-entropy", "--theta", "0", "--gamma", "0.5,2", "--resolution", "4",
+        "--no-convergence", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "relqi: row theta=0 gamma=2: gamma 2 unreachable at delta/m = 1\n"
+    assert read(out).strip().split("\n")[2] == "0,2,nan,1,nan,nan,64,false"
+    out = tmp_path / "e.csv"
+    code = cli.run([
+        "entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.3,0.9999999999999",
+        "--resolution", "4", "--no-convergence", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("relqi: row delta_over_m=0.5 beta=1: superluminal velocity")
+    assert read(out).strip().split("\n")[2] == "0.5,1,nan,nan,64,false"
+
+
 def test_convergence_report(tmp_path):
     out = tmp_path / "conv.csv"
     code = cli.run(["convergence", "--resolution", "6", "--tolerance", "0.5",

@@ -206,6 +206,75 @@ def test_wigner_rotation_batch_matches_single_node(monkeypatch):
     np.testing.assert_allclose(u, geo.rotations_to_su2(rots), atol=1e-15)
 
 
+def _kernel_cases():
+    """Lorentz transformations covering the kernel's split lam = B R."""
+    rot = np.eye(4)
+    rot[1:, 1:] = geo.rotation_about([0.4, -1.0, 0.7], 2.3)
+    oblique = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    cases = {"identity": np.eye(4), "rotation": rot}
+    for beta in (0.1, 0.6, 0.9, 0.99):
+        cases[f"boost_{beta}"] = geo.boost_from_velocity(beta * oblique)
+    cases["composed_boosts"] = geo.boost_from_velocity([0.7, 0.0, 0.2]) @ geo.boost_from_velocity(
+        [0.0, -0.5, 0.6]
+    )
+    cases["boost_rotation"] = geo.boost_from_velocity(0.9 * oblique) @ rot
+    cases["rotation_boost"] = rot @ geo.boost_from_velocity([0.0, 0.8, 0.1])
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_wigner_kernel_matches_4x4_oracle(name):
+    # The closed-form SL(2,C) kernel against the 4x4 product B(Lq)^-1 L B(q).
+    # Largest gap measured at beta = 0.99: 2.6e-13 (atol 1e-11).
+    lam = KERNEL_CASES[name]
+    m = 1.3
+    momenta = np.random.default_rng(7).normal(scale=2.0 * m, size=(64, 3))
+    p4, rots = geo.wigner_rotation_batch(lam, momenta, m)
+    for q, p_out, w in zip(momenta, p4, rots):
+        q4 = geo.four_momentum(m, q)
+        np.testing.assert_allclose(p_out, lam @ q4, rtol=1e-14, atol=1e-12)
+        np.testing.assert_allclose(w, little_group_element(lam, q4, m)[1:, 1:], atol=1e-11)
+
+
+@pytest.mark.parametrize("px", [0.3, 1.0, 50.0])
+def test_wigner_kernel_perpendicular_angle_at_high_rapidity(px):
+    # Boost along z, momentum along x: a rotation about y by -theta with
+    # tan(theta/2) = tanh(eta/2) tanh(xi/2), where eta and xi are the rapidities.
+    m, beta = 1.0, 0.999999
+    lam = geo.boost_from_velocity([0.0, 0.0, beta])
+    p4 = geo.four_momentum(m, [px, 0.0, 0.0])
+    theta = 2.0 * np.arctan(beta / (1.0 + np.sqrt(1.0 - beta * beta)) * px / (p4[0] + m))
+    w = geo.wigner_rotation(lam, p4, m)
+    np.testing.assert_allclose(w, geo.rotation_about([0.0, 1.0, 0.0], -theta), atol=1e-11)
+
+
+def test_wigner_kernel_time_axis_check_fires_when_rounding_dominates():
+    # At gamma ~ 700 and |q| ~ 1e3 m the elements' non-SU(2) part exceeds 1e-9.
+    lam = geo.boost_from_velocity(0.999999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)]))
+    momenta = np.random.default_rng(3).normal(scale=1e3, size=(50, 3))
+    with pytest.raises(ValueError, match="do not fix the time axis"):
+        geo.wigner_rotation_batch(lam, momenta, 1.0)
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [(1, -1, -1, -1), (1, -1, 1, 1), (-1, 1, 1, 1), (-1, -1, -1, -1)],
+    ids=["parity", "mirror", "time_reversal", "total_inversion"],
+)
+def test_wigner_kernel_rejects_improper_or_non_orthochronous(signs):
+    lam = np.diag(np.array(signs, dtype=float)) @ geo.boost_from_velocity([0.2, 0.0, 0.5])
+    momenta = RNG.normal(size=(5, 3))
+    with pytest.raises(ValueError, match="proper and orthochronous"):
+        geo.wigner_rotation_batch(lam, momenta, 1.0)
+    with pytest.raises(ValueError, match="proper and orthochronous"):
+        geo.wigner_rotation(lam, geo.four_momentum(1.0, momenta[0]), 1.0)
+    with pytest.raises(ValueError, match="proper and orthochronous"):
+        geo.wigner_su2_batch(lam, momenta, 1.0)
+
+
 def test_onshell_transport():
     m = 1.7
     for _ in range(20):

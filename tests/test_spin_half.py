@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -199,6 +201,48 @@ def test_wigner_kernel_bloch_map_matches_boosted_packet():
         after = bloch_vector(sh.reduced_spin_density(sh.boost_packet(lam, packet)))
         probs, rots = sh.wigner_kernel(lam, 0.8, 1.0, 8)
         np.testing.assert_allclose(geo.bloch_map(probs, rots) @ before, after, atol=1e-13)
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """Resolutions of the grids spin_half builds, counted from an empty cache."""
+    built = []
+    real = sh.gauss_grid
+
+    def counting(spec, nodes_per_axis, *args, **kwargs):
+        built.append(nodes_per_axis)
+        return real(spec, nodes_per_axis, *args, **kwargs)
+
+    monkeypatch.setattr(sh, "gauss_grid", counting)
+    sh._packet_nodes.cache_clear()
+    return built
+
+
+def test_sweep_builds_one_grid_per_resolution(grid_builds):
+    rows = sh.entropy_sweep(np.linspace(0.0, np.pi, 16), [0.0, 0.25, 0.5])
+    assert len(rows) == 48
+    assert sorted(grid_builds) == [12, 24]
+    probs, _ = sh.wigner_kernel(np.eye(4), 1.0, 1.0)
+    nodes, cached = sh._packet_nodes(1.0, 1.0, 12, Measure.PLAIN)
+    assert cached is probs
+    assert not probs.flags.writeable and not nodes.flags.writeable
+    assert sorted(grid_builds) == [12, 24]
+
+
+def test_grid_cache_builds_once_under_concurrent_rows(grid_builds):
+    lam = sh.boost_for_angle(0.6, 0.4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(sh.wigner_kernel, lam, 0.7, 1.0, 6) for _ in range(32)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert grid_builds == [6]
+    for probs, rots in results:
+        assert probs is results[0][0]
+        np.testing.assert_array_equal(rots, results[0][1])
 
 
 def test_spin_row_memory_bounded():

@@ -8,8 +8,8 @@ need the `--flag=value` form.  Floats are printed with 12 significant
 digits, so a fixed configuration yields byte-identical output regardless of
 the worker count (capped by the RELQI_THREADS environment variable).
 Exit codes: 0 success, 1 numerical non-convergence (output still written),
-2 configuration error.  A spin or entanglement sweep row that fails is
-written as NaN, and its reason is printed on stderr.
+2 configuration error.  A sweep row that fails is written as NaN, and its
+reason is printed on stderr.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import channel, entangle, photon, spin_half
-from .wavepacket import refinement_converged
+from . import channel, entangle, photon, spin_half, wavepacket
 
 SPIN_HEADER = "theta,gamma,beta,delta_over_m,entropy_bits,p_error,grid_nodes,converged"
 PHOTON_HEADER = "kA,delta_r,delta_z,v,p_error,p_error_closed_form,grid_nodes,converged"
@@ -45,6 +44,8 @@ def parse_values(text: str, field: str):
     try:
         if ":" in text:
             lo, hi, step = (float(t) for t in text.split(":"))
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise ConfigError(f"{field}: values must be finite")
             if step <= 0.0 or hi < lo:
                 raise ValueError
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -54,6 +55,8 @@ def parse_values(text: str, field: str):
         raise ConfigError(f"{field}: cannot parse range {text!r}") from None
     if not values:
         raise ConfigError(f"{field}: empty range")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{field}: values must be finite")
     return values
 
 
@@ -122,16 +125,22 @@ def _write(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _report_failed_rows(rows, keys) -> None:
-    """Print the `error` note of each row that failed, named by its `keys`."""
+def _write_rows(args, header: str, keys, rows) -> int:
+    """Write sweep rows as CSV and return the exit code.
+
+    The `error` note of each row that failed goes to stderr, the row named
+    by its `keys`.
+    """
     for row in rows:
         if "error" in row:
             where = " ".join(f"{k}={_fmt(row[k])}" for k in keys)
             print(f"relqi: row {where}: {row['error']}", file=sys.stderr)
+    _write(args.out, _csv(header, rows))
+    return _exit_code(rows)
 
 
-def _all_converged(rows) -> bool:
-    return all(bool(row.get("converged")) for row in rows)
+def _exit_code(rows) -> int:
+    return 0 if all(row["converged"] for row in rows) else 1
 
 
 def _rel_delta(coarse: float, fine: float) -> float:
@@ -255,6 +264,9 @@ def _require_speed(value, field: str) -> float:
 
 
 def _validate(args) -> None:
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key.replace('_', '-')}: must be finite")
     if args.tolerance <= 0.0:
         raise ConfigError("tolerance: must be positive")
     if args.command == "convergence":
@@ -268,94 +280,75 @@ def _validate(args) -> None:
             _require_positive(value, attr.replace("_", "-"))
 
 
+def _refinement(args) -> dict:
+    """Resolution, tolerance and check switch of wavepacket.refine and row."""
+    return dict(nodes_per_axis=args.resolution, tolerance=args.tolerance,
+                check_convergence=not args.no_convergence)
+
+
 def _cmd_spin(args) -> int:
     thetas = parse_values(str(args.theta), "theta")
     gammas = parse_values(str(args.gamma), "gamma")
     for gamma in gammas:
         if gamma < 0.0:
             raise ConfigError("gamma: must be nonnegative")
-    kwargs = dict(
-        delta_over_m=args.delta_over_m,
-        nodes_per_axis=args.resolution,
-        tolerance=args.tolerance,
-        check_convergence=not args.no_convergence,
-    )
+    kwargs = dict(delta_over_m=args.delta_over_m, **_refinement(args))
     pairs = [(t, g) for t in thetas for g in gammas]
     rows = _map_rows(lambda tg: spin_half.sweep_row(tg[0], tg[1], **kwargs), pairs)
-    _report_failed_rows(rows, ("theta", "gamma"))
-    _write(args.out, _csv(SPIN_HEADER, rows))
-    return 0 if _all_converged(rows) else 1
+    return _write_rows(args, SPIN_HEADER, ("theta", "gamma"), rows)
 
 
 def _cmd_photon_density(args) -> int:
     def rho_at(n):
         beam = photon.gaussian_beam(args.kA, args.dz, args.dr, args.helicity, n)
-        return photon.effective_density(beam)
+        return {"rho": photon.effective_density(beam)}
 
-    rho = rho_at(args.resolution)
-    converged = True
-    if not args.no_convergence:
-        converged = refinement_converged(rho, rho_at(2 * args.resolution), args.tolerance)
-    _write(args.out, _json({
-        "kA": args.kA,
-        "delta_r": args.dr,
-        "delta_z": args.dz,
-        "helicity": args.helicity,
-        "grid_nodes": args.resolution**3,
-        "rho_re": np.real(rho).tolist(),
-        "rho_im": np.imag(rho).tolist(),
-        "tolerance": args.tolerance,
-        "converged": converged,
-    }))
-    return 0 if converged else 1
+    payload = wavepacket.refine(rho_at, **_refinement(args))
+    rho = payload.pop("rho")
+    payload.update(kA=args.kA, delta_r=args.dr, delta_z=args.dz, helicity=args.helicity,
+                   rho_re=np.real(rho).tolist(), rho_im=np.imag(rho).tolist(),
+                   tolerance=args.tolerance)
+    _write(args.out, _json(payload))
+    return _exit_code([payload])
 
 
 def _photon_row(args, delta_r, v):
-    def pe_at(n):
-        return photon.circular_pair_error(args.kA, args.dz, delta_r, n, v)
-
-    pe = pe_at(args.resolution)
-    converged = True
-    if not args.no_convergence:
-        converged = refinement_converged(pe, pe_at(2 * args.resolution), args.tolerance)
-    return {
+    fields = {
         "kA": args.kA,
         "delta_r": delta_r,
         "delta_z": args.dz,
         "v": v,
-        "p_error": pe,
+        "p_error": np.nan,
         "p_error_closed_form": (1.0 + v) / (1.0 - v) * delta_r**2 / (4.0 * args.kA**2),
-        "grid_nodes": args.resolution**3,
-        "converged": converged,
     }
+    return wavepacket.row(
+        fields,
+        lambda n: {"p_error": photon.circular_pair_error(args.kA, args.dz, delta_r, n, v)},
+        **_refinement(args),
+    )
 
 
 def _cmd_photon_distinguish(args) -> int:
     drs = [_require_positive(dr, "dr") for dr in parse_values(str(args.dr), "dr")]
     rows = _map_rows(lambda dr: _photon_row(args, dr, 0.0), drs)
-    _write(args.out, _csv(PHOTON_HEADER, rows))
-    return 0 if _all_converged(rows) else 1
+    return _write_rows(args, PHOTON_HEADER, ("delta_r",), rows)
 
 
 def _cmd_doppler(args) -> int:
     speeds = [_require_speed(v, "v") for v in parse_values(str(args.v), "v")]
     fmt = args.format or ("json" if len(speeds) == 1 else "csv")
     if fmt == "json":
-        v = speeds[0]
-        rep = photon.doppler_report(args.kA, args.dz, args.dr, v, args.resolution)
-        converged = True
-        if not args.no_convergence:
-            fine = photon.doppler_report(args.kA, args.dz, args.dr, v, 2 * args.resolution)
-            converged = refinement_converged(
-                (rep.ratio, rep.pe_boosted), (fine.ratio, fine.pe_boosted), args.tolerance
-            )
-        payload = rep.as_dict()
-        payload.update(tolerance=args.tolerance, converged=converged)
+        def report_at(n):
+            report = photon.doppler_report(args.kA, args.dz, args.dr, speeds[0], n).as_dict()
+            del report["grid_nodes"]
+            return report
+
+        payload = wavepacket.refine(report_at, **_refinement(args))
+        payload["tolerance"] = args.tolerance
         _write(args.out, _json(payload))
-        return 0 if converged else 1
+        return _exit_code([payload])
     rows = _map_rows(lambda v: _photon_row(args, args.dr, v), speeds)
-    _write(args.out, _csv(PHOTON_HEADER, rows))
-    return 0 if _all_converged(rows) else 1
+    return _write_rows(args, PHOTON_HEADER, ("v",), rows)
 
 
 def _cmd_channel_audit(args) -> int:
@@ -384,16 +377,10 @@ def _cmd_entangle(args) -> int:
         for dm in parse_values(str(args.delta_over_m), "delta-over-m")
     ]
     betas = [_require_speed(b, "beta") for b in parse_values(str(args.beta), "beta")]
-    kwargs = dict(
-        nodes_per_axis=args.resolution,
-        tolerance=args.tolerance,
-        check_convergence=not args.no_convergence,
-    )
+    kwargs = _refinement(args)
     pairs = [(dm, b) for dm in dms for b in betas]
     rows = _map_rows(lambda db: entangle.sweep_row(db[0], db[1], **kwargs), pairs)
-    _report_failed_rows(rows, ("delta_over_m", "beta"))
-    _write(args.out, _csv(ENTANGLE_HEADER, rows))
-    return 0 if _all_converged(rows) else 1
+    return _write_rows(args, ENTANGLE_HEADER, ("delta_over_m", "beta"), rows)
 
 
 def _cmd_convergence(args) -> int:
@@ -445,8 +432,7 @@ def _cmd_convergence(args) -> int:
         }
 
     rows = _map_rows(evaluate, probes)
-    _write(args.out, _csv(CONVERGENCE_HEADER, rows))
-    return 0 if _all_converged(rows) else 1
+    return _write_rows(args, CONVERGENCE_HEADER, (), rows)
 
 
 _COMMANDS = {

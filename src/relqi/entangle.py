@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, qmatrix, spin_half
-from .wavepacket import (GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize,
-                         refinement_converged)
+from . import geometry, qmatrix, spin_half, wavepacket
+from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize
 
 DEFAULT_NODES_PER_AXIS = 8
 
@@ -163,13 +162,6 @@ def boosted_singlet(
     return max(0.0, 1.0 - float(deficit)), rho
 
 
-def _row_values(delta_over_m, beta, mass, nodes_per_axis):
-    lam = geometry.boost_from_velocity([0.0, 0.0, beta])
-    conc, rho = boosted_singlet(lam, delta_over_m * mass, mass, nodes_per_axis)
-    marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
-    return conc, qmatrix.entropy(marginal)
-
-
 def sweep_row(
     delta_over_m: float,
     beta: float,
@@ -181,38 +173,16 @@ def sweep_row(
 ) -> dict:
     """One sweep entry: concurrence of the boosted singlet at (delta/m, beta).
 
-    With check_convergence the concurrence is recomputed at twice the
-    resolution, as for the spin and photon rows, and the row is flagged
-    converged when it moves by less than `tolerance`.
+    The row and its convergence flag come from wavepacket.row, as for the
+    spin and photon rows.
     """
-    row = {
-        "delta_over_m": float(delta_over_m),
-        "beta": float(beta),
-        "concurrence": np.nan,
-        "entropy_of_marginal_bits": np.nan,
-        "grid_nodes": nodes_per_axis**3,
-        "converged": False,
-    }
-    try:
-        conc, ent = _row_values(delta_over_m, beta, mass, nodes_per_axis)
-    except ValueError as exc:
-        row["error"] = str(exc)
-        return row
-    row.update(concurrence=conc, entropy_of_marginal_bits=ent, converged=True)
-    if check_convergence:
-        conc2, _ = _row_values(delta_over_m, beta, mass, 2 * nodes_per_axis)
-        row["converged"] = refinement_converged(conc, conc2, tolerance)
-    return row
 
+    def values_at(n):
+        lam = geometry.boost_from_velocity([0.0, 0.0, beta])
+        conc, rho = boosted_singlet(lam, delta_over_m * mass, mass, n)
+        marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
+        return {"concurrence": conc, "entropy_of_marginal_bits": qmatrix.entropy(marginal)}
 
-def entanglement_sweep(delta_over_m_list, beta_list, **kwargs) -> list:
-    """Rows of sweep_row over the (delta/m, beta) product grid, in input order.
-
-    Row keys match the CSV header delta_over_m,beta,concurrence,
-    entropy_of_marginal_bits,grid_nodes,converged.
-    """
-    return [
-        sweep_row(delta_over_m, beta, **kwargs)
-        for delta_over_m in delta_over_m_list
-        for beta in beta_list
-    ]
+    fields = {"delta_over_m": float(delta_over_m), "beta": float(beta),
+              "concurrence": np.nan, "entropy_of_marginal_bits": np.nan}
+    return wavepacket.row(fields, values_at, nodes_per_axis, tolerance, check_convergence)

@@ -28,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, qmatrix
-from .wavepacket import (
-    GaussianSpec,
-    Measure,
-    MomentumGrid,
-    gauss_grid,
-    inner_product,
-    normalize,
-    refinement_converged,
-)
+from . import geometry, qmatrix, wavepacket
+from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, inner_product, normalize
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -222,16 +214,6 @@ def boosted_pair_error(delta, mass, beta, theta, nodes_per_axis=DEFAULT_NODES_PE
     return _boosted_pair(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)[2]
 
 
-def _row_values(theta, gamma, delta_over_m, mass, nodes_per_axis):
-    beta = beta_for_gamma(gamma, delta_over_m)
-    p_error = _boosted_pair(
-        boost_for_angle(beta, theta), delta_over_m * mass, mass, nodes_per_axis
-    )[2]
-    # tau_up has eigenvalues (1 +- |r|)/2 = 1 - p_error, p_error; taking them
-    # from the variance form keeps the small one accurate at small Gamma
-    return beta, qmatrix.entropy(np.diag([1.0 - p_error, p_error])), p_error
-
-
 def sweep_row(
     theta: float,
     gamma: float,
@@ -246,40 +228,17 @@ def sweep_row(
 
     Gamma is inverted for beta at the fixed delta_over_m; an unreachable
     gamma yields a NaN row carrying an "error" note instead of raising.
-    With check_convergence the observables are recomputed at twice the
-    resolution and the row is flagged converged when both move by less than
-    `tolerance`.
+    The row and its convergence flag come from wavepacket.row.
     """
-    row = {
-        "theta": float(theta),
-        "gamma": float(gamma),
-        "beta": np.nan,
-        "delta_over_m": float(delta_over_m),
-        "entropy_bits": np.nan,
-        "p_error": np.nan,
-        "grid_nodes": nodes_per_axis**3,
-        "converged": False,
-    }
-    try:
-        beta, ent, perr = _row_values(theta, gamma, delta_over_m, mass, nodes_per_axis)
-    except ValueError as exc:
-        row["error"] = str(exc)
-        return row
-    row.update(beta=beta, entropy_bits=ent, p_error=perr, converged=True)
-    if check_convergence:
-        _, ent2, perr2 = _row_values(theta, gamma, delta_over_m, mass, 2 * nodes_per_axis)
-        row["converged"] = refinement_converged((ent, perr), (ent2, perr2), tolerance)
-    return row
 
+    def values_at(n):
+        beta = beta_for_gamma(gamma, delta_over_m)
+        p_error = _boosted_pair(boost_for_angle(beta, theta), delta_over_m * mass, mass, n)[2]
+        # tau_up has eigenvalues (1 +- |r|)/2 = 1 - p_error, p_error; taking them
+        # from the variance form keeps the small one accurate at small Gamma
+        entropy = qmatrix.entropy(np.diag([1.0 - p_error, p_error]))
+        return {"beta": beta, "entropy_bits": entropy, "p_error": p_error}
 
-def entropy_sweep(theta_list, gamma_list, **kwargs) -> list:
-    """Rows of sweep_row over the (theta, gamma) product grid, in input order.
-
-    Row keys match the CSV header theta,gamma,beta,delta_over_m,
-    entropy_bits,p_error,grid_nodes,converged.
-    """
-    return [
-        sweep_row(theta, gamma, **kwargs)
-        for theta in theta_list
-        for gamma in gamma_list
-    ]
+    fields = {"theta": float(theta), "gamma": float(gamma), "beta": np.nan,
+              "delta_over_m": float(delta_over_m), "entropy_bits": np.nan, "p_error": np.nan}
+    return wavepacket.row(fields, values_at, nodes_per_axis, tolerance, check_convergence)

@@ -3,7 +3,7 @@
 Integrals over momentum space are discretized with tensor-product
 Gauss-Hermite rules mapped to the center and widths of a target Gaussian,
 so integrands of Gaussian-times-polynomial type are exact up to the rule's
-degree (2n - 1 per axis) and smooth integrands converge spectrally.
+degree (2n - 1 per axis) and smooth integrands converge geometrically.
 
 Two measure conventions are supported and recorded on every grid:
 
@@ -172,13 +172,37 @@ def normalize(grid: MomentumGrid, f: np.ndarray) -> np.ndarray:
     return np.asarray(f) / n
 
 
-def refinement_converged(coarse, fine, tolerance: float) -> bool:
-    """Whether a refined grid moves every observable by less than `tolerance`.
+def refine(values_at, nodes_per_axis: int, tolerance: float,
+           check_convergence: bool = True) -> dict:
+    """The values at `nodes_per_axis`, their node count and convergence flag.
 
-    `coarse` and `fine` are matching scalars, tuples or arrays; the test is
-    max |fine - coarse| < tolerance, absolute.
+    `values_at(n)` returns the dict of grid-dependent values printed at n
+    nodes per axis.  Unless `check_convergence` is off they are recomputed
+    at 2n, and `converged` holds when every value (every entry of an array)
+    moved by less than `tolerance`, absolute.  A ValueError propagates.
     """
-    return bool(np.max(np.abs(np.subtract(fine, coarse))) < tolerance)
+    values = values_at(nodes_per_axis)
+    converged = True
+    if check_convergence:
+        fine = values_at(2 * nodes_per_axis)
+        converged = all(np.all(np.abs(np.subtract(fine[k], v)) < tolerance)
+                        for k, v in values.items())
+    return {**values, "grid_nodes": nodes_per_axis**3, "converged": bool(converged)}
+
+
+def row(fields: dict, values_at, nodes_per_axis: int, tolerance: float,
+        check_convergence: bool = True) -> dict:
+    """One sweep row: `fields` updated with refine(values_at, ...).
+
+    `fields` holds the row's inputs and a NaN for each value it prints.  A
+    row whose evaluation raises ValueError, at either resolution, keeps
+    those NaNs, is not converged and carries the reason as "error".
+    """
+    try:
+        return {**fields, **refine(values_at, nodes_per_axis, tolerance, check_convergence)}
+    except ValueError as exc:
+        return {**fields, "grid_nodes": nodes_per_axis**3, "converged": False,
+                "error": str(exc)}
 
 
 def grid_config(

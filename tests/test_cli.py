@@ -260,6 +260,42 @@ def test_failed_rows_say_why(tmp_path, capsys):
     assert read(out).strip().split("\n")[2] == "0.5,1,nan,nan,64,false"
 
 
+
+@pytest.mark.parametrize("argv, csv_row, reason", [
+    # the row computes at 12 nodes per axis and fails its 24-node refinement
+    (["spin-entropy", "--theta", "1", "--gamma", "0.99935"],
+     "1,0.99935,nan,1,nan,nan,1728,false",
+     "relqi: row theta=1 gamma=0.99935: little-group elements do not fix the time axis"),
+    (["photon-distinguish", "--kA", "0.4", "--dz", "0.1", "--dr", "0.01"],
+     "0.4,0.01,0.1,0,nan,0.00015625,1728,false",
+     "relqi: row delta_r=0.01: k_mean must exceed 5 * delta_z"),
+    (["entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.9999999999999",
+      "--resolution", "4"],
+     "0.5,1,nan,nan,64,false",
+     "relqi: row delta_over_m=0.5 beta=1: superluminal velocity"),
+], ids=["spin-refinement", "photon", "entangle"])
+def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, csv_row, reason):
+    out = tmp_path / "rows.csv"
+    assert cli.run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(reason)
+    assert read(out).strip().split("\n")[1] == csv_row
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["spin-entropy", "--tolerance", "nan"], "tolerance"),
+    (["spin-entropy", "--theta", "nan"], "theta"),
+    (["spin-entropy", "--theta", "0:inf:1"], "theta"),
+    (["spin-entropy", "--delta-over-m", "nan"], "delta-over-m"),
+    (["entangle-sweep", "--beta", "0.3,nan"], "beta"),
+    (["doppler", "--kA", "inf"], "kA"),
+    (["channel-audit", "--witness-v", "nan"], "witness-v"),
+])
+def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"relqi: configuration error: {field}: ")
+    assert not out.exists()
+
 def test_convergence_report(tmp_path):
     out = tmp_path / "conv.csv"
     code = cli.run(["convergence", "--resolution", "6", "--tolerance", "0.5",

@@ -154,9 +154,8 @@ def test_sweep_row_memory_bounded():
 
 
 def test_sweep_rows():
-    rows = en.entanglement_sweep(
-        [1e-4, 0.5], [0.0, 0.5, 0.9], nodes_per_axis=6, check_convergence=False
-    )
+    rows = [en.sweep_row(dm, beta, nodes_per_axis=6, check_convergence=False)
+            for dm in (1e-4, 0.5) for beta in (0.0, 0.5, 0.9)]
     assert len(rows) == 6
     for row in rows:
         if row["beta"] == 0.0:
@@ -169,9 +168,8 @@ def test_sweep_rows():
 
 
 def test_sweep_monotone_in_beta():
-    rows = en.entanglement_sweep(
-        [0.5], np.linspace(0.0, 0.9, 4), nodes_per_axis=6, check_convergence=False
-    )
+    rows = [en.sweep_row(0.5, beta, nodes_per_axis=6, check_convergence=False)
+            for beta in np.linspace(0.0, 0.9, 4)]
     conc = [r["concurrence"] for r in rows]
     assert all(c1 >= c2 - 1e-6 for c1, c2 in zip(conc, conc[1:]))
 

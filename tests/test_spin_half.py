@@ -219,7 +219,8 @@ def grid_builds(monkeypatch):
 
 
 def test_sweep_builds_one_grid_per_resolution(grid_builds):
-    rows = sh.entropy_sweep(np.linspace(0.0, np.pi, 16), [0.0, 0.25, 0.5])
+    rows = [sh.sweep_row(theta, gamma)
+            for theta in np.linspace(0.0, np.pi, 16) for gamma in (0.0, 0.25, 0.5)]
     assert len(rows) == 48
     assert sorted(grid_builds) == [12, 24]
     probs, _ = sh.wigner_kernel(np.eye(4), 1.0, 1.0)
@@ -282,9 +283,8 @@ def test_sharp_momentum_limit_entropy_vanishes():
 
 
 def test_entropy_sweep_rows():
-    rows = sh.entropy_sweep(
-        [0.5, np.pi - 0.5], [0.0, 0.4], nodes_per_axis=8, check_convergence=False
-    )
+    rows = [sh.sweep_row(theta, gamma, nodes_per_axis=8, check_convergence=False)
+            for theta in (0.5, np.pi - 0.5) for gamma in (0.0, 0.4)]
     assert len(rows) == 4
     by_key = {(round(r["theta"], 6), r["gamma"]): r for r in rows}
     for theta in (0.5, np.pi - 0.5):
@@ -295,7 +295,7 @@ def test_entropy_sweep_rows():
 
 
 def test_entropy_sweep_marks_unreachable_gamma():
-    rows = sh.entropy_sweep([0.1], [0.9], delta_over_m=0.5, nodes_per_axis=6)
+    rows = [sh.sweep_row(0.1, 0.9, delta_over_m=0.5, nodes_per_axis=6)]
     assert len(rows) == 1
     assert not rows[0]["converged"]
     assert np.isnan(rows[0]["entropy_bits"])

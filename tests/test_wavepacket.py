@@ -140,3 +140,35 @@ def test_grid_immutability():
         grid.nodes[0, 0] = 5.0
     with pytest.raises(ValueError):
         grid.weights[0] = 5.0
+
+
+def test_refine_compares_every_value_at_twice_the_nodes():
+    calls = []
+
+    def values_at(n):
+        calls.append(n)
+        return {"a": 1.0 / n, "b": np.array([0.0, 1.0 / n**2])}
+
+    out = wp.refine(values_at, 4, 0.2)
+    assert calls == [4, 8]
+    assert out["a"] == 0.25 and out["grid_nodes"] == 64 and out["converged"] is True
+    np.testing.assert_array_equal(out["b"], [0.0, 1.0 / 16])
+    assert wp.refine(values_at, 4, 0.1)["converged"] is False  # a moved by 0.125
+    calls.clear()
+    assert wp.refine(values_at, 4, 1e-9, check_convergence=False)["converged"] is True
+    assert calls == [4]
+
+
+def test_row_that_fails_at_the_refined_grid_is_a_nan_row():
+    def values_at(n):
+        if n > 4:
+            raise ValueError("refined grid failed")
+        return {"x": 1.0}
+
+    fields = {"k": 2.0, "x": np.nan}
+    out = wp.row(fields, values_at, 4, 1e-3)
+    assert np.isnan(out["x"]) and out["k"] == 2.0
+    assert out["grid_nodes"] == 64 and out["converged"] is False
+    assert out["error"] == "refined grid failed"
+    assert wp.row(fields, values_at, 4, 1e-3, check_convergence=False) == {
+        "k": 2.0, "x": 1.0, "grid_nodes": 64, "converged": True}

@@ -20,8 +20,6 @@ import numpy as np
 from . import geometry, photon, qmatrix, spin_half
 from .qmatrix import ID2, SIGMA_X, SIGMA_Y, QubitChannel
 
-SPIN_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
 WITNESS_TOL = 1e-9
 VERDICT_TEXT = (
     "no CP map on the 3x3 polarization state space can realize this pair transformation"
@@ -97,11 +95,6 @@ class ConsistencyReport:
     grid_nodes: int
 
 
-def _bloch_vector(rho) -> np.ndarray:
-    """(x, y, z) with rho = (I + r.sigma)/2."""
-    return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
-
-
 def consistency_check(
     spec: BoostChannelSpec,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
@@ -110,8 +103,11 @@ def consistency_check(
     """Compare the channel image of spin-up with the boosted reduction.
 
     The boosted reduction of spin-up has Bloch vector T e_z, with T the
-    Bloch matrix of spin_half.wigner_kernel; the channel image has
-    (0, 0, 1 - G^2/2).  The trace distance is half their separation.
+    Bloch matrix of spin_half.folded_wigner_kernel; the channel image has
+    (0, 0, 1 - G^2/2).  The trace distance is half their separation.  Its
+    z component is taken as G^2/2 - sum_n p_n 2(x_n^2 + y_n^2), with
+    (x_n, y_n, z_n, w_n) the Wigner quaternions: 1 - (T e_z)_z without
+    subtracting two numbers close to 1.
 
     The mixing parameter is realized at fixed `beta` by scaling the packet
     width, so the leading-order residual scales as gamma^4 for collinear
@@ -122,13 +118,14 @@ def consistency_check(
     gamma, theta = spec.gamma, spec.theta
     if gamma == 0.0:
         return ConsistencyReport(gamma, theta, 0.0, 0.0, 0.0, 0.0, grid_resolution**3)
-    r_channel = _bloch_vector(decoherence_channel(gamma).apply(SPIN_UP))
     delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, beta)
-    probs, rots = spin_half.wigner_kernel(
+    probs, quats, odd = spin_half.folded_wigner_kernel(
         spin_half.boost_for_angle(beta, theta), delta_over_m, 1.0, grid_resolution
     )
-    r_boost = geometry.bloch_map(probs, rots)[:, 2]
-    dist = 0.5 * float(np.linalg.norm(r_boost - r_channel))
+    x, y = quats[:, 0], quats[:, 1]
+    offset = probs @ (2.0 * (x * x + y * y))
+    dx, dy = np.where(odd[:2, 2], 0.0, probs @ geometry.quaternion_z_images(quats)[:, :2])
+    dist = 0.5 * float(np.linalg.norm([dx, dy, 0.5 * gamma * gamma - offset]))
     return ConsistencyReport(
         gamma=gamma,
         theta=theta,

@@ -10,11 +10,12 @@ concurrence of the 4x4 spin-spin reduction.
 Sweeps never build the (n1, n2) pair amplitude.  For the singlet times a
 product of identical Gaussian profiles, the boosted spin-spin state is
 fixed by the Bloch matrix T = sum_n p_n W_n of one particle
-(spin_half.wigner_kernel on the INVARIANT grid): its correlation tensor is
--T T^T and its marginals stay maximally mixed.  The concurrence is then
-(|T|_F^2 - 1)/2, evaluated in the deficit form
+(spin_half.folded_wigner_kernel on the INVARIANT grid): its correlation
+tensor is -T T^T and its marginals stay maximally mixed.  The concurrence
+is then (|T|_F^2 - 1)/2, evaluated in the deficit form
 1 - sum_n p_n |W_n - T|_F^2 / 2, so a sweep row costs O(N) time and memory
-in the N nodes of one particle's grid instead of O(N^2).
+in the N nodes of one particle's grid instead of O(N^2); the z boosts of
+the sweep evaluate W_n on a quarter of them, one node per mirror orbit.
 """
 
 from __future__ import annotations
@@ -153,10 +154,15 @@ def boosted_singlet(
     state is (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4.  The
     concurrence is taken from the deficit form
     max(0, 1 - sum_n p_n |W_n - T|_F^2 / 2), equal to (|T|_F^2 - 1)/2
-    without its cancellation near a pure state.
+    without its cancellation near a pure state.  Both sums run over the
+    folded kernel spin_half.folded_wigner_kernel, whose odd entries of T
+    are 0; |W_n - T|_F is unchanged under W_n -> M W_n M.
     """
-    probs, rots = spin_half.wigner_kernel(lam, delta, mass, nodes_per_axis, Measure.INVARIANT)
-    t = geometry.bloch_map(probs, rots)
+    probs, quats, odd = spin_half.folded_wigner_kernel(
+        lam, delta, mass, nodes_per_axis, Measure.INVARIANT
+    )
+    rots = geometry.quaternion_rotations(quats)
+    t = np.where(odd, 0.0, geometry.bloch_map(probs, rots))
     rho = 0.25 * (np.eye(4) - np.einsum("kl,klab->ab", t @ t.T, _PAULI_PAIRS))
     deficit = 0.5 * (probs @ np.sum((rots - t) ** 2, axis=(1, 2)))
     return max(0.0, 1.0 - float(deficit)), rho

@@ -4,11 +4,14 @@ Conventions: units c = hbar = 1, metric diag(+,-,-,-), four-vectors ordered
 (t, x, y, z).  All transformations are proper orthochronous; the Wigner
 kernel rejects any other.  The Wigner rotation of a massive particle is the
 little-group element W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure
-boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_rotation_batch
+boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_quaternion_batch
 evaluates it as the SL(2,C) product A(Lp)^{-1} A(L) A(p), with
 A(p) = (E + m + p.sigma) / sqrt(2m(E + m)) the spinor image of B(p), in
-real component arithmetic on (n,) arrays: the 4x4 matrix product is kept
-only as a test oracle.
+real component arithmetic on (n,) arrays, and returns one unit quaternion
+per node; wigner_rotation_batch and wigner_su2_batch are built from those
+quaternions, and the 4x4 matrix product is kept only as a test oracle.
+mirror_axes finds the reflections q_k -> -q_k that commute with a Lorentz
+transformation, over which momentum grids are folded (wavepacket.fold).
 """
 
 from __future__ import annotations
@@ -220,14 +223,86 @@ def rotations_to_su2(rots: np.ndarray) -> np.ndarray:
     With (x, y, z, w) the unit quaternion of R, w >= 0,
     U = w I - i (x, y, z).sigma.
     """
-    q = _rotation_quaternion(rots)
-    x, y, z, w = np.moveaxis(q, -1, 0)
-    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    return _quaternion_su2(_rotation_quaternion(rots))
+
+
+def _quaternion_su2(quats: np.ndarray) -> np.ndarray:
+    """U = w I - i (x, y, z).sigma of (..., 4) unit quaternions (x, y, z, w)."""
+    x, y, z, w = np.moveaxis(quats, -1, 0)
+    u = np.empty(quats.shape[:-1] + (2, 2), dtype=complex)
     u[..., 0, 0] = w - 1j * z
     u[..., 0, 1] = -y - 1j * x
     u[..., 1, 0] = y - 1j * x
     u[..., 1, 1] = w + 1j * z
     return u
+
+
+def quaternion_rotations(quats: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) rotation matrices of (n, 4) unit quaternions (x, y, z, w)."""
+    qx, qy, qz, qw = np.asarray(quats, dtype=float).T
+    x2, y2, z2 = qx + qx, qy + qy, qz + qz
+    xx, yy, zz = qx * x2, qy * y2, qz * z2
+    xy, xz, yz = qx * y2, qx * z2, qy * z2
+    wx, wy, wz = qw * x2, qw * y2, qw * z2
+    out = np.empty((len(qx), 3, 3))
+    out[:, 0, 0] = 1.0 - (yy + zz)
+    out[:, 0, 1] = xy - wz
+    out[:, 0, 2] = xz + wy
+    out[:, 1, 0] = xy + wz
+    out[:, 1, 1] = 1.0 - (xx + zz)
+    out[:, 1, 2] = yz - wx
+    out[:, 2, 0] = xz - wy
+    out[:, 2, 1] = yz + wx
+    out[:, 2, 2] = 1.0 - (xx + yy)
+    return out
+
+
+def quaternion_z_images(quats: np.ndarray) -> np.ndarray:
+    """(n, 3) images W e_z, the third columns of quaternion_rotations(quats)."""
+    qx, qy, qz, qw = np.asarray(quats, dtype=float).T
+    x2, y2, z2 = qx + qx, qy + qy, qz + qz
+    out = np.empty((len(qx), 3))
+    out[:, 0] = qx * z2 + qw * y2
+    out[:, 1] = qy * z2 - qw * x2
+    out[:, 2] = 1.0 - (qx * x2 + qy * y2)
+    return out
+
+
+def mirror_axes(lam: np.ndarray, center=(0.0, 0.0, 0.0)) -> tuple:
+    """Spatial axes k whose reflection q_k -> -q_k commutes with `lam` and fixes `center`.
+
+    Axis k qualifies when M lam M equals `lam` exactly, M the reflection
+    of axis k (lam is zero off row and column k), and center[k] is 0.  A
+    grid centred there with mirror-symmetric nodes and probabilities then
+    carries, at the image M q of a node q, the transported momentum
+    M (L q) and the Wigner rotation M W M.
+    """
+    lam = np.asarray(lam, dtype=float)
+    axes = []
+    for k in range(3):
+        signs = np.ones(4)
+        signs[k + 1] = -1.0
+        if center[k] == 0.0 and np.array_equal(signs[:, None] * lam * signs, lam):
+            axes.append(k)
+    return tuple(axes)
+
+
+def mirror_mask(axes) -> np.ndarray:
+    """(3,) mask of the components of a polar vector odd under a reflection of `axes`."""
+    folded = np.zeros(3, dtype=bool)
+    folded[list(axes)] = True
+    return folded
+
+
+def mirror_odd(axes) -> np.ndarray:
+    """(3, 3) mask of the Bloch-matrix entries T_ij odd under a reflection of `axes`.
+
+    Under the reflection M of axis k, W -> M W M flips T_ij exactly when
+    one of i, j is k and the other is not; such entries average to 0 over
+    a grid folded along k (wavepacket.fold).
+    """
+    folded = mirror_mask(axes)
+    return (folded[:, None] | folded[None, :]) & ~np.eye(3, dtype=bool)
 
 
 # Nodes per block of the little-group kernel; bounds its (n,) temporaries to
@@ -248,12 +323,13 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """Transport momenta through `lam` and return their 3x3 Wigner rotations.
+def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
+    """Transport momenta through `lam` and return their Wigner rotations as quaternions.
 
-    Returns (p4_out, W): the (n, 4) transported four-momenta p_n = L q_n and
-    the (n, 3, 3) spatial blocks W_n of the little-group elements
-    B(p_n)^{-1} L B(q_n) at the incoming momenta q_n.
+    Returns (p4_out, q): the (n, 4) transported four-momenta p_n = L q_n and
+    the (n, 4) unit quaternions (x, y, z, w) of the spatial blocks W_n of
+    the little-group elements B(p_n)^{-1} L B(q_n) at the incoming momenta
+    q_n.  The sign of each quaternion is the one the product gives.
 
     The elements are the closed-form SL(2,C) products
     U_n = A(p_n)^{-1} A(L) A(q_n) with A(q) = (E + m + q.sigma) / sqrt(2m(E + m)),
@@ -263,8 +339,8 @@ def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     A(R q) = a0 + a.sigma, the product is X = x0 + (xr + i xi).sigma,
     where x0 = c0 a0 + c.a, xr = c0 a + a0 c and xi = c x a; with
     A(p)^{-1} = b0 - b.sigma, U = w - i (x, y, z).sigma where
-    w = b0 x0 - b.xr and (x, y, z) = b x xr - b0 xi.  W_n is the rotation
-    of that unit quaternion composed with R.
+    w = b0 x0 - b.xr and (x, y, z) = b x xr - b0 xi.  q_n is that unit
+    quaternion composed with the quaternion of R.
 
     Raises for a `lam` that is improper or not orthochronous, when a node is
     off shell, or when an element leaves the time axis beyond 1e-9: that is
@@ -290,7 +366,7 @@ def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     c0 = boost[0, 0] + 1.0
     c = tuple(boost[1:, 0])
     rq = rot @ q4[:, 1:].T
-    rots = np.empty((q4.shape[0], 3, 3))
+    quats = np.empty((4, q4.shape[0]))
     for start in range(0, q4.shape[0], _WIGNER_BLOCK):
         block = slice(start, start + _WIGNER_BLOCK)
         a0 = q4[block, 0] + mass
@@ -314,27 +390,22 @@ def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
         w = (b0 * x0 - _dot(b, xr)) * scale
         v = tuple((bxk - b0 * xik) * scale for bxk, xik in zip(b_xr, xi))
         # quaternion of W(B, R q) R: (w, v)(rw, rv)
-        qw = w * rw - _dot(v, rv)
-        qx, qy, qz = (
-            w * rk + rw * vk + ck for rk, vk, ck in zip(rv, v, _cross(v, rv))
-        )
-        x2, y2, z2 = qx + qx, qy + qy, qz + qz
-        xx, yy, zz = qx * x2, qy * y2, qz * z2
-        xy, xz, yz = qx * y2, qx * z2, qy * z2
-        wx, wy, wz = qw * x2, qw * y2, qw * z2
-        out = rots[block]
-        out[:, 0, 0] = 1.0 - (yy + zz)
-        out[:, 0, 1] = xy - wz
-        out[:, 0, 2] = xz + wy
-        out[:, 1, 0] = xy + wz
-        out[:, 1, 1] = 1.0 - (xx + zz)
-        out[:, 1, 2] = yz - wx
-        out[:, 2, 0] = xz - wy
-        out[:, 2, 1] = yz + wx
-        out[:, 2, 2] = 1.0 - (xx + yy)
+        quats[3, block] = w * rw - _dot(v, rv)
+        for k, (rk, vk, ck) in enumerate(zip(rv, v, _cross(v, rv))):
+            quats[k, block] = w * rk + rw * vk + ck
     if defect > 1e-9:
         raise ValueError(f"little-group elements do not fix the time axis ({defect:.3g})")
-    return p4, rots
+    return p4, quats.T
+
+
+def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
+    """Transport momenta through `lam` and return their 3x3 Wigner rotations.
+
+    Returns (p4_out, W): the (n, 4) transported four-momenta and the
+    (n, 3, 3) rotations of wigner_quaternion_batch, with its checks.
+    """
+    p4, quats = wigner_quaternion_batch(lam, momenta, mass)
+    return p4, quaternion_rotations(quats)
 
 
 def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
@@ -342,10 +413,13 @@ def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
 
     Returns (p4_out, U) where p4_out is the (n, 4) array of transported
     four-momenta and U the (n, 2, 2) stack of SU(2) Wigner rotations
-    evaluated at the incoming momenta.
+    evaluated at the incoming momenta.  U is built from the quaternions of
+    wigner_quaternion_batch, divided by their norm with the sign that makes
+    w >= 0, as rotations_to_su2 does.
     """
-    p4, rots = wigner_rotation_batch(lam, momenta, mass)
-    return p4, rotations_to_su2(rots)
+    p4, quats = wigner_quaternion_batch(lam, momenta, mass)
+    norms = np.copysign(np.linalg.norm(quats, axis=1), quats[:, 3])
+    return p4, _quaternion_su2(quats / norms[:, None])
 
 
 def bloch_map(probs: np.ndarray, rots: np.ndarray) -> np.ndarray:

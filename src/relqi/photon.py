@@ -14,7 +14,9 @@ Circular beams need neither route: with P_T the transverse projector and
 [khat]_x the cross-product matrix, helicity +-1 beams of one profile are
 (<P_T> +- i[<khat>]_x)/2, with Helstrom error (1 - |<khat>|)/2.
 `circular_pair_error` and the Doppler report read only the node
-probabilities and observer-frame directions (`_beam_kernel`), in O(N).
+probabilities and observer-frame directions, in O(N): the beam is built
+once per resolution and folded over its x and y mirror axes
+(`_folded_beam`), and only the kept quarter of its nodes is transported.
 
 Boosts transport nodes along L k with the invariant-measure weights and the
 helicity amplitudes unchanged (the transported 3-vector is the standard
@@ -24,13 +26,14 @@ zero); pure spatial rotations act on polarization vectors exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import geometry, qmatrix
+from . import geometry, qmatrix, wavepacket
 from .wavepacket import (
     GaussianSpec,
     Measure,
@@ -275,17 +278,15 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
 
 
-def _beam_kernel(k_mean, delta_z, delta_r, nodes_per_axis, v):
-    """(p, khat) of a gaussian_beam: p_n = w_n |f_n|^2 and the node directions
-    seen by an observer moving along z at speed v.  The nodes go through
-    boost_photon, so the beam guards and the energy and norm checks apply.
+@functools.lru_cache(maxsize=8)
+def _folded_beam(k_mean, delta_z, delta_r, nodes_per_axis, axes):
+    """Read-only nodes and probabilities p_n = w_n |f_n|^2 of gaussian_beam,
+    folded over the mirror `axes` by wavepacket.fold.  The beam is built
+    once per cached entry, through gaussian_beam's guards and the
+    PhotonPacket profile-norm check.
     """
-    if abs(v) >= 1.0:
-        raise ValueError("observer speed must satisfy |v| < 1")
     beam = gaussian_beam(k_mean, delta_z, delta_r, +1, nodes_per_axis)
-    if v != 0.0:
-        beam = boost_photon(geometry.observer_boost(np.array([0.0, 0.0, v])), beam)
-    return beam.grid.weights * np.abs(beam.profile) ** 2, beam.khat()
+    return wavepacket.fold(beam.grid.nodes, beam.grid.weights * np.abs(beam.profile) ** 2, axes)
 
 
 def circular_pair_error(
@@ -302,9 +303,26 @@ def circular_pair_error(
     is qmatrix.mixture_pair_error of the directions khat_n.  Strictly
     positive for any finite radial spread; tends to the leading order
     (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) as delta_r / k_mean -> 0.
+
+    The nodes of gaussian_beam are transported by the observer boost as in
+    boost_photon, with its energy check, once per mirror orbit: the beam is
+    centred on 0 along x and y and the boost commutes with both
+    reflections, so the x and y components of <khat> are 0
+    (geometry.mirror_axes, wavepacket.fold).
     """
-    probs, khat = _beam_kernel(k_mean, delta_z, delta_r, nodes_per_axis, v)
-    return qmatrix.mixture_pair_error(probs, khat)
+    if abs(v) >= 1.0:
+        raise ValueError("observer speed must satisfy |v| < 1")
+    lam = geometry.observer_boost(np.array([0.0, 0.0, v]))
+    axes = geometry.mirror_axes(lam, (0.0, 0.0, k_mean))
+    nodes, probs = _folded_beam(k_mean, delta_z, delta_r, nodes_per_axis, axes)
+    k4 = np.concatenate([np.linalg.norm(nodes, axis=1)[:, None], nodes], axis=1) @ lam.T
+    if np.any(k4[:, 0] <= 0.0):
+        raise ValueError("transported photon energies are not positive")
+    k = k4[:, 1:]
+    if not np.all(np.isfinite(k)):
+        raise ValueError("transported photon momenta are not finite")
+    khat = k / np.linalg.norm(k, axis=1)[:, None]
+    return qmatrix.mixture_pair_error(probs, khat, geometry.mirror_mask(axes))
 
 
 def orthogonality_audit(psi1: PhotonPacket, psi2: PhotonPacket) -> float:

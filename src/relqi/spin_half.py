@@ -12,7 +12,11 @@ boosted packet with node probabilities p_n = w_n |h_n|^2 is the
 random-unitary channel with Bloch matrix T = sum_n p_n W_n, the momentum
 average of the 3x3 Wigner rotations (`wigner_kernel`).  The boosted
 spin-up and spin-down states are (I +- r.sigma)/2 with r = T e_z, so every
-sweep observable costs O(N) time and memory in the N grid nodes.
+sweep observable costs O(N) time and memory in the N grid nodes.  The
+sweeps evaluate the kernel once per mirror orbit (`folded_wigner_kernel`):
+the packet is centred on 0, so every axis whose reflection commutes with
+the boost is folded, which keeps half the nodes for a boost in the x-z
+plane, a quarter for a boost along z and an eighth for the identity.
 
 The dimensionless boost-mixing parameter is
 gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
@@ -153,17 +157,69 @@ def wigner_kernel(
     return probs, rots
 
 
+# Folds of the cached packet nodes, keyed by (delta, mass, nodes_per_axis,
+# convention, axes); each entry keeps the probabilities it was folded from.
+_FOLDS: dict = {}
+_FOLDS_SIZE = 16
+
+
+def _folded_nodes(delta, mass, nodes_per_axis, convention, axes):
+    """_packet_nodes folded over the mirror `axes` by wavepacket.fold.
+
+    A fold is kept while _packet_nodes returns the same probabilities, so
+    each resolution is still built once and each fold taken once.
+    """
+    with _GRID_LOCK:
+        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention)
+        key = (delta, mass, nodes_per_axis, convention, axes)
+        entry = _FOLDS.get(key)
+        if entry is None or entry[0] is not probs:
+            if len(_FOLDS) >= _FOLDS_SIZE:
+                del _FOLDS[next(iter(_FOLDS))]
+            entry = _FOLDS[key] = (probs, *wavepacket.fold(nodes, probs, axes))
+    return entry[1], entry[2]
+
+
+def folded_wigner_kernel(
+    lam: np.ndarray,
+    delta: float,
+    mass: float,
+    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
+    convention: Measure = Measure.PLAIN,
+):
+    """wigner_kernel evaluated once per mirror orbit of the grid.
+
+    Returns (p, q, odd): the probabilities of the packet of wigner_kernel
+    folded over the axes geometry.mirror_axes(lam) (the packet is centred
+    on 0 along every axis), the (n, 4) Wigner quaternions of
+    geometry.wigner_quaternion_batch at the kept nodes, and the (3, 3) mask
+    geometry.mirror_odd of the entries of T that vanish by that symmetry.
+    T is sum_n p_n W_n with the `odd` entries set to 0, and so is any
+    average of a function of W_n that a reflection M leaves unchanged when
+    W_n -> M W_n M.  The node set and probabilities of the full grid are
+    checked for the mirror symmetry; a boost in a generic direction folds
+    nothing.
+    """
+    if delta <= 0.0 or mass <= 0.0:
+        raise ValueError("width and mass must be positive")
+    axes = geometry.mirror_axes(lam)
+    nodes, probs = _folded_nodes(delta, mass, nodes_per_axis, convention, axes)
+    _, quats = geometry.wigner_quaternion_batch(lam, nodes, mass)
+    return probs, quats, geometry.mirror_odd(axes)
+
+
 def _boosted_pair(lam, delta, mass, nodes_per_axis):
     """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down pair.
 
     The boosted states are (I +- r.sigma)/2 with r = T e_z = sum_n p_n v_n
     and v_n = W_n e_z; the error is qmatrix.mixture_pair_error of the v_n,
     which keeps its relative accuracy in the small-error (Gamma^2) regime.
+    Only the v_n of the folded kernel are formed.
     """
-    probs, rots = wigner_kernel(lam, delta, mass, nodes_per_axis)
-    v = rots[:, :, 2]
-    r = probs @ v
-    p_error = qmatrix.mixture_pair_error(probs, v)
+    probs, quats, odd = folded_wigner_kernel(lam, delta, mass, nodes_per_axis)
+    v = geometry.quaternion_z_images(quats)
+    r = np.where(odd[:, 2], 0.0, probs @ v)
+    p_error = qmatrix.mixture_pair_error(probs, v, odd[:, 2])
     r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
     return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
 

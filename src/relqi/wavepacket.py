@@ -14,6 +14,10 @@ Two measure conventions are supported and recorded on every grid:
 
 Quadrature sums use numpy's fixed (pairwise) reduction order, so results
 are bit-stable and independent of any worker-level parallelism.
+
+A grid centred on 0 along an axis has nodes and weights exactly symmetric
+under the reflection of that axis; `fold` keeps one node per mirror orbit
+with the orbit's total probability, for integrands even under it.
 """
 
 from __future__ import annotations
@@ -170,6 +174,36 @@ def normalize(grid: MomentumGrid, f: np.ndarray) -> np.ndarray:
     if n == 0.0 or not np.isfinite(n):
         raise ValueError("cannot normalize amplitudes with zero or non-finite norm")
     return np.asarray(f) / n
+
+
+def fold(nodes: np.ndarray, probs: np.ndarray, axes) -> tuple:
+    """Nodes and probabilities of a mirror-symmetric rule, one node per mirror orbit.
+
+    For each spatial axis k in `axes` the node set and the probabilities
+    must be exactly symmetric under the reflection q_k -> -q_k.  The nodes
+    with q_k >= 0 for every folded k are kept, and the probability of each
+    kept node is doubled once for each folded k with q_k > 0, so that
+    sum_n p_n f(q_n) is unchanged for any f even under those reflections.
+    Returns new read-only (nodes, probs) arrays; raises ValueError when the
+    rule is not mirror-symmetric along one of `axes`.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    axes = list(axes)
+    order = np.lexsort(nodes.T)
+    for k in axes:
+        mirrored = nodes.copy()
+        mirrored[:, k] = -mirrored[:, k]
+        image = np.lexsort(mirrored.T)
+        if not (np.array_equal(nodes[order], mirrored[image])
+                and np.array_equal(probs[order], probs[image])):
+            raise ValueError(f"the rule is not mirror-symmetric along {'xyz'[k]}")
+    keep = np.all(nodes[:, axes] >= 0.0, axis=1)
+    kept = nodes[keep]
+    kept_probs = probs[keep] * 2.0 ** np.sum(kept[:, axes] > 0.0, axis=1)
+    kept.setflags(write=False)
+    kept_probs.setflags(write=False)
+    return kept, kept_probs
 
 
 def refine(values_at, nodes_per_axis: int, tolerance: float,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,42 @@ def test_witness_fires_only_for_increased_error():
 def test_witness_ratio_matches_doppler_law():
     rep = ch.non_cp_witness(0.5, k_mean=100.0, delta_z=0.1, delta_r=1.0, nodes_per_axis=12)
     assert rep.pe_after / rep.pe_before == pytest.approx(3.0, rel=0.05)
+
+
+def thomas_wigner_distance(gamma, theta, n=12, beta=0.6):
+    """Oracle trace distance of channel.consistency_check, node by node.
+
+    Each node's Wigner rotation comes from the Thomas-Wigner half-angle
+    formula: for a boost of rapidity xi along n and a momentum q of
+    rapidity eta, the rotation is about q x n by the angle omega with
+    tan(omega/2) = t sin(phi) / (1 + t cos(phi)), t = tanh(xi/2) tanh(eta/2),
+    so its quaternion is (a (q x n), 1 + a q.n) / D with a = tanh(xi/2) / (E + m).
+    Every sum is a math.fsum.
+    """
+    from relqi import spin_half as sh
+    from relqi.wavepacket import Measure
+
+    delta = gamma / sh.gamma_parameter(1.0, 1.0, beta)
+    nodes, probs = sh._packet_nodes(delta, 1.0, n, Measure.PLAIN)
+    nhat = np.array([math.sin(theta), 0.0, math.cos(theta)])
+    a = beta / (1.0 + math.sqrt(1.0 - beta * beta)) / (np.sqrt(1.0 + np.sum(nodes**2, axis=1)) + 1.0)
+    axis = np.cross(nodes, nhat)
+    den = 1.0 + a * (nodes @ nhat)
+    norm2 = a * a * np.sum(axis * axis, axis=1) + den * den
+    x, y, z = (a[:, None] * axis / np.sqrt(norm2)[:, None]).T
+    w = den / np.sqrt(norm2)
+    offset = math.fsum(probs * 2.0 * a * a * (axis[:, 0] ** 2 + axis[:, 1] ** 2) / norm2)
+    dx = math.fsum(probs * 2.0 * (x * z + w * y))
+    dy = math.fsum(probs * 2.0 * (y * z - w * x))
+    return 0.5 * math.sqrt(dx * dx + dy * dy + (0.5 * gamma * gamma - offset) ** 2)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("gamma", [0.01, 0.05])
+def test_consistency_distance_matches_thomas_wigner_oracle(gamma, theta):
+    # 1 - (T e_z)_z is taken from the quaternions, not as 1 minus a number
+    # close to 1; the subtraction left errors of 8e-12 to 5e-9 here.
+    report = ch.consistency_check(ch.BoostChannelSpec(gamma, theta))
+    assert report.trace_distance == pytest.approx(
+        thomas_wigner_distance(gamma, theta), rel=1e-12, abs=0.0
+    )

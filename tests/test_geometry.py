@@ -368,3 +368,18 @@ def test_standard_rotation_maps_z():
 def test_standard_rotation_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         geo.standard_rotation([0.0, 0.0, 0.5])
+
+
+def test_wigner_su2_batch_from_kernel_quaternions():
+    # U is taken from the kernel's quaternions with the sign that makes
+    # w >= 0, the convention of rotations_to_su2; a rotation near pi behind
+    # the boost gives nodes whose kernel quaternion has w < 0.
+    rot = np.eye(4)
+    rot[1:, 1:] = geo.rotation_about([0.3, 1.0, -0.2], np.pi - 0.05)
+    lam = geo.boost_from_velocity([0.5, 0.0, 0.3]) @ rot
+    momenta = np.random.default_rng(11).normal(size=(200, 3))
+    _, quats = geo.wigner_quaternion_batch(lam, momenta, 1.0)
+    assert np.any(quats[:, 3] < 0.0) and np.any(quats[:, 3] > 0.0)
+    _, u = geo.wigner_su2_batch(lam, momenta, 1.0)
+    _, rots = geo.wigner_rotation_batch(lam, momenta, 1.0)
+    np.testing.assert_allclose(u, geo.rotations_to_su2(rots), rtol=0.0, atol=1e-15)

@@ -313,3 +313,25 @@ def test_mass_mismatch_rejected():
     psi = sh.gaussian_spin_up(0.5, 1.0, 4)
     with pytest.raises(ValueError, match="mass"):
         sh.SpinorPacket(grid=psi.grid, amps=psi.amps, mass=2.0)
+
+
+@pytest.mark.parametrize("n", range(4, 33))
+def test_identity_boost_rows_are_exactly_zero(n):
+    # Gamma = 0 is the identity boost: every W_n e_z is e_z, so the pair error
+    # and the entropy are 0, folded (the sweep) and unfolded (wigner_kernel).
+    for theta in (0.0, 0.7):
+        row = sh.sweep_row(theta, 0.0, nodes_per_axis=n, check_convergence=False)
+        assert row["p_error"] == 0.0 and row["entropy_bits"] == 0.0
+    probs, rots = sh.wigner_kernel(np.eye(4), 1.0, 1.0, n)
+    p_error = qm.mixture_pair_error(probs, rots[:, :, 2])
+    assert p_error == 0.0
+    assert qm.entropy(np.diag([1.0 - p_error, p_error])) == 0.0
+
+
+def test_identity_boost_row_prints_zero(tmp_path):
+    from relqi import cli
+
+    out = tmp_path / "spin.csv"
+    assert cli.run(["spin-entropy", "--theta", "0.7", "--gamma", "0", "--no-convergence",
+                    "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[1] == "0.7,0,0,1,0,0,1728,true"

@@ -268,30 +268,23 @@ def quaternion_z_images(quats: np.ndarray) -> np.ndarray:
     return out
 
 
-def mirror_axes(lam: np.ndarray, center=(0.0, 0.0, 0.0)) -> tuple:
-    """Spatial axes k whose reflection q_k -> -q_k commutes with `lam` and fixes `center`.
+def mirror_axes(lam: np.ndarray) -> tuple:
+    """Spatial axes k whose reflection q_k -> -q_k commutes with `lam`.
 
     Axis k qualifies when M lam M equals `lam` exactly, M the reflection
-    of axis k (lam is zero off row and column k), and center[k] is 0.  A
-    grid centred there with mirror-symmetric nodes and probabilities then
-    carries, at the image M q of a node q, the transported momentum
-    M (L q) and the Wigner rotation M W M.
+    of axis k (lam is zero off row and column k).  A grid centred on 0
+    with mirror-symmetric nodes and probabilities then carries, at the
+    image M q of a node q, the transported momentum M (L q) and the Wigner
+    rotation M W M.
     """
     lam = np.asarray(lam, dtype=float)
     axes = []
     for k in range(3):
         signs = np.ones(4)
         signs[k + 1] = -1.0
-        if center[k] == 0.0 and np.array_equal(signs[:, None] * lam * signs, lam):
+        if np.array_equal(signs[:, None] * lam * signs, lam):
             axes.append(k)
     return tuple(axes)
-
-
-def mirror_mask(axes) -> np.ndarray:
-    """(3,) mask of the components of a polar vector odd under a reflection of `axes`."""
-    folded = np.zeros(3, dtype=bool)
-    folded[list(axes)] = True
-    return folded
 
 
 def mirror_odd(axes) -> np.ndarray:
@@ -301,7 +294,7 @@ def mirror_odd(axes) -> np.ndarray:
     one of i, j is k and the other is not; such entries average to 0 over
     a grid folded along k (wavepacket.fold).
     """
-    folded = mirror_mask(axes)
+    folded = np.array([k in axes for k in range(3)])
     return (folded[:, None] | folded[None, :]) & ~np.eye(3, dtype=bool)
 
 

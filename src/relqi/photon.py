@@ -12,11 +12,11 @@ expectation values; the tests check the two routes against each other.
 
 Circular beams need neither route: with P_T the transverse projector and
 [khat]_x the cross-product matrix, helicity +-1 beams of one profile are
-(<P_T> +- i[<khat>]_x)/2, with Helstrom error (1 - |<khat>|)/2.
-`circular_pair_error` and the Doppler report read only the node
-probabilities and observer-frame directions, in O(N): the beam is built
-once per resolution and folded over its x and y mirror axes
-(`_folded_beam`), and only the kept quarter of its nodes is transported.
+(<P_T> +- i[<khat>]_x)/2, with Helstrom error (1 - |<khat>|)/2.  The beam
+and an observer moving along z are axially symmetric, so <khat'> is
+<cos theta'> e_z, and aberration gives cos theta' node by node:
+`circular_pair_error` and the Doppler report average it on a 2-D
+Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2) (`_pair_errors`).
 
 Boosts transport nodes along L k with the invariant-measure weights and the
 helicity amplitudes unchanged (the transported 3-vector is the standard
@@ -26,14 +26,13 @@ zero); pure spatial rotations act on polarization vectors exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import geometry, qmatrix, wavepacket
+from . import geometry, qmatrix
 from .wavepacket import (
     GaussianSpec,
     Measure,
@@ -116,6 +115,21 @@ class PhotonPacket:
         return self.helicity[:, :1] * eps_p + self.helicity[:, 1:] * eps_m
 
 
+def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):
+    """Gauss-Hermite nodes k_mean + delta_z t and weights along a beam, after its checks."""
+    if k_mean <= 0.0 or delta_z <= 0.0 or delta_r <= 0.0:
+        raise ValueError("k_mean and widths must be positive")
+    if k_mean <= 5.0 * delta_z:
+        raise ValueError("k_mean must exceed 5 * delta_z to keep nodes forward")
+    if k_mean < 5.0 * delta_r:
+        warnings.warn("k_mean < 5 * delta_r: beam is far from paraxial", stacklevel=3)
+    t, w = np.polynomial.hermite.hermgauss(nodes_per_axis)
+    k_z = k_mean + delta_z * t
+    if np.any(k_z <= 0.0):
+        raise ValueError("beam grid reaches zero or backward momenta")
+    return k_z, w
+
+
 def gaussian_beam(
     k_mean: float,
     delta_z: float,
@@ -131,17 +145,9 @@ def gaussian_beam(
     k_mean > 5 delta_z so the grid stays in the forward cone; a beam with
     k_mean < 5 delta_r triggers a warning (the paraxial picture degrades).
     """
-    if k_mean <= 0.0 or delta_z <= 0.0 or delta_r <= 0.0:
-        raise ValueError("k_mean and widths must be positive")
-    if k_mean <= 5.0 * delta_z:
-        raise ValueError("k_mean must exceed 5 * delta_z to keep nodes forward")
-    if k_mean < 5.0 * delta_r:
-        warnings.warn("k_mean < 5 * delta_r: beam is far from paraxial", stacklevel=2)
+    _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
     grid = gauss_grid(GaussianSpec.beam(k_mean, delta_z, delta_r),
                       nodes_per_axis, Measure.INVARIANT, mass=0.0)
-    radius = np.linalg.norm(grid.nodes, axis=1)
-    if np.any(radius < 1e-12 * k_mean) or np.any(grid.nodes[:, 2] <= 0.0):
-        raise ValueError("beam grid reaches zero or backward momenta")
     k = grid.nodes
     f = np.exp(
         -((k[:, 2] - k_mean) ** 2) / (2.0 * delta_z**2)
@@ -278,15 +284,35 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
 
 
-@functools.lru_cache(maxsize=8)
-def _folded_beam(k_mean, delta_z, delta_r, nodes_per_axis, axes):
-    """Read-only nodes and probabilities p_n = w_n |f_n|^2 of gaussian_beam,
-    folded over the mirror `axes` by wavepacket.fold.  The beam is built
-    once per cached entry, through gaussian_beam's guards and the
-    PhotonPacket profile-norm check.
+def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
+    """Circular-pair errors (1 - |<cos theta'>|)/2 for observers moving along z.
+
+    One rule, Gauss-Hermite in k_z times Gauss-Laguerre in k_r^2 / delta_r^2,
+    absorbs the envelope of gaussian_beam; p is w_z w_x / |k| (invariant
+    measure) normalised to 1.  By aberration 1 -+ cos theta' is
+    (1 +- v)(|k| -+ k_z) / (|k| - v k_z), |k| - k_z = k_r^2 / (|k| + k_z):
+    both means sum positive terms, and the smaller is the error.  Raises
+    ValueError when numpy's Laguerre weights fail (about 190 nodes).
     """
-    beam = gaussian_beam(k_mean, delta_z, delta_r, +1, nodes_per_axis)
-    return wavepacket.fold(beam.grid.nodes, beam.grid.weights * np.abs(beam.profile) ** 2, axes)
+    if any(abs(v) >= 1.0 for v in speeds):
+        raise ValueError("observer speed must satisfy |v| < 1")
+    k_z, w_z = _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
+    with np.errstate(all="ignore"):
+        x, w_x = np.polynomial.laguerre.laggauss(nodes_per_axis)
+    if not np.all(np.isfinite(w_x) & (w_x > 0.0)):
+        raise ValueError(f"the Gauss-Laguerre rule breaks down at {nodes_per_axis} nodes")
+    k_z = k_z[:, None]
+    k_r2 = delta_r * delta_r * x
+    k = np.sqrt(k_z * k_z + k_r2)
+    p = w_z[:, None] * w_x / k
+    p /= p.sum()
+    errors = []
+    for v in speeds:
+        doppler = k - v * k_z
+        minus = np.sum(p * (1.0 + v) * (k_r2 / (k + k_z)) / doppler)
+        plus = np.sum(p * (1.0 - v) * (k + k_z) / doppler)
+        errors.append(0.5 * float(min(minus, plus)))
+    return errors
 
 
 def circular_pair_error(
@@ -299,30 +325,12 @@ def circular_pair_error(
     """Helstrom error between the two circular beams of a common profile.
 
     `v` is the speed of an observer moving along z; at v = 0 the beams are
-    compared in their rest frame, with no boost.  The error (1 - |<khat>|)/2
-    is qmatrix.mixture_pair_error of the directions khat_n.  Strictly
-    positive for any finite radial spread; tends to the leading order
-    (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) as delta_r / k_mean -> 0.
-
-    The nodes of gaussian_beam are transported by the observer boost as in
-    boost_photon, with its energy check, once per mirror orbit: the beam is
-    centred on 0 along x and y and the boost commutes with both
-    reflections, so the x and y components of <khat> are 0
-    (geometry.mirror_axes, wavepacket.fold).
+    compared in their rest frame.  The error (1 - |<khat>|)/2 is averaged
+    on the n^2 nodes of _pair_errors.  Strictly positive for any finite
+    radial spread; tends to (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) as
+    delta_r / k_mean -> 0.
     """
-    if abs(v) >= 1.0:
-        raise ValueError("observer speed must satisfy |v| < 1")
-    lam = geometry.observer_boost(np.array([0.0, 0.0, v]))
-    axes = geometry.mirror_axes(lam, (0.0, 0.0, k_mean))
-    nodes, probs = _folded_beam(k_mean, delta_z, delta_r, nodes_per_axis, axes)
-    k4 = np.concatenate([np.linalg.norm(nodes, axis=1)[:, None], nodes], axis=1) @ lam.T
-    if np.any(k4[:, 0] <= 0.0):
-        raise ValueError("transported photon energies are not positive")
-    k = k4[:, 1:]
-    if not np.all(np.isfinite(k)):
-        raise ValueError("transported photon momenta are not finite")
-    khat = k / np.linalg.norm(k, axis=1)[:, None]
-    return qmatrix.mixture_pair_error(probs, khat, geometry.mirror_mask(axes))
+    return _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (v,))[0]
 
 
 def orthogonality_audit(psi1: PhotonPacket, psi2: PhotonPacket) -> float:
@@ -360,11 +368,10 @@ def doppler_report(
 
     Positive v (observer receding along the propagation axis) redshifts the
     beam and scales the error by (1 + v)/(1 - v) at leading order; negative
-    v shrinks it by the same law.  A beam with no spread (a single node)
-    has both errors exactly 0 and the ratio is NaN.
+    v shrinks it by the same law.  Both errors come from one rule of n^2
+    nodes; `grid_nodes` still reports n^3.
     """
-    pe_rest = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis)
-    pe_boosted = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis, v)
+    pe_rest, pe_boosted = _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (0.0, v))
     return DopplerReport(
         k_mean=k_mean,
         delta_z=delta_z,

@@ -102,14 +102,13 @@ def helstrom_error(rho1, rho2) -> float:
 
 
 def mixture_pair_error(probs, units, odd=(False, False, False)) -> float:
-    """Helstrom error (1 - |r|)/2 of the pair fixed by r = sum_n p_n u_n.
+    """Helstrom error (1 - |r|)/2 of the spin pair fixed by r = sum_n p_n u_n.
 
-    `probs` (n,) sum to 1; `units` (n, 3) are unit vectors.  Spins:
+    `probs` (n,) sum to 1; `units` (n, 3) are the unit vectors
     u_n = W_n e_z, the pair is (I +- r.sigma)/2 and r.sigma has eigenvalues
-    +-|r|.  Circular photons: u_n = khat_n, the pair is (<P_T> +- i[r]_x)/2
-    and rho+ - rho- = i[r]_x has eigenvalues 0, +-|r|.  Since |u_n| = 1 the
-    error equals sum_n p_n |u_n - r|^2 / (2 (1 + |r|)), the variance form
-    evaluated here: it keeps its relative accuracy at small errors.
+    +-|r|.  Since |u_n| = 1 the error equals
+    sum_n p_n |u_n - r|^2 / (2 (1 + |r|)), the variance form evaluated
+    here: it keeps its relative accuracy at small errors.
 
     The spread is shifted to the node c of largest probability:
     sum_n p_n |u_n - c|^2 - |r - c|^2, which is exactly 0 when every u_n is

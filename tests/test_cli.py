@@ -273,7 +273,11 @@ def test_failed_rows_say_why(tmp_path, capsys):
       "--resolution", "4"],
      "0.5,1,nan,nan,64,false",
      "relqi: row delta_over_m=0.5 beta=1: superluminal velocity"),
-], ids=["spin-refinement", "photon", "entangle"])
+    # numpy's Gauss-Laguerre weights are not finite at the 190-node refinement
+    (["photon-distinguish", "--dr", "1", "--resolution", "95"],
+     "100,1,0.1,0,nan,2.5e-05,857375,false",
+     "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 190 nodes"),
+], ids=["spin-refinement", "photon", "entangle", "photon-laguerre"])
 def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, csv_row, reason):
     out = tmp_path / "rows.csv"
     assert cli.run(argv + ["--out", str(out)]) == 1

@@ -224,17 +224,45 @@ def variance_form_oracle(beam):
     return 0.5 * spread / (1.0 + math.sqrt(math.fsum(x * x for x in r)))
 
 
+# The 3-D oracle grid is converged to about 1e-15 at 24 nodes per axis; at
+# 12 it is still up to 4e-10 off at (kA, dz, dr) = (10, 1, 2).
+ORACLE_NODES = 24
+
+
 @pytest.mark.parametrize("k, dz, dr, n, v", [
     (100.0, 0.001, 0.01, 8, 0.0),
     (100.0, 0.1, 1.0, 12, -0.9),
+    *[(k, dz, dr, 16, v) for k, dz, dr in ((10.0, 1.0, 2.0), (100.0, 0.1, 3.0))
+      for v in (0.0, 0.5, -0.9)],
 ])
 def test_circular_pair_error_small_error_precision(k, dz, dr, n, v):
-    beam = ph.gaussian_beam(k, dz, dr, +1, n)
+    beam = ph.gaussian_beam(k, dz, dr, +1, ORACLE_NODES)
     if v != 0.0:
         beam = ph.boost_photon(geo.observer_boost([0.0, 0.0, v]), beam)
     expected = variance_form_oracle(beam)
     pe = ph.circular_pair_error(k, dz, dr, n, v)
     assert pe == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_circular_pair_error_backward_mean_direction():
+    # At v = 0.99 the mean direction of the (10, 1, 2) beam points backward
+    # for the observer: <cos theta'> < 0 and the error is (1 + <cos theta'>)/2.
+    lam = geo.observer_boost([0.0, 0.0, 0.99])
+    expected = variance_form_oracle(ph.boost_photon(lam, ph.gaussian_beam(10.0, 1.0, 2.0, +1, 32)))
+    assert ph.circular_pair_error(10.0, 1.0, 2.0, 32, 0.99) == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((100.0, 0.1, 1.0, 8, 1.0), "observer speed"),
+    ((100.0, 0.1, 1.0, 8, -1.0), "observer speed"),
+    ((1.0, 0.2, 0.1, 8), "5 \\* delta_z"),
+    ((100.0, 0.0, 1.0, 8), "positive"),
+    ((100.0, 0.1, -1.0, 8), "positive"),
+    ((6.0, 1.0, 0.5, 40), "backward"),
+])
+def test_circular_pair_error_guards(args, match):
+    with pytest.raises(ValueError, match=match):
+        ph.circular_pair_error(*args)
 
 
 def test_orthogonality_audit_monochromatic_limit():

@@ -44,6 +44,6 @@ from .spin_half import (
     gaussian_spin_up,
     reduced_spin_density,
 )
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid
+from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid
 
 __version__ = "0.1.0"

@@ -4,12 +4,12 @@ Subcommands: spin-entropy, spin-distinguish, photon-density,
 photon-distinguish, doppler, channel-audit, entangle-sweep, convergence.
 Parameter lists accept `a,b,c` or `min:max:step` (inclusive); angles are in
 radians, speeds are fractions of c.  Lists starting with a negative number
-need the `--flag=value` form.  Floats are printed with 12 significant
-digits, so a fixed configuration yields byte-identical output regardless of
-the worker count (capped by the RELQI_THREADS environment variable).
+need the `--flag=value` form.  Rows run in order in the calling thread
+and floats are printed with 12 significant digits, so a fixed configuration
+yields byte-identical output.
 Exit codes: 0 success, 1 numerical non-convergence (output still written),
-2 configuration error.  A sweep row that fails is written as NaN, and its
-reason is printed on stderr.
+2 configuration error, 3 numerical failure outside a sweep row.  A sweep
+row that fails is written as NaN, and its reason is printed on stderr.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,23 +58,9 @@ def parse_values(text: str, field: str):
     return values
 
 
-def _workers() -> int:
-    raw = os.environ.get("RELQI_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"RELQI_THREADS: not an integer ({raw!r})") from None
-    if n < 1:
-        raise ConfigError("RELQI_THREADS: must be >= 1")
-    return n
-
-
 def _map_rows(fn, items):
-    """Evaluate rows in a worker pool; output order follows input order."""
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        return list(pool.map(fn, items))
+    """Evaluate the rows of a sweep in order, in the calling thread."""
+    return [fn(item) for item in items]
 
 
 def _fmt(value) -> str:
@@ -458,6 +442,9 @@ def run(argv) -> int:
         _apply_config(args, subparsers[args.command])
         _validate(args)
         return _COMMANDS[args.command](args)
+    except (wavepacket.NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"relqi: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"relqi: configuration error: {exc}", file=sys.stderr)
         return 2

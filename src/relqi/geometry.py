@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .wavepacket import NumericalError
+
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -335,9 +337,10 @@ def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     w = b0 x0 - b.xr and (x, y, z) = b x xr - b0 xi.  q_n is that unit
     quaternion composed with the quaternion of R.
 
-    Raises for a `lam` that is improper or not orthochronous, when a node is
-    off shell, or when an element leaves the time axis beyond 1e-9: that is
-    the non-SU(2) part of U, b.xi and b0 xr - x0 b + b x xi.
+    Raises ValueError for a `lam` that is improper or not orthochronous or
+    when a node is off shell, and wavepacket.NumericalError when an element
+    leaves the time axis beyond 1e-9: that is the non-SU(2) part of U, b.xi
+    and b0 xr - x0 b + b x xi.
     """
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
@@ -387,7 +390,7 @@ def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
         for k, (rk, vk, ck) in enumerate(zip(rv, v, _cross(v, rv))):
             quats[k, block] = w * rk + rw * vk + ck
     if defect > 1e-9:
-        raise ValueError(f"little-group elements do not fix the time axis ({defect:.3g})")
+        raise NumericalError(f"little-group elements do not fix the time axis ({defect:.3g})")
     return p4, quats.T
 
 

@@ -26,6 +26,7 @@ zero); pure spatial rotations act on polarization vectors exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -37,6 +38,7 @@ from .wavepacket import (
     GaussianSpec,
     Measure,
     MomentumGrid,
+    NumericalError,
     ensure_same_grid,
     gauss_grid,
     inner_product,
@@ -115,6 +117,28 @@ class PhotonPacket:
         return self.helicity[:, :1] * eps_p + self.helicity[:, 1:] * eps_m
 
 
+_GAUSS_RULES = {
+    "Gauss-Hermite": np.polynomial.hermite.hermgauss,
+    "Gauss-Laguerre": np.polynomial.laguerre.laggauss,
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(name: str, nodes_per_axis: int):
+    """Read-only nodes and weights of numpy's `name` rule, built once per node count.
+
+    Raises NumericalError when a weight is not finite and positive, as the
+    Gauss-Laguerre weights are from 187 nodes.
+    """
+    with np.errstate(all="ignore"):
+        x, w = _GAUSS_RULES[name](nodes_per_axis)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise NumericalError(f"the {name} rule breaks down at {nodes_per_axis} nodes")
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):
     """Gauss-Hermite nodes k_mean + delta_z t and weights along a beam, after its checks."""
     if k_mean <= 0.0 or delta_z <= 0.0 or delta_r <= 0.0:
@@ -123,7 +147,7 @@ def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: in
         raise ValueError("k_mean must exceed 5 * delta_z to keep nodes forward")
     if k_mean < 5.0 * delta_r:
         warnings.warn("k_mean < 5 * delta_r: beam is far from paraxial", stacklevel=3)
-    t, w = np.polynomial.hermite.hermgauss(nodes_per_axis)
+    t, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     k_z = k_mean + delta_z * t
     if np.any(k_z <= 0.0):
         raise ValueError("beam grid reaches zero or backward momenta")
@@ -292,15 +316,12 @@ def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
     measure) normalised to 1.  By aberration 1 -+ cos theta' is
     (1 +- v)(|k| -+ k_z) / (|k| - v k_z), |k| - k_z = k_r^2 / (|k| + k_z):
     both means sum positive terms, and the smaller is the error.  Raises
-    ValueError when numpy's Laguerre weights fail (about 190 nodes).
+    NumericalError when numpy's Laguerre weights fail (about 190 nodes).
     """
     if any(abs(v) >= 1.0 for v in speeds):
         raise ValueError("observer speed must satisfy |v| < 1")
     k_z, w_z = _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
-    with np.errstate(all="ignore"):
-        x, w_x = np.polynomial.laguerre.laggauss(nodes_per_axis)
-    if not np.all(np.isfinite(w_x) & (w_x > 0.0)):
-        raise ValueError(f"the Gauss-Laguerre rule breaks down at {nodes_per_axis} nodes")
+    x, w_x = _gauss_rule("Gauss-Laguerre", nodes_per_axis)
     k_z = k_z[:, None]
     k_r2 = delta_r * delta_r * x
     k = np.sqrt(k_z * k_z + k_r2)

@@ -110,7 +110,7 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     return qmatrix.hermitize(tau)
 
 
-# Serializes the grid cache so that concurrent sweep rows build each grid once.
+# Serializes the grid cache so that callers in several threads build each grid once.
 _GRID_LOCK = threading.Lock()
 
 
@@ -122,7 +122,7 @@ def _packet_nodes(delta, mass, nodes_per_axis, convention):
     probs = grid.weights * profile**2
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-8:
-        raise ValueError(f"node probabilities sum to {total:.12g}, not 1")
+        raise wavepacket.NumericalError(f"node probabilities sum to {total:.12g}, not 1")
     probs.setflags(write=False)
     return grid.nodes, probs
 

@@ -12,8 +12,8 @@ Two measure conventions are supported and recorded on every grid:
 * INVARIANT  -- d^3k / ((2 pi)^3 2 k^0), the Lorentz-invariant measure,
                 with k^0 = sqrt(mass^2 + |k|^2) folded into the weights.
 
-Quadrature sums use numpy's fixed (pairwise) reduction order, so results
-are bit-stable and independent of any worker-level parallelism.
+Quadrature sums use numpy's fixed (pairwise) reduction order, so a given
+grid and integrand give bit-identical results on every run.
 
 A grid centred on 0 along an axis has nodes and weights exactly symmetric
 under the reflection of that axis; `fold` keeps one node per mirror orbit
@@ -28,6 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
+
+
+class NumericalError(ValueError):
+    """A numerical method broke down on valid input (a rule, a defect check)."""
 
 
 class Measure(enum.Enum):
@@ -179,26 +183,36 @@ def normalize(grid: MomentumGrid, f: np.ndarray) -> np.ndarray:
 def fold(nodes: np.ndarray, probs: np.ndarray, axes) -> tuple:
     """Nodes and probabilities of a mirror-symmetric rule, one node per mirror orbit.
 
-    For each spatial axis k in `axes` the node set and the probabilities
-    must be exactly symmetric under the reflection q_k -> -q_k.  The nodes
-    with q_k >= 0 for every folded k are kept, and the probability of each
-    kept node is doubled once for each folded k with q_k > 0, so that
-    sum_n p_n f(q_n) is unchanged for any f even under those reflections.
-    Returns new read-only (nodes, probs) arrays; raises ValueError when the
-    rule is not mirror-symmetric along one of `axes`.
+    `nodes` (n^3, 3) and `probs` (n^3,) must be laid out as gauss_grid
+    lays out its tensor grid: the C-order flattening of (n, n, n) arrays.
+    For each spatial axis k in `axes` the (n, n, n) node and probability
+    arrays must equal their own flip along index axis k exactly, with
+    coordinate k negated.  The check compares index with index, in O(N)
+    time and without mirrored copies; a rule in another layout fails it.
+    The nodes with q_k >= 0 for every folded k are kept, and the
+    probability of each kept node is doubled once for each folded k with
+    q_k > 0, so that sum_n p_n f(q_n) is unchanged for any f even under
+    those reflections.  Returns new read-only (nodes, probs) arrays; raises
+    ValueError when the rule is not mirror-symmetric along one of `axes`.
     """
     nodes = np.asarray(nodes, dtype=float)
     probs = np.asarray(probs, dtype=float)
     axes = list(axes)
-    order = np.lexsort(nodes.T)
+    n = round(len(probs) ** (1.0 / 3.0))
+    if nodes.shape != (n**3, 3) or probs.shape != (n**3,):
+        raise ValueError("fold needs the (n^3, 3) nodes and (n^3,) probabilities of a tensor grid")
+    grid = nodes.reshape(n, n, n, 3)
+    cube = probs.reshape(n, n, n)
     for k in axes:
-        mirrored = nodes.copy()
-        mirrored[:, k] = -mirrored[:, k]
-        image = np.lexsort(mirrored.T)
-        if not (np.array_equal(nodes[order], mirrored[image])
-                and np.array_equal(probs[order], probs[image])):
+        flip = tuple(slice(None, None, -1) if j == k else slice(None) for j in range(3))
+        image = grid[flip]
+        if not (np.array_equal(cube, cube[flip])
+                and all(np.array_equal(grid[..., j], -image[..., j] if j == k else image[..., j])
+                        for j in range(3))):
             raise ValueError(f"the rule is not mirror-symmetric along {'xyz'[k]}")
-    keep = np.all(nodes[:, axes] >= 0.0, axis=1)
+    keep = np.ones(len(probs), dtype=bool)
+    for k in axes:
+        keep &= nodes[:, k] >= 0.0
     kept = nodes[keep]
     kept_probs = probs[keep] * 2.0 ** np.sum(kept[:, axes] > 0.0, axis=1)
     kept.setflags(write=False)

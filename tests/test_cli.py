@@ -344,3 +344,45 @@ def test_stdout_output(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_cp"] is True
+
+
+def _fresh_env():
+    """Environment of a fresh interpreter that imports this checkout of relqi."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_loads_no_thread_pool():
+    env = _fresh_env()
+    probe = "import sys, relqi.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_numerical_failure_exits_3_and_a_failed_row_exits_1():
+    env = _fresh_env()
+
+    def relqi(*argv):
+        return subprocess.run([sys.executable, "-m", "relqi", *argv, "--out", "-"], env=env,
+                              capture_output=True, text=True)
+
+    out = relqi("doppler", "--v", "0.5", "--resolution", "95")
+    assert out.returncode == 3
+    assert out.stderr == (
+        "relqi: numerical failure: the Gauss-Laguerre rule breaks down at 190 nodes\n"
+    )
+    assert out.stdout == ""
+    out = relqi("photon-distinguish", "--dr", "1", "--resolution", "95")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stdout.split("\n")[1] == "100,1,0.1,0,nan,2.5e-05,857375,false"
+
+
+def test_time_axis_defect_is_a_numerical_error():
+    from relqi import geometry, spin_half, wavepacket
+
+    beta = spin_half.beta_for_gamma(0.99935, 1.0)
+    nodes, _ = spin_half._packet_nodes(1.0, 1.0, 24, wavepacket.Measure.PLAIN)
+    with pytest.raises(wavepacket.NumericalError, match="time axis"):
+        geometry.wigner_quaternion_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)

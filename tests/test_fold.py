@@ -1,6 +1,7 @@
 """Mirror folding of the Gauss-Hermite grids: the kernels evaluated once per orbit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,3 +102,27 @@ def test_fold_rejects_asymmetric_probabilities():
     wp.fold(nodes, skewed, (1, 2))
     with pytest.raises(ValueError, match="along x"):
         wp.fold(nodes, skewed, (0,))
+
+
+@pytest.mark.parametrize("axes", [(1,), (0, 1), (0, 1, 2)])
+def test_fold_peak_memory_stays_below_its_input(axes):
+    # the symmetry check compares index with index: no sorted or mirrored copies
+    nodes, probs = sh._packet_nodes(DELTA, MASS, 48, Measure.PLAIN)
+    tracemalloc.start()
+    try:
+        wp.fold(nodes, probs, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (nodes.nbytes + probs.nbytes)
+
+
+def test_fold_rejects_a_grid_in_another_layout():
+    nodes, probs = sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN)
+    wp.fold(nodes, probs, (0, 1, 2))
+    order = np.random.default_rng(0).permutation(len(probs))
+    for k in range(3):
+        with pytest.raises(ValueError, match=f"along {'xyz'[k]}"):
+            wp.fold(nodes[order], probs[order], (k,))
+    with pytest.raises(ValueError, match="tensor grid"):
+        wp.fold(nodes[:-1], probs[:-1], (0,))

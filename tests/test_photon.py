@@ -322,3 +322,16 @@ def test_packet_validation():
         ph.PhotonPacket(grid=beam.grid, profile=beam.profile, helicity=bad_hel)
     with pytest.raises(ValueError, match="norm"):
         ph.PhotonPacket(grid=beam.grid, profile=2.0 * beam.profile, helicity=beam.helicity)
+
+
+def test_gauss_rules_are_built_once_per_node_count():
+    ph._gauss_rule.cache_clear()
+    first = ph.circular_pair_error(100.0, 0.1, 1.0, 12, 0.5)
+    assert ph.circular_pair_error(100.0, 0.1, 1.0, 12, 0.5) == first
+    info = ph._gauss_rule.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    for name in ("Gauss-Hermite", "Gauss-Laguerre"):
+        x, w = ph._gauss_rule(name, 12)
+        assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError, match="Gauss-Laguerre rule breaks down at 190 nodes"):
+        ph._gauss_rule("Gauss-Laguerre", 190)

@@ -21,11 +21,11 @@ from .photon import (
     PhotonPacket,
     PolarizationPOVM,
     build_povm,
+    circular_density,
     circular_pair_error,
     doppler_report,
     effective_density,
     gaussian_beam,
-    helicity_vectors,
     transversal_b,
 )
 from .qmatrix import (
@@ -41,7 +41,7 @@ from .spin_half import (
     boost_packet,
     boosted_pair_error,
     gamma_parameter,
-    gaussian_spin_up,
+    gaussian_packet,
     reduced_spin_density,
 )
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid

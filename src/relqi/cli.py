@@ -284,8 +284,7 @@ def _cmd_spin(args) -> int:
 
 def _cmd_photon_density(args) -> int:
     def rho_at(n):
-        beam = photon.gaussian_beam(args.kA, args.dz, args.dr, args.helicity, n)
-        return {"rho": photon.effective_density(beam)}
+        return {"rho": photon.circular_density(args.kA, args.dz, args.dr, args.helicity, n)}
 
     payload = wavepacket.refine(rho_at, **_refinement(args))
     rho = payload.pop("rho")
@@ -323,9 +322,7 @@ def _cmd_doppler(args) -> int:
     fmt = args.format or ("json" if len(speeds) == 1 else "csv")
     if fmt == "json":
         def report_at(n):
-            report = photon.doppler_report(args.kA, args.dz, args.dr, speeds[0], n).as_dict()
-            del report["grid_nodes"]
-            return report
+            return photon.doppler_report(args.kA, args.dz, args.dr, speeds[0], n).as_dict()
 
         payload = wavepacket.refine(report_at, **_refinement(args))
         payload["tolerance"] = args.tolerance

@@ -57,20 +57,13 @@ class TwoParticleAmplitude:
                 raise ValueError("two-particle grids must carry a positive mass")
         if g.shape != (self.grid1.n, self.grid2.n, 2, 2):
             raise ValueError("amplitude shape does not match the product grid")
-        nrm = _norm(self.grid1, self.grid2, g)
+        total = np.einsum("n,m,nmab,nmab->", self.grid1.weights, self.grid2.weights,
+                          g, g.conj())
+        nrm = float(np.sqrt(np.real(total)))
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"state norm {nrm:.12g} differs from 1")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
-
-
-def _norm(grid1, grid2, g) -> float:
-    total = np.einsum("n,m,nmab,nmab->", grid1.weights, grid2.weights, g, g.conj())
-    return float(np.sqrt(np.real(total)))
-
-
-def state_norm(state: TwoParticleAmplitude) -> float:
-    return _norm(state.grid1, state.grid2, state.g)
 
 
 def bell_gaussian(

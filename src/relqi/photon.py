@@ -13,10 +13,11 @@ expectation values; the tests check the two routes against each other.
 Circular beams need neither route: with P_T the transverse projector and
 [khat]_x the cross-product matrix, helicity +-1 beams of one profile are
 (<P_T> +- i[<khat>]_x)/2, with Helstrom error (1 - |<khat>|)/2.  The beam
-and an observer moving along z are axially symmetric, so <khat'> is
-<cos theta'> e_z, and aberration gives cos theta' node by node:
-`circular_pair_error` and the Doppler report average it on a 2-D
-Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2) (`_pair_errors`).
+and an observer moving along z are axially symmetric, so <P_T> is diagonal,
+<khat'> is <cos theta'> e_z, and aberration gives cos theta' node by node:
+`circular_density`, `circular_pair_error` and the Doppler report average
+on one 2-D Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2)
+(`_beam_rule`).
 
 Boosts transport nodes along L k with the invariant-measure weights and the
 helicity amplitudes unchanged (the transported 3-vector is the standard
@@ -53,13 +54,8 @@ EPS_MINUS_STD = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
 _AXES = np.eye(3)
 
 
-def helicity_vectors(khat):
-    """Right/left circular polarization vectors attached to a direction."""
-    rot = geometry.standard_rotation(khat)
-    return rot @ EPS_PLUS_STD, rot @ EPS_MINUS_STD
-
-
 def helicity_vectors_batch(khats):
+    """Right/left circular polarization vectors attached to each row of `khats`."""
     rots = geometry.standard_rotation_batch(khats)
     return rots @ EPS_PLUS_STD, rots @ EPS_MINUS_STD
 
@@ -160,14 +156,12 @@ def gaussian_beam(
     delta_r: float,
     helicity: int = +1,
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-    polarization=None,
 ) -> PhotonPacket:
-    """Cylindrical Gaussian beam along +z with fixed polarization.
+    """Cylindrical Gaussian beam along +z in the circular state `helicity` +-1.
 
-    `helicity` +-1 selects a circular state; alternatively `polarization`
-    gives constant helicity amplitudes (a_plus, a_minus).  Requires
-    k_mean > 5 delta_z so the grid stays in the forward cone; a beam with
-    k_mean < 5 delta_r triggers a warning (the paraxial picture degrades).
+    Requires k_mean > 5 delta_z so the grid stays in the forward cone; a
+    beam with k_mean < 5 delta_r triggers a warning (the paraxial picture
+    degrades).
     """
     _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
     grid = gauss_grid(GaussianSpec.beam(k_mean, delta_z, delta_r),
@@ -178,11 +172,8 @@ def gaussian_beam(
         - (k[:, 0] ** 2 + k[:, 1] ** 2) / (2.0 * delta_r**2)
     ).astype(complex)
     f = normalize(grid, f)
-    if polarization is None:
-        polarization = (1.0, 0.0) if helicity > 0 else (0.0, 1.0)
-    pol = np.asarray(polarization, dtype=complex)
-    pol = pol / np.linalg.norm(pol)
-    hel = np.broadcast_to(pol, (grid.n, 2)).copy()
+    hel = np.zeros((grid.n, 2), dtype=complex)
+    hel[:, 0 if helicity > 0 else 1] = 1.0
     return PhotonPacket(grid=grid, profile=f, helicity=hel)
 
 
@@ -308,18 +299,15 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
 
 
-def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
-    """Circular-pair errors (1 - |<cos theta'>|)/2 for observers moving along z.
+def _beam_rule(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):
+    """The 2-D rule of a gaussian_beam: (p, k_z, k_r^2, |k|) on n x n nodes.
 
-    One rule, Gauss-Hermite in k_z times Gauss-Laguerre in k_r^2 / delta_r^2,
-    absorbs the envelope of gaussian_beam; p is w_z w_x / |k| (invariant
-    measure) normalised to 1.  By aberration 1 -+ cos theta' is
-    (1 +- v)(|k| -+ k_z) / (|k| - v k_z), |k| - k_z = k_r^2 / (|k| + k_z):
-    both means sum positive terms, and the smaller is the error.  Raises
+    Gauss-Hermite in k_z times Gauss-Laguerre in k_r^2 / delta_r^2: the
+    weights absorb the beam envelope, and p = w_z w_x / |k| (invariant
+    measure) is normalised to 1.  The azimuth is averaged exactly, so any
+    mean of an axially symmetric function of k is a sum over p.  Raises
     NumericalError when numpy's Laguerre weights fail (about 190 nodes).
     """
-    if any(abs(v) >= 1.0 for v in speeds):
-        raise ValueError("observer speed must satisfy |v| < 1")
     k_z, w_z = _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
     x, w_x = _gauss_rule("Gauss-Laguerre", nodes_per_axis)
     k_z = k_z[:, None]
@@ -327,6 +315,19 @@ def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
     k = np.sqrt(k_z * k_z + k_r2)
     p = w_z[:, None] * w_x / k
     p /= p.sum()
+    return p, k_z, k_r2, k
+
+
+def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
+    """Circular-pair errors (1 - |<cos theta'>|)/2 for observers moving along z.
+
+    By aberration 1 -+ cos theta' is (1 +- v)(|k| -+ k_z) / (|k| - v k_z),
+    |k| - k_z = k_r^2 / (|k| + k_z): on the _beam_rule both means sum
+    positive terms, and the smaller is the error.
+    """
+    if any(abs(v) >= 1.0 for v in speeds):
+        raise ValueError("observer speed must satisfy |v| < 1")
+    p, k_z, k_r2, k = _beam_rule(k_mean, delta_z, delta_r, nodes_per_axis)
     errors = []
     for v in speeds:
         doppler = k - v * k_z
@@ -334,6 +335,29 @@ def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
         plus = np.sum(p * (1.0 - v) * (k + k_z) / doppler)
         errors.append(0.5 * float(min(minus, plus)))
     return errors
+
+
+def circular_density(
+    k_mean: float,
+    delta_z: float,
+    delta_r: float,
+    helicity: int = +1,
+    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
+) -> np.ndarray:
+    """Effective 3x3 polarization matrix of gaussian_beam, from the 2-D rule.
+
+    The beam is axially symmetric, so rho = (P +- i c [e_z]_x)/2 with
+    P = diag(1 - S/2, 1 - S/2, S), S = <sin^2 theta> = <k_r^2/|k|^2> and
+    c = <cos theta> = 1 - <k_r^2/(|k|(|k| + k_z))>: both means sum positive
+    terms, and the entries that vanish by symmetry are exactly 0.
+    """
+    p, k_z, k_r2, k = _beam_rule(k_mean, delta_z, delta_r, nodes_per_axis)
+    s = float(np.sum(p * k_r2 / (k * k)))
+    c = 1.0 - float(np.sum(p * k_r2 / (k * (k + k_z))))
+    half_c = 0.5 * c if helicity > 0 else -0.5 * c
+    rho = np.diag([0.5 - 0.25 * s, 0.5 - 0.25 * s, 0.5 * s]).astype(complex)
+    rho[0, 1], rho[1, 0] = complex(0.0, -half_c), complex(0.0, half_c)
+    return rho
 
 
 def circular_pair_error(
@@ -370,7 +394,6 @@ class DopplerReport:
     pe_boosted: float
     ratio: float
     closed_form_ratio: float
-    grid_nodes: int
 
     def as_dict(self) -> dict:
         out = asdict(self)
@@ -390,7 +413,7 @@ def doppler_report(
     Positive v (observer receding along the propagation axis) redshifts the
     beam and scales the error by (1 + v)/(1 - v) at leading order; negative
     v shrinks it by the same law.  Both errors come from one rule of n^2
-    nodes; `grid_nodes` still reports n^3.
+    nodes.
     """
     pe_rest, pe_boosted = _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (0.0, v))
     return DopplerReport(
@@ -402,5 +425,4 @@ def doppler_report(
         pe_boosted=pe_boosted,
         ratio=pe_boosted / pe_rest if pe_rest > 0.0 else math.nan,
         closed_form_ratio=(1.0 + v) / (1.0 - v),
-        grid_nodes=nodes_per_axis**3,
     )

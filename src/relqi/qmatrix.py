@@ -142,10 +142,6 @@ class QubitChannel:
         else:
             self.dim = int(round(np.sqrt(self._superop.shape[0])))
 
-    @classmethod
-    def from_superoperator(cls, mat) -> "QubitChannel":
-        return cls(superop=mat)
-
     def superoperator(self) -> np.ndarray:
         """Column-stacking superoperator sum_k conj(K_k) (x) K_k."""
         if self._superop is None:

@@ -85,10 +85,6 @@ def gaussian_packet(
     return SpinorPacket(grid=grid, amps=amps, mass=mass)
 
 
-def gaussian_spin_up(delta, mass, nodes_per_axis=DEFAULT_NODES_PER_AXIS) -> SpinorPacket:
-    return gaussian_packet(delta, mass, nodes_per_axis, spinor=(1.0, 0.0))
-
-
 def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
     """Apply a Lorentz transformation to a packet (node transport, no resampling)."""
     p4_out, wigner = geometry.wigner_su2_batch(lam, psi.grid.nodes, psi.mass)

@@ -251,28 +251,3 @@ def row(fields: dict, values_at, nodes_per_axis: int, tolerance: float,
     except ValueError as exc:
         return {**fields, "grid_nodes": nodes_per_axis**3, "converged": False,
                 "error": str(exc)}
-
-
-def grid_config(
-    spec: GaussianSpec, nodes_per_axis: int, convention: Measure, mass: float = 0.0
-) -> dict:
-    """JSON-ready description of a Gaussian-targeted grid."""
-    return {
-        "centers": [float(c) for c in spec.center],
-        "widths": [float(w) for w in spec.widths],
-        "nodes_per_axis": int(nodes_per_axis),
-        "convention": convention.value,
-        "mass": float(mass),
-    }
-
-
-def grid_from_config(cfg: dict) -> MomentumGrid:
-    """Rebuild a grid from the dict produced by grid_config."""
-    spec = GaussianSpec(center=np.asarray(cfg["centers"], dtype=float),
-                        widths=np.asarray(cfg["widths"], dtype=float))
-    return gauss_grid(
-        spec,
-        int(cfg["nodes_per_axis"]),
-        Measure(cfg["convention"]),
-        mass=float(cfg.get("mass", 0.0)),
-    )

@@ -20,7 +20,7 @@ RNG = np.random.default_rng(20260810)
 
 
 def criterion_01_zero_boost_identity():
-    psi = sh.gaussian_spin_up(1.0, 1.0, 12)
+    psi = sh.gaussian_packet(1.0, 1.0, 12)
     beta = sh.beta_for_gamma(0.0, 1.0)
     lam = sh.boost_for_angle(beta, np.pi / 2)
     boosted = sh.boost_packet(lam, psi)
@@ -184,7 +184,7 @@ def criterion_10_oracle_equivalences():
     # reduced spin density vs direct summation
     beta = sh.beta_for_gamma(0.5, 1.0)
     boosted = sh.boost_packet(
-        sh.boost_for_angle(beta, np.pi / 2), sh.gaussian_spin_up(1.0, 1.0, 8)
+        sh.boost_for_angle(beta, np.pi / 2), sh.gaussian_packet(1.0, 1.0, 8)
     )
     direct = np.zeros((2, 2), dtype=complex)
     for w, a in zip(boosted.grid.weights, boosted.amps):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,36 @@ def test_photon_density_json(tmp_path):
     rho = np.array(payload["rho_re"]) + 1j * np.array(payload["rho_im"])
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
     assert payload["rho_im"][0][1] == pytest.approx(-0.5, abs=1e-3)
+
+
+def test_photon_density_symmetry_zeros_print_as_zero(tmp_path):
+    out = tmp_path / "rho.json"
+    assert cli.run(["photon-density", "--out", str(out)]) == 0
+    payload = json.loads(read(out))
+    re, im = payload["rho_re"], payload["rho_im"]
+    zeros = [re[i][j] for i in range(3) for j in range(3) if i != j]
+    zeros += [im[i][j] for i, j in ((0, 2), (2, 0), (1, 2), (2, 1))]
+    assert len(zeros) == 10 and all(z == 0.0 for z in zeros)
+    assert all(im[i][i] == 0.0 for i in range(3))
+    assert "-0.0," not in read(out) and "-0.0\n" not in read(out)  # printed as 0.0
+    assert re[0][0] == re[1][1]
+
+
+def test_photon_density_memory_bounded(tmp_path):
+    out = tmp_path / "rho.json"
+    tracemalloc.start()
+    try:
+        code = cli.run(["photon-density", "--resolution", "93", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10e6
+
+
+def test_photon_density_rule_breakdown_exits_3(capsys):
+    assert cli.run(["photon-density", "--resolution", "95", "--out", "-"]) == 3
+    assert "Gauss-Laguerre rule breaks down at 190 nodes" in capsys.readouterr().err
 
 
 def test_channel_audit_json(tmp_path):

@@ -23,9 +23,15 @@ def monochromatic(direction_amps):
     )
 
 
+def one_direction(khat):
+    """Helicity vectors of a single direction, as one row of helicity_vectors_batch."""
+    ep, em = ph.helicity_vectors_batch(np.asarray(khat, dtype=float)[None, :])
+    return ep[0], em[0]
+
+
 def linear_amps(direction):
     """Helicity amplitudes of a linear polarization along `direction` at k = z."""
-    ep, em = ph.helicity_vectors([0.0, 0.0, 1.0])
+    ep, em = one_direction([0.0, 0.0, 1.0])
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     return np.array([np.conj(ep) @ d, np.conj(em) @ d])
@@ -43,7 +49,7 @@ def random_packet(grid, rng):
 
 
 def test_helicity_vectors_at_z():
-    ep, em = ph.helicity_vectors([0, 0, 1])
+    ep, em = one_direction([0, 0, 1])
     np.testing.assert_allclose(ep, np.array([1, 1j, 0]) / np.sqrt(2), atol=1e-14)
     np.testing.assert_allclose(em, np.array([1, -1j, 0]) / np.sqrt(2), atol=1e-14)
 
@@ -52,7 +58,7 @@ def test_helicity_vectors_transverse_orthonormal():
     for _ in range(25):
         khat = RNG.normal(size=3)
         khat /= np.linalg.norm(khat)
-        ep, em = ph.helicity_vectors(khat)
+        ep, em = one_direction(khat)
         assert abs(ep @ khat) < 1e-12 and abs(em @ khat) < 1e-12
         assert abs(np.conj(ep) @ em) < 1e-12
         assert np.conj(ep) @ ep == pytest.approx(1.0, abs=1e-12)
@@ -60,7 +66,7 @@ def test_helicity_vectors_transverse_orthonormal():
 
 def test_helicity_vectors_via_standard_rotation():
     rot = geo.standard_rotation([1.0, 0.0, 0.0])
-    ep, em = ph.helicity_vectors([1.0, 0.0, 0.0])
+    ep, em = one_direction([1.0, 0.0, 0.0])
     np.testing.assert_allclose(ep, rot @ (np.array([1, 1j, 0]) / np.sqrt(2)), atol=1e-12)
     np.testing.assert_allclose(em, rot @ (np.array([1, -1j, 0]) / np.sqrt(2)), atol=1e-12)
 
@@ -147,6 +153,20 @@ def test_effective_density_strictly_mixed_for_finite_spread():
     beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 10)
     eigs = np.linalg.eigvalsh(ph.effective_density(beam))
     assert eigs.max() < 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("k, dz, dr", [(100.0, 0.1, 1.0), (100.0, 0.1, 3.0), (10.0, 1.0, 2.0)])
+@pytest.mark.parametrize("helicity", [+1, -1])
+def test_circular_density_matches_the_3d_beam(k, dz, dr, helicity):
+    # The 3-D oracle grid is converged to about 1e-15 at 24 nodes per axis.
+    expected = ph.effective_density(ph.gaussian_beam(k, dz, dr, helicity, 24))
+    for n in (8, 12):
+        rho = ph.circular_density(k, dz, dr, helicity, n)
+        assert np.abs(rho - expected).max() < 1e-14
+        assert rho[2, 2].real == pytest.approx(expected[2, 2].real, rel=1e-12, abs=0.0)
+        # Only the diagonal and the xy imaginary pair survive the axial symmetry.
+        assert np.count_nonzero(rho.real) == 3 and np.count_nonzero(rho.imag) == 2
+        assert rho[0, 0] == rho[1, 1] and rho[0, 1] == rho[1, 0].conjugate()
 
 
 def test_gaussian_beam_moments():

@@ -122,7 +122,7 @@ def test_apply_channel_identity():
 def test_kraus_vs_superoperator_forms():
     for _ in range(20):
         ch = qm.random_cptp_channel(RNG)
-        dual = qm.QubitChannel.from_superoperator(ch.superoperator())
+        dual = qm.QubitChannel(superop=ch.superoperator())
         rho = qm.random_density(RNG)
         np.testing.assert_allclose(ch.apply(rho), dual.apply(rho), atol=1e-12)
 

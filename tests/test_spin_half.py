@@ -28,7 +28,7 @@ def reduced_density_oracle(psi):
 
 
 def test_gaussian_spin_up_is_product_state():
-    psi = sh.gaussian_spin_up(0.4, 1.0, 8)
+    psi = sh.gaussian_packet(0.4, 1.0, 8)
     assert psi.norm() == pytest.approx(1.0, abs=1e-8)
     tau = sh.reduced_spin_density(psi)
     np.testing.assert_allclose(tau, KET0, atol=1e-10)
@@ -46,20 +46,20 @@ def test_product_packet_reduces_to_projector():
 
 
 def test_identity_boost_is_noop():
-    psi = sh.gaussian_spin_up(0.5, 1.0, 6)
+    psi = sh.gaussian_packet(0.5, 1.0, 6)
     out = sh.boost_packet(np.eye(4), psi)
     np.testing.assert_allclose(out.amps, psi.amps, atol=1e-12)
     np.testing.assert_allclose(out.grid.nodes, psi.grid.nodes, atol=1e-12)
 
 
 def test_sharp_packet_spin_survives_boost():
-    psi = sh.gaussian_spin_up(1e-4, 1.0, 8)
+    psi = sh.gaussian_packet(1e-4, 1.0, 8)
     boosted = sh.boost_packet(geo.boost_from_velocity([0.0, 0.0, 0.9]), psi)
     np.testing.assert_allclose(sh.reduced_spin_density(boosted), KET0, atol=1e-6)
 
 
 def test_boost_norm_conservation():
-    psi = sh.gaussian_spin_up(0.8, 1.0, 8)
+    psi = sh.gaussian_packet(0.8, 1.0, 8)
     for _ in range(10):
         direction = RNG.normal(size=3)
         direction /= np.linalg.norm(direction)
@@ -68,7 +68,7 @@ def test_boost_norm_conservation():
 
 
 def test_boost_composition_covariance():
-    psi = sh.gaussian_spin_up(0.6, 1.0, 8)
+    psi = sh.gaussian_packet(0.6, 1.0, 8)
     lam1 = sh.boost_for_angle(0.5, 0.9)
     lam2 = geo.boost_from_velocity([0.2, -0.1, 0.3])
     two_step = sh.boost_packet(lam2, sh.boost_packet(lam1, psi))
@@ -81,7 +81,7 @@ def test_boost_composition_covariance():
 def test_reduced_density_direct_sum_oracle():
     beta = sh.beta_for_gamma(0.5, 1.0)
     boosted = sh.boost_packet(
-        sh.boost_for_angle(beta, np.pi / 2), sh.gaussian_spin_up(1.0, 1.0, 8)
+        sh.boost_for_angle(beta, np.pi / 2), sh.gaussian_packet(1.0, 1.0, 8)
     )
     np.testing.assert_allclose(
         sh.reduced_spin_density(boosted), reduced_density_oracle(boosted), atol=1e-12
@@ -310,7 +310,7 @@ def test_entropy_sweep_convergence_flag():
 
 
 def test_mass_mismatch_rejected():
-    psi = sh.gaussian_spin_up(0.5, 1.0, 4)
+    psi = sh.gaussian_packet(0.5, 1.0, 4)
     with pytest.raises(ValueError, match="mass"):
         sh.SpinorPacket(grid=psi.grid, amps=psi.amps, mass=2.0)
 

@@ -122,18 +122,6 @@ def test_construction_audits():
         wp.normalize(grid, np.zeros(grid.n))
 
 
-def test_grid_config_round_trip():
-    spec = wp.GaussianSpec(center=[0.0, 0.0, 80.0], widths=[2.0, 2.0, 0.4])
-    cfg = wp.grid_config(spec, 6, wp.Measure.INVARIANT, mass=0.0)
-    assert cfg["convention"] == "invariant"
-    grid = wp.grid_from_config(cfg)
-    direct = wp.gauss_grid(spec, 6, wp.Measure.INVARIANT, mass=0.0)
-    assert grid.same_grid(direct)
-    import json
-
-    assert wp.grid_from_config(json.loads(json.dumps(cfg))).same_grid(direct)
-
-
 def test_grid_immutability():
     grid = wp.gauss_grid(wp.GaussianSpec.isotropic(1.0), 4, wp.Measure.PLAIN)
     with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ The explicit decoherence channel
     rho' = rho (1 - G^2/4) + (sx rho sx + sy rho sy) G^2/8
 is the leading-order image of the spin-up reduction under a collinear
 boost with mixing parameter G.  It is exactly trace preserving and
-completely positive for G <= 2.  General frame changes, however, act on
-the traced-out momentum as well; the Doppler audit exhibits a pair
+completely positive for G <= 2.  The consistency audit compares it with
+the boosted reduction, whose Bloch vector e_z + D e_z comes from the
+moments of spin_half.wigner_moments.  General frame changes, however, act
+on the traced-out momentum as well; the Doppler audit exhibits a pair
 transformation that lowers the Helstrom error, which no completely
 positive map can do.
 """
@@ -17,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import geometry, photon, qmatrix, spin_half
+from . import photon, qmatrix, spin_half
 from .qmatrix import ID2, SIGMA_X, SIGMA_Y, QubitChannel
 
 WITNESS_TOL = 1e-9
@@ -102,12 +104,12 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Compare the channel image of spin-up with the boosted reduction.
 
-    The boosted reduction of spin-up has Bloch vector T e_z, with T the
-    Bloch matrix of spin_half.folded_wigner_kernel; the channel image has
-    (0, 0, 1 - G^2/2).  The trace distance is half their separation.  Its
-    z component is taken as G^2/2 - sum_n p_n 2(x_n^2 + y_n^2), with
-    (x_n, y_n, z_n, w_n) the Wigner quaternions: 1 - (T e_z)_z without
-    subtracting two numbers close to 1.
+    The boosted reduction of spin-up has Bloch vector T e_z = e_z + D e_z,
+    with D = T - I from spin_half.wigner_moments; the channel image has
+    (0, 0, 1 - G^2/2).  The trace distance is half their separation,
+    |(D_xz, D_yz, G^2/2 + D_zz)|/2, where -D_zz = 2 <x^2 + y^2> sums
+    positive quaternion terms: 1 - (T e_z)_z without subtracting two
+    numbers close to 1.
 
     The mixing parameter is realized at fixed `beta` by scaling the packet
     width, so the leading-order residual scales as gamma^4 for collinear
@@ -119,13 +121,10 @@ def consistency_check(
     if gamma == 0.0:
         return ConsistencyReport(gamma, theta, 0.0, 0.0, 0.0, 0.0, grid_resolution**3)
     delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, beta)
-    probs, quats, odd = spin_half.folded_wigner_kernel(
+    d, _ = spin_half.wigner_moments(
         spin_half.boost_for_angle(beta, theta), delta_over_m, 1.0, grid_resolution
     )
-    x, y = quats[:, 0], quats[:, 1]
-    offset = probs @ (2.0 * (x * x + y * y))
-    dx, dy = np.where(odd[:2, 2], 0.0, probs @ geometry.quaternion_z_images(quats)[:, :2])
-    dist = 0.5 * float(np.linalg.norm([dx, dy, 0.5 * gamma * gamma - offset]))
+    dist = 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
     return ConsistencyReport(
         gamma=gamma,
         theta=theta,

@@ -11,7 +11,8 @@ real component arithmetic on (n,) arrays, and returns one unit quaternion
 per node; wigner_rotation_batch and wigner_su2_batch are built from those
 quaternions, and the 4x4 matrix product is kept only as a test oracle.
 mirror_axes finds the reflections q_k -> -q_k that commute with a Lorentz
-transformation, over which momentum grids are folded (wavepacket.fold).
+transformation, over which momentum grids are folded (wavepacket.fold);
+spin_half.wigner_moments applies the resulting symmetry to its sums.
 """
 
 from __future__ import annotations
@@ -259,17 +260,6 @@ def quaternion_rotations(quats: np.ndarray) -> np.ndarray:
     return out
 
 
-def quaternion_z_images(quats: np.ndarray) -> np.ndarray:
-    """(n, 3) images W e_z, the third columns of quaternion_rotations(quats)."""
-    qx, qy, qz, qw = np.asarray(quats, dtype=float).T
-    x2, y2, z2 = qx + qx, qy + qy, qz + qz
-    out = np.empty((len(qx), 3))
-    out[:, 0] = qx * z2 + qw * y2
-    out[:, 1] = qy * z2 - qw * x2
-    out[:, 2] = 1.0 - (qx * x2 + qy * y2)
-    return out
-
-
 def mirror_axes(lam: np.ndarray) -> tuple:
     """Spatial axes k whose reflection q_k -> -q_k commutes with `lam`.
 
@@ -287,17 +277,6 @@ def mirror_axes(lam: np.ndarray) -> tuple:
         if np.array_equal(signs[:, None] * lam * signs, lam):
             axes.append(k)
     return tuple(axes)
-
-
-def mirror_odd(axes) -> np.ndarray:
-    """(3, 3) mask of the Bloch-matrix entries T_ij odd under a reflection of `axes`.
-
-    Under the reflection M of axis k, W -> M W M flips T_ij exactly when
-    one of i, j is k and the other is not; such entries average to 0 over
-    a grid folded along k (wavepacket.fold).
-    """
-    folded = np.array([k in axes for k in range(3)])
-    return (folded[:, None] | folded[None, :]) & ~np.eye(3, dtype=bool)
 
 
 # Nodes per block of the little-group kernel; bounds its (n,) temporaries to

@@ -161,8 +161,10 @@ def gaussian_beam(
 
     Requires k_mean > 5 delta_z so the grid stays in the forward cone; a
     beam with k_mean < 5 delta_r triggers a warning (the paraxial picture
-    degrades).
+    degrades).  Raises ValueError unless `helicity` is +1 or -1.
     """
+    if helicity not in (1, -1):
+        raise ValueError("helicity must be +1 or -1")
     _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
     grid = gauss_grid(GaussianSpec.beam(k_mean, delta_z, delta_r),
                       nodes_per_axis, Measure.INVARIANT, mass=0.0)
@@ -349,8 +351,11 @@ def circular_density(
     The beam is axially symmetric, so rho = (P +- i c [e_z]_x)/2 with
     P = diag(1 - S/2, 1 - S/2, S), S = <sin^2 theta> = <k_r^2/|k|^2> and
     c = <cos theta> = 1 - <k_r^2/(|k|(|k| + k_z))>: both means sum positive
-    terms, and the entries that vanish by symmetry are exactly 0.
+    terms, and the entries that vanish by symmetry are exactly 0.  Raises
+    ValueError unless `helicity` is +1 or -1.
     """
+    if helicity not in (1, -1):
+        raise ValueError("helicity must be +1 or -1")
     p, k_z, k_r2, k = _beam_rule(k_mean, delta_z, delta_r, nodes_per_axis)
     s = float(np.sum(p * k_r2 / (k * k)))
     c = 1.0 - float(np.sum(p * k_r2 / (k * (k + k_z))))

@@ -101,30 +101,6 @@ def helstrom_error(rho1, rho2) -> float:
     return min(0.5, max(0.0, float(0.5 - 0.25 * np.abs(eigs).sum())))
 
 
-def mixture_pair_error(probs, units, odd=(False, False, False)) -> float:
-    """Helstrom error (1 - |r|)/2 of the spin pair fixed by r = sum_n p_n u_n.
-
-    `probs` (n,) sum to 1; `units` (n, 3) are the unit vectors
-    u_n = W_n e_z, the pair is (I +- r.sigma)/2 and r.sigma has eigenvalues
-    +-|r|.  Since |u_n| = 1 the error equals
-    sum_n p_n |u_n - r|^2 / (2 (1 + |r|)), the variance form evaluated
-    here: it keeps its relative accuracy at small errors.
-
-    The spread is shifted to the node c of largest probability:
-    sum_n p_n |u_n - c|^2 - |r - c|^2, which is exactly 0 when every u_n is
-    equal.  `odd` marks the components of r that vanish because `probs`
-    and `units` come from a rule folded over mirror axes (wavepacket.fold):
-    they are set to 0 in r and in c, so that |u_n - c|^2 is even under
-    the reflections and the folded sum equals the full one.
-    """
-    even = np.where(odd, 0.0, 1.0)
-    c = units[np.argmax(probs)] * even
-    d = units - c
-    shift = (probs @ d) * even
-    spread = probs @ np.sum(d * d, axis=1) - shift @ shift
-    return float(0.5 * max(0.0, spread) / (1.0 + np.linalg.norm(c + shift)))
-
-
 class QubitChannel:
     """Linear map on small density matrices, Kraus or superoperator backed.
 

@@ -10,13 +10,16 @@ and no resampling or interpolation ever happens.
 Sweeps never build a boosted packet.  Tracing out the momentum of a
 boosted packet with node probabilities p_n = w_n |h_n|^2 is the
 random-unitary channel with Bloch matrix T = sum_n p_n W_n, the momentum
-average of the 3x3 Wigner rotations (`wigner_kernel`).  The boosted
-spin-up and spin-down states are (I +- r.sigma)/2 with r = T e_z, so every
-sweep observable costs O(N) time and memory in the N grid nodes.  The
-sweeps evaluate the kernel once per mirror orbit (`folded_wigner_kernel`):
-the packet is centred on 0, so every axis whose reflection commutes with
-the boost is folded, which keeps half the nodes for a boost in the x-z
-plane, a quarter for a boost along z and an eighth for the identity.
+average of the 3x3 Wigner rotations (`wigner_kernel`).  Every sweep
+observable is a short function of one kernel, `wigner_moments`: D = T - I
+and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
+quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
+with r = e_z + D e_z, and each observable costs O(N) time and memory in
+the N grid nodes.  The kernel evaluates the quaternions once per mirror
+orbit of the grid: the packet is centred on 0, so every axis whose
+reflection commutes with the boost is folded, which keeps half the nodes
+for a boost in the x-z plane, a quarter for a boost along z and an eighth
+for the identity.
 
 The dimensionless boost-mixing parameter is
 gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
@@ -176,46 +179,66 @@ def _folded_nodes(delta, mass, nodes_per_axis, convention, axes):
     return entry[1], entry[2]
 
 
-def folded_wigner_kernel(
+def wigner_moments(
     lam: np.ndarray,
     delta: float,
     mass: float,
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
     convention: Measure = Measure.PLAIN,
 ):
-    """wigner_kernel evaluated once per mirror orbit of the grid.
+    """D = T - I and s = <sin^2(omega/2)> of the boosted packet of wigner_kernel.
 
-    Returns (p, q, odd): the probabilities of the packet of wigner_kernel
-    folded over the axes geometry.mirror_axes(lam) (the packet is centred
-    on 0 along every axis), the (n, 4) Wigner quaternions of
-    geometry.wigner_quaternion_batch at the kept nodes, and the (3, 3) mask
-    geometry.mirror_odd of the entries of T that vanish by that symmetry.
-    T is sum_n p_n W_n with the `odd` entries set to 0, and so is any
-    average of a function of W_n that a reflection M leaves unchanged when
-    W_n -> M W_n M.  The node set and probabilities of the full grid are
-    checked for the mirror symmetry; a boost in a generic direction folds
-    nothing.
+    With q_n = (x, y, z, w) the unit Wigner quaternion of W_n (rotation
+    angle omega_n), W_n - I is quadratic in q_n, so T - I is linear in the
+    4x4 second moment M = sum_n p_n q_n q_n^T:
+    D_ij = 2 (M_ij - delta_ij s) - 2 eps_ijk M_wk with s = M_xx + M_yy + M_zz.
+    Each diagonal entry is summed as -2 times the other two M_kk, a sum of
+    positive terms.
+
+    The quaternions are evaluated once per mirror orbit of the grid
+    (wavepacket.fold over geometry.mirror_axes(lam); the packet is centred
+    on 0 along every axis, and a boost in a generic direction folds
+    nothing).  The image of a node under the reflection of a folded axis k
+    carries the quaternion S q, with S = -1 on the two vector components
+    other than k, so the full-grid M is invariant under M -> S M S: M is
+    replaced by (M + S M S)/2, exact in floating point, which keeps its
+    even entries and sets the odd ones to exactly 0.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     axes = geometry.mirror_axes(lam)
     nodes, probs = _folded_nodes(delta, mass, nodes_per_axis, convention, axes)
     _, quats = geometry.wigner_quaternion_batch(lam, nodes, mass)
-    return probs, quats, geometry.mirror_odd(axes)
+    # the ten distinct entries, each a pairwise sum (np.sum of a contiguous array)
+    q = quats.T
+    qp = q * probs
+    m = np.empty((4, 4))
+    for i, j in zip(*np.triu_indices(4)):
+        m[i, j] = m[j, i] = np.sum(q[i] * qp[j])
+    for k in axes:
+        signs = np.full(4, -1.0)
+        signs[[k, 3]] = 1.0
+        m = 0.5 * (m + signs[:, None] * m * signs)
+    mxx, myy, mzz = np.diag(m)[:3]
+    wx, wy, wz = 2.0 * m[3, :3]
+    d = 2.0 * m[:3, :3] + np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    d[np.diag_indices(3)] = -2.0 * np.array([myy + mzz, mxx + mzz, mxx + myy])
+    return d, float(mxx + myy + mzz)
 
 
 def _boosted_pair(lam, delta, mass, nodes_per_axis):
     """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down pair.
 
-    The boosted states are (I +- r.sigma)/2 with r = T e_z = sum_n p_n v_n
-    and v_n = W_n e_z; the error is qmatrix.mixture_pair_error of the v_n,
-    which keeps its relative accuracy in the small-error (Gamma^2) regime.
-    Only the v_n of the folded kernel are formed.
+    The boosted states are (I +- r.sigma)/2 with r = T e_z = e_z + D e_z.
+    Their Helstrom error (1 - |r|)/2 is taken as
+    (1 - |r|^2) / (2 (1 + |r|)) = (-2 D_zz - |D e_z|^2) / (2 (1 + |r|)),
+    where -2 D_zz = 4 <x^2 + y^2> sums positive terms, so the error keeps
+    its relative accuracy in the small-error (Gamma^2) regime.
     """
-    probs, quats, odd = folded_wigner_kernel(lam, delta, mass, nodes_per_axis)
-    v = geometry.quaternion_z_images(quats)
-    r = np.where(odd[:, 2], 0.0, probs @ v)
-    p_error = qmatrix.mixture_pair_error(probs, v, odd[:, 2])
+    d, _ = wigner_moments(lam, delta, mass, nodes_per_axis)
+    dz = d[:, 2]
+    r = dz + (0.0, 0.0, 1.0)
+    p_error = max(0.0, float(-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r))))
     r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
     return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
 

@@ -1,4 +1,8 @@
-"""Mirror folding of the Gauss-Hermite grids: the kernels evaluated once per orbit."""
+"""Mirror folding of the Gauss-Hermite grids: the kernels evaluated once per orbit.
+
+The moments of spin_half.wigner_moments are checked against the unfolded
+wigner_kernel, summed node by node with math.fsum.
+"""
 
 import math
 import tracemalloc
@@ -9,7 +13,6 @@ import pytest
 from relqi import entangle as ent
 from relqi import geometry as geo
 from relqi import photon as ph
-from relqi import qmatrix as qm
 from relqi import spin_half as sh
 from relqi import wavepacket as wp
 from relqi.wavepacket import Measure
@@ -27,6 +30,22 @@ CASES = [(convention, n, name)
          for convention in (Measure.PLAIN, Measure.INVARIANT)
          for n in (7, 12, 24)
          for name in BOOSTS]
+
+
+def mixture_pair_error(probs, units):
+    """Helstrom error (1 - |r|)/2 of the spin pair fixed by r = sum_n p_n u_n.
+
+    `probs` (n,) sum to 1 and `units` (n, 3) are the unit vectors
+    u_n = W_n e_z of an unfolded grid.  The error is evaluated in the
+    variance form sum_n p_n |u_n - r|^2 / (2 (1 + |r|)), with the spread
+    shifted to the node c of largest probability:
+    sum_n p_n |u_n - c|^2 - |r - c|^2, exactly 0 when every u_n is equal.
+    """
+    c = units[np.argmax(probs)]
+    d = units - c
+    shift = probs @ d
+    spread = probs @ np.sum(d * d, axis=1) - shift @ shift
+    return float(0.5 * max(0.0, spread) / (1.0 + np.linalg.norm(c + shift)))
 
 
 def _images(nodes, k):
@@ -60,15 +79,20 @@ def test_folded_values_match_unfolded(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     probs, rots = sh.wigner_kernel(lam, DELTA, MASS, n, convention)
-    folded_probs, quats, odd = sh.folded_wigner_kernel(lam, DELTA, MASS, n, convention)
+    _, folded_probs = sh._folded_nodes(DELTA, MASS, n, convention, axes)
     assert len(folded_probs) < len(probs)
     assert folded_probs.sum() == pytest.approx(1.0, rel=1e-14)
     # math.fsum: the einsum of bloch_map accumulates 24^3 terms in order (2e-14)
     t = np.array([[math.fsum(probs * rots[:, i, j]) for j in range(3)] for i in range(3)])
-    folded_t = np.where(odd, 0.0, geo.bloch_map(folded_probs, geo.quaternion_rotations(quats)))
-    np.testing.assert_allclose(folded_t, t, rtol=1e-14, atol=1e-15)
+    d, _ = sh.wigner_moments(lam, DELTA, MASS, n, convention)
+    np.testing.assert_allclose(np.eye(3) + d, t, rtol=1e-14, atol=1e-15)
+    # D_ij flips sign under the reflection of a folded axis k when exactly
+    # one of i, j is k: those entries are exactly 0
+    flipped = np.array([k in axes for k in range(3)])
+    odd = (flipped[:, None] | flipped[None, :]) & ~np.eye(3, dtype=bool)
+    assert np.all(d[odd] == 0.0)
     if convention is Measure.PLAIN:
-        full = qm.mixture_pair_error(probs, rots[:, :, 2])
+        full = mixture_pair_error(probs, rots[:, :, 2])
         folded = sh.boosted_pair_error(DELTA, MASS, beta, theta, n)
         assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
     else:
@@ -80,9 +104,31 @@ def test_folded_values_match_unfolded(convention, n, name):
 def test_generic_boost_folds_nothing():
     lam = geo.boost_from_velocity([0.3, -0.4, 0.5])
     assert geo.mirror_axes(lam) == ()
-    probs, quats, odd = sh.folded_wigner_kernel(lam, DELTA, MASS, 6)
-    assert quats.shape == (6**3, 4) and not odd.any()
+    nodes, probs = sh._folded_nodes(DELTA, MASS, 6, Measure.PLAIN, ())
+    d, _ = sh.wigner_moments(lam, DELTA, MASS, 6)
+    assert nodes.shape == (6**3, 3) and np.all(d != 0.0)
     np.testing.assert_array_equal(probs, sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN)[1])
+
+
+MOMENT_BOOSTS = {**{name: sh.boost_for_angle(*bt) for name, (bt, _) in BOOSTS.items()},
+                 "generic": geo.boost_from_velocity([0.3, -0.4, 0.5])}
+
+
+@pytest.mark.parametrize("convention", [Measure.PLAIN, Measure.INVARIANT])
+@pytest.mark.parametrize("n", [7, 12, 24])
+@pytest.mark.parametrize("name", MOMENT_BOOSTS)
+def test_wigner_moments_match_unfolded_fsum(convention, n, name):
+    # D = T - I and s = <sin^2(omega/2)> = <(3 - tr W)/4>, node by node over
+    # the full grid of wigner_kernel, each entry summed exactly by math.fsum
+    lam = MOMENT_BOOSTS[name]
+    probs, rots = sh.wigner_kernel(lam, DELTA, MASS, n, convention)
+    excess = rots - np.eye(3)
+    expected = np.array([[math.fsum(probs * excess[:, i, j]) for j in range(3)]
+                         for i in range(3)])
+    d, s = sh.wigner_moments(lam, DELTA, MASS, n, convention)
+    np.testing.assert_allclose(d, expected, rtol=1e-14, atol=0.0)
+    sin2 = 0.25 * (3.0 - np.trace(rots, axis1=1, axis2=2))
+    assert s == pytest.approx(math.fsum(probs * sin2), rel=1e-14, abs=0.0)
 
 
 def test_beam_grid_does_not_fold_along_its_axis():

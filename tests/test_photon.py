@@ -169,6 +169,14 @@ def test_circular_density_matches_the_3d_beam(k, dz, dr, helicity):
         assert rho[0, 0] == rho[1, 1] and rho[0, 1] == rho[1, 0].conjugate()
 
 
+@pytest.mark.parametrize("helicity", [0, 2, 7, -3, 0.5])
+def test_beam_helicity_must_be_plus_or_minus_one(helicity):
+    with pytest.raises(ValueError, match="helicity must be"):
+        ph.gaussian_beam(100.0, 0.1, 1.0, helicity, 4)
+    with pytest.raises(ValueError, match="helicity must be"):
+        ph.circular_density(100.0, 0.1, 1.0, helicity, 4)
+
+
 def test_gaussian_beam_moments():
     beam = ph.gaussian_beam(100.0, 0.5, 5.0, +1, 10)
     w2 = beam.grid.weights * np.abs(beam.profile) ** 2

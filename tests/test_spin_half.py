@@ -317,13 +317,17 @@ def test_mass_mismatch_rejected():
 
 @pytest.mark.parametrize("n", range(4, 33))
 def test_identity_boost_rows_are_exactly_zero(n):
-    # Gamma = 0 is the identity boost: every W_n e_z is e_z, so the pair error
-    # and the entropy are 0, folded (the sweep) and unfolded (wigner_kernel).
+    # Gamma = 0 is the identity boost: every W_n is I, unfolded (wigner_kernel),
+    # and the moments D and s are exactly 0, so the pair error and the entropy
+    # are 0, from the sweep row and from boosted_pair_error at beta = 0.
     for theta in (0.0, 0.7):
         row = sh.sweep_row(theta, 0.0, nodes_per_axis=n, check_convergence=False)
         assert row["p_error"] == 0.0 and row["entropy_bits"] == 0.0
-    probs, rots = sh.wigner_kernel(np.eye(4), 1.0, 1.0, n)
-    p_error = qm.mixture_pair_error(probs, rots[:, :, 2])
+    assert np.all(sh.wigner_kernel(np.eye(4), 1.0, 1.0, n)[1] == np.eye(3))
+    for convention in (Measure.PLAIN, Measure.INVARIANT):
+        d, s = sh.wigner_moments(np.eye(4), 1.0, 1.0, n, convention)
+        assert s == 0.0 and np.all(d == 0.0)
+    p_error = sh.boosted_pair_error(1.0, 1.0, 0.0, 0.0, n)
     assert p_error == 0.0
     assert qm.entropy(np.diag([1.0 - p_error, p_error])) == 0.0
 

@@ -13,8 +13,8 @@ fixed by the Bloch matrix T = sum_n p_n W_n of one particle: its
 correlation tensor is -T T^T and its marginals stay maximally mixed.  T and
 the concurrence (|T|_F^2 - 1)/2 are short functions of the moments (D, s)
 of spin_half.wigner_moments on the INVARIANT grid, so a sweep row costs
-O(N) time and memory in the N nodes of one particle's grid instead of
-O(N^2); the z boosts of the sweep evaluate W_n on a quarter of them, one
+O(N) time (memory: the cached grid) in the N nodes of one particle's grid,
+not O(N^2); the z boosts of the sweep evaluate W_n on a quarter of them, one
 node per mirror orbit.
 """
 

@@ -4,12 +4,13 @@ Conventions: units c = hbar = 1, metric diag(+,-,-,-), four-vectors ordered
 (t, x, y, z).  All transformations are proper orthochronous; the Wigner
 kernel rejects any other.  The Wigner rotation of a massive particle is the
 little-group element W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure
-boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_quaternion_batch
+boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_quaternion_blocks
 evaluates it as the SL(2,C) product A(Lp)^{-1} A(L) A(p), with
 A(p) = (E + m + p.sigma) / sqrt(2m(E + m)) the spinor image of B(p), in
-real component arithmetic on (n,) arrays, and returns one unit quaternion
-per node; wigner_rotation_batch and wigner_su2_batch are built from those
-quaternions, and the 4x4 matrix product is kept only as a test oracle.
+real component arithmetic on blocks of _WIGNER_BLOCK nodes, and yields one
+unit quaternion per node; wigner_quaternion_batch assembles the blocks, and
+wigner_rotation_batch and wigner_su2_batch are built from its quaternions.
+The 4x4 matrix product is kept only as a test oracle.
 mirror_axes finds the reflections q_k -> -q_k that commute with a Lorentz
 transformation, over which momentum grids are folded (wavepacket.fold);
 spin_half.wigner_moments applies the resulting symmetry to its sums.
@@ -279,97 +280,93 @@ def mirror_axes(lam: np.ndarray) -> tuple:
     return tuple(axes)
 
 
-# Nodes per block of the little-group kernel; bounds its (n,) temporaries to
-# about 64 kB each at any grid size.
-_WIGNER_BLOCK = 8192
+# Nodes per block of the little-group kernel: none of its per-node arrays,
+# (n,) or (n, 4), is longer, so its scratch is about 1 MB at any grid size.
+_WIGNER_BLOCK = 2048
 
 
 def _cross(a, b):
     """Cross product of two vectors given as triples of (n,) arrays or floats."""
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """Transport momenta through `lam` and return their Wigner rotations as quaternions.
+def wigner_quaternion_blocks(lam: np.ndarray, momenta: np.ndarray, mass: float):
+    """Transport momenta through `lam` and yield their Wigner quaternions block by block.
 
-    Returns (p4_out, q): the (n, 4) transported four-momenta p_n = L q_n and
-    the (n, 4) unit quaternions (x, y, z, w) of the spatial blocks W_n of
-    the little-group elements B(p_n)^{-1} L B(q_n) at the incoming momenta
-    q_n.  The sign of each quaternion is the one the product gives.
+    Yields (block, p4, q) for consecutive slices `block` of at most
+    _WIGNER_BLOCK nodes: p4 is the (b, 4) array of transported four-momenta
+    p_n = L q_n and q the (4, b) array, rows (x, y, z, w), of the unit
+    quaternions of the spatial blocks W_n of the little-group elements
+    B(p_n)^{-1} L B(q_n) at the incoming momenta q_n.  The sign of each
+    quaternion is the one the product gives.
 
     The elements are the closed-form SL(2,C) products
     U_n = A(p_n)^{-1} A(L) A(q_n) with A(q) = (E + m + q.sigma) / sqrt(2m(E + m)),
-    taken in real component arithmetic on (n,) arrays.  `lam` is split once
+    taken in real component arithmetic on (b,) arrays.  `lam` is split once
     into B R, with B the pure boost along its time column and R a rotation,
     so that W(L, q) = W(B, R q) R.  With A(B) = c0 + c.sigma and
     A(R q) = a0 + a.sigma, the product is X = x0 + (xr + i xi).sigma,
     where x0 = c0 a0 + c.a, xr = c0 a + a0 c and xi = c x a; with
     A(p)^{-1} = b0 - b.sigma, U = w - i (x, y, z).sigma where
     w = b0 x0 - b.xr and (x, y, z) = b x xr - b0 xi.  q_n is that unit
-    quaternion composed with the quaternion of R.
+    quaternion composed with the quaternion of R.  No node's arithmetic
+    depends on its block.
 
     Raises ValueError for a `lam` that is improper or not orthochronous or
-    when a node is off shell, and wavepacket.NumericalError when an element
-    leaves the time axis beyond 1e-9: that is the non-SU(2) part of U, b.xi
-    and b0 xr - x0 b + b x xi.
+    when a node is off shell, and, after the last block, NumericalError when
+    an element leaves the time axis beyond 1e-9: that is the non-SU(2) part
+    of U, b.xi and b0 xr - x0 b + b x xi.
     """
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
         raise ValueError("the Lorentz transformation must be proper and orthochronous")
-    q4 = four_momentum(mass, momenta)
-    p4 = q4 @ lam.T
-    _require_on_shell(q4, mass)
-    _require_on_shell(p4, mass)
+    momenta = np.asarray(momenta, dtype=float)
     # lam = B R; r4 = B^{-1} lam fixes the time axis up to rounding
     boost = standard_boost(lam[:, 0], 1.0)
     r4 = lorentz_inverse(boost) @ lam
-    defect = max(
-        abs(r4[0, 0] - 1.0), float(np.abs(r4[0, 1:]).max()), float(np.abs(r4[1:, 0]).max())
-    )
+    defect = max(abs(r4[0, 0] - 1.0), *np.abs(r4[0, 1:]), *np.abs(r4[1:, 0]))
     rot = r4[1:, 1:]
     *rv, rw = _rotation_quaternion(rot)
     # Unnormalized factors: A(B) ~ (gamma + 1) + g.sigma, A(R q) ~ (E + m) + (R q).sigma
     # and A(p)^{-1} ~ (E' + m) - p.sigma; `scale` restores the unit determinant.
     c0 = boost[0, 0] + 1.0
     c = tuple(boost[1:, 0])
-    rq = rot @ q4[:, 1:].T
-    quats = np.empty((4, q4.shape[0]))
-    for start in range(0, q4.shape[0], _WIGNER_BLOCK):
+    for start in range(0, len(momenta), _WIGNER_BLOCK):
         block = slice(start, start + _WIGNER_BLOCK)
-        a0 = q4[block, 0] + mass
-        a = tuple(rq[:, block])
-        e_out, *b = np.ascontiguousarray(p4[block].T)
+        q4 = four_momentum(mass, momenta[block])
+        p4 = q4 @ lam.T
+        _require_on_shell(q4, mass)
+        _require_on_shell(p4, mass)
+        a0 = q4[:, 0] + mass
+        a = tuple(rot @ q4[:, 1:].T)
+        e_out, *b = np.ascontiguousarray(p4.T)
         b0 = e_out + mass
         scale = 1.0 / np.sqrt(8.0 * mass * mass * c0 * a0 * b0)
         x0 = c0 * a0 + _dot(c, a)
         xr = tuple(c0 * ak + a0 * ck for ak, ck in zip(a, c))
         xi = _cross(c, a)
-        b_xr = _cross(b, xr)
-        b_xi = _cross(b, xi)
-        defect = max(
-            defect,
-            float(np.abs(_dot(b, xi) * scale).max()),
-            *(
-                float(np.abs((b0 * xrk - x0 * bk + bxk) * scale).max())
-                for xrk, bk, bxk in zip(xr, b, b_xi)
-            ),
-        )
+        b_xr, b_xi = _cross(b, xr), _cross(b, xi)
+        odd = (_dot(b, xi), *(b0 * xrk - x0 * bk + bxk for xrk, bk, bxk in zip(xr, b, b_xi)))
+        defect = max(defect, *(float(np.abs(t * scale).max()) for t in odd))
         w = (b0 * x0 - _dot(b, xr)) * scale
         v = tuple((bxk - b0 * xik) * scale for bxk, xik in zip(b_xr, xi))
         # quaternion of W(B, R q) R: (w, v)(rw, rv)
-        quats[3, block] = w * rw - _dot(v, rv)
-        for k, (rk, vk, ck) in enumerate(zip(rv, v, _cross(v, rv))):
-            quats[k, block] = w * rk + rw * vk + ck
+        vec = (w * rk + rw * vk + ck for rk, vk, ck in zip(rv, v, _cross(v, rv)))
+        yield block, p4, np.array([*vec, w * rw - _dot(v, rv)])
     if defect > 1e-9:
         raise NumericalError(f"little-group elements do not fix the time axis ({defect:.3g})")
+
+
+def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
+    """The blocks of wigner_quaternion_blocks as (n, 4) arrays: p4_out and q (x, y, z, w)."""
+    n = len(momenta)
+    p4, quats = np.empty((n, 4)), np.empty((4, n))
+    for block, p4_block, q in wigner_quaternion_blocks(lam, momenta, mass):
+        p4[block], quats[:, block] = p4_block, q
     return p4, quats.T
 
 

@@ -14,12 +14,13 @@ average of the 3x3 Wigner rotations (`wigner_kernel`).  Every sweep
 observable is a short function of one kernel, `wigner_moments`: D = T - I
 and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
 quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
-with r = e_z + D e_z, and each observable costs O(N) time and memory in
-the N grid nodes.  The kernel evaluates the quaternions once per mirror
-orbit of the grid: the packet is centred on 0, so every axis whose
-reflection commutes with the boost is folded, which keeps half the nodes
-for a boost in the x-z plane, a quarter for a boost along z and an eighth
-for the identity.
+with r = e_z + D e_z.  Each observable costs O(N) time in the N grid nodes;
+its only O(N) memory is the cached grid, since the kernel works on blocks
+of geometry._WIGNER_BLOCK nodes.  The kernel evaluates the quaternions
+once per mirror orbit of the grid: the packet is centred on 0, so every
+axis whose reflection commutes with the boost is folded, which keeps half
+the nodes for a boost in the x-z plane, a quarter for a boost along z and
+an eighth for the identity.
 
 The dimensionless boost-mixing parameter is
 gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
@@ -202,19 +203,21 @@ def wigner_moments(
     carries the quaternion S q, with S = -1 on the two vector components
     other than k, so the full-grid M is invariant under M -> S M S: M is
     replaced by (M + S M S)/2, exact in floating point, which keeps its
-    even entries and sets the odd ones to exactly 0.
+    even entries and sets the odd ones to exactly 0.  M is summed block by
+    block over geometry.wigner_quaternion_blocks.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     axes = geometry.mirror_axes(lam)
     nodes, probs = _folded_nodes(delta, mass, nodes_per_axis, convention, axes)
-    _, quats = geometry.wigner_quaternion_batch(lam, nodes, mass)
-    # the ten distinct entries, each a pairwise sum (np.sum of a contiguous array)
-    q = quats.T
-    qp = q * probs
+    # the ten distinct entries, each a sum of per-block pairwise sums
+    rows, cols = np.triu_indices(4)
+    upper = np.zeros(len(rows))
+    for block, _, q in geometry.wigner_quaternion_blocks(lam, nodes, mass):
+        qp = q * probs[block]
+        upper += [np.sum(q[i] * qp[j]) for i, j in zip(rows, cols)]
     m = np.empty((4, 4))
-    for i, j in zip(*np.triu_indices(4)):
-        m[i, j] = m[j, i] = np.sum(q[i] * qp[j])
+    m[rows, cols] = m[cols, rows] = upper
     for k in axes:
         signs = np.full(4, -1.0)
         signs[[k, 3]] = 1.0

@@ -295,6 +295,10 @@ def test_failed_rows_say_why(tmp_path, capsys):
     (["spin-entropy", "--theta", "1", "--gamma", "0.99935"],
      "1,0.99935,nan,1,nan,nan,1728,false",
      "relqi: row theta=1 gamma=0.99935: little-group elements do not fix the time axis"),
+    # the same failure with margin: a defect of 2.3e-8 already at 12 nodes per axis
+    (["spin-entropy", "--theta", "1", "--gamma", "0.9999"],
+     "1,0.9999,nan,1,nan,nan,1728,false",
+     "relqi: row theta=1 gamma=0.9999: little-group elements do not fix the time axis"),
     (["photon-distinguish", "--kA", "0.4", "--dz", "0.1", "--dr", "0.01"],
      "0.4,0.01,0.1,0,nan,0.00015625,1728,false",
      "relqi: row delta_r=0.01: k_mean must exceed 5 * delta_z"),
@@ -306,7 +310,7 @@ def test_failed_rows_say_why(tmp_path, capsys):
     (["photon-distinguish", "--dr", "1", "--resolution", "95"],
      "100,1,0.1,0,nan,2.5e-05,857375,false",
      "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 190 nodes"),
-], ids=["spin-refinement", "photon", "entangle", "photon-laguerre"])
+], ids=["spin-refinement", "spin-coarse", "photon", "entangle", "photon-laguerre"])
 def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, csv_row, reason):
     out = tmp_path / "rows.csv"
     assert cli.run(argv + ["--out", str(out)]) == 1

@@ -162,6 +162,20 @@ def test_sweep_row_memory_bounded():
     assert peak < 100e6
 
 
+def test_sweep_row_scratch_is_bounded_once_the_grid_is_cached():
+    # As for the spin rows, on the INVARIANT grid: the second row's peak is one
+    # kernel block (about 1 MB; 17 MB when the kernel held every folded node).
+    en.sweep_row(0.5, 0.6, nodes_per_axis=40)
+    tracemalloc.start()
+    try:
+        row = en.sweep_row(0.5, 0.9, nodes_per_axis=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(row["concurrence"])
+    assert peak < 4e6
+
+
 def test_sweep_rows():
     rows = [en.sweep_row(dm, beta, nodes_per_axis=6, check_convergence=False)
             for dm in (1e-4, 0.5) for beta in (0.0, 0.5, 0.9)]

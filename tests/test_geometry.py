@@ -4,6 +4,8 @@ from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
 from relqi import geometry as geo
+from relqi import spin_half as sh
+from relqi.wavepacket import Measure, NumericalError
 
 RNG = np.random.default_rng(20240811)
 
@@ -200,10 +202,38 @@ def test_wigner_rotation_batch_matches_single_node(monkeypatch):
         q4 = geo.four_momentum(m, q)
         np.testing.assert_allclose(p_out, lam @ q4, atol=1e-12)
         np.testing.assert_allclose(w, little_group_element(lam, q4, m)[1:, 1:], atol=1e-12)
+    p4_one, quats_one = geo.wigner_quaternion_batch(lam, momenta, m)
     monkeypatch.setattr(geo, "_WIGNER_BLOCK", 7)
+    # each node's arithmetic is the same in any block
+    p4_seven, quats_seven = geo.wigner_quaternion_batch(lam, momenta, m)
+    np.testing.assert_array_equal(p4_seven, p4_one)
+    np.testing.assert_array_equal(quats_seven, quats_one)
     np.testing.assert_array_equal(geo.wigner_rotation_batch(lam, momenta, m)[1], rots)
     _, u = geo.wigner_su2_batch(lam, momenta, m)
     np.testing.assert_allclose(u, geo.rotations_to_su2(rots), atol=1e-15)
+
+
+@pytest.mark.parametrize("velocity", [[0.5, 0.0, 0.6], [0.3, -0.5, 0.6]], ids=["xz", "generic"])
+def test_wigner_moments_do_not_depend_on_the_block_size(monkeypatch, velocity):
+    lam = geo.boost_from_velocity(velocity)
+    d, s = sh.wigner_moments(lam, 1.0, 1.0, 9)
+    monkeypatch.setattr(geo, "_WIGNER_BLOCK", 7)
+    d_seven, s_seven = sh.wigner_moments(lam, 1.0, 1.0, 9)
+    np.testing.assert_allclose(d_seven, d, rtol=1e-14, atol=0.0)
+    assert s_seven == pytest.approx(s, rel=1e-14, abs=0.0)
+
+
+def test_time_axis_defect_does_not_depend_on_the_block_size(monkeypatch):
+    # the largest defect over all blocks is reported once, after the last block
+    lam = sh.boost_for_angle(sh.beta_for_gamma(0.99935, 1.0), 1.0)
+    nodes, _ = sh._packet_nodes(1.0, 1.0, 24, Measure.PLAIN)
+    messages = []
+    for block in (geo._WIGNER_BLOCK, 7):
+        monkeypatch.setattr(geo, "_WIGNER_BLOCK", block)
+        with pytest.raises(NumericalError, match="do not fix the time axis") as err:
+            geo.wigner_quaternion_batch(lam, nodes, 1.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def _kernel_cases():

@@ -257,6 +257,21 @@ def test_spin_row_memory_bounded():
     assert peak < 100e6
 
 
+def test_spin_row_scratch_is_bounded_once_the_grid_is_cached():
+    # The first row builds and folds the n = 40 and n = 80 grids; a second row
+    # at another theta reuses them and keeps only one kernel block of scratch
+    # (about 1 MB; 33 MB when the kernel held every folded node at once).
+    sh.sweep_row(0.3, 0.25, nodes_per_axis=40)
+    tracemalloc.start()
+    try:
+        row = sh.sweep_row(0.7, 0.25, nodes_per_axis=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(row["p_error"])
+    assert peak < 4e6
+
+
 def test_pair_error_refined_grid_pin():
     beta = sh.beta_for_gamma(0.005, 1.0)
     coarse = sh.boosted_pair_error(1.0, 1.0, beta, np.pi / 2, 12)

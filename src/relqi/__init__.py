@@ -8,8 +8,16 @@ complete-positivity audits of boost-induced effective channels.
 """
 
 from . import channel, entangle, geometry, photon, qmatrix, spin_half, wavepacket
-from .entangle import TwoParticleAmplitude, bell_gaussian, boost_pair, concurrence
+from .channel import consistency_order
+from .entangle import (
+    TwoParticleAmplitude,
+    bell_gaussian,
+    boost_pair,
+    concurrence,
+    spin_spin_density,
+)
 from .geometry import (
+    bloch_map,
     boost_from_velocity,
     observer_boost,
     rotations_to_su2,
@@ -20,12 +28,16 @@ from .geometry import (
 from .photon import (
     PhotonPacket,
     PolarizationPOVM,
+    boost_photon,
     build_povm,
     circular_density,
     circular_pair_error,
     doppler_report,
     effective_density,
+    effective_density_tomography,
     gaussian_beam,
+    orthogonality_audit,
+    rotate_packet,
     transversal_b,
 )
 from .qmatrix import (
@@ -39,10 +51,12 @@ from .qmatrix import (
 from .spin_half import (
     SpinorPacket,
     boost_packet,
+    boosted_pair_densities,
     boosted_pair_error,
     gamma_parameter,
     gaussian_packet,
     reduced_spin_density,
+    wigner_kernel,
 )
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid
 

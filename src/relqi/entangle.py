@@ -112,13 +112,6 @@ def spin_spin_density(state: TwoParticleAmplitude) -> np.ndarray:
     return qmatrix.hermitize(rho)
 
 
-def single_spin_density(state: TwoParticleAmplitude, particle: int = 1) -> np.ndarray:
-    """2x2 marginal of one particle's spin."""
-    rho = spin_spin_density(state)
-    side = "right" if particle == 1 else "left"
-    return qmatrix.partial_trace(rho, (2, 2), side=side)
-
-
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 

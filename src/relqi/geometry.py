@@ -42,31 +42,10 @@ def four_momentum(mass: float, momenta) -> np.ndarray:
     return np.concatenate([energy[..., None], p], axis=-1)
 
 
-def minkowski_norm2(p4) -> np.ndarray:
-    """Invariant p.p = E^2 - |p|^2 (batched over leading axes)."""
-    p4 = np.asarray(p4, dtype=float)
-    return p4[..., 0] ** 2 - _norm2(p4[..., 1:])
-
-
 def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
     """Inverse via eta L^T eta, exact for any Lorentz matrix (batched)."""
     lam = np.asarray(lam, dtype=float)
     return ETA @ np.swapaxes(lam, -1, -2) @ ETA
-
-
-def metric_defect(lam: np.ndarray) -> float:
-    """max |L^T eta L - eta|, zero for an exact Lorentz matrix."""
-    lam = np.asarray(lam, dtype=float)
-    return float(np.abs(lam.T @ ETA @ lam - ETA).max())
-
-
-def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-12) -> bool:
-    lam = np.asarray(lam, dtype=float)
-    return (
-        metric_defect(lam) < tol
-        and np.linalg.det(lam) > 0.0
-        and lam[0, 0] >= 1.0 - tol
-    )
 
 
 def boost_from_velocity(beta) -> np.ndarray:
@@ -133,14 +112,6 @@ def wigner_rotation(lam: np.ndarray, p4, mass: float) -> np.ndarray:
     p4 = np.asarray(p4, dtype=float)
     _require_on_shell(p4, mass)
     return wigner_rotation_batch(lam, p4[None, 1:], mass)[1][0]
-
-
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rotation by `angle` about the (normalized) `axis`, Rodrigues form."""
-    axis = np.asarray(axis, dtype=float)
-    n = axis / np.linalg.norm(axis)
-    k = _skew(n)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def _skew(n):

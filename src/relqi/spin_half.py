@@ -15,12 +15,13 @@ observable is a short function of one kernel, `wigner_moments`: D = T - I
 and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
 quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
 with r = e_z + D e_z.  Each observable costs O(N) time in the N grid nodes;
-its only O(N) memory is the cached grid, since the kernel works on blocks
+its only O(N) memory is the rule cache, since the kernel works on blocks
 of geometry._WIGNER_BLOCK nodes.  The kernel evaluates the quaternions
 once per mirror orbit of the grid: the packet is centred on 0, so every
 axis whose reflection commutes with the boost is folded, which keeps half
 the nodes for a boost in the x-z plane, a quarter for a boost along z and
-an eighth for the identity.
+an eighth for the identity.  One LRU cache, `_packet_nodes`, holds the
+16 most recently used rules, full or folded.
 
 The dimensionless boost-mixing parameter is
 gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
@@ -110,13 +111,20 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     return qmatrix.hermitize(tau)
 
 
-# Serializes the grid cache so that callers in several threads build each grid once.
+# Serializes the rule cache, so that rows in several threads build each rule once.
 _GRID_LOCK = threading.Lock()
 
 
-@functools.lru_cache(maxsize=4)
-def _packet_nodes(delta, mass, nodes_per_axis, convention):
-    """Read-only nodes and probabilities p_n = w_n |h_n|^2 of the Gaussian packet."""
+@functools.lru_cache(maxsize=16)
+def _packet_nodes(delta, mass, nodes_per_axis, convention, axes):
+    """Read-only nodes and probabilities p_n = w_n |h_n|^2 of the Gaussian packet.
+
+    The full rule for `axes` == (), else its wavepacket.fold over the mirror
+    `axes` (a tuple), taken from the cached full rule.  `axes` has no default:
+    the cache would key a call without it apart from the same call with ().
+    """
+    if axes:
+        return wavepacket.fold(*_packet_nodes(delta, mass, nodes_per_axis, convention, ()), axes)
     grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, convention, mass=mass)
     profile = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta * delta)))
     probs = grid.weights * profile**2
@@ -146,38 +154,16 @@ def wigner_kernel(
     geometry.bloch_map(p, W).
 
     The nodes and probabilities depend only on (delta, mass, nodes_per_axis,
-    convention), and the four most recently used are cached, so a sweep
-    builds one grid per resolution and checks its probability sum once.
+    convention), and one cache holds the 16 most recently used full or
+    folded rules, so a sweep builds one grid per resolution and checks its
+    probability sum once.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     with _GRID_LOCK:
-        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention)
+        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention, ())
     _, rots = geometry.wigner_rotation_batch(lam, nodes, mass)
     return probs, rots
-
-
-# Folds of the cached packet nodes, keyed by (delta, mass, nodes_per_axis,
-# convention, axes); each entry keeps the probabilities it was folded from.
-_FOLDS: dict = {}
-_FOLDS_SIZE = 16
-
-
-def _folded_nodes(delta, mass, nodes_per_axis, convention, axes):
-    """_packet_nodes folded over the mirror `axes` by wavepacket.fold.
-
-    A fold is kept while _packet_nodes returns the same probabilities, so
-    each resolution is still built once and each fold taken once.
-    """
-    with _GRID_LOCK:
-        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention)
-        key = (delta, mass, nodes_per_axis, convention, axes)
-        entry = _FOLDS.get(key)
-        if entry is None or entry[0] is not probs:
-            if len(_FOLDS) >= _FOLDS_SIZE:
-                del _FOLDS[next(iter(_FOLDS))]
-            entry = _FOLDS[key] = (probs, *wavepacket.fold(nodes, probs, axes))
-    return entry[1], entry[2]
 
 
 def wigner_moments(
@@ -209,7 +195,8 @@ def wigner_moments(
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     axes = geometry.mirror_axes(lam)
-    nodes, probs = _folded_nodes(delta, mass, nodes_per_axis, convention, axes)
+    with _GRID_LOCK:
+        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention, axes)
     # the ten distinct entries, each a sum of per-block pairwise sums
     rows, cols = np.triu_indices(4)
     upper = np.zeros(len(rows))

@@ -15,6 +15,7 @@ from relqi import photon as ph
 from relqi import qmatrix as qm
 from relqi import spin_half as sh
 from relqi.wavepacket import GaussianSpec, Measure, gauss_grid
+import helpers
 
 RNG = np.random.default_rng(20260810)
 
@@ -137,8 +138,8 @@ def criterion_08_non_cp_witness():
     assert rep.verdict is not None
     violations = 0
     for _ in range(200):
-        chan = qm.random_cptp_channel(RNG, n_kraus=int(RNG.integers(1, 5)))
-        r1, r2 = qm.random_density(RNG), qm.random_density(RNG)
+        chan = helpers.random_cptp_channel(RNG, n_kraus=int(RNG.integers(1, 5)))
+        r1, r2 = helpers.random_density(RNG), helpers.random_density(RNG)
         if qm.helstrom_error(chan.apply(r1), chan.apply(r2)) < qm.helstrom_error(r1, r2) - 1e-9:
             violations += 1
     assert violations == 0
@@ -172,7 +173,7 @@ def criterion_09_entanglement_frame_dependence():
 def criterion_10_oracle_equivalences():
     # partial trace vs index summation
     gaps = []
-    rho4 = qm.random_density(RNG, 4)
+    rho4 = helpers.random_density(RNG, 4)
     r = rho4.reshape(2, 2, 2, 2)
     oracle = np.zeros((2, 2), dtype=complex)
     for mu in range(2):
@@ -227,7 +228,7 @@ def criterion_10_oracle_equivalences():
     assert gaps[-1] < 1e-10
 
     # Helstrom error vs the matrix square-root definition
-    r1, r2 = qm.random_density(RNG), qm.random_density(RNG)
+    r1, r2 = helpers.random_density(RNG), helpers.random_density(RNG)
     pe_sqrtm = 0.5 - 0.25 * np.real(np.trace(sqrtm((r1 - r2) @ (r1 - r2))))
     gaps.append(abs(qm.helstrom_error(r1, r2) - pe_sqrtm))
     assert gaps[-1] < 1e-10

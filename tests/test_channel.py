@@ -5,6 +5,7 @@ import pytest
 
 from relqi import channel as ch
 from relqi import qmatrix as qm
+import helpers
 
 RNG = np.random.default_rng(226)
 
@@ -13,7 +14,7 @@ KET0 = np.diag([1.0, 0.0]).astype(complex)
 
 def test_zero_strength_is_identity():
     chan = ch.decoherence_channel(0.0)
-    rho = qm.random_density(RNG)
+    rho = helpers.random_density(RNG)
     np.testing.assert_allclose(chan.apply(rho), rho, atol=1e-14)
 
 
@@ -33,7 +34,7 @@ def test_exactly_trace_preserving():
         chan = ch.decoherence_channel(gamma)
         acc = sum(k.conj().T @ k for k in chan.kraus_operators())
         assert np.abs(acc - np.eye(2)).max() < 1e-12
-        rho = qm.random_density(RNG)
+        rho = helpers.random_density(RNG)
         assert np.trace(chan.apply(rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -67,15 +68,15 @@ def test_certify_reports():
 
 
 def test_transpose_negative_control():
-    ok, min_eig = qm.is_completely_positive(qm.transpose_map())
+    ok, min_eig = qm.is_completely_positive(helpers.transpose_map())
     assert not ok and min_eig < -0.5
 
 
 def test_distinguishability_never_improves_under_channel():
     chan = ch.decoherence_channel(0.8)
     for _ in range(50):
-        r1 = qm.random_density(RNG)
-        r2 = qm.random_density(RNG)
+        r1 = helpers.random_density(RNG)
+        r2 = helpers.random_density(RNG)
         before = qm.helstrom_error(r1, r2)
         after = qm.helstrom_error(chan.apply(r1), chan.apply(r2))
         assert after >= before - 1e-12
@@ -138,7 +139,7 @@ def thomas_wigner_distance(gamma, theta, n=12, beta=0.6):
     from relqi.wavepacket import Measure
 
     delta = gamma / sh.gamma_parameter(1.0, 1.0, beta)
-    nodes, probs = sh._packet_nodes(delta, 1.0, n, Measure.PLAIN)
+    nodes, probs = sh._packet_nodes(delta, 1.0, n, Measure.PLAIN, ())
     nhat = np.array([math.sin(theta), 0.0, math.cos(theta)])
     a = beta / (1.0 + math.sqrt(1.0 - beta * beta)) / (np.sqrt(1.0 + np.sum(nodes**2, axis=1)) + 1.0)
     axis = np.cross(nodes, nhat)

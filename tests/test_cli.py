@@ -416,6 +416,6 @@ def test_time_axis_defect_is_a_numerical_error():
     from relqi import geometry, spin_half, wavepacket
 
     beta = spin_half.beta_for_gamma(0.99935, 1.0)
-    nodes, _ = spin_half._packet_nodes(1.0, 1.0, 24, wavepacket.Measure.PLAIN)
+    nodes, _ = spin_half._packet_nodes(1.0, 1.0, 24, wavepacket.Measure.PLAIN, ())
     with pytest.raises(wavepacket.NumericalError, match="time axis"):
         geometry.wigner_quaternion_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)

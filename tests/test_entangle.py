@@ -6,6 +6,7 @@ import pytest
 from relqi import entangle as en
 from relqi import geometry as geo
 from relqi import qmatrix as qm
+import helpers
 
 RNG = np.random.default_rng(1337)
 
@@ -54,7 +55,7 @@ def test_bell_gaussian_rest_frame():
     rho = en.spin_spin_density(state)
     np.testing.assert_allclose(rho, SINGLET_PROJ, atol=1e-8)
     assert en.concurrence(rho) == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(en.single_spin_density(state), np.eye(2) / 2, atol=1e-8)
+    np.testing.assert_allclose(helpers.single_spin_density(state), np.eye(2) / 2, atol=1e-8)
 
 
 def test_identity_boost_is_noop():
@@ -133,7 +134,7 @@ def test_concurrence_local_unitary_invariance():
     state = en.bell_gaussian(0.5, 1.0, 5)
     boosted = en.boost_pair(geo.boost_from_velocity([0.0, 0.0, 0.8]), state)
     base = en.concurrence(en.spin_spin_density(boosted))
-    v = geo.rotations_to_su2(geo.rotation_about(RNG.normal(size=3), 0.9))
+    v = geo.rotations_to_su2(helpers.rotation_about(RNG.normal(size=3), 0.9))
     g = np.einsum("ab,nmbd->nmad", v, boosted.g)
     rotated = en.TwoParticleAmplitude(grid1=boosted.grid1, grid2=boosted.grid2, g=g)
     assert en.concurrence(en.spin_spin_density(rotated)) == pytest.approx(base, abs=1e-10)

@@ -63,7 +63,7 @@ def test_unfolded_kernel_is_mirror_equivariant(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     assert geo.mirror_axes(lam) == axes
-    nodes, probs = sh._packet_nodes(DELTA, MASS, n, convention)
+    nodes, probs = sh._packet_nodes(DELTA, MASS, n, convention, ())
     p4, rots = geo.wigner_rotation_batch(lam, nodes, MASS)
     for k in axes:
         image = _images(nodes, k)
@@ -79,7 +79,7 @@ def test_folded_values_match_unfolded(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     probs, rots = sh.wigner_kernel(lam, DELTA, MASS, n, convention)
-    _, folded_probs = sh._folded_nodes(DELTA, MASS, n, convention, axes)
+    _, folded_probs = sh._packet_nodes(DELTA, MASS, n, convention, axes)
     assert len(folded_probs) < len(probs)
     assert folded_probs.sum() == pytest.approx(1.0, rel=1e-14)
     # math.fsum: the einsum of bloch_map accumulates 24^3 terms in order (2e-14)
@@ -104,10 +104,10 @@ def test_folded_values_match_unfolded(convention, n, name):
 def test_generic_boost_folds_nothing():
     lam = geo.boost_from_velocity([0.3, -0.4, 0.5])
     assert geo.mirror_axes(lam) == ()
-    nodes, probs = sh._folded_nodes(DELTA, MASS, 6, Measure.PLAIN, ())
+    nodes, probs = sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN, ())
     d, _ = sh.wigner_moments(lam, DELTA, MASS, 6)
     assert nodes.shape == (6**3, 3) and np.all(d != 0.0)
-    np.testing.assert_array_equal(probs, sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN)[1])
+    np.testing.assert_array_equal(probs, sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN, ())[1])
 
 
 MOMENT_BOOSTS = {**{name: sh.boost_for_angle(*bt) for name, (bt, _) in BOOSTS.items()},
@@ -143,7 +143,7 @@ def test_beam_grid_does_not_fold_along_its_axis():
 
 
 def test_fold_rejects_asymmetric_probabilities():
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 4, Measure.PLAIN)
+    nodes, probs = sh._packet_nodes(DELTA, MASS, 4, Measure.PLAIN, ())
     skewed = probs * (1.0 + 1e-15 * (nodes[:, 0] > 0.0))
     wp.fold(nodes, skewed, (1, 2))
     with pytest.raises(ValueError, match="along x"):
@@ -153,7 +153,7 @@ def test_fold_rejects_asymmetric_probabilities():
 @pytest.mark.parametrize("axes", [(1,), (0, 1), (0, 1, 2)])
 def test_fold_peak_memory_stays_below_its_input(axes):
     # the symmetry check compares index with index: no sorted or mirrored copies
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 48, Measure.PLAIN)
+    nodes, probs = sh._packet_nodes(DELTA, MASS, 48, Measure.PLAIN, ())
     tracemalloc.start()
     try:
         wp.fold(nodes, probs, axes)
@@ -164,7 +164,7 @@ def test_fold_peak_memory_stays_below_its_input(axes):
 
 
 def test_fold_rejects_a_grid_in_another_layout():
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN)
+    nodes, probs = sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN, ())
     wp.fold(nodes, probs, (0, 1, 2))
     order = np.random.default_rng(0).permutation(len(probs))
     for k in range(3):

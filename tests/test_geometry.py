@@ -6,6 +6,7 @@ from scipy.spatial.transform import Rotation
 from relqi import geometry as geo
 from relqi import spin_half as sh
 from relqi.wavepacket import Measure, NumericalError
+import helpers
 
 RNG = np.random.default_rng(20240811)
 
@@ -102,8 +103,8 @@ def test_boost_superluminal_rejected():
 def test_metric_preservation_random():
     for _ in range(50):
         lam = geo.boost_from_velocity(random_beta(RNG))
-        assert geo.metric_defect(lam) < 1e-12
-        assert geo.is_proper_orthochronous(lam, tol=1e-11)
+        assert helpers.metric_defect(lam) < 1e-12
+        assert helpers.is_proper_orthochronous(lam, tol=1e-11)
 
 
 def test_standard_boost_rest_is_identity():
@@ -145,7 +146,7 @@ def test_standard_boost_matches_exponential_oracle():
 
 def test_wigner_rotation_passthrough():
     m = 0.9
-    rot = geo.rotation_about([0.3, -1.0, 0.2], 1.1)
+    rot = helpers.rotation_about([0.3, -1.0, 0.2], 1.1)
     lam = np.eye(4)
     lam[1:, 1:] = rot
     p4 = random_onshell(RNG, m)
@@ -172,7 +173,7 @@ def test_wigner_rotation_matrix_product_oracle():
     np.testing.assert_allclose(w, w_oracle[1:, 1:], atol=1e-10)
     # rotation about y by the oracle angle
     angle = np.arctan2(w_oracle[3, 1], w_oracle[1, 1])
-    np.testing.assert_allclose(w, geo.rotation_about([0.0, 1.0, 0.0], -angle), atol=1e-10)
+    np.testing.assert_allclose(w, helpers.rotation_about([0.0, 1.0, 0.0], -angle), atol=1e-10)
 
 
 def test_wigner_rotation_rejects_off_shell():
@@ -226,7 +227,7 @@ def test_wigner_moments_do_not_depend_on_the_block_size(monkeypatch, velocity):
 def test_time_axis_defect_does_not_depend_on_the_block_size(monkeypatch):
     # the largest defect over all blocks is reported once, after the last block
     lam = sh.boost_for_angle(sh.beta_for_gamma(0.99935, 1.0), 1.0)
-    nodes, _ = sh._packet_nodes(1.0, 1.0, 24, Measure.PLAIN)
+    nodes, _ = sh._packet_nodes(1.0, 1.0, 24, Measure.PLAIN, ())
     messages = []
     for block in (geo._WIGNER_BLOCK, 7):
         monkeypatch.setattr(geo, "_WIGNER_BLOCK", block)
@@ -239,7 +240,7 @@ def test_time_axis_defect_does_not_depend_on_the_block_size(monkeypatch):
 def _kernel_cases():
     """Lorentz transformations covering the kernel's split lam = B R."""
     rot = np.eye(4)
-    rot[1:, 1:] = geo.rotation_about([0.4, -1.0, 0.7], 2.3)
+    rot[1:, 1:] = helpers.rotation_about([0.4, -1.0, 0.7], 2.3)
     oblique = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
     cases = {"identity": np.eye(4), "rotation": rot}
     for beta in (0.1, 0.6, 0.9, 0.99):
@@ -278,7 +279,7 @@ def test_wigner_kernel_perpendicular_angle_at_high_rapidity(px):
     p4 = geo.four_momentum(m, [px, 0.0, 0.0])
     theta = 2.0 * np.arctan(beta / (1.0 + np.sqrt(1.0 - beta * beta)) * px / (p4[0] + m))
     w = geo.wigner_rotation(lam, p4, m)
-    np.testing.assert_allclose(w, geo.rotation_about([0.0, 1.0, 0.0], -theta), atol=1e-11)
+    np.testing.assert_allclose(w, helpers.rotation_about([0.0, 1.0, 0.0], -theta), atol=1e-11)
 
 
 def test_wigner_kernel_time_axis_check_fires_when_rounding_dominates():
@@ -310,7 +311,7 @@ def test_onshell_transport():
     for _ in range(20):
         lam = geo.boost_from_velocity(random_beta(RNG))
         p4 = random_onshell(RNG, m)
-        q = geo.minkowski_norm2(lam @ p4)
+        q = helpers.minkowski_norm2(lam @ p4)
         assert abs(q - m * m) < 1e-10 * m * m * 10
 
 
@@ -319,14 +320,14 @@ def test_su2_identity():
 
 
 def test_su2_pi_about_z():
-    u = geo.rotations_to_su2(geo.rotation_about([0, 0, 1], np.pi))
+    u = geo.rotations_to_su2(helpers.rotation_about([0, 0, 1], np.pi))
     np.testing.assert_allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]),
                                atol=1e-12)
 
 
 def test_su2_covers_rotation():
     for _ in range(100):
-        rot = geo.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
+        rot = helpers.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
         u = geo.rotations_to_su2(rot)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
         v = RNG.normal(size=3)
@@ -338,8 +339,8 @@ def test_su2_covers_rotation():
 
 def test_su2_projective_homomorphism():
     for _ in range(30):
-        r1 = geo.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
-        r2 = geo.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
+        r1 = helpers.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
+        r2 = helpers.rotation_about(RNG.normal(size=3), RNG.uniform(0, np.pi))
         u12 = geo.rotations_to_su2(r1 @ r2)
         prod = geo.rotations_to_su2(r1) @ geo.rotations_to_su2(r2)
         assert (
@@ -356,13 +357,13 @@ def test_su2_lift_matches_rotvec_oracle():
 def test_su2_lift_every_pivot_and_half_turns():
     # Shepperd's pivot is the largest of (R_xx, R_yy, R_zz, trace): near-half
     # turns about each axis pick that axis' diagonal, small angles the trace.
-    rots = [geo.rotation_about([0.0, 0.0, 1.0], np.pi),
-            geo.rotation_about([1.0, 1.0, 0.0], np.pi)]
+    rots = [helpers.rotation_about([0.0, 0.0, 1.0], np.pi),
+            helpers.rotation_about([1.0, 1.0, 0.0], np.pi)]
     for axis in np.eye(3):
         for angle in (np.pi, np.pi - 1e-9, 3.0):
-            rots.append(geo.rotation_about(axis + 0.05 * RNG.normal(size=3), angle))
+            rots.append(helpers.rotation_about(axis + 0.05 * RNG.normal(size=3), angle))
     for angle in (0.0, 1e-9, 0.5, 2.0):
-        rots.append(geo.rotation_about(RNG.normal(size=3), angle))
+        rots.append(helpers.rotation_about(RNG.normal(size=3), angle))
     rots = np.array(rots)
     trace = np.trace(rots, axis1=1, axis2=2)
     pivots = np.argmax(np.stack([rots[:, 0, 0], rots[:, 1, 1], rots[:, 2, 2], trace], 1), 1)
@@ -375,12 +376,12 @@ def test_standard_rotation_conventions():
     np.testing.assert_allclose(geo.standard_rotation([0, 0, 1]), np.eye(3), atol=1e-14)
     np.testing.assert_allclose(
         geo.standard_rotation([1, 0, 0]),
-        geo.rotation_about([0, 1, 0], np.pi / 2),
+        helpers.rotation_about([0, 1, 0], np.pi / 2),
         atol=1e-12,
     )
     np.testing.assert_allclose(
         geo.standard_rotation([0, 0, -1]),
-        geo.rotation_about([1, 0, 0], np.pi),
+        helpers.rotation_about([1, 0, 0], np.pi),
         atol=1e-12,
     )
 
@@ -405,7 +406,7 @@ def test_wigner_su2_batch_from_kernel_quaternions():
     # w >= 0, the convention of rotations_to_su2; a rotation near pi behind
     # the boost gives nodes whose kernel quaternion has w < 0.
     rot = np.eye(4)
-    rot[1:, 1:] = geo.rotation_about([0.3, 1.0, -0.2], np.pi - 0.05)
+    rot[1:, 1:] = helpers.rotation_about([0.3, 1.0, -0.2], np.pi - 0.05)
     lam = geo.boost_from_velocity([0.5, 0.0, 0.3]) @ rot
     momenta = np.random.default_rng(11).normal(size=(200, 3))
     _, quats = geo.wigner_quaternion_batch(lam, momenta, 1.0)

@@ -5,8 +5,8 @@ import pytest
 
 from relqi import geometry as geo
 from relqi import photon as ph
-from relqi import qmatrix as qm
 from relqi.wavepacket import Measure, gauss_grid, GaussianSpec
+import helpers
 
 RNG = np.random.default_rng(4242)
 
@@ -136,7 +136,7 @@ def test_effective_density_dual_route_random():
         direct = ph.effective_density(psi)
         tomo = ph.effective_density_tomography(psi)
         assert np.abs(direct - tomo).max() < 1e-10
-        qm.check_density_matrix(direct, tol=1e-8)
+        helpers.check_density_matrix(direct, tol=1e-8)
 
 
 def test_effective_density_monochromatic_limit():
@@ -334,7 +334,7 @@ def test_rotation_invariance_of_povm_probabilities():
     grid = gauss_grid(GaussianSpec.beam(80.0, 0.4, 4.0), 5, Measure.INVARIANT)
     psi = random_packet(grid, RNG)
     probs = ph.build_povm(grid).probabilities(psi)
-    rot = geo.rotation_about(RNG.normal(size=3), 1.234)
+    rot = helpers.rotation_about(RNG.normal(size=3), 1.234)
     rotated = ph.rotate_packet(rot, psi)
     povm_rot = ph.build_povm(rotated.grid)
     rotated_probs = np.array(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relqi import qmatrix as qm
+import helpers
 
 RNG = np.random.default_rng(7031)
 
@@ -32,8 +33,8 @@ def partial_trace_oracle(rho, dims, side):
 
 
 def test_partial_trace_product_state():
-    rho_a = qm.random_density(RNG)
-    rho_b = qm.random_density(RNG)
+    rho_a = helpers.random_density(RNG)
+    rho_b = helpers.random_density(RNG)
     np.testing.assert_allclose(
         qm.partial_trace(np.kron(rho_a, rho_b), (2, 2), side="left"), rho_b, atol=1e-12
     )
@@ -51,7 +52,7 @@ def test_partial_trace_bell_state():
 
 def test_partial_trace_index_sum_oracle():
     for _ in range(20):
-        rho = qm.random_density(RNG, 4)
+        rho = helpers.random_density(RNG, 4)
         for side in ("left", "right"):
             np.testing.assert_allclose(
                 qm.partial_trace(rho, (2, 2), side=side),
@@ -81,7 +82,7 @@ def test_entropy_hand_value():
 
 def test_entropy_unitary_invariance():
     for _ in range(20):
-        rho = qm.random_density(RNG, 3)
+        rho = helpers.random_density(RNG, 3)
         q, _ = np.linalg.qr(RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)))
         assert abs(qm.entropy(q @ rho @ q.conj().T) - qm.entropy(rho)) < 1e-10
 
@@ -92,7 +93,7 @@ def test_entropy_rejects_negative():
 
 
 def test_helstrom_identical_states():
-    rho = qm.random_density(RNG)
+    rho = helpers.random_density(RNG)
     assert qm.helstrom_error(rho, rho) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -106,8 +107,8 @@ def test_helstrom_hand_value():
 
 def test_helstrom_symmetry_and_invariance():
     for _ in range(20):
-        r1 = qm.random_density(RNG)
-        r2 = qm.random_density(RNG)
+        r1 = helpers.random_density(RNG)
+        r2 = helpers.random_density(RNG)
         assert qm.helstrom_error(r1, r2) == pytest.approx(qm.helstrom_error(r2, r1), abs=1e-10)
         q, _ = np.linalg.qr(RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))
         rotated = qm.helstrom_error(q @ r1 @ q.conj().T, q @ r2 @ q.conj().T)
@@ -115,51 +116,89 @@ def test_helstrom_symmetry_and_invariance():
 
 
 def test_apply_channel_identity():
-    rho = qm.random_density(RNG)
-    np.testing.assert_allclose(qm.identity_channel().apply(rho), rho, atol=1e-14)
+    rho = helpers.random_density(RNG)
+    np.testing.assert_allclose(helpers.identity_channel().apply(rho), rho, atol=1e-14)
 
 
 def test_kraus_vs_superoperator_forms():
     for _ in range(20):
-        ch = qm.random_cptp_channel(RNG)
+        ch = helpers.random_cptp_channel(RNG)
         dual = qm.QubitChannel(superop=ch.superoperator())
-        rho = qm.random_density(RNG)
+        rho = helpers.random_density(RNG)
         np.testing.assert_allclose(ch.apply(rho), dual.apply(rho), atol=1e-12)
 
 
+def test_channel_takes_exactly_one_well_shaped_form():
+    # A channel given both forms used to report the Kraus form as CP while
+    # its superoperator was the transpose map.
+    with pytest.raises(ValueError, match="exactly one"):
+        qm.QubitChannel(kraus=[np.eye(2)], superop=helpers.transpose_map().superoperator())
+    with pytest.raises(ValueError, match="exactly one"):
+        qm.QubitChannel()
+    with pytest.raises(ValueError, match="d\\^2"):
+        qm.QubitChannel(superop=np.eye(5))
+
+
+def test_choi_matrix_is_the_channel_on_matrix_units():
+    basis = np.eye(3)
+    for _ in range(5):
+        kraus = [RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)) for _ in range(3)]
+        ch = qm.QubitChannel(kraus=kraus)
+        oracle = np.block([[sum(k @ np.outer(basis[i], basis[j]) @ k.conj().T for k in kraus)
+                            for j in range(3)] for i in range(3)])
+        choi = qm.choi_matrix(ch)
+        np.testing.assert_allclose(choi, oracle, rtol=0.0, atol=1e-14)
+        assert not choi.flags.writeable
+        dual = qm.QubitChannel(superop=ch.superoperator())
+        np.testing.assert_array_equal(qm.choi_matrix(dual), choi)
+        np.testing.assert_array_equal(dual.superoperator(), ch.superoperator())
+
+
+def test_kraus_operators_are_the_ones_given():
+    # the second weight, 1e-12, is below the cut of kraus_from_choi
+    kraus = [np.sqrt(1.0 - 1e-12) * np.eye(2), 1e-6 * qm.SIGMA_X]
+    ops = qm.QubitChannel(kraus=kraus).kraus_operators()
+    assert len(ops) == 2
+    for op, k in zip(ops, kraus):
+        np.testing.assert_array_equal(op, k)
+    derived = qm.QubitChannel(superop=helpers.depolarizing_channel(0.3).superoperator())
+    np.testing.assert_allclose(sum(k.conj().T @ k for k in derived.kraus_operators()),
+                               np.eye(2), atol=1e-12)
+
+
 def test_choi_identity_channel():
-    choi = qm.choi_matrix(qm.identity_channel())
+    choi = qm.choi_matrix(helpers.identity_channel())
     np.testing.assert_allclose(choi, 2.0 * BELL, atol=1e-12)
     eigs = np.linalg.eigvalsh(choi)
     assert np.sum(eigs > 1e-10) == 1  # rank one
 
 
 def test_choi_transpose_map_swap_spectrum():
-    choi = qm.choi_matrix(qm.transpose_map())
+    choi = qm.choi_matrix(helpers.transpose_map())
     eigs = np.sort(np.linalg.eigvalsh(choi))
     np.testing.assert_allclose(eigs, [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_is_completely_positive():
-    ok, min_eig = qm.is_completely_positive(qm.identity_channel())
+    ok, min_eig = qm.is_completely_positive(helpers.identity_channel())
     assert ok and min_eig == pytest.approx(0.0, abs=1e-12)
-    ok, min_eig = qm.is_completely_positive(qm.transpose_map())
+    ok, min_eig = qm.is_completely_positive(helpers.transpose_map())
     assert not ok and min_eig == pytest.approx(-1.0, abs=1e-12)
-    ok, _ = qm.is_completely_positive(qm.depolarizing_channel(0.1))
+    ok, _ = qm.is_completely_positive(helpers.depolarizing_channel(0.1))
     assert ok
 
 
 def test_trace_preservation_checks():
-    assert qm.identity_channel().is_trace_preserving()
-    assert qm.depolarizing_channel(0.3).is_trace_preserving()
-    assert qm.transpose_map().is_trace_preserving()
+    assert helpers.identity_channel().is_trace_preserving()
+    assert helpers.depolarizing_channel(0.3).is_trace_preserving()
+    assert helpers.transpose_map().is_trace_preserving()
     broken = qm.QubitChannel(kraus=[0.9 * np.eye(2)])
     assert not broken.is_trace_preserving()
 
 
 def test_choi_kraus_round_trip():
     for _ in range(10):
-        ch = qm.random_cptp_channel(RNG, n_kraus=RNG.integers(1, 5))
+        ch = helpers.random_cptp_channel(RNG, n_kraus=RNG.integers(1, 5))
         choi = qm.choi_matrix(ch)
         rebuilt = qm.QubitChannel(kraus=qm.kraus_from_choi(choi))
         np.testing.assert_allclose(qm.choi_matrix(rebuilt), choi, atol=1e-10)
@@ -167,26 +206,26 @@ def test_choi_kraus_round_trip():
 
 def test_kraus_from_negative_choi_rejected():
     with pytest.raises(ValueError, match="not positive"):
-        qm.kraus_from_choi(qm.choi_matrix(qm.transpose_map()))
+        qm.kraus_from_choi(qm.choi_matrix(helpers.transpose_map()))
 
 
 def test_cp_monotonicity_of_helstrom_error():
     # distinguishability can never improve under a CPTP map
     for _ in range(200):
-        ch = qm.random_cptp_channel(RNG, n_kraus=int(RNG.integers(1, 5)))
-        r1 = qm.random_density(RNG)
-        r2 = qm.random_density(RNG)
+        ch = helpers.random_cptp_channel(RNG, n_kraus=int(RNG.integers(1, 5)))
+        r1 = helpers.random_density(RNG)
+        r2 = helpers.random_density(RNG)
         before = qm.helstrom_error(r1, r2)
         after = qm.helstrom_error(ch.apply(r1), ch.apply(r2))
         assert after >= before - 1e-9
 
 
 def test_check_density_matrix():
-    qm.check_density_matrix(np.eye(2) / 2)
-    qm.check_density_matrix(0.5 * KET0, subnormalized=True)
+    helpers.check_density_matrix(np.eye(2) / 2)
+    helpers.check_density_matrix(0.5 * KET0, subnormalized=True)
     with pytest.raises(ValueError, match="trace"):
-        qm.check_density_matrix(2.0 * KET0)
+        helpers.check_density_matrix(2.0 * KET0)
     with pytest.raises(ValueError, match="Hermitian"):
-        qm.check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        helpers.check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="negative"):
-        qm.check_density_matrix(np.diag([1.5, -0.5]))
+        helpers.check_density_matrix(np.diag([1.5, -0.5]))

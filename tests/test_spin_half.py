@@ -224,7 +224,7 @@ def test_sweep_builds_one_grid_per_resolution(grid_builds):
     assert len(rows) == 48
     assert sorted(grid_builds) == [12, 24]
     probs, _ = sh.wigner_kernel(np.eye(4), 1.0, 1.0)
-    nodes, cached = sh._packet_nodes(1.0, 1.0, 12, Measure.PLAIN)
+    nodes, cached = sh._packet_nodes(1.0, 1.0, 12, Measure.PLAIN, ())
     assert cached is probs
     assert not probs.flags.writeable and not nodes.flags.writeable
     assert sorted(grid_builds) == [12, 24]

@@ -79,7 +79,10 @@ def _fmt(value) -> str:
 def _csv(header: str, rows) -> str:
     keys = header.split(",")
     lines = [header]
-    lines.extend(",".join(_fmt(row[k]) for k in keys) for row in rows)
+    for row in rows:
+        if "error" in row:  # a failed row prints nan for the values it lacks
+            row = dict.fromkeys(keys, math.nan) | row
+        lines.append(",".join(_fmt(row[k]) for k in keys))
     return "\n".join(lines) + "\n"
 
 
@@ -127,16 +130,12 @@ def _exit_code(rows) -> int:
     return 0 if all(row["converged"] for row in rows) else 1
 
 
-def _rel_delta(coarse: float, fine: float) -> float:
-    return abs(fine - coarse) / max(abs(fine), 1e-300)
-
-
 def _build_parser():
     """The `relqi` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="relqi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, resolution):
+    def common(p, resolution, refined=True):
         p.add_argument("--out", default="-", help="output path; '-' for stdout")
         p.add_argument("--resolution", type=int, default=resolution,
                        help="quadrature nodes per axis")
@@ -144,8 +143,9 @@ def _build_parser():
                        help="refinement tolerance for the converged flag")
         p.add_argument("--config", default=None,
                        help="JSON file whose entries override these flags")
-        p.add_argument("--no-convergence", action="store_true",
-                       help="skip the refined-grid convergence check")
+        if refined:  # convergence always computes both resolutions
+            p.add_argument("--no-convergence", action="store_true",
+                           help="skip the refined-grid convergence check")
 
     for name, help_text, theta, gamma in (
         ("spin-entropy", "spin entropy over (theta, gamma)", "0:3.14159:0.19635",
@@ -194,7 +194,7 @@ def _build_parser():
     common(p, entangle.DEFAULT_NODES_PER_AXIS)
 
     p = sub.add_parser("convergence", help="observable values at n and 2n nodes per axis")
-    common(p, 8)
+    common(p, 8, refined=False)
     return parser, sub.choices
 
 
@@ -264,10 +264,42 @@ def _validate(args) -> None:
             _require_positive(value, attr.replace("_", "-"))
 
 
-def _refinement(args) -> dict:
-    """Resolution, tolerance and check switch of wavepacket.refine and row."""
-    return dict(nodes_per_axis=args.resolution, tolerance=args.tolerance,
-                check_convergence=not args.no_convergence)
+def _refine(args, values_at) -> dict:
+    """The values at --resolution, their node count and converged flag.
+
+    `values_at(n)` returns the dict of grid-dependent values printed at n
+    nodes per axis.  Unless --no-convergence is set they are recomputed at
+    2n, and `converged` holds when every value (every entry of an array)
+    moved by less than --tolerance, absolute.  A ValueError propagates.
+    This is the one refinement rule of every sweep row and JSON report.
+    """
+    n = args.resolution
+    values = values_at(n)
+    converged = True
+    if not args.no_convergence:
+        fine = values_at(2 * n)
+        converged = all(np.all(np.abs(np.subtract(fine[k], v)) < args.tolerance)
+                        for k, v in values.items())
+    return {**values, "grid_nodes": n**3, "converged": bool(converged)}
+
+
+def _row(args, fields: dict, values_at) -> dict:
+    """One sweep row: its input `fields` and _refine(args, values_at).
+
+    A row whose evaluation raises ValueError, at either resolution, keeps
+    only its `fields`, is not converged and carries the reason as "error".
+    """
+    try:
+        return {**fields, **_refine(args, values_at)}
+    except ValueError as exc:
+        return {**fields, "grid_nodes": args.resolution**3, "converged": False,
+                "error": str(exc)}
+
+
+def _spin_row(args, theta, gamma):
+    fields = {"theta": theta, "gamma": gamma, "delta_over_m": args.delta_over_m}
+    return _row(args, fields,
+                lambda n: spin_half.sweep_values(theta, gamma, args.delta_over_m, n))
 
 
 def _cmd_spin(args) -> int:
@@ -276,17 +308,14 @@ def _cmd_spin(args) -> int:
     for gamma in gammas:
         if gamma < 0.0:
             raise ConfigError("gamma: must be nonnegative")
-    kwargs = dict(delta_over_m=args.delta_over_m, **_refinement(args))
     pairs = [(t, g) for t in thetas for g in gammas]
-    rows = _map_rows(lambda tg: spin_half.sweep_row(tg[0], tg[1], **kwargs), pairs)
+    rows = _map_rows(lambda tg: _spin_row(args, *tg), pairs)
     return _write_rows(args, SPIN_HEADER, ("theta", "gamma"), rows)
 
 
 def _cmd_photon_density(args) -> int:
-    def rho_at(n):
-        return {"rho": photon.circular_density(args.kA, args.dz, args.dr, args.helicity, n)}
-
-    payload = wavepacket.refine(rho_at, **_refinement(args))
+    payload = _refine(args, lambda n: {
+        "rho": photon.circular_density(args.kA, args.dz, args.dr, args.helicity, n)})
     rho = payload.pop("rho")
     payload.update(kA=args.kA, delta_r=args.dr, delta_z=args.dz, helicity=args.helicity,
                    rho_re=np.real(rho).tolist(), rho_im=np.imag(rho).tolist(),
@@ -301,14 +330,10 @@ def _photon_row(args, delta_r, v):
         "delta_r": delta_r,
         "delta_z": args.dz,
         "v": v,
-        "p_error": np.nan,
         "p_error_closed_form": (1.0 + v) / (1.0 - v) * delta_r**2 / (4.0 * args.kA**2),
     }
-    return wavepacket.row(
-        fields,
-        lambda n: {"p_error": photon.circular_pair_error(args.kA, args.dz, delta_r, n, v)},
-        **_refinement(args),
-    )
+    return _row(args, fields, lambda n: {
+        "p_error": photon.circular_pair_error(args.kA, args.dz, delta_r, n, v)})
 
 
 def _cmd_photon_distinguish(args) -> int:
@@ -321,10 +346,8 @@ def _cmd_doppler(args) -> int:
     speeds = [_require_speed(v, "v") for v in parse_values(str(args.v), "v")]
     fmt = args.format or ("json" if len(speeds) == 1 else "csv")
     if fmt == "json":
-        def report_at(n):
-            return photon.doppler_report(args.kA, args.dz, args.dr, speeds[0], n).as_dict()
-
-        payload = wavepacket.refine(report_at, **_refinement(args))
+        payload = _refine(args, lambda n: photon.doppler_report(
+            args.kA, args.dz, args.dr, speeds[0], n).as_dict())
         payload["tolerance"] = args.tolerance
         _write(args.out, _json(payload))
         return _exit_code([payload])
@@ -352,56 +375,41 @@ def _cmd_channel_audit(args) -> int:
     return 0
 
 
+def _entangle_row(args, delta_over_m, beta):
+    return _row(args, {"delta_over_m": delta_over_m, "beta": beta},
+                lambda n: entangle.sweep_values(delta_over_m, beta, n))
+
+
 def _cmd_entangle(args) -> int:
     dms = [
         _require_positive(dm, "delta-over-m")
         for dm in parse_values(str(args.delta_over_m), "delta-over-m")
     ]
     betas = [_require_speed(b, "beta") for b in parse_values(str(args.beta), "beta")]
-    kwargs = _refinement(args)
     pairs = [(dm, b) for dm in dms for b in betas]
-    rows = _map_rows(lambda db: entangle.sweep_row(db[0], db[1], **kwargs), pairs)
+    rows = _map_rows(lambda db: _entangle_row(args, *db), pairs)
     return _write_rows(args, ENTANGLE_HEADER, ("delta_over_m", "beta"), rows)
 
 
 def _cmd_convergence(args) -> int:
     n = args.resolution
-    n_pair = max(2, n // 2)
-
-    def spin_entropy(res):
-        return spin_half.sweep_row(
-            np.pi / 2, 0.5, nodes_per_axis=res, check_convergence=False
-        )["entropy_bits"]
-
-    def spin_error(res):
-        return spin_half.sweep_row(
-            np.pi / 2, 0.005, nodes_per_axis=res, check_convergence=False
-        )["p_error"]
-
-    def photon_error(res):
-        return photon.circular_pair_error(100.0, 0.1, 1.0, res)
-
-    def doppler_ratio(res):
-        return photon.doppler_report(100.0, 0.1, 1.0, 0.5, res).ratio
-
-    def pair_concurrence(res):
-        return entangle.sweep_row(
-            0.5, 0.6, nodes_per_axis=res, check_convergence=False
-        )["concurrence"]
-
     probes = [
-        ("spin_entropy_theta_pi2_gamma_0.5", spin_entropy, n),
-        ("spin_pair_error_gamma_0.005", spin_error, n),
-        ("photon_pair_error_dr_over_k_0.01", photon_error, n),
-        ("doppler_ratio_v_0.5", doppler_ratio, n),
-        ("entangle_concurrence_dm_0.5_beta_0.6", pair_concurrence, n_pair),
+        ("spin_entropy_theta_pi2_gamma_0.5", n,
+         lambda res: spin_half.sweep_values(np.pi / 2, 0.5, 1.0, res)["entropy_bits"]),
+        ("spin_pair_error_gamma_0.005", n,
+         lambda res: spin_half.sweep_values(np.pi / 2, 0.005, 1.0, res)["p_error"]),
+        ("photon_pair_error_dr_over_k_0.01", n,
+         lambda res: photon.circular_pair_error(100.0, 0.1, 1.0, res)),
+        ("doppler_ratio_v_0.5", n,
+         lambda res: photon.doppler_report(100.0, 0.1, 1.0, 0.5, res).ratio),
+        ("entangle_concurrence_dm_0.5_beta_0.6", max(2, n // 2),
+         lambda res: entangle.sweep_values(0.5, 0.6, res)["concurrence"]),
     ]
 
     def evaluate(probe):
-        name, fn, res = probe
-        value = fn(res)
-        refined = fn(2 * res)
-        delta = _rel_delta(value, refined)
+        name, res, fn = probe
+        value, refined = fn(res), fn(2 * res)
+        delta = abs(refined - value) / max(abs(refined), 1e-300)
         return {
             "observable": name,
             "nodes_per_axis": res,

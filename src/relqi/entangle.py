@@ -15,7 +15,8 @@ the concurrence (|T|_F^2 - 1)/2 are short functions of the moments (D, s)
 of spin_half.wigner_moments on the INVARIANT grid, so a sweep row costs
 O(N) time (memory: the cached grid) in the N nodes of one particle's grid,
 not O(N^2); the z boosts of the sweep evaluate W_n on a quarter of them, one
-node per mirror orbit.
+node per mirror orbit.  `sweep_values` returns the values of one sweep row
+at one resolution; the n/2n convergence check is made in `relqi.cli`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, qmatrix, spin_half, wavepacket
+from . import geometry, qmatrix, spin_half
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize
 
 DEFAULT_NODES_PER_AXIS = 8
@@ -148,27 +149,9 @@ def boosted_singlet(
     return max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))), rho
 
 
-def sweep_row(
-    delta_over_m: float,
-    beta: float,
-    *,
-    mass: float = 1.0,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-    tolerance: float = 1e-6,
-    check_convergence: bool = True,
-) -> dict:
-    """One sweep entry: concurrence of the boosted singlet at (delta/m, beta).
-
-    The row and its convergence flag come from wavepacket.row, as for the
-    spin and photon rows.
-    """
-
-    def values_at(n):
-        lam = geometry.boost_from_velocity([0.0, 0.0, beta])
-        conc, rho = boosted_singlet(lam, delta_over_m * mass, mass, n)
-        marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
-        return {"concurrence": conc, "entropy_of_marginal_bits": qmatrix.entropy(marginal)}
-
-    fields = {"delta_over_m": float(delta_over_m), "beta": float(beta),
-              "concurrence": np.nan, "entropy_of_marginal_bits": np.nan}
-    return wavepacket.row(fields, values_at, nodes_per_axis, tolerance, check_convergence)
+def sweep_values(delta_over_m: float, beta: float, nodes_per_axis: int) -> dict:
+    """Concurrence and marginal entropy of the unit-mass boosted singlet at (delta/m, beta)."""
+    lam = geometry.boost_from_velocity([0.0, 0.0, beta])
+    conc, rho = boosted_singlet(lam, delta_over_m, 1.0, nodes_per_axis)
+    marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
+    return {"concurrence": conc, "entropy_of_marginal_bits": qmatrix.entropy(marginal)}

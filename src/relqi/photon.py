@@ -27,7 +27,6 @@ zero); pure spatial rotations act on polarization vectors exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -39,7 +38,7 @@ from .wavepacket import (
     GaussianSpec,
     Measure,
     MomentumGrid,
-    NumericalError,
+    _gauss_rule,
     ensure_same_grid,
     gauss_grid,
     inner_product,
@@ -111,28 +110,6 @@ class PhotonPacket:
         """Geometrical polarization 3-vector at every node."""
         eps_p, eps_m = helicity_vectors_batch(self.khat())
         return self.helicity[:, :1] * eps_p + self.helicity[:, 1:] * eps_m
-
-
-_GAUSS_RULES = {
-    "Gauss-Hermite": np.polynomial.hermite.hermgauss,
-    "Gauss-Laguerre": np.polynomial.laguerre.laggauss,
-}
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_rule(name: str, nodes_per_axis: int):
-    """Read-only nodes and weights of numpy's `name` rule, built once per node count.
-
-    Raises NumericalError when a weight is not finite and positive, as the
-    Gauss-Laguerre weights are from 187 nodes.
-    """
-    with np.errstate(all="ignore"):
-        x, w = _GAUSS_RULES[name](nodes_per_axis)
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise NumericalError(f"the {name} rule breaks down at {nodes_per_axis} nodes")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):

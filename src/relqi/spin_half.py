@@ -23,6 +23,9 @@ the nodes for a boost in the x-z plane, a quarter for a boost along z and
 an eighth for the identity.  One LRU cache, `_packet_nodes`, holds the
 16 most recently used rules, full or folded.
 
+`sweep_values` returns the values of one sweep row at one resolution; the
+n/2n convergence check of the row is made in `relqi.cli`.
+
 The dimensionless boost-mixing parameter is
 gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
 boost directions for sweeps lie in the x-z plane at angle theta from z
@@ -279,31 +282,15 @@ def boosted_pair_error(delta, mass, beta, theta, nodes_per_axis=DEFAULT_NODES_PE
     return _boosted_pair(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)[2]
 
 
-def sweep_row(
-    theta: float,
-    gamma: float,
-    *,
-    delta_over_m: float = 1.0,
-    mass: float = 1.0,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-    tolerance: float = 1e-6,
-    check_convergence: bool = True,
-) -> dict:
-    """One sweep entry: spin entropy and pair error at (theta, gamma).
+def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis: int) -> dict:
+    """beta, spin entropy and pair error of a unit-mass packet at (theta, gamma).
 
     Gamma is inverted for beta at the fixed delta_over_m; an unreachable
-    gamma yields a NaN row carrying an "error" note instead of raising.
-    The row and its convergence flag come from wavepacket.row.
+    gamma raises ValueError.
     """
-
-    def values_at(n):
-        beta = beta_for_gamma(gamma, delta_over_m)
-        p_error = _boosted_pair(boost_for_angle(beta, theta), delta_over_m * mass, mass, n)[2]
-        # tau_up has eigenvalues (1 +- |r|)/2 = 1 - p_error, p_error; taking them
-        # from the variance form keeps the small one accurate at small Gamma
-        entropy = qmatrix.entropy(np.diag([1.0 - p_error, p_error]))
-        return {"beta": beta, "entropy_bits": entropy, "p_error": p_error}
-
-    fields = {"theta": float(theta), "gamma": float(gamma), "beta": np.nan,
-              "delta_over_m": float(delta_over_m), "entropy_bits": np.nan, "p_error": np.nan}
-    return wavepacket.row(fields, values_at, nodes_per_axis, tolerance, check_convergence)
+    beta = beta_for_gamma(gamma, delta_over_m)
+    p_error = _boosted_pair(boost_for_angle(beta, theta), delta_over_m, 1.0, nodes_per_axis)[2]
+    # tau_up has eigenvalues (1 +- |r|)/2 = 1 - p_error, p_error; taking them
+    # from the variance form keeps the small one accurate at small Gamma
+    entropy = qmatrix.entropy(np.diag([1.0 - p_error, p_error]))
+    return {"beta": beta, "entropy_bits": entropy, "p_error": p_error}

@@ -18,11 +18,17 @@ grid and integrand give bit-identical results on every run.
 A grid centred on 0 along an axis has nodes and weights exactly symmetric
 under the reflection of that axis; `fold` keeps one node per mirror orbit
 with the orbit's total probability, for integrands even under it.
+
+The 1-D Gauss rules are built once per node count (`_gauss_rule`), for
+these grids and for the photon beam rule.  No convergence check lives
+here: whether a value has converged (recomputed at twice the nodes per
+axis) is decided by one rule in `relqi.cli`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +121,28 @@ class MomentumGrid:
         )
 
 
+_GAUSS_RULES = {
+    "Gauss-Hermite": np.polynomial.hermite.hermgauss,
+    "Gauss-Laguerre": np.polynomial.laguerre.laggauss,
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(name: str, nodes_per_axis: int):
+    """Read-only nodes and weights of numpy's `name` rule, built once per node count.
+
+    Raises NumericalError when a weight is not finite and positive, as the
+    Gauss-Laguerre weights are from 187 nodes.
+    """
+    with np.errstate(all="ignore"):
+        x, w = _GAUSS_RULES[name](nodes_per_axis)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise NumericalError(f"the {name} rule breaks down at {nodes_per_axis} nodes")
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def ensure_same_grid(a: MomentumGrid, b: MomentumGrid) -> None:
     """Raise unless two grids share nodes, weights and measure convention."""
     if a.convention is not b.convention:
@@ -140,7 +168,7 @@ def gauss_grid(
     """
     if nodes_per_axis < 1:
         raise ValueError("nodes_per_axis must be >= 1")
-    x, w = np.polynomial.hermite.hermgauss(nodes_per_axis)
+    x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     axes_nodes = []
     axes_weights = []
     for c, width in zip(spec.center, spec.widths):
@@ -218,36 +246,3 @@ def fold(nodes: np.ndarray, probs: np.ndarray, axes) -> tuple:
     kept.setflags(write=False)
     kept_probs.setflags(write=False)
     return kept, kept_probs
-
-
-def refine(values_at, nodes_per_axis: int, tolerance: float,
-           check_convergence: bool = True) -> dict:
-    """The values at `nodes_per_axis`, their node count and convergence flag.
-
-    `values_at(n)` returns the dict of grid-dependent values printed at n
-    nodes per axis.  Unless `check_convergence` is off they are recomputed
-    at 2n, and `converged` holds when every value (every entry of an array)
-    moved by less than `tolerance`, absolute.  A ValueError propagates.
-    """
-    values = values_at(nodes_per_axis)
-    converged = True
-    if check_convergence:
-        fine = values_at(2 * nodes_per_axis)
-        converged = all(np.all(np.abs(np.subtract(fine[k], v)) < tolerance)
-                        for k, v in values.items())
-    return {**values, "grid_nodes": nodes_per_axis**3, "converged": bool(converged)}
-
-
-def row(fields: dict, values_at, nodes_per_axis: int, tolerance: float,
-        check_convergence: bool = True) -> dict:
-    """One sweep row: `fields` updated with refine(values_at, ...).
-
-    `fields` holds the row's inputs and a NaN for each value it prints.  A
-    row whose evaluation raises ValueError, at either resolution, keeps
-    those NaNs, is not converged and carries the reason as "error".
-    """
-    try:
-        return {**fields, **refine(values_at, nodes_per_axis, tolerance, check_convergence)}
-    except ValueError as exc:
-        return {**fields, "grid_nodes": nodes_per_axis**3, "converged": False,
-                "error": str(exc)}

@@ -1,7 +1,10 @@
 """Test-only helpers: random states and channels, reference channels,
-density-matrix and Lorentz-matrix checks, explicit rotations and the
-one-particle spin marginal of a pair amplitude.
+density-matrix and Lorentz-matrix checks, explicit rotations, the
+one-particle spin marginal of a pair amplitude and the parsed flags that
+the CLI's sweep rows read.
 """
+
+import argparse
 
 import numpy as np
 
@@ -107,3 +110,10 @@ def single_spin_density(state: entangle.TwoParticleAmplitude, particle: int = 1)
     rho = entangle.spin_spin_density(state)
     side = "right" if particle == 1 else "left"
     return qmatrix.partial_trace(rho, (2, 2), side=side)
+
+
+def row_args(resolution: int, tolerance: float = 1e-6, no_convergence: bool = False,
+             delta_over_m: float = 1.0) -> argparse.Namespace:
+    """The flags that relqi.cli's row builders (_spin_row, _entangle_row) read."""
+    return argparse.Namespace(resolution=resolution, tolerance=tolerance,
+                              no_convergence=no_convergence, delta_over_m=delta_over_m)

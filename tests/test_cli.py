@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relqi import cli
+import helpers
 
 
 def run_cli(args, capsys=None):
@@ -28,6 +29,46 @@ def test_parse_values():
         cli.parse_values("a,b", "x")
     with pytest.raises(cli.ConfigError, match="x"):
         cli.parse_values("1:0:0.1", "x")
+
+
+def test_refine_compares_every_value_at_twice_the_nodes():
+    calls = []
+
+    def values_at(n):
+        calls.append(n)
+        return {"a": 1.0 / n, "b": np.array([0.0, 1.0 / n**2])}
+
+    out = cli._refine(helpers.row_args(4, 0.2), values_at)
+    assert calls == [4, 8]
+    assert out["a"] == 0.25 and out["grid_nodes"] == 64 and out["converged"] is True
+    np.testing.assert_array_equal(out["b"], [0.0, 1.0 / 16])
+    out = cli._refine(helpers.row_args(4, 0.1), values_at)
+    assert out["converged"] is False  # a moved by 0.125
+    calls.clear()
+    args = helpers.row_args(4, 1e-9, no_convergence=True)
+    assert cli._refine(args, values_at)["converged"] is True
+    assert calls == [4]
+
+
+def test_row_that_fails_at_the_refined_grid_is_a_nan_row():
+    def values_at(n):
+        if n > 4:
+            raise ValueError("refined grid failed")
+        return {"x": 1.0}
+
+    fields = {"k": 2.0}
+    out = cli._row(helpers.row_args(4, 1e-3), fields, values_at)
+    assert "x" not in out and out["k"] == 2.0
+    assert out["grid_nodes"] == 64 and out["converged"] is False
+    assert out["error"] == "refined grid failed"
+    # the CSV writer prints nan for a value that a failed row lacks
+    header = "k,x,grid_nodes,converged"
+    assert cli._csv(header, [out]) == header + "\n2,nan,64,false\n"
+    ok = cli._row(helpers.row_args(4, 1e-3, no_convergence=True), fields, values_at)
+    assert ok == {"k": 2.0, "x": 1.0, "grid_nodes": 64, "converged": True}
+    # a row that did not fail must carry every value its header names
+    with pytest.raises(KeyError, match="y"):
+        cli._csv("k,x,y,grid_nodes,converged", [ok])
 
 
 def test_spin_entropy_csv(tmp_path):
@@ -291,11 +332,12 @@ def test_failed_rows_say_why(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, csv_row, reason", [
-    # the row computes at 12 nodes per axis and fails its 24-node refinement
-    (["spin-entropy", "--theta", "1", "--gamma", "0.99935"],
-     "1,0.99935,nan,1,nan,nan,1728,false",
-     "relqi: row theta=1 gamma=0.99935: little-group elements do not fix the time axis"),
-    # the same failure with margin: a defect of 2.3e-8 already at 12 nodes per axis
+    # the row computes at 12 nodes per axis (time-axis defect 7.7e-10) and fails
+    # its 24-node refinement (1.31e-9), each at least 20% from the 1e-9 bound
+    (["spin-entropy", "--theta", "0.9", "--gamma", "0.99947"],
+     "0.9,0.99947,nan,1,nan,nan,1728,false",
+     "relqi: row theta=0.9 gamma=0.99947: little-group elements do not fix the time axis"),
+    # the same failure at the coarse pass: a defect of 2.3e-8 already at 12 nodes per axis
     (["spin-entropy", "--theta", "1", "--gamma", "0.9999"],
      "1,0.9999,nan,1,nan,nan,1728,false",
      "relqi: row theta=1 gamma=0.9999: little-group elements do not fix the time axis"),
@@ -362,6 +404,17 @@ def test_convergence_deltas_shrink_with_resolution(tmp_path):
     assert deltas["photon_pair_error_dr_over_k_0.01"][8] < 1e-8
 
 
+def test_convergence_has_no_switch_to_skip_its_check(tmp_path, capsys):
+    # convergence always computes both resolutions, so the switch is unknown to it
+    assert cli.run(["convergence", "--no-convergence", "--out", "-"]) == 2
+    assert "--no-convergence" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"no_convergence": true}')
+    assert cli.run(["convergence", "--config", str(cfg), "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err == "relqi: configuration error: config: unknown field 'no_convergence'\n"
+
+
 def test_convergence_resolution_one_not_converged(tmp_path):
     out = tmp_path / "conv1.csv"
     code = cli.run(["convergence", "--resolution", "1", "--tolerance", "1e-6",
@@ -415,7 +468,7 @@ def test_numerical_failure_exits_3_and_a_failed_row_exits_1():
 def test_time_axis_defect_is_a_numerical_error():
     from relqi import geometry, spin_half, wavepacket
 
-    beta = spin_half.beta_for_gamma(0.99935, 1.0)
-    nodes, _ = spin_half._packet_nodes(1.0, 1.0, 24, wavepacket.Measure.PLAIN, ())
+    beta = spin_half.beta_for_gamma(0.9999, 1.0)
+    nodes, _ = spin_half._packet_nodes(1.0, 1.0, 12, wavepacket.Measure.PLAIN, ())
     with pytest.raises(wavepacket.NumericalError, match="time axis"):
         geometry.wigner_quaternion_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)

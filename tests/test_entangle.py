@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from relqi import cli
 from relqi import entangle as en
 from relqi import geometry as geo
 from relqi import qmatrix as qm
@@ -153,9 +154,10 @@ def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
 
 
 def test_sweep_row_memory_bounded():
+    args = helpers.row_args(16)
     tracemalloc.start()
     try:
-        row = en.sweep_row(0.5, 0.9, nodes_per_axis=16)
+        row = cli._entangle_row(args, 0.5, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,10 +168,11 @@ def test_sweep_row_memory_bounded():
 def test_sweep_row_scratch_is_bounded_once_the_grid_is_cached():
     # As for the spin rows, on the INVARIANT grid: the second row's peak is one
     # kernel block (about 1 MB; 17 MB when the kernel held every folded node).
-    en.sweep_row(0.5, 0.6, nodes_per_axis=40)
+    args = helpers.row_args(40)
+    cli._entangle_row(args, 0.5, 0.6)
     tracemalloc.start()
     try:
-        row = en.sweep_row(0.5, 0.9, nodes_per_axis=40)
+        row = cli._entangle_row(args, 0.5, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -178,30 +181,29 @@ def test_sweep_row_scratch_is_bounded_once_the_grid_is_cached():
 
 
 def test_sweep_rows():
-    rows = [en.sweep_row(dm, beta, nodes_per_axis=6, check_convergence=False)
-            for dm in (1e-4, 0.5) for beta in (0.0, 0.5, 0.9)]
+    rows = {(dm, beta): en.sweep_values(dm, beta, 6)
+            for dm in (1e-4, 0.5) for beta in (0.0, 0.5, 0.9)}
     assert len(rows) == 6
-    for row in rows:
-        if row["beta"] == 0.0:
+    for (dm, beta), row in rows.items():
+        if beta == 0.0:
             assert row["concurrence"] == pytest.approx(1.0, abs=1e-8)
-        if row["delta_over_m"] == 1e-4:
+        if dm == 1e-4:
             assert row["concurrence"] == pytest.approx(1.0, abs=1e-4)
         assert row["entropy_of_marginal_bits"] == pytest.approx(1.0, abs=1e-6)
-    wide = [r["concurrence"] for r in rows if r["delta_over_m"] == 0.5]
+    wide = [row["concurrence"] for (dm, _), row in rows.items() if dm == 0.5]
     assert wide[0] > wide[1] > wide[2]
 
 
 def test_sweep_monotone_in_beta():
-    rows = [en.sweep_row(0.5, beta, nodes_per_axis=6, check_convergence=False)
-            for beta in np.linspace(0.0, 0.9, 4)]
+    rows = [en.sweep_values(0.5, beta, 6) for beta in np.linspace(0.0, 0.9, 4)]
     conc = [r["concurrence"] for r in rows]
     assert all(c1 >= c2 - 1e-6 for c1, c2 in zip(conc, conc[1:]))
 
 
 def test_sweep_convergence_flag():
-    row = en.sweep_row(0.5, 0.6, nodes_per_axis=6, tolerance=1e-3)
+    row = cli._entangle_row(helpers.row_args(6, 1e-3), 0.5, 0.6)
     assert row["converged"]
-    row = en.sweep_row(0.5, 0.9, nodes_per_axis=4, tolerance=1e-10)
+    row = cli._entangle_row(helpers.row_args(4, 1e-10), 0.5, 0.9)
     assert not row["converged"]
 
 

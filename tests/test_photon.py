@@ -5,6 +5,7 @@ import pytest
 
 from relqi import geometry as geo
 from relqi import photon as ph
+from relqi import wavepacket as wp
 from relqi.wavepacket import Measure, gauss_grid, GaussianSpec
 import helpers
 
@@ -353,13 +354,17 @@ def test_packet_validation():
 
 
 def test_gauss_rules_are_built_once_per_node_count():
-    ph._gauss_rule.cache_clear()
+    # one cache, in wavepacket, serves the photon rules and gauss_grid
+    wp._gauss_rule.cache_clear()
     first = ph.circular_pair_error(100.0, 0.1, 1.0, 12, 0.5)
     assert ph.circular_pair_error(100.0, 0.1, 1.0, 12, 0.5) == first
-    info = ph._gauss_rule.cache_info()
+    info = wp._gauss_rule.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+    gauss_grid(GaussianSpec.isotropic(1.0), 12, Measure.PLAIN)
+    info = wp._gauss_rule.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
     for name in ("Gauss-Hermite", "Gauss-Laguerre"):
-        x, w = ph._gauss_rule(name, 12)
+        x, w = wp._gauss_rule(name, 12)
         assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError, match="Gauss-Laguerre rule breaks down at 190 nodes"):
-        ph._gauss_rule("Gauss-Laguerre", 190)
+        wp._gauss_rule("Gauss-Laguerre", 190)

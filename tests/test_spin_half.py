@@ -5,10 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from relqi import cli
 from relqi import geometry as geo
 from relqi import qmatrix as qm
 from relqi import spin_half as sh
 from relqi.wavepacket import Measure, MomentumGrid
+import helpers
 
 RNG = np.random.default_rng(90210)
 
@@ -180,7 +182,7 @@ def test_pair_error_small_gamma_ratio(theta):
     # tau_up has eigenvalues P and 1 - P, so its entropy is the binary entropy
     # of P; rounding 1 - P costs up to 2e-5 relative at Gamma = 1e-6
     for gamma in (1e-4, 1e-5, 1e-6):
-        row = sh.sweep_row(theta, gamma, nodes_per_axis=16, check_convergence=False)
+        row = sh.sweep_values(theta, gamma, 1.0, 16)
         p = row["p_error"]
         binary = -(p * np.log2(p) + (1.0 - p) * np.log1p(-p) / np.log(2.0))
         assert row["entropy_bits"] == pytest.approx(binary, rel=1e-4, abs=0.0)
@@ -219,7 +221,8 @@ def grid_builds(monkeypatch):
 
 
 def test_sweep_builds_one_grid_per_resolution(grid_builds):
-    rows = [sh.sweep_row(theta, gamma)
+    args = helpers.row_args(12)
+    rows = [cli._spin_row(args, theta, gamma)
             for theta in np.linspace(0.0, np.pi, 16) for gamma in (0.0, 0.25, 0.5)]
     assert len(rows) == 48
     assert sorted(grid_builds) == [12, 24]
@@ -247,9 +250,10 @@ def test_grid_cache_builds_once_under_concurrent_rows(grid_builds):
 
 
 def test_spin_row_memory_bounded():
+    args = helpers.row_args(32)
     tracemalloc.start()
     try:
-        row = sh.sweep_row(np.pi / 2, 0.25, nodes_per_axis=32)
+        row = cli._spin_row(args, np.pi / 2, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,10 +265,11 @@ def test_spin_row_scratch_is_bounded_once_the_grid_is_cached():
     # The first row builds and folds the n = 40 and n = 80 grids; a second row
     # at another theta reuses them and keeps only one kernel block of scratch
     # (about 1 MB; 33 MB when the kernel held every folded node at once).
-    sh.sweep_row(0.3, 0.25, nodes_per_axis=40)
+    args = helpers.row_args(40)
+    cli._spin_row(args, 0.3, 0.25)
     tracemalloc.start()
     try:
-        row = sh.sweep_row(0.7, 0.25, nodes_per_axis=40)
+        row = cli._spin_row(args, 0.7, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,10 +303,9 @@ def test_sharp_momentum_limit_entropy_vanishes():
 
 
 def test_entropy_sweep_rows():
-    rows = [sh.sweep_row(theta, gamma, nodes_per_axis=8, check_convergence=False)
-            for theta in (0.5, np.pi - 0.5) for gamma in (0.0, 0.4)]
-    assert len(rows) == 4
-    by_key = {(round(r["theta"], 6), r["gamma"]): r for r in rows}
+    by_key = {(round(theta, 6), gamma): sh.sweep_values(theta, gamma, 1.0, 8)
+              for theta in (0.5, np.pi - 0.5) for gamma in (0.0, 0.4)}
+    assert len(by_key) == 4
     for theta in (0.5, np.pi - 0.5):
         assert by_key[(round(theta, 6), 0.0)]["entropy_bits"] < 1e-9
     s1 = by_key[(round(0.5, 6), 0.4)]["entropy_bits"]
@@ -310,17 +314,20 @@ def test_entropy_sweep_rows():
 
 
 def test_entropy_sweep_marks_unreachable_gamma():
-    rows = [sh.sweep_row(0.1, 0.9, delta_over_m=0.5, nodes_per_axis=6)]
+    with pytest.raises(ValueError, match="unreachable"):
+        sh.sweep_values(0.1, 0.9, 0.5, 6)
+    rows = [cli._spin_row(helpers.row_args(6, delta_over_m=0.5), 0.1, 0.9)]
     assert len(rows) == 1
     assert not rows[0]["converged"]
-    assert np.isnan(rows[0]["entropy_bits"])
+    entropy = cli._csv(cli.SPIN_HEADER, rows).split("\n")[1].split(",")[4]
+    assert np.isnan(float(entropy))
     assert "unreachable" in rows[0]["error"]
 
 
 def test_entropy_sweep_convergence_flag():
-    row = sh.sweep_row(np.pi / 2, 0.25, nodes_per_axis=12, tolerance=1e-4)
+    row = cli._spin_row(helpers.row_args(12, 1e-4), np.pi / 2, 0.25)
     assert row["converged"]
-    row = sh.sweep_row(np.pi / 2, 0.5, nodes_per_axis=4, tolerance=1e-8)
+    row = cli._spin_row(helpers.row_args(4, 1e-8), np.pi / 2, 0.5)
     assert not row["converged"]
 
 
@@ -336,7 +343,7 @@ def test_identity_boost_rows_are_exactly_zero(n):
     # and the moments D and s are exactly 0, so the pair error and the entropy
     # are 0, from the sweep row and from boosted_pair_error at beta = 0.
     for theta in (0.0, 0.7):
-        row = sh.sweep_row(theta, 0.0, nodes_per_axis=n, check_convergence=False)
+        row = sh.sweep_values(theta, 0.0, 1.0, n)
         assert row["p_error"] == 0.0 and row["entropy_bits"] == 0.0
     assert np.all(sh.wigner_kernel(np.eye(4), 1.0, 1.0, n)[1] == np.eye(3))
     for convention in (Measure.PLAIN, Measure.INVARIANT):

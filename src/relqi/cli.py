@@ -5,8 +5,8 @@ photon-distinguish, doppler, channel-audit, entangle-sweep, convergence.
 Parameter lists accept `a,b,c` or `min:max:step` (inclusive); angles are in
 radians, speeds are fractions of c.  Lists starting with a negative number
 need the `--flag=value` form.  Rows run in order in the calling thread
-and floats are printed with 12 significant digits, so a fixed configuration
-yields byte-identical output.
+and floats, in CSV and JSON alike, are printed with 12 significant digits,
+so a fixed configuration yields byte-identical output.
 Exit codes: 0 success, 1 numerical non-convergence (output still written),
 2 configuration error, 3 numerical failure outside a sweep row.  A sweep
 row that fails is written as NaN, and its reason is printed on stderr.
@@ -93,8 +93,8 @@ def _json(obj) -> str:
         if isinstance(x, (list, tuple)):
             return [clean(v) for v in x]
         if isinstance(x, (np.floating, float)):
-            x = float(x)
-            return None if math.isnan(x) else x
+            # the CSV's 12 significant digits; -0.0 prints as 0.0
+            return None if math.isnan(x) else float(_fmt(x)) + 0.0
         if isinstance(x, (np.integer,)):
             return int(x)
         if isinstance(x, np.bool_):

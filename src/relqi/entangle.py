@@ -13,9 +13,9 @@ fixed by the Bloch matrix T = sum_n p_n W_n of one particle: its
 correlation tensor is -T T^T and its marginals stay maximally mixed.  T and
 the concurrence (|T|_F^2 - 1)/2 are short functions of the moments (D, s)
 of spin_half.wigner_moments on the INVARIANT grid, so a sweep row costs
-O(N) time (memory: the cached grid) in the N nodes of one particle's grid,
-not O(N^2); the z boosts of the sweep evaluate W_n on a quarter of them, one
-node per mirror orbit.  `sweep_values` returns the values of one sweep row
+O(N) time and O(block + n) memory in the N = n^3 nodes of one particle's
+grid, not O(N^2); the z boosts of the sweep evaluate W_n on a quarter of
+them, one node per mirror orbit.  `sweep_values` returns the values of one sweep row
 at one resolution; the n/2n convergence check is made in `relqi.cli`.
 """
 

@@ -7,12 +7,14 @@ little-group element W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure
 boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_quaternion_blocks
 evaluates it as the SL(2,C) product A(Lp)^{-1} A(L) A(p), with
 A(p) = (E + m + p.sigma) / sqrt(2m(E + m)) the spinor image of B(p), in
-real component arithmetic on blocks of _WIGNER_BLOCK nodes, and yields one
-unit quaternion per node; wigner_quaternion_batch assembles the blocks, and
-wigner_rotation_batch and wigner_su2_batch are built from its quaternions.
-The 4x4 matrix product is kept only as a test oracle.
-mirror_axes finds the reflections q_k -> -q_k that commute with a Lorentz
-transformation, over which momentum grids are folded (wavepacket.fold);
+real component arithmetic on the blocks of momenta it is given, and yields
+one unit quaternion per node.  It is the one copy of the per-node kernel:
+spin_half streams the blocks of a packet's quadrature rule through it,
+wigner_quaternion_batch cuts explicit (n, 3) momenta into blocks of
+_WIGNER_BLOCK nodes, and wigner_rotation_batch and wigner_su2_batch are
+built from its quaternions.  The 4x4 matrix product is kept only as a test
+oracle.  mirror_axes finds the reflections q_k -> -q_k that commute with a
+Lorentz transformation, over which spin_half folds its rules;
 spin_half.wigner_moments applies the resulting symmetry to its sums.
 """
 
@@ -251,8 +253,9 @@ def mirror_axes(lam: np.ndarray) -> tuple:
     return tuple(axes)
 
 
-# Nodes per block of the little-group kernel: none of its per-node arrays,
-# (n,) or (n, 4), is longer, so its scratch is about 1 MB at any grid size.
+# Nodes per block of the little-group kernel and of the packet rules streamed
+# through it: no per-node array, (n,) or (n, 4), is longer, so the scratch of
+# a row is about 1 MB at any grid size.
 _WIGNER_BLOCK = 2048
 
 
@@ -265,15 +268,15 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def wigner_quaternion_blocks(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """Transport momenta through `lam` and yield their Wigner quaternions block by block.
+def wigner_quaternion_blocks(lam: np.ndarray, blocks, mass: float):
+    """Transport blocks of momenta through `lam` and yield their Wigner quaternions.
 
-    Yields (block, p4, q) for consecutive slices `block` of at most
-    _WIGNER_BLOCK nodes: p4 is the (b, 4) array of transported four-momenta
-    p_n = L q_n and q the (4, b) array, rows (x, y, z, w), of the unit
-    quaternions of the spatial blocks W_n of the little-group elements
-    B(p_n)^{-1} L B(q_n) at the incoming momenta q_n.  The sign of each
-    quaternion is the one the product gives.
+    `blocks` is an iterable of tuples whose first entry is a (b, 3) array of
+    momenta q_n.  For each tuple `block` it yields (block, p4, q): p4 is the
+    (b, 4) array of transported four-momenta p_n = L q_n and q the (4, b)
+    array, rows (x, y, z, w), of the unit quaternions of the spatial blocks
+    W_n of the little-group elements B(p_n)^{-1} L B(q_n) at the incoming
+    momenta q_n.  The sign of each quaternion is the one the product gives.
 
     The elements are the closed-form SL(2,C) products
     U_n = A(p_n)^{-1} A(L) A(q_n) with A(q) = (E + m + q.sigma) / sqrt(2m(E + m)),
@@ -295,7 +298,6 @@ def wigner_quaternion_blocks(lam: np.ndarray, momenta: np.ndarray, mass: float):
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
         raise ValueError("the Lorentz transformation must be proper and orthochronous")
-    momenta = np.asarray(momenta, dtype=float)
     # lam = B R; r4 = B^{-1} lam fixes the time axis up to rounding
     boost = standard_boost(lam[:, 0], 1.0)
     r4 = lorentz_inverse(boost) @ lam
@@ -306,9 +308,8 @@ def wigner_quaternion_blocks(lam: np.ndarray, momenta: np.ndarray, mass: float):
     # and A(p)^{-1} ~ (E' + m) - p.sigma; `scale` restores the unit determinant.
     c0 = boost[0, 0] + 1.0
     c = tuple(boost[1:, 0])
-    for start in range(0, len(momenta), _WIGNER_BLOCK):
-        block = slice(start, start + _WIGNER_BLOCK)
-        q4 = four_momentum(mass, momenta[block])
+    for block in blocks:
+        q4 = four_momentum(mass, block[0])
         p4 = q4 @ lam.T
         _require_on_shell(q4, mass)
         _require_on_shell(p4, mass)
@@ -333,10 +334,16 @@ def wigner_quaternion_blocks(lam: np.ndarray, momenta: np.ndarray, mass: float):
 
 
 def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """The blocks of wigner_quaternion_blocks as (n, 4) arrays: p4_out and q (x, y, z, w)."""
+    """wigner_quaternion_blocks on (n, 3) momenta, in blocks of _WIGNER_BLOCK.
+
+    Returns the (n, 4) arrays p4_out and q (x, y, z, w).
+    """
+    momenta = np.asarray(momenta, dtype=float)
     n = len(momenta)
     p4, quats = np.empty((n, 4)), np.empty((4, n))
-    for block, p4_block, q in wigner_quaternion_blocks(lam, momenta, mass):
+    slices = (slice(start, start + _WIGNER_BLOCK) for start in range(0, n, _WIGNER_BLOCK))
+    blocks = ((momenta[block], block) for block in slices)
+    for (_, block), p4_block, q in wigner_quaternion_blocks(lam, blocks, mass):
         p4[block], quats[:, block] = p4_block, q
     return p4, quats.T
 

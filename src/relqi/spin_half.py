@@ -14,14 +14,14 @@ average of the 3x3 Wigner rotations (`wigner_kernel`).  Every sweep
 observable is a short function of one kernel, `wigner_moments`: D = T - I
 and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
 quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
-with r = e_z + D e_z.  Each observable costs O(N) time in the N grid nodes;
-its only O(N) memory is the rule cache, since the kernel works on blocks
-of geometry._WIGNER_BLOCK nodes.  The kernel evaluates the quaternions
-once per mirror orbit of the grid: the packet is centred on 0, so every
-axis whose reflection commutes with the boost is folded, which keeps half
-the nodes for a boost in the x-z plane, a quarter for a boost along z and
-an eighth for the identity.  One LRU cache, `_packet_nodes`, holds the
-16 most recently used rules, full or folded.
+with r = e_z + D e_z.  Each observable costs O(N) time in the N grid nodes
+and O(block + n) memory at any resolution: `_packet_blocks` streams the
+packet's quadrature rule, built from the cached 1-D Gauss-Hermite rule, in
+blocks of geometry._WIGNER_BLOCK nodes through the kernel, and no n^3 grid
+is built or cached.  The rule is folded over every mirror axis whose
+reflection commutes with the boost (the packet is centred on 0), which
+keeps half the nodes for a boost in the x-z plane, a quarter for a boost
+along z and an eighth for the identity.
 
 `sweep_values` returns the values of one sweep row at one resolution; the
 n/2n convergence check of the row is made in `relqi.cli`.
@@ -34,14 +34,13 @@ boost directions for sweeps lie in the x-z plane at angle theta from z
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, qmatrix, wavepacket
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, inner_product, normalize
+from .wavepacket import (TWO_PI_CUBED, GaussianSpec, Measure, MomentumGrid, _gauss_rule,
+                         gauss_grid, inner_product)
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -114,28 +113,64 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     return qmatrix.hermitize(tau)
 
 
-# Serializes the rule cache, so that rows in several threads build each rule once.
-_GRID_LOCK = threading.Lock()
+def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
+    """The quadrature rule of the Gaussian packet of wigner_kernel, in blocks.
 
+Yields (nodes, weights, profile, probs) for consecutive blocks of
+    gauss_grid's tensor Gauss-Hermite rule, in its C order, built from the
+    cached 1-D rule: the (b, 3) nodes, their PLAIN or INVARIANT weights w_n,
+    the normalized profile h_n and the probabilities p_n = m_n w_n h_n^2.
+    A block is a run of whole z lines of at most geometry._WIGNER_BLOCK
+    nodes (one line, when a line is longer).  Along each mirror axis k in `axes`
+    only the nodes with q_k >= 0 are kept, and the multiplicity m_n doubles
+    for each such k with q_k > 0, so that sum_n p_n f(q_n) is the full
+    rule's sum for any f even under those reflections.  The profile
+    exp(-|q|^2 / (2 delta^2)) is normalized by one scalar,
+    Z = sum_n m_n w_n h_n^2, taken in a streaming pass before the first
+    block.  Nothing of size n^3 is built or kept: every array is O(block + n).
 
-@functools.lru_cache(maxsize=16)
-def _packet_nodes(delta, mass, nodes_per_axis, convention, axes):
-    """Read-only nodes and probabilities p_n = w_n |h_n|^2 of the Gaussian packet.
-
-    The full rule for `axes` == (), else its wavepacket.fold over the mirror
-    `axes` (a tuple), taken from the cached full rule.  `axes` has no default:
-    the cache would key a call without it apart from the same call with ().
+    Raises NumericalError when a 1-D weight is not finite and positive or,
+    for nonempty `axes`, when the 1-D rule is not exactly mirror-symmetric
+    (x == -x[::-1], w == w[::-1]), and, after the last block, when the
+    probabilities do not sum to 1 within 1e-8.
     """
-    if axes:
-        return wavepacket.fold(*_packet_nodes(delta, mass, nodes_per_axis, convention, ()), axes)
-    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, convention, mass=mass)
-    profile = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta * delta)))
-    probs = grid.weights * profile**2
-    total = float(probs.sum())
+    x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
+    if axes and not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
+        raise wavepacket.NumericalError(
+            f"the Gauss-Hermite rule at {nodes_per_axis} nodes is not mirror-symmetric")
+    q, wq = delta * x, delta * w * np.exp(x * x)
+    if not np.all(np.isfinite(wq) & (wq > 0.0)):
+        raise wavepacket.NumericalError(
+            f"the Gauss-Hermite rule breaks down at {nodes_per_axis} nodes")
+    half = q >= 0.0
+    (px, wx, mx), (py, wy, my), (pz, wz, mz) = (
+        (q[half], wq[half], np.where(q[half] > 0.0, 2.0, 1.0)) if k in axes
+        else (q, wq, np.ones(nodes_per_axis)) for k in range(3))
+    # z lines per block; line l holds the nodes (px[i], py[j], pz), (i, j) = divmod(l, len(py))
+    lines = max(1, geometry._WIGNER_BLOCK // len(pz))
+    starts = range(0, len(px) * len(py), lines)
+
+    def block(start):
+        i, j = np.divmod(np.arange(start, min(start + lines, starts.stop)), len(py))
+        r2 = ((px[i] * px[i] + py[j] * py[j])[:, None] + pz * pz).ravel()
+        weights = ((wx[i] * wy[j])[:, None] * wz).ravel()
+        if convention is Measure.INVARIANT:
+            weights = weights / (TWO_PI_CUBED * 2.0 * np.sqrt(mass * mass + r2))
+        h = np.exp(-r2 / (2.0 * delta * delta))
+        return i, j, weights, h, ((mx[i] * my[j])[:, None] * mz).ravel()
+
+    norm = np.sqrt(sum(float(np.sum(weights * (h * h) * mult))
+                       for _, _, weights, h, mult in map(block, starts)))
+    total = 0.0
+    for i, j, weights, h, mult in map(block, starts):
+        nodes = np.empty((len(i), len(pz), 3))
+        nodes[..., 0], nodes[..., 1], nodes[..., 2] = px[i, None], py[j, None], pz
+        profile = h / norm
+        probs = weights * profile**2 * mult
+        total += float(np.sum(probs))
+        yield nodes.reshape(-1, 3), weights, profile, probs
     if not abs(total - 1.0) <= 1e-8:
         raise wavepacket.NumericalError(f"node probabilities sum to {total:.12g}, not 1")
-    probs.setflags(write=False)
-    return grid.nodes, probs
 
 
 def wigner_kernel(
@@ -149,24 +184,19 @@ def wigner_kernel(
 
     The packet is the zero-centered isotropic profile
     h = exp(-|p|^2 / (2 delta^2)), normalized under `convention`.  Returns
-    (p, W): the (n,) probabilities p_n = w_n |h_n|^2 (read-only) and the
-    (n, 3, 3) rotations W_n of the little group of `lam` at the nodes, from
-    the closed-form SL(2,C) kernel geometry.wigner_rotation_batch.
+    (p, W): the (n,) probabilities p_n = w_n |h_n|^2 and the (n, 3, 3)
+    rotations W_n of the little group of `lam` at the nodes of the full
+    (unfolded) rule, streamed through geometry.wigner_quaternion_blocks.
     Tracing out the momentum of the boosted packet is the channel
     rho -> sum_n p_n U_n rho U_n^dagger, whose Bloch matrix is
     geometry.bloch_map(p, W).
-
-    The nodes and probabilities depend only on (delta, mass, nodes_per_axis,
-    convention), and one cache holds the 16 most recently used full or
-    folded rules, so a sweep builds one grid per resolution and checks its
-    probability sum once.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
-    with _GRID_LOCK:
-        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention, ())
-    _, rots = geometry.wigner_rotation_batch(lam, nodes, mass)
-    return probs, rots
+    rule = _packet_blocks(delta, mass, nodes_per_axis, convention, ())
+    probs, quats = zip(*((block[3], q) for block, _, q
+                         in geometry.wigner_quaternion_blocks(lam, rule, mass)))
+    return np.concatenate(probs), geometry.quaternion_rotations(np.concatenate(quats, axis=1).T)
 
 
 def wigner_moments(
@@ -185,29 +215,24 @@ def wigner_moments(
     Each diagonal entry is summed as -2 times the other two M_kk, a sum of
     positive terms.
 
-    The quaternions are evaluated once per mirror orbit of the grid
-    (wavepacket.fold over geometry.mirror_axes(lam); the packet is centred
-    on 0 along every axis, and a boost in a generic direction folds
-    nothing).  The image of a node under the reflection of a folded axis k
-    carries the quaternion S q, with S = -1 on the two vector components
-    other than k, so the full-grid M is invariant under M -> S M S: M is
-    replaced by (M + S M S)/2, exact in floating point, which keeps its
-    even entries and sets the odd ones to exactly 0.  M is summed block by
-    block over geometry.wigner_quaternion_blocks.
+    The quaternions are evaluated once per mirror orbit of the grid: the
+    rule is folded over geometry.mirror_axes(lam) (the packet is centred on
+    0 along every axis, and a boost in a generic direction folds nothing).
+    The image of a node under the reflection of a folded axis k carries the
+    quaternion S q, with S = -1 on the two vector components other than k,
+    so the full-grid M is invariant under M -> S M S: M is replaced by
+    (M + S M S)/2, exact in floating point, which keeps its even entries
+    and sets the odd ones to exactly 0.  The rule's blocks stream through
+    geometry.wigner_quaternion_blocks, and M adds each block's
+    (q p) q^T, so a call holds O(block + n) memory at any resolution.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     axes = geometry.mirror_axes(lam)
-    with _GRID_LOCK:
-        nodes, probs = _packet_nodes(delta, mass, nodes_per_axis, convention, axes)
-    # the ten distinct entries, each a sum of per-block pairwise sums
-    rows, cols = np.triu_indices(4)
-    upper = np.zeros(len(rows))
-    for block, _, q in geometry.wigner_quaternion_blocks(lam, nodes, mass):
-        qp = q * probs[block]
-        upper += [np.sum(q[i] * qp[j]) for i, j in zip(rows, cols)]
-    m = np.empty((4, 4))
-    m[rows, cols] = m[cols, rows] = upper
+    rule = _packet_blocks(delta, mass, nodes_per_axis, convention, axes)
+    m = np.zeros((4, 4))
+    for (_, _, _, probs), _, q in geometry.wigner_quaternion_blocks(lam, rule, mass):
+        m += (q * probs) @ q.T
     for k in axes:
         signs = np.full(4, -1.0)
         signs[[k, 3]] = 1.0
@@ -290,7 +315,7 @@ def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis
     """
     beta = beta_for_gamma(gamma, delta_over_m)
     p_error = _boosted_pair(boost_for_angle(beta, theta), delta_over_m, 1.0, nodes_per_axis)[2]
-    # tau_up has eigenvalues (1 +- |r|)/2 = 1 - p_error, p_error; taking them
-    # from the variance form keeps the small one accurate at small Gamma
-    entropy = qmatrix.entropy(np.diag([1.0 - p_error, p_error]))
+    # tau_up has eigenvalues (1 +- |r|)/2, in ascending order p_error <= 1 - p_error;
+    # taking them from the variance form keeps the small one accurate at small Gamma
+    entropy = qmatrix.spectrum_entropy(np.array([p_error, 1.0 - p_error]))
     return {"beta": beta, "entropy_bits": entropy, "p_error": p_error}

@@ -15,14 +15,13 @@ Two measure conventions are supported and recorded on every grid:
 Quadrature sums use numpy's fixed (pairwise) reduction order, so a given
 grid and integrand give bit-identical results on every run.
 
-A grid centred on 0 along an axis has nodes and weights exactly symmetric
-under the reflection of that axis; `fold` keeps one node per mirror orbit
-with the orbit's total probability, for integrands even under it.
-
-The 1-D Gauss rules are built once per node count (`_gauss_rule`), for
-these grids and for the photon beam rule.  No convergence check lives
-here: whether a value has converged (recomputed at twice the nodes per
-axis) is decided by one rule in `relqi.cli`.
+The 1-D Gauss rules are built once per node count (`_gauss_rule`) and are
+the only rules cached: `gauss_grid` builds its n^3 tensor grid from them
+on every call, the photon beam rule reads them, and the massive-spin
+kernel streams its folded 3-D rule from them block by block
+(spin_half._packet_blocks) without building the grid.  No convergence
+check lives here: whether a value has converged (recomputed at twice the
+nodes per axis) is decided by one rule in `relqi.cli`.
 """
 
 from __future__ import annotations
@@ -206,43 +205,3 @@ def normalize(grid: MomentumGrid, f: np.ndarray) -> np.ndarray:
     if n == 0.0 or not np.isfinite(n):
         raise ValueError("cannot normalize amplitudes with zero or non-finite norm")
     return np.asarray(f) / n
-
-
-def fold(nodes: np.ndarray, probs: np.ndarray, axes) -> tuple:
-    """Nodes and probabilities of a mirror-symmetric rule, one node per mirror orbit.
-
-    `nodes` (n^3, 3) and `probs` (n^3,) must be laid out as gauss_grid
-    lays out its tensor grid: the C-order flattening of (n, n, n) arrays.
-    For each spatial axis k in `axes` the (n, n, n) node and probability
-    arrays must equal their own flip along index axis k exactly, with
-    coordinate k negated.  The check compares index with index, in O(N)
-    time and without mirrored copies; a rule in another layout fails it.
-    The nodes with q_k >= 0 for every folded k are kept, and the
-    probability of each kept node is doubled once for each folded k with
-    q_k > 0, so that sum_n p_n f(q_n) is unchanged for any f even under
-    those reflections.  Returns new read-only (nodes, probs) arrays; raises
-    ValueError when the rule is not mirror-symmetric along one of `axes`.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    axes = list(axes)
-    n = round(len(probs) ** (1.0 / 3.0))
-    if nodes.shape != (n**3, 3) or probs.shape != (n**3,):
-        raise ValueError("fold needs the (n^3, 3) nodes and (n^3,) probabilities of a tensor grid")
-    grid = nodes.reshape(n, n, n, 3)
-    cube = probs.reshape(n, n, n)
-    for k in axes:
-        flip = tuple(slice(None, None, -1) if j == k else slice(None) for j in range(3))
-        image = grid[flip]
-        if not (np.array_equal(cube, cube[flip])
-                and all(np.array_equal(grid[..., j], -image[..., j] if j == k else image[..., j])
-                        for j in range(3))):
-            raise ValueError(f"the rule is not mirror-symmetric along {'xyz'[k]}")
-    keep = np.ones(len(probs), dtype=bool)
-    for k in axes:
-        keep &= nodes[:, k] >= 0.0
-    kept = nodes[keep]
-    kept_probs = probs[keep] * 2.0 ** np.sum(kept[:, axes] > 0.0, axis=1)
-    kept.setflags(write=False)
-    kept_probs.setflags(write=False)
-    return kept, kept_probs

@@ -1,14 +1,15 @@
 """Test-only helpers: random states and channels, reference channels,
 density-matrix and Lorentz-matrix checks, explicit rotations, the
-one-particle spin marginal of a pair amplitude and the parsed flags that
-the CLI's sweep rows read.
+one-particle spin marginal of a pair amplitude, a packet's whole
+quadrature rule and the parsed flags that the CLI's sweep rows read.
 """
 
 import argparse
 
 import numpy as np
 
-from relqi import entangle, geometry, qmatrix
+from relqi import entangle, geometry, qmatrix, spin_half
+from relqi.wavepacket import Measure
 
 
 def check_density_matrix(rho, tol: float = 1e-10, subnormalized: bool = False) -> None:
@@ -117,3 +118,10 @@ def row_args(resolution: int, tolerance: float = 1e-6, no_convergence: bool = Fa
     """The flags that relqi.cli's row builders (_spin_row, _entangle_row) read."""
     return argparse.Namespace(resolution=resolution, tolerance=tolerance,
                               no_convergence=no_convergence, delta_over_m=delta_over_m)
+
+
+def packet_rule(delta: float, mass: float, nodes_per_axis: int,
+                convention: Measure = Measure.PLAIN, axes=()):
+    """(nodes, weights, profile, probs) of spin_half._packet_blocks, the blocks concatenated."""
+    blocks = spin_half._packet_blocks(delta, mass, nodes_per_axis, convention, axes)
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))

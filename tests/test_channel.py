@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relqi import channel as ch
 from relqi import qmatrix as qm
+from relqi import wavepacket as wp
 import helpers
 
 RNG = np.random.default_rng(226)
@@ -136,10 +138,9 @@ def thomas_wigner_distance(gamma, theta, n=12, beta=0.6):
     Every sum is a math.fsum.
     """
     from relqi import spin_half as sh
-    from relqi.wavepacket import Measure
 
     delta = gamma / sh.gamma_parameter(1.0, 1.0, beta)
-    nodes, probs = sh._packet_nodes(delta, 1.0, n, Measure.PLAIN, ())
+    nodes, _, _, probs = helpers.packet_rule(delta, 1.0, n)
     nhat = np.array([math.sin(theta), 0.0, math.cos(theta)])
     a = beta / (1.0 + math.sqrt(1.0 - beta * beta)) / (np.sqrt(1.0 + np.sum(nodes**2, axis=1)) + 1.0)
     axis = np.cross(nodes, nhat)
@@ -162,3 +163,17 @@ def test_consistency_distance_matches_thomas_wigner_oracle(gamma, theta):
     assert report.trace_distance == pytest.approx(
         thomas_wigner_distance(gamma, theta), rel=1e-12, abs=0.0
     )
+
+
+def test_first_consistency_check_memory_is_bounded():
+    # the n = 40 rule is streamed in kernel blocks from the 1-D rule: no grid
+    # is built or cached
+    wp._gauss_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        report = ch.consistency_check(ch.BoostChannelSpec(0.2, 0.5), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.trace_distance)
+    assert peak < 4e6

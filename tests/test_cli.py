@@ -202,6 +202,23 @@ def test_channel_audit_witness(tmp_path):
     assert "CP map" in payload["verdict"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["photon-density"],
+    ["doppler", "--v", "0.5"],
+    ["channel-audit", "--gamma", "1e-3", "--witness-v", "0.5"],
+], ids=["photon-density", "doppler", "channel-audit"])
+def test_json_floats_carry_at_most_12_significant_digits(tmp_path, argv):
+    # the CSV's number format: the 17-digit repr printed rounding noise
+    out = tmp_path / "r.json"
+    cli.run([*argv, "--out", str(out)])
+    printed = []
+    json.loads(read(out), parse_float=lambda text: printed.append(text) or float(text))
+    assert printed
+    for text in printed:
+        digits = text.lower().split("e")[0].lstrip("-").replace(".", "").strip("0")
+        assert len(digits) <= 12, text
+
+
 def test_entangle_sweep_csv(tmp_path):
     out = tmp_path / "e.csv"
     code = cli.run([
@@ -469,6 +486,6 @@ def test_time_axis_defect_is_a_numerical_error():
     from relqi import geometry, spin_half, wavepacket
 
     beta = spin_half.beta_for_gamma(0.9999, 1.0)
-    nodes, _ = spin_half._packet_nodes(1.0, 1.0, 12, wavepacket.Measure.PLAIN, ())
+    nodes = helpers.packet_rule(1.0, 1.0, 12)[0]
     with pytest.raises(wavepacket.NumericalError, match="time axis"):
         geometry.wigner_quaternion_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)

@@ -7,6 +7,7 @@ from relqi import cli
 from relqi import entangle as en
 from relqi import geometry as geo
 from relqi import qmatrix as qm
+from relqi import wavepacket as wp
 import helpers
 
 RNG = np.random.default_rng(1337)
@@ -165,8 +166,24 @@ def test_sweep_row_memory_bounded():
     assert peak < 100e6
 
 
+def test_first_sweep_row_memory_is_bounded():
+    # the n = 16 row and its n = 32 pass stream their folded INVARIANT rules
+    # from the 1-D rules in kernel blocks (3.8 MB when the first row built,
+    # cached and folded both grids)
+    args = helpers.row_args(16)
+    wp._gauss_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        row = cli._entangle_row(args, 0.5, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(row["concurrence"])
+    assert peak < 4e6
+
+
 def test_sweep_row_scratch_is_bounded_once_the_grid_is_cached():
-    # As for the spin rows, on the INVARIANT grid: the second row's peak is one
+    # As for the spin rows, on the INVARIANT rule: a second row's peak is one
     # kernel block (about 1 MB; 17 MB when the kernel held every folded node).
     args = helpers.row_args(40)
     cli._entangle_row(args, 0.5, 0.6)

@@ -1,21 +1,22 @@
-"""Mirror folding of the Gauss-Hermite grids: the kernels evaluated once per orbit.
+"""The streamed, mirror-folded Gauss-Hermite rules: the kernels evaluated once per orbit.
 
-The moments of spin_half.wigner_moments are checked against the unfolded
-wigner_kernel, summed node by node with math.fsum.
+The rule blocks of spin_half._packet_blocks are checked against gauss_grid
+and against a fold of the full rule written here, and the moments of
+spin_half.wigner_moments against the unfolded wigner_kernel, summed node
+by node with math.fsum.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from relqi import entangle as ent
 from relqi import geometry as geo
-from relqi import photon as ph
 from relqi import spin_half as sh
 from relqi import wavepacket as wp
 from relqi.wavepacket import Measure
+import helpers
 
 DELTA, MASS = 0.7, 1.0
 
@@ -63,7 +64,7 @@ def test_unfolded_kernel_is_mirror_equivariant(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     assert geo.mirror_axes(lam) == axes
-    nodes, probs = sh._packet_nodes(DELTA, MASS, n, convention, ())
+    nodes, _, _, probs = helpers.packet_rule(DELTA, MASS, n, convention)
     p4, rots = geo.wigner_rotation_batch(lam, nodes, MASS)
     for k in axes:
         image = _images(nodes, k)
@@ -79,7 +80,7 @@ def test_folded_values_match_unfolded(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     probs, rots = sh.wigner_kernel(lam, DELTA, MASS, n, convention)
-    _, folded_probs = sh._packet_nodes(DELTA, MASS, n, convention, axes)
+    folded_probs = helpers.packet_rule(DELTA, MASS, n, convention, axes)[3]
     assert len(folded_probs) < len(probs)
     assert folded_probs.sum() == pytest.approx(1.0, rel=1e-14)
     # math.fsum: the einsum of bloch_map accumulates 24^3 terms in order (2e-14)
@@ -104,10 +105,10 @@ def test_folded_values_match_unfolded(convention, n, name):
 def test_generic_boost_folds_nothing():
     lam = geo.boost_from_velocity([0.3, -0.4, 0.5])
     assert geo.mirror_axes(lam) == ()
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN, ())
+    nodes, _, _, probs = helpers.packet_rule(DELTA, MASS, 6)
     d, _ = sh.wigner_moments(lam, DELTA, MASS, 6)
     assert nodes.shape == (6**3, 3) and np.all(d != 0.0)
-    np.testing.assert_array_equal(probs, sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN, ())[1])
+    np.testing.assert_array_equal(probs, sh.wigner_kernel(lam, DELTA, MASS, 6)[0])
 
 
 MOMENT_BOOSTS = {**{name: sh.boost_for_angle(*bt) for name, (bt, _) in BOOSTS.items()},
@@ -131,44 +132,47 @@ def test_wigner_moments_match_unfolded_fsum(convention, n, name):
     assert s == pytest.approx(math.fsum(probs * sin2), rel=1e-14, abs=0.0)
 
 
-def test_beam_grid_does_not_fold_along_its_axis():
-    beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 8)
-    probs = beam.grid.weights * np.abs(beam.profile) ** 2
-    nodes, folded = wp.fold(beam.grid.nodes, probs, (0, 1))
-    assert len(folded) == 8**3 // 4
-    assert folded.sum() == pytest.approx(probs.sum(), rel=1e-14)
-    assert np.all(nodes[:, :2] >= 0.0)
-    with pytest.raises(ValueError, match="not mirror-symmetric along z"):
-        wp.fold(beam.grid.nodes, probs, (2,))
+@pytest.mark.parametrize("convention", [Measure.PLAIN, Measure.INVARIANT])
+@pytest.mark.parametrize("n", [7, 12, 24])
+def test_unfolded_rule_is_the_gauss_grid_rule(convention, n):
+    # the stream builds gauss_grid's nodes and weights bit for bit, block by
+    # block; only the normalization is summed in another order
+    nodes, weights, profile, probs = helpers.packet_rule(DELTA, MASS, n, convention)
+    grid = wp.gauss_grid(wp.GaussianSpec.isotropic(DELTA), n, convention, mass=MASS)
+    np.testing.assert_array_equal(nodes, grid.nodes)
+    np.testing.assert_array_equal(weights, grid.weights)
+    h = wp.normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * DELTA * DELTA)))
+    np.testing.assert_allclose(profile, h, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(probs, grid.weights * h**2, rtol=1e-15, atol=0.0)
 
 
-def test_fold_rejects_asymmetric_probabilities():
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 4, Measure.PLAIN, ())
-    skewed = probs * (1.0 + 1e-15 * (nodes[:, 0] > 0.0))
-    wp.fold(nodes, skewed, (1, 2))
-    with pytest.raises(ValueError, match="along x"):
-        wp.fold(nodes, skewed, (0,))
-
-
+@pytest.mark.parametrize("convention", [Measure.PLAIN, Measure.INVARIANT])
+@pytest.mark.parametrize("n", [7, 12, 24])
 @pytest.mark.parametrize("axes", [(1,), (0, 1), (0, 1, 2)])
-def test_fold_peak_memory_stays_below_its_input(axes):
-    # the symmetry check compares index with index: no sorted or mirrored copies
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 48, Measure.PLAIN, ())
-    tracemalloc.start()
-    try:
-        wp.fold(nodes, probs, axes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * (nodes.nbytes + probs.nbytes)
+def test_folded_rule_keeps_one_node_per_mirror_orbit(convention, n, axes):
+    nodes, weights, _, probs = helpers.packet_rule(DELTA, MASS, n, convention)
+    keep = np.all(nodes[:, axes] >= 0.0, axis=1)
+    images = 2.0 ** np.sum(nodes[keep][:, axes] > 0.0, axis=1)
+    blocks = list(sh._packet_blocks(DELTA, MASS, n, convention, axes))
+    assert max(len(block[0]) for block in blocks) <= geo._WIGNER_BLOCK
+    folded = [np.concatenate(parts) for parts in zip(*blocks)]
+    np.testing.assert_array_equal(folded[0], nodes[keep])
+    np.testing.assert_array_equal(folded[1], weights[keep])
+    np.testing.assert_allclose(folded[3], probs[keep] * images, rtol=1e-15, atol=0.0)
+    assert math.fsum(folded[3]) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_fold_rejects_a_grid_in_another_layout():
-    nodes, probs = sh._packet_nodes(DELTA, MASS, 6, Measure.PLAIN, ())
-    wp.fold(nodes, probs, (0, 1, 2))
-    order = np.random.default_rng(0).permutation(len(probs))
-    for k in range(3):
-        with pytest.raises(ValueError, match=f"along {'xyz'[k]}"):
-            wp.fold(nodes[order], probs[order], (k,))
-    with pytest.raises(ValueError, match="tensor grid"):
-        wp.fold(nodes[:-1], probs[:-1], (0,))
+@pytest.mark.parametrize("part", ["nodes", "weights"])
+def test_asymmetric_rule_raises_from_the_symmetry_check(monkeypatch, part):
+    x, w = wp._gauss_rule("Gauss-Hermite", 8)
+    x, w = x.copy(), w.copy()
+    if part == "nodes":
+        x[0] *= 1.0 + 1e-15
+    else:
+        w[-1] *= 1.0 + 1e-15
+    monkeypatch.setattr(sh, "_gauss_rule", lambda name, n: (x, w))
+    with pytest.raises(wp.NumericalError, match="not mirror-symmetric"):
+        sh.wigner_moments(sh.boost_for_angle(0.6, 0.4), DELTA, MASS, 8)
+    # a rule that folds nothing needs no symmetry
+    d, _ = sh.wigner_moments(geo.boost_from_velocity([0.3, -0.4, 0.5]), DELTA, MASS, 8)
+    assert np.all(np.isfinite(d))

@@ -5,7 +5,7 @@ from scipy.spatial.transform import Rotation
 
 from relqi import geometry as geo
 from relqi import spin_half as sh
-from relqi.wavepacket import Measure, NumericalError
+from relqi.wavepacket import NumericalError
 import helpers
 
 RNG = np.random.default_rng(20240811)
@@ -227,7 +227,7 @@ def test_wigner_moments_do_not_depend_on_the_block_size(monkeypatch, velocity):
 def test_time_axis_defect_does_not_depend_on_the_block_size(monkeypatch):
     # the largest defect over all blocks is reported once, after the last block
     lam = sh.boost_for_angle(sh.beta_for_gamma(0.9999, 1.0), 1.0)
-    nodes, _ = sh._packet_nodes(1.0, 1.0, 24, Measure.PLAIN, ())
+    nodes = helpers.packet_rule(1.0, 1.0, 24)[0]
     messages = []
     for block in (geo._WIGNER_BLOCK, 7):
         monkeypatch.setattr(geo, "_WIGNER_BLOCK", block)

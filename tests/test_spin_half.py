@@ -1,6 +1,4 @@
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +7,7 @@ from relqi import cli
 from relqi import geometry as geo
 from relqi import qmatrix as qm
 from relqi import spin_half as sh
+from relqi import wavepacket as wp
 from relqi.wavepacket import Measure, MomentumGrid
 import helpers
 
@@ -207,46 +206,35 @@ def test_wigner_kernel_bloch_map_matches_boosted_packet():
 
 @pytest.fixture
 def grid_builds(monkeypatch):
-    """Resolutions of the grids spin_half builds, counted from an empty cache."""
-    built = []
-    real = sh.gauss_grid
+    """Node counts of the 3-D grids and the 1-D Gauss-Hermite rules spin_half builds.
 
-    def counting(spec, nodes_per_axis, *args, **kwargs):
-        built.append(nodes_per_axis)
-        return real(spec, nodes_per_axis, *args, **kwargs)
+    Counted from an empty 1-D rule cache.
+    """
+    built = {"grids": [], "rules": []}
+    real_grid, real_rule = sh.gauss_grid, wp._GAUSS_RULES["Gauss-Hermite"]
 
-    monkeypatch.setattr(sh, "gauss_grid", counting)
-    sh._packet_nodes.cache_clear()
-    return built
+    def counting_grid(spec, nodes_per_axis, *args, **kwargs):
+        built["grids"].append(nodes_per_axis)
+        return real_grid(spec, nodes_per_axis, *args, **kwargs)
+
+    def counting_rule(nodes_per_axis):
+        built["rules"].append(nodes_per_axis)
+        return real_rule(nodes_per_axis)
+
+    monkeypatch.setattr(sh, "gauss_grid", counting_grid)
+    monkeypatch.setitem(wp._GAUSS_RULES, "Gauss-Hermite", counting_rule)
+    wp._gauss_rule.cache_clear()
+    yield built
+    wp._gauss_rule.cache_clear()
 
 
 def test_sweep_builds_one_grid_per_resolution(grid_builds):
+    # no n^3 grid at all: each row streams its rule from the cached 1-D rules
     args = helpers.row_args(12)
     rows = [cli._spin_row(args, theta, gamma)
             for theta in np.linspace(0.0, np.pi, 16) for gamma in (0.0, 0.25, 0.5)]
     assert len(rows) == 48
-    assert sorted(grid_builds) == [12, 24]
-    probs, _ = sh.wigner_kernel(np.eye(4), 1.0, 1.0)
-    nodes, cached = sh._packet_nodes(1.0, 1.0, 12, Measure.PLAIN, ())
-    assert cached is probs
-    assert not probs.flags.writeable and not nodes.flags.writeable
-    assert sorted(grid_builds) == [12, 24]
-
-
-def test_grid_cache_builds_once_under_concurrent_rows(grid_builds):
-    lam = sh.boost_for_angle(0.6, 0.4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(sh.wigner_kernel, lam, 0.7, 1.0, 6) for _ in range(32)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert grid_builds == [6]
-    for probs, rots in results:
-        assert probs is results[0][0]
-        np.testing.assert_array_equal(rots, results[0][1])
+    assert grid_builds == {"grids": [], "rules": [12, 24]}
 
 
 def test_spin_row_memory_bounded():
@@ -261,10 +249,26 @@ def test_spin_row_memory_bounded():
     assert peak < 100e6
 
 
+def test_first_spin_row_memory_is_bounded():
+    # The n = 40 row and its n = 80 pass stream their folded rules from the
+    # 1-D rules in kernel blocks: no grid is built or cached (45.6 MB when the
+    # first row built, cached and folded both grids).
+    args = helpers.row_args(40)
+    wp._gauss_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        row = cli._spin_row(args, 0.3, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(row["p_error"])
+    assert peak < 4e6
+
+
 def test_spin_row_scratch_is_bounded_once_the_grid_is_cached():
-    # The first row builds and folds the n = 40 and n = 80 grids; a second row
-    # at another theta reuses them and keeps only one kernel block of scratch
-    # (about 1 MB; 33 MB when the kernel held every folded node at once).
+    # A second row at another theta holds one kernel block of scratch, as the
+    # first does: nothing accumulates across rows (33 MB when the kernel held
+    # every folded node at once).
     args = helpers.row_args(40)
     cli._spin_row(args, 0.3, 0.25)
     tracemalloc.start()

@@ -5,10 +5,10 @@ Conventions: units c = hbar = 1, metric diag(+,-,-,-), four-vectors ordered
 kernel rejects any other.  The Wigner rotation of a massive particle is the
 little-group element W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure
 boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_quaternion_blocks
-evaluates it as the SL(2,C) product A(Lp)^{-1} A(L) A(p), with
-A(p) = (E + m + p.sigma) / sqrt(2m(E + m)) the spinor image of B(p), in
-real component arithmetic on the blocks of momenta it is given, and yields
-one unit quaternion per node.  It is the one copy of the per-node kernel:
+evaluates it in closed form: L is split once into a pure boost B and a
+rotation R, and the Thomas-Wigner quaternion of W(B, R p) R is one fixed
+linear map of (p, E + m), normalized node by node, on the blocks of momenta
+it is given.  It is the one copy of the per-node kernel:
 spin_half streams the blocks of a packet's quadrature rule through it,
 wigner_quaternion_batch cuts explicit (n, 3) momenta into blocks of
 _WIGNER_BLOCK nodes, and wigner_rotation_batch and wigner_su2_batch are
@@ -259,41 +259,31 @@ def mirror_axes(lam: np.ndarray) -> tuple:
 _WIGNER_BLOCK = 2048
 
 
-def _cross(a, b):
-    """Cross product of two vectors given as triples of (n,) arrays or floats."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def wigner_quaternion_blocks(lam: np.ndarray, blocks, mass: float):
     """Transport blocks of momenta through `lam` and yield their Wigner quaternions.
 
     `blocks` is an iterable of tuples whose first entry is a (b, 3) array of
-    momenta q_n.  For each tuple `block` it yields (block, p4, q): p4 is the
-    (b, 4) array of transported four-momenta p_n = L q_n and q the (4, b)
+    momenta q_n.  For each tuple `block` it yields (block, p4, u): p4 is the
+    (b, 4) array of transported four-momenta p_n = L q_n and u the (4, b)
     array, rows (x, y, z, w), of the unit quaternions of the spatial blocks
     W_n of the little-group elements B(p_n)^{-1} L B(q_n) at the incoming
-    momenta q_n.  The sign of each quaternion is the one the product gives.
+    momenta q_n.
 
-    The elements are the closed-form SL(2,C) products
-    U_n = A(p_n)^{-1} A(L) A(q_n) with A(q) = (E + m + q.sigma) / sqrt(2m(E + m)),
-    taken in real component arithmetic on (b,) arrays.  `lam` is split once
-    into B R, with B the pure boost along its time column and R a rotation,
-    so that W(L, q) = W(B, R q) R.  With A(B) = c0 + c.sigma and
-    A(R q) = a0 + a.sigma, the product is X = x0 + (xr + i xi).sigma,
-    where x0 = c0 a0 + c.a, xr = c0 a + a0 c and xi = c x a; with
-    A(p)^{-1} = b0 - b.sigma, U = w - i (x, y, z).sigma where
-    w = b0 x0 - b.xr and (x, y, z) = b x xr - b0 xi.  q_n is that unit
-    quaternion composed with the quaternion of R.  No node's arithmetic
-    depends on its block.
+    `lam` is split once into B R, with B the pure boost along its time
+    column and R a rotation, so that W(L, q) = W(B, R q) R.  With
+    A(q) ~ E + m + q.sigma the spinor image of B(q) and A(B) ~ c0 + c.sigma
+    (c0 = gamma + 1, c = gamma beta), A(B) A(R q) = x0 + (xr + i xi).sigma
+    with x0 = c0 (E + m) + c.R q > 0, xr in the span of c and R q, and
+    xi = c x R q orthogonal to it.  Its unitary polar factor, the SU(2)
+    image of W(B, R q), is therefore (x0 + i xi.sigma) / |(x0, xi)|, the
+    quaternion (-(c x R q), x0) up to a positive factor.  Composed with the
+    quaternion of R this is one linear map per call,
+    u_n ~ A q_n + b (E_n + m), with A a 4x3 matrix and b a 4-vector, and u_n
+    is normalized node by node.  No node's arithmetic depends on its block.
 
     Raises ValueError for a `lam` that is improper or not orthochronous or
     when a node is off shell, and, after the last block, NumericalError when
-    an element leaves the time axis beyond 1e-9: that is the non-SU(2) part
-    of U, b.xi and b0 xr - x0 b + b x xi.
+    B^{-1} L leaves the time axis beyond 1e-9.
     """
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
@@ -303,32 +293,25 @@ def wigner_quaternion_blocks(lam: np.ndarray, blocks, mass: float):
     r4 = lorentz_inverse(boost) @ lam
     defect = max(abs(r4[0, 0] - 1.0), *np.abs(r4[0, 1:]), *np.abs(r4[1:, 0]))
     rot = r4[1:, 1:]
-    *rv, rw = _rotation_quaternion(rot)
-    # Unnormalized factors: A(B) ~ (gamma + 1) + g.sigma, A(R q) ~ (E + m) + (R q).sigma
-    # and A(p)^{-1} ~ (E' + m) - p.sigma; `scale` restores the unit determinant.
-    c0 = boost[0, 0] + 1.0
-    c = tuple(boost[1:, 0])
+    x, y, z, w = _rotation_quaternion(rot)
+    c0, (cx, cy, cz) = boost[0, 0] + 1.0, boost[1:, 0]
+    # (R q, E + m) -> (-(c x R q), c0 (E + m) + c.R q), then right multiplication
+    # by R's quaternion (v, s) -> (s r + w v + v x r, s w - v.r), r = (x, y, z)
+    thomas = np.array([[0.0, cz, -cy, 0.0], [-cz, 0.0, cx, 0.0], [cy, -cx, 0.0, 0.0],
+                       [cx, cy, cz, c0]])
+    compose = np.array([[w, z, -y, x], [-z, w, x, y], [y, -x, w, z], [-x, -y, -z, w]])
+    # columns 0-2 are A, column 3 is b
+    linear = compose @ thomas
+    linear[:, :3] = linear[:, :3] @ rot
     for block in blocks:
         q4 = four_momentum(mass, block[0])
         p4 = q4 @ lam.T
         _require_on_shell(q4, mass)
         _require_on_shell(p4, mass)
-        a0 = q4[:, 0] + mass
-        a = tuple(rot @ q4[:, 1:].T)
-        e_out, *b = np.ascontiguousarray(p4.T)
-        b0 = e_out + mass
-        scale = 1.0 / np.sqrt(8.0 * mass * mass * c0 * a0 * b0)
-        x0 = c0 * a0 + _dot(c, a)
-        xr = tuple(c0 * ak + a0 * ck for ak, ck in zip(a, c))
-        xi = _cross(c, a)
-        b_xr, b_xi = _cross(b, xr), _cross(b, xi)
-        odd = (_dot(b, xi), *(b0 * xrk - x0 * bk + bxk for xrk, bk, bxk in zip(xr, b, b_xi)))
-        defect = max(defect, *(float(np.abs(t * scale).max()) for t in odd))
-        w = (b0 * x0 - _dot(b, xr)) * scale
-        v = tuple((bxk - b0 * xik) * scale for bxk, xik in zip(b_xr, xi))
-        # quaternion of W(B, R q) R: (w, v)(rw, rv)
-        vec = (w * rk + rw * vk + ck for rk, vk, ck in zip(rv, v, _cross(v, rv)))
-        yield block, p4, np.array([*vec, w * rw - _dot(v, rv)])
+        u = linear[:, 3:] * (q4[:, 0] + mass)
+        for k in range(3):
+            u += linear[:, k:k + 1] * q4[:, k + 1]
+        yield block, p4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
     if defect > 1e-9:
         raise NumericalError(f"little-group elements do not fix the time axis ({defect:.3g})")
 

@@ -1,10 +1,12 @@
 """Test-only helpers: random states and channels, reference channels,
 density-matrix and Lorentz-matrix checks, explicit rotations, the
 one-particle spin marginal of a pair amplitude, a packet's whole
-quadrature rule and the parsed flags that the CLI's sweep rows read.
+quadrature rule, the parsed flags that the CLI's sweep rows read, and a
+40-digit decimal oracle for Wigner rotations.
 """
 
 import argparse
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -125,3 +127,57 @@ def packet_rule(delta: float, mass: float, nodes_per_axis: int,
     """(nodes, weights, profile, probs) of spin_half._packet_blocks, the blocks concatenated."""
     blocks = spin_half._packet_blocks(delta, mass, nodes_per_axis, convention, axes)
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+def _decimal_boost(p, mass):
+    """Pure boost taking (mass, 0, 0, 0) to (E, p); the boost to (E, -p) is its inverse."""
+    energy = (mass * mass + sum(x * x for x in p)).sqrt()
+    out = [[energy / mass] + [x / mass for x in p]]
+    for i in range(3):
+        out.append([p[i] / mass] + [(i == j) + p[i] * p[j] / (mass * (energy + mass))
+                                    for j in range(3)])
+    return out
+
+
+def decimal_wigner(velocity, quat, momenta, mass):
+    """Wigner rotations of B(Lq)^-1 L B(q) as a 4x4 product in 40-digit decimal.
+
+    L is the boost with `velocity`, followed (on the right) by the rotation
+    of the quaternion `quat` = (x, y, z, w) unless it is None; every float
+    input is taken as exact.  Returns the (n, 3, 3) rotations and their
+    (n, 4) unit quaternions (x, y, z, w), each rounded to float once, with
+    the quaternion's sign unspecified.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        v = [Decimal(float(c)) for c in velocity]
+        gamma = 1 / (1 - sum(c * c for c in v)).sqrt()
+        lam = _decimal_boost([gamma * c for c in v], Decimal(1))
+        if quat is not None:
+            x, y, z, w = (Decimal(float(c)) for c in quat)
+            s = 2 / (x * x + y * y + z * z + w * w)
+            lam = _product(lam, [
+                [1, 0, 0, 0],
+                [0, 1 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y)],
+                [0, s * (x * y + w * z), 1 - s * (x * x + z * z), s * (y * z - w * x)],
+                [0, s * (x * z - w * y), s * (y * z + w * x), 1 - s * (x * x + y * y)]])
+        m = Decimal(float(mass))
+        rots, quats = [], []
+        for q in momenta:
+            lam_b = _product(lam, _decimal_boost([Decimal(float(c)) for c in q], m))
+            w4 = _product(_decimal_boost([-m * row[0] for row in lam_b[1:]], m), lam_b)
+            r = [row[1:] for row in w4[1:]]
+            # K = 4 q q^T; its row with the largest diagonal entry is 4 q_k q, q_k farthest from 0
+            trace = r[0][0] + r[1][1] + r[2][2]
+            axial = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1]]
+            k = [[r[i][j] + r[j][i] if i != j else 1 - trace + 2 * r[i][i] for j in range(3)]
+                 + [axial[i]] for i in range(3)] + [axial + [1 + trace]]
+            row = k[max(range(4), key=lambda i: k[i][i])]
+            norm = sum(c * c for c in row).sqrt()
+            rots.append([[float(c) for c in line] for line in r])
+            quats.append([float(c / norm) for c in row])
+    return np.array(rots), np.array(quats)

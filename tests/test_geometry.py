@@ -258,8 +258,8 @@ KERNEL_CASES = _kernel_cases()
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_wigner_kernel_matches_4x4_oracle(name):
-    # The closed-form SL(2,C) kernel against the 4x4 product B(Lq)^-1 L B(q).
-    # Largest gap measured at beta = 0.99: 2.6e-13 (atol 1e-11).
+    # The closed-form Thomas-Wigner kernel against the 4x4 product B(Lq)^-1 L B(q).
+    # Largest gap measured at beta = 0.99: 2.5e-13 (atol 1e-11).
     lam = KERNEL_CASES[name]
     m = 1.3
     momenta = np.random.default_rng(7).normal(scale=2.0 * m, size=(64, 3))
@@ -282,12 +282,34 @@ def test_wigner_kernel_perpendicular_angle_at_high_rapidity(px):
     np.testing.assert_allclose(w, helpers.rotation_about([0.0, 1.0, 0.0], -theta), atol=1e-11)
 
 
-def test_wigner_kernel_time_axis_check_fires_when_rounding_dominates():
-    # At gamma ~ 700 and |q| ~ 1e3 m the elements' non-SU(2) part exceeds 1e-9.
-    lam = geo.boost_from_velocity(0.999999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)]))
-    momenta = np.random.default_rng(3).normal(scale=1e3, size=(50, 3))
-    with pytest.raises(ValueError, match="do not fix the time axis"):
-        geo.wigner_rotation_batch(lam, momenta, 1.0)
+_ORACLE_QUAT = np.array([0.4, -1.0, 0.7, 1.1]) / np.linalg.norm([0.4, -1.0, 0.7, 1.1])
+
+
+@pytest.mark.parametrize("velocity, quat, scale, atol", [
+    (0.6 * np.array([np.sin(0.7), 0.0, np.cos(0.7)]), None, 2.0, 4e-15),
+    (np.array([0.0, 0.0, 0.9]), None, 2.0, 4e-15),
+    (np.array([0.3, -0.5, 0.7]), _ORACLE_QUAT, 2.0, 4e-15),
+    # gamma ~ 700, |q| ~ 1e3 m: B^-1 L of the float L leaves the time axis by
+    # 5.8e-11, so L's rotation part is known only to that angle; turning the
+    # oracle's L by it moves the nearly antiparallel nodes' W by up to 2.2e-9
+    (0.999999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)]), None, 1e3, 4e-9),
+], ids=["xz", "z", "boost_rotation", "gamma_700"])
+def test_wigner_kernel_matches_decimal_oracle(velocity, quat, scale, atol):
+    # The kernel's rotations and quaternions against B(Lq)^-1 L B(q) taken in
+    # 40-digit decimal, with L built from the float L's velocity (and quaternion).
+    # Largest gaps measured: 8.1e-16 (boost_rotation) and 1.1e-9 (gamma_700).
+    lam = geo.boost_from_velocity(velocity)
+    if quat is not None:
+        lam = lam @ np.block([[1.0, np.zeros((1, 3))],
+                              [np.zeros((3, 1)), geo.quaternion_rotations(quat[None])[0]]])
+    mass = 1.3
+    momenta = np.random.default_rng(3).normal(scale=scale * mass, size=(64, 3))
+    rots, quats = helpers.decimal_wigner(velocity, quat, momenta, mass)
+    _, kernel_quats = geo.wigner_quaternion_batch(lam, momenta, mass)
+    signs = np.sign(np.sum(kernel_quats * quats, axis=1))
+    np.testing.assert_allclose(kernel_quats, signs[:, None] * quats, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(geo.wigner_rotation_batch(lam, momenta, mass)[1], rots,
+                               rtol=0.0, atol=atol)
 
 
 @pytest.mark.parametrize(

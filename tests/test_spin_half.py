@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,23 @@ def test_pair_error_small_gamma_ratio(theta):
         p = row["p_error"]
         binary = -(p * np.log2(p) + (1.0 - p) * np.log1p(-p) / np.log(2.0))
         assert row["entropy_bits"] == pytest.approx(binary, rel=1e-4, abs=0.0)
+
+
+def test_small_gamma_pair_error_matches_decimal_node_sum():
+    # The same node sum with each Wigner quaternion taken from the 40-digit
+    # decimal oracle and every sum by math.fsum: the float quaternions carry
+    # 1e-16 relative each, so the oracle holds p_error to about 3e-16.
+    theta, gamma = np.pi / 2, 1e-6
+    beta = sh.beta_for_gamma(gamma, 1.0)
+    nodes, _, _, probs = helpers.packet_rule(1.0, 1.0, 12)
+    velocity = beta * np.array([np.sin(theta), 0.0, np.cos(theta)])
+    x, y, z, w = helpers.decimal_wigner(velocity, None, nodes, 1.0)[1].T
+    dz = np.array([math.fsum(probs * 2.0 * (x * z + w * y)),
+                   math.fsum(probs * 2.0 * (y * z - w * x)),
+                   math.fsum(probs * -2.0 * (x * x + y * y))])
+    expected = (-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(dz + (0.0, 0.0, 1.0))))
+    p_error = sh.sweep_values(theta, gamma, 1.0, 12)["p_error"]
+    assert p_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def bloch_vector(rho):

@@ -34,6 +34,7 @@ boost directions for sweeps lie in the x-z plane at angle theta from z
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,7 +316,8 @@ def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis
     """
     beta = beta_for_gamma(gamma, delta_over_m)
     p_error = _boosted_pair(boost_for_angle(beta, theta), delta_over_m, 1.0, nodes_per_axis)[2]
-    # tau_up has eigenvalues (1 +- |r|)/2, in ascending order p_error <= 1 - p_error;
-    # taking them from the variance form keeps the small one accurate at small Gamma
-    entropy = qmatrix.spectrum_entropy(np.array([p_error, 1.0 - p_error]))
+    # tau_up has eigenvalues p_error and 1 - p_error, so its entropy is the binary
+    # entropy of p_error; log1p(-p) keeps the digits that a rounded 1 - p loses
+    entropy = 0.0 if p_error == 0.0 else -(
+        p_error * math.log2(p_error) + (1.0 - p_error) * math.log1p(-p_error) / math.log(2.0))
     return {"beta": beta, "entropy_bits": entropy, "p_error": p_error}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -333,6 +334,20 @@ def test_entropy_sweep_rows():
     s1 = by_key[(round(0.5, 6), 0.4)]["entropy_bits"]
     s2 = by_key[(round(np.pi - 0.5, 6), 0.4)]["entropy_bits"]
     assert abs(s1 - s2) < 1e-8
+
+
+def test_row_entropy_is_the_binary_entropy_of_its_pair_error():
+    # A rounded 1 - p once gave 2.9940901576e-12 bits at Gamma = 1e-6 (1.9e-5 off)
+    # and 6.16831912448e-06 at 2e-3; the 40-digit oracle gives 2.99414745328e-12
+    # and 6.16831912441e-06.
+    for gamma in (1e-6, 1e-3, 2e-3, 0.25):
+        row = sh.sweep_values(1.5707963268, gamma, 1.0, 12)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            p = Decimal(row["p_error"])
+            oracle = -(p * p.ln() + (1 - p) * (1 - p).ln()) / Decimal(2).ln()
+        assert row["entropy_bits"] == pytest.approx(float(oracle), rel=1e-14, abs=0.0)
+    assert sh.sweep_values(0.3, 0.0, 1.0, 6)["entropy_bits"] == 0.0
 
 
 def test_entropy_sweep_marks_unreachable_gamma():

@@ -15,11 +15,10 @@ row that fails is written as NaN, and its reason is printed on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import channel, entangle, photon, spin_half, wavepacket
 
@@ -39,23 +38,22 @@ class ConfigError(Exception):
 
 def parse_values(text: str, field: str):
     """Parse `a,b,c` or `min:max:step` into a list of floats."""
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [t for t in text.split(",") if t != ""]
     try:
-        if ":" in text:
-            lo, hi, step = (float(t) for t in text.split(":"))
-            if not all(map(math.isfinite, (lo, hi, step))):
-                raise ConfigError(f"{field}: values must be finite")
-            if step <= 0.0 or hi < lo:
-                raise ValueError
-            count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            return [lo + i * step for i in range(count)]
-        values = [float(t) for t in text.split(",") if t != ""]
+        values = [float(t) for t in parts]
     except ValueError:
         raise ConfigError(f"{field}: cannot parse range {text!r}") from None
     if not values:
         raise ConfigError(f"{field}: empty range")
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ConfigError(f"{field}: values must be finite")
-    return values
+    if not is_range:
+        return values
+    if len(values) != 3 or values[2] <= 0.0 or values[1] < values[0]:
+        raise ConfigError(f"{field}: cannot parse range {text!r}")
+    lo, hi, step = values
+    return [lo + i * step for i in range(int(math.floor((hi - lo) / step + 1e-9)) + 1)]
 
 
 def _map_rows(fn, items):
@@ -64,16 +62,11 @@ def _map_rows(fn, items):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.12g}"
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else f"{value:.12g}"
+    return str(value)
 
 
 def _csv(header: str, rows) -> str:
@@ -92,13 +85,9 @@ def _json(obj) -> str:
             return {k: clean(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
             return [clean(v) for v in x]
-        if isinstance(x, (np.floating, float)):
+        if isinstance(x, float):
             # the CSV's 12 significant digits; -0.0 prints as 0.0
             return None if math.isnan(x) else float(_fmt(x)) + 0.0
-        if isinstance(x, (np.integer,)):
-            return int(x)
-        if isinstance(x, np.bool_):
-            return bool(x)
         return x
 
     return json.dumps(clean(obj), indent=2, sort_keys=True) + "\n"
@@ -113,20 +102,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_rows(args, header: str, keys, rows) -> int:
-    """Write sweep rows as CSV and return the exit code.
-
-    The `error` note of each row that failed goes to stderr, the row named
-    by its `keys`.
-    """
+    """Write rows as CSV, each failed row's reason (named by `keys`) to stderr; exit code."""
     for row in rows:
         if "error" in row:
             where = " ".join(f"{k}={_fmt(row[k])}" for k in keys)
             print(f"relqi: row {where}: {row['error']}", file=sys.stderr)
     _write(args.out, _csv(header, rows))
-    return _exit_code(rows)
-
-
-def _exit_code(rows) -> int:
     return 0 if all(row["converged"] for row in rows) else 1
 
 
@@ -233,18 +214,22 @@ def _apply_config(args, subparser) -> None:
         setattr(args, action.dest, value)
 
 
-def _require_positive(value, field: str) -> float:
-    value = float(value)
-    if value <= 0.0:
-        raise ConfigError(f"{field}: must be positive")
-    return value
+# The bound that every value of a parameter flag meets, whether it holds one
+# value or a list; a flag that is not listed takes any finite value.
+_POSITIVE = (lambda x: x > 0.0, "must be positive")
+_SPEED = (lambda x: abs(x) < 1.0, "speeds must satisfy |v| < 1")
+_BOUNDS = {"kA": _POSITIVE, "dr": _POSITIVE, "dz": _POSITIVE, "delta_over_m": _POSITIVE,
+           "gamma": (lambda x: x >= 0.0, "must be nonnegative"), "v": _SPEED, "beta": _SPEED}
 
 
-def _require_speed(value, field: str) -> float:
-    value = float(value)
-    if abs(value) >= 1.0:
-        raise ConfigError(f"{field}: speeds must satisfy |v| < 1")
-    return value
+def _values(args, flag: str) -> list:
+    """The values of a parameter flag, one number or a list, each checked against its bound."""
+    field = flag.replace("_", "-")
+    values = parse_values(str(getattr(args, flag)), field)
+    holds, message = _BOUNDS.get(flag, (None, None))
+    if holds is not None and not all(map(holds, values)):
+        raise ConfigError(f"{field}: {message}")
+    return values
 
 
 def _validate(args) -> None:
@@ -253,15 +238,16 @@ def _validate(args) -> None:
             raise ConfigError(f"{key.replace('_', '-')}: must be finite")
     if args.tolerance <= 0.0:
         raise ConfigError("tolerance: must be positive")
-    if args.command == "convergence":
-        if args.resolution < 1:
-            raise ConfigError("resolution: must be >= 1")
-    elif args.resolution < 4:
-        raise ConfigError("resolution: must be >= 4")
-    for attr in ("kA", "dr", "dz", "delta_over_m"):
-        value = getattr(args, attr, None)
-        if value is not None and not isinstance(value, str):
-            _require_positive(value, attr.replace("_", "-"))
+    least = 1 if args.command == "convergence" else 4
+    if args.resolution < least:
+        raise ConfigError(f"resolution: must be >= {least}")
+
+
+def _moved(coarse, fine, tolerance: float) -> bool:
+    """Whether a value, or any entry of a (nested) list of values, moved by `tolerance` or more."""
+    if isinstance(coarse, (int, float)):
+        return not abs(fine - coarse) < tolerance
+    return any(_moved(c, f, tolerance) for c, f in zip(coarse, fine))
 
 
 def _refine(args, values_at) -> dict:
@@ -269,7 +255,7 @@ def _refine(args, values_at) -> dict:
 
     `values_at(n)` returns the dict of grid-dependent values printed at n
     nodes per axis.  Unless --no-convergence is set they are recomputed at
-    2n, and `converged` holds when every value (every entry of an array)
+    2n, and `converged` holds when every value (every entry of a list)
     moved by less than --tolerance, absolute.  A ValueError propagates.
     This is the one refinement rule of every sweep row and JSON report.
     """
@@ -278,81 +264,98 @@ def _refine(args, values_at) -> dict:
     converged = True
     if not args.no_convergence:
         fine = values_at(2 * n)
-        converged = all(np.all(np.abs(np.subtract(fine[k], v)) < args.tolerance)
-                        for k, v in values.items())
-    return {**values, "grid_nodes": n**3, "converged": bool(converged)}
+        converged = not any(_moved(v, fine[k], args.tolerance) for k, v in values.items())
+    return {**values, "grid_nodes": n**3, "converged": converged}
 
 
 def _row(args, fields: dict, values_at) -> dict:
     """One sweep row: its input `fields` and _refine(args, values_at).
 
     A row whose evaluation raises ValueError, at either resolution, keeps
-    only its `fields`, is not converged and carries the reason as "error".
+    its `fields` and the `values` the error carries, if any, is not
+    converged and carries the reason as "error".
     """
     try:
         return {**fields, **_refine(args, values_at)}
     except ValueError as exc:
-        return {**fields, "grid_nodes": args.resolution**3, "converged": False,
-                "error": str(exc)}
+        return {**fields, **getattr(exc, "values", {}), "grid_nodes": args.resolution**3,
+                "converged": False, "error": str(exc)}
 
 
-def _spin_row(args, theta, gamma):
-    fields = {"theta": theta, "gamma": gamma, "delta_over_m": args.delta_over_m}
-    return _row(args, fields,
-                lambda n: spin_half.sweep_values(theta, gamma, args.delta_over_m, n))
+def _report(args, fields: dict, values_at) -> int:
+    """Write one JSON report, `fields` and _refine(args, values_at); return the exit code."""
+    report = {**fields, **_refine(args, values_at), "tolerance": args.tolerance}
+    _write(args.out, _json(report))
+    return 0 if report["converged"] else 1
 
 
-def _cmd_spin(args) -> int:
-    thetas = parse_values(str(args.theta), "theta")
-    gammas = parse_values(str(args.gamma), "gamma")
-    for gamma in gammas:
-        if gamma < 0.0:
-            raise ConfigError("gamma: must be nonnegative")
-    pairs = [(t, g) for t in thetas for g in gammas]
-    rows = _map_rows(lambda tg: _spin_row(args, *tg), pairs)
-    return _write_rows(args, SPIN_HEADER, ("theta", "gamma"), rows)
+_KEYS = {"dr": "delta_r", "dz": "delta_z"}  # the printed name of a flag, where it differs
+
+_SPIN = (SPIN_HEADER, ("delta_over_m",), ("theta", "gamma"),
+         lambda p, n: spin_half.sweep_values(p["theta"], p["gamma"], p["delta_over_m"], n))
 
 
-def _cmd_photon_density(args) -> int:
-    payload = _refine(args, lambda n: {
-        "rho": photon.circular_density(args.kA, args.dz, args.dr, args.helicity, n)})
-    rho = payload.pop("rho")
-    payload.update(kA=args.kA, delta_r=args.dr, delta_z=args.dz, helicity=args.helicity,
-                   rho_re=np.real(rho).tolist(), rho_im=np.imag(rho).tolist(),
-                   tolerance=args.tolerance)
-    _write(args.out, _json(payload))
-    return _exit_code([payload])
+def _photon_values(p: dict, n: int) -> dict:
+    return photon.sweep_values(p["kA"], p["dz"], p["dr"], p["v"], n)
 
 
-def _photon_row(args, delta_r, v):
-    fields = {
-        "kA": args.kA,
-        "delta_r": delta_r,
-        "delta_z": args.dz,
-        "v": v,
-        "p_error_closed_form": (1.0 + v) / (1.0 - v) * delta_r**2 / (4.0 * args.kA**2),
-    }
-    return _row(args, fields, lambda n: {
-        "p_error": photon.circular_pair_error(args.kA, args.dz, delta_r, n, v)})
+# Each sweep: its CSV header, its flags that hold one value and its swept flags
+# (which name a failed row), each in the order they are checked, and the values
+# of a row at n nodes per axis, one sweep_values call of its physics module on
+# the row's parameters (by flag).
+_SWEEPS = {
+    "spin-entropy": _SPIN,
+    "spin-distinguish": _SPIN,
+    "photon-distinguish": (PHOTON_HEADER, ("kA", "dz"), ("dr",), _photon_values),
+    "doppler": (PHOTON_HEADER, ("kA", "dr", "dz"), ("v",), _photon_values),
+    "entangle-sweep": (ENTANGLE_HEADER, (), ("delta_over_m", "beta"),
+                       lambda p, n: entangle.sweep_values(p["delta_over_m"], p["beta"], n)),
+}
+
+
+def _grid(args) -> dict:
+    """The checked values of every flag of args.command's sweep, by flag."""
+    _, fixed, swept, _ = _SWEEPS[args.command]
+    return {flag: _values(args, flag) for flag in fixed + swept}
+
+
+def _sweep_row(args, command: str, params: dict) -> dict:
+    """The row of `command`'s sweep at `params` (flag: value), refined by _row."""
+    return _row(args, {_KEYS.get(flag, flag): value for flag, value in params.items()},
+                lambda n: _SWEEPS[command][3](params, n))
+
+
+def _sweep(args, grid: dict) -> int:
+    """Write the rows of args.command's sweep over the product of `grid`; return the exit code."""
+    header, _, swept, _ = _SWEEPS[args.command]
+    rows = _map_rows(lambda combo: _sweep_row(args, args.command, dict(zip(grid, combo))),
+                     itertools.product(*grid.values()))
+    return _write_rows(args, header, [_KEYS.get(flag, flag) for flag in swept], rows)
+
+
+def _cmd_sweep(args) -> int:
+    return _sweep(args, _grid(args))
 
 
 def _cmd_photon_distinguish(args) -> int:
-    drs = [_require_positive(dr, "dr") for dr in parse_values(str(args.dr), "dr")]
-    rows = _map_rows(lambda dr: _photon_row(args, dr, 0.0), drs)
-    return _write_rows(args, PHOTON_HEADER, ("delta_r",), rows)
+    # the circular pair compared at rest
+    return _sweep(args, {**_grid(args), "v": [0.0]})
 
 
 def _cmd_doppler(args) -> int:
-    speeds = [_require_speed(v, "v") for v in parse_values(str(args.v), "v")]
-    fmt = args.format or ("json" if len(speeds) == 1 else "csv")
-    if fmt == "json":
-        payload = _refine(args, lambda n: photon.doppler_report(
-            args.kA, args.dz, args.dr, speeds[0], n).as_dict())
-        payload["tolerance"] = args.tolerance
-        _write(args.out, _json(payload))
-        return _exit_code([payload])
-    rows = _map_rows(lambda v: _photon_row(args, args.dr, v), speeds)
-    return _write_rows(args, PHOTON_HEADER, ("v",), rows)
+    grid = _grid(args)
+    if (args.format or ("json" if len(grid["v"]) == 1 else "csv")) == "csv":
+        return _sweep(args, grid)
+    k_mean, delta_z, delta_r, v = (grid[flag][0] for flag in ("kA", "dz", "dr", "v"))
+    return _report(args, {}, lambda n: photon.doppler_report(
+        k_mean, delta_z, delta_r, v, n).as_dict())
+
+
+def _cmd_photon_density(args) -> int:
+    (k_mean,), (delta_r,), (delta_z,) = (_values(args, flag) for flag in ("kA", "dr", "dz"))
+    fields = {"kA": k_mean, "delta_r": delta_r, "delta_z": delta_z, "helicity": args.helicity}
+    return _report(args, fields, lambda n: photon.circular_density_values(
+        k_mean, delta_z, delta_r, args.helicity, n))
 
 
 def _cmd_channel_audit(args) -> int:
@@ -375,29 +378,13 @@ def _cmd_channel_audit(args) -> int:
     return 0
 
 
-def _entangle_row(args, delta_over_m, beta):
-    return _row(args, {"delta_over_m": delta_over_m, "beta": beta},
-                lambda n: entangle.sweep_values(delta_over_m, beta, n))
-
-
-def _cmd_entangle(args) -> int:
-    dms = [
-        _require_positive(dm, "delta-over-m")
-        for dm in parse_values(str(args.delta_over_m), "delta-over-m")
-    ]
-    betas = [_require_speed(b, "beta") for b in parse_values(str(args.beta), "beta")]
-    pairs = [(dm, b) for dm in dms for b in betas]
-    rows = _map_rows(lambda db: _entangle_row(args, *db), pairs)
-    return _write_rows(args, ENTANGLE_HEADER, ("delta_over_m", "beta"), rows)
-
-
 def _cmd_convergence(args) -> int:
     n = args.resolution
     probes = [
         ("spin_entropy_theta_pi2_gamma_0.5", n,
-         lambda res: spin_half.sweep_values(np.pi / 2, 0.5, 1.0, res)["entropy_bits"]),
+         lambda res: spin_half.sweep_values(math.pi / 2, 0.5, 1.0, res)["entropy_bits"]),
         ("spin_pair_error_gamma_0.005", n,
-         lambda res: spin_half.sweep_values(np.pi / 2, 0.005, 1.0, res)["p_error"]),
+         lambda res: spin_half.sweep_values(math.pi / 2, 0.005, 1.0, res)["p_error"]),
         ("photon_pair_error_dr_over_k_0.01", n,
          lambda res: photon.circular_pair_error(100.0, 0.1, 1.0, res)),
         ("doppler_ratio_v_0.5", n,
@@ -410,28 +397,21 @@ def _cmd_convergence(args) -> int:
         name, res, fn = probe
         value, refined = fn(res), fn(2 * res)
         delta = abs(refined - value) / max(abs(refined), 1e-300)
-        return {
-            "observable": name,
-            "nodes_per_axis": res,
-            "grid_nodes": res**3,
-            "value": value,
-            "refined_value": refined,
-            "rel_delta": delta,
-            "converged": bool(delta < args.tolerance),
-        }
+        return {"observable": name, "nodes_per_axis": res, "grid_nodes": res**3, "value": value,
+                "refined_value": refined, "rel_delta": delta, "converged": delta < args.tolerance}
 
     rows = _map_rows(evaluate, probes)
     return _write_rows(args, CONVERGENCE_HEADER, (), rows)
 
 
 _COMMANDS = {
-    "spin-entropy": _cmd_spin,
-    "spin-distinguish": _cmd_spin,
+    "spin-entropy": _cmd_sweep,
+    "spin-distinguish": _cmd_sweep,
     "photon-density": _cmd_photon_density,
     "photon-distinguish": _cmd_photon_distinguish,
     "doppler": _cmd_doppler,
     "channel-audit": _cmd_channel_audit,
-    "entangle-sweep": _cmd_entangle,
+    "entangle-sweep": _cmd_sweep,
     "convergence": _cmd_convergence,
 }
 
@@ -447,7 +427,7 @@ def run(argv) -> int:
         _apply_config(args, subparsers[args.command])
         _validate(args)
         return _COMMANDS[args.command](args)
-    except (wavepacket.NumericalError, np.linalg.LinAlgError) as exc:
+    except wavepacket.NUMERICAL_FAILURES as exc:
         print(f"relqi: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

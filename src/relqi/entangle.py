@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, qmatrix, spin_half
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, gauss_grid, normalize
+from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid, normalize
 
 DEFAULT_NODES_PER_AXIS = 8
 
@@ -62,7 +62,7 @@ class TwoParticleAmplitude:
                           g, g.conj())
         nrm = float(np.sqrt(np.real(total)))
         if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"state norm {nrm:.12g} differs from 1")
+            raise NumericalError(f"state norm {nrm:.12g} differs from 1")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
 

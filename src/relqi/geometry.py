@@ -82,7 +82,7 @@ def _require_on_shell(p4: np.ndarray, mass: float) -> None:
     e2 = energy * energy
     sp2 = _norm2(p4[..., 1:])
     if np.any(np.abs(e2 - sp2 - mass * mass) > 1e-10 * (e2 + sp2)) or np.any(energy <= 0.0):
-        raise ValueError("momentum is off shell for the given mass")
+        raise NumericalError("momentum is off shell for the given mass")
 
 
 def standard_boost(p4, mass: float) -> np.ndarray:

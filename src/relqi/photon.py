@@ -17,7 +17,8 @@ and an observer moving along z are axially symmetric, so <P_T> is diagonal,
 <khat'> is <cos theta'> e_z, and aberration gives cos theta' node by node:
 `circular_density`, `circular_pair_error` and the Doppler report average
 on one 2-D Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2)
-(`_beam_rule`).
+(`_beam_rule`).  `sweep_values` and `circular_density_values` give `relqi.cli`
+a sweep row's and the density report's values as Python floats and lists.
 
 Boosts transport nodes along L k with the invariant-measure weights and the
 helicity amplitudes unchanged (the transported 3-vector is the standard
@@ -34,16 +35,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import geometry, qmatrix
-from .wavepacket import (
-    GaussianSpec,
-    Measure,
-    MomentumGrid,
-    _gauss_rule,
-    ensure_same_grid,
-    gauss_grid,
-    inner_product,
-    normalize,
-)
+from .wavepacket import (GaussianSpec, Measure, MomentumGrid, NumericalError, _gauss_rule,
+                         ensure_same_grid, gauss_grid, inner_product, normalize)
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -96,7 +89,7 @@ class PhotonPacket:
             raise ValueError("per-node helicity amplitudes must be normalized")
         total = np.real(inner_product(self.grid, profile, profile))
         if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"profile norm {total:.12g} differs from 1")
+            raise NumericalError(f"profile norm {total:.12g} differs from 1")
         profile.setflags(write=False)
         helicity.setflags(write=False)
         object.__setattr__(self, "profile", profile)
@@ -342,6 +335,32 @@ def circular_density(
     return rho
 
 
+def _doppler_factor(v: float) -> float:
+    """(1 + v)/(1 - v): the leading-order scale of the pair error seen at speed v along z."""
+    return (1.0 + v) / (1.0 - v)
+
+
+def circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis) -> dict:
+    """circular_density as the nested lists rho_re and rho_im of a report."""
+    rho = circular_density(k_mean, delta_z, delta_r, helicity, nodes_per_axis)
+    return {"rho_re": rho.real.tolist(), "rho_im": rho.imag.tolist()}
+
+
+def sweep_values(k_mean, delta_z, delta_r, v, nodes_per_axis) -> dict:
+    """p_error, circular_pair_error at one resolution, and its delta_r / k_mean -> 0 limit.
+
+    A ValueError that the rule raises carries that closed form, which needs
+    no rule, as its `values`, so that a failed sweep row still prints it.
+    """
+    closed_form = {"p_error_closed_form": _doppler_factor(v) * delta_r**2 / (4.0 * k_mean**2)}
+    try:
+        p_error = _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (v,))[0]
+    except ValueError as exc:
+        exc.values = closed_form
+        raise
+    return {"p_error": p_error, **closed_form}
+
+
 def circular_pair_error(
     k_mean: float,
     delta_z: float,
@@ -406,5 +425,5 @@ def doppler_report(
         pe_rest=pe_rest,
         pe_boosted=pe_boosted,
         ratio=pe_boosted / pe_rest if pe_rest > 0.0 else math.nan,
-        closed_form_ratio=(1.0 + v) / (1.0 - v),
+        closed_form_ratio=_doppler_factor(v),
     )

@@ -44,18 +44,12 @@ def partial_trace(rho, dims, side: str = "left") -> np.ndarray:
 
 
 def entropy(rho, psd_tol: float = 1e-10) -> float:
-    """von Neumann entropy -sum(lam * log2(lam)) in bits, from rho's spectrum."""
-    rho = np.asarray(rho, dtype=complex)
-    return spectrum_entropy(np.linalg.eigvalsh(hermitize(rho)), psd_tol)
-
-
-def spectrum_entropy(eigs, psd_tol: float = 1e-10) -> float:
-    """-sum(lam * log2(lam)) in bits of the eigenvalues `eigs`, summed in their order.
+    """von Neumann entropy -sum(lam * log2(lam)) in bits, from rho's spectrum.
 
     Eigenvalues in [-psd_tol, 1e-14] are treated as exact zeros (quadrature
     noise); anything more negative raises.
     """
-    eigs = np.asarray(eigs, dtype=float)
+    eigs = np.linalg.eigvalsh(hermitize(rho))
     if eigs.min() < -psd_tol:
         raise ValueError(f"negative eigenvalue {eigs.min():.3g} beyond tolerance")
     eigs = eigs[eigs > 1e-14]

@@ -66,7 +66,7 @@ class SpinorPacket:
             raise ValueError("amplitudes must have shape (n_nodes, 2)")
         nrm = self.norm(amps)
         if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"packet norm {nrm:.12g} differs from 1")
+            raise wavepacket.NumericalError(f"packet norm {nrm:.12g} differs from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -257,7 +257,7 @@ def _boosted_pair(lam, delta, mass, nodes_per_axis):
     d, _ = wigner_moments(lam, delta, mass, nodes_per_axis)
     dz = d[:, 2]
     r = dz + (0.0, 0.0, 1.0)
-    p_error = max(0.0, float(-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r))))
+    p_error = max(0.0, float((-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r)))))
     r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
     return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
 

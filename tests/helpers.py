@@ -115,11 +115,11 @@ def single_spin_density(state: entangle.TwoParticleAmplitude, particle: int = 1)
     return qmatrix.partial_trace(rho, (2, 2), side=side)
 
 
-def row_args(resolution: int, tolerance: float = 1e-6, no_convergence: bool = False,
-             delta_over_m: float = 1.0) -> argparse.Namespace:
-    """The flags that relqi.cli's row builders (_spin_row, _entangle_row) read."""
+def row_args(resolution: int, tolerance: float = 1e-6,
+             no_convergence: bool = False) -> argparse.Namespace:
+    """The flags that relqi.cli's sweep rows (_row, _sweep_row) and _refine read."""
     return argparse.Namespace(resolution=resolution, tolerance=tolerance,
-                              no_convergence=no_convergence, delta_over_m=delta_over_m)
+                              no_convergence=no_convergence)
 
 
 def packet_rule(delta: float, mass: float, nodes_per_axis: int,

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -484,3 +486,49 @@ def test_time_axis_defect_is_a_numerical_error():
     nodes = helpers.packet_rule(1.0, 1.0, 12)[0]
     with pytest.raises(wavepacket.NumericalError, match="time axis"):
         geometry.wigner_quaternion_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)
+
+
+def test_off_shell_node_exits_3_outside_a_row_and_is_a_nan_row_inside_one(monkeypatch, capsys):
+    from relqi import geometry
+
+    four_momentum = geometry.four_momentum
+    # every node's energy off shell by a relative 1e-6, far beyond the check's 1e-10
+    monkeypatch.setattr(geometry, "four_momentum",
+                        lambda mass, p: four_momentum(mass, p) * (1.0 + 1e-6, 1.0, 1.0, 1.0))
+    assert cli.run(["channel-audit", "--out", "-"]) == 3
+    out = capsys.readouterr()
+    assert out.err == "relqi: numerical failure: momentum is off shell for the given mass\n"
+    assert out.out == ""
+    assert cli.run(["spin-entropy", "--theta", "0", "--gamma", "0.25", "--out", "-"]) == 1
+    out = capsys.readouterr()
+    assert out.err == "relqi: row theta=0 gamma=0.25: momentum is off shell for the given mass\n"
+    assert out.out.split("\n")[1] == "0,0.25,nan,1,nan,nan,1728,false"
+
+
+def test_cli_names_no_numpy():
+    # the physics modules hand the CLI Python scalars and lists
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert names.isdisjoint({"np", "numpy"})
+
+
+def test_values_reach_the_cli_as_python_floats():
+    from relqi import entangle, photon, spin_half
+
+    def floats(value):
+        if isinstance(value, list):
+            return all(floats(v) for v in value)
+        return type(value) is float
+
+    for n in (2, 4):
+        reports = [spin_half.sweep_values(0.7, 0.25, 1.0, n), entangle.sweep_values(0.5, 0.6, n),
+                   photon.sweep_values(100.0, 0.1, 1.0, 0.5, n),
+                   photon.circular_density_values(100.0, 0.1, 1.0, 1, n),
+                   photon.doppler_report(100.0, 0.1, 1.0, 0.5, n).as_dict()]
+        for report in reports:
+            assert all(floats(v) for v in report.values()), report

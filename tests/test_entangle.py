@@ -158,7 +158,7 @@ def test_sweep_row_memory_bounded():
     args = helpers.row_args(16)
     tracemalloc.start()
     try:
-        row = cli._entangle_row(args, 0.5, 0.9)
+        row = cli._sweep_row(args, "entangle-sweep", {"delta_over_m": 0.5, "beta": 0.9})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -174,7 +174,7 @@ def test_first_sweep_row_memory_is_bounded():
     wp._gauss_rule.cache_clear()
     tracemalloc.start()
     try:
-        row = cli._entangle_row(args, 0.5, 0.9)
+        row = cli._sweep_row(args, "entangle-sweep", {"delta_over_m": 0.5, "beta": 0.9})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -186,10 +186,10 @@ def test_sweep_row_scratch_is_bounded_once_the_grid_is_cached():
     # As for the spin rows, on the INVARIANT rule: a second row's peak is one
     # kernel block (about 1 MB; 17 MB when the kernel held every folded node).
     args = helpers.row_args(40)
-    cli._entangle_row(args, 0.5, 0.6)
+    cli._sweep_row(args, "entangle-sweep", {"delta_over_m": 0.5, "beta": 0.6})
     tracemalloc.start()
     try:
-        row = cli._entangle_row(args, 0.5, 0.9)
+        row = cli._sweep_row(args, "entangle-sweep", {"delta_over_m": 0.5, "beta": 0.9})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,13 +218,21 @@ def test_sweep_monotone_in_beta():
 
 
 def test_sweep_convergence_flag():
-    row = cli._entangle_row(helpers.row_args(6, 1e-3), 0.5, 0.6)
+    row = cli._sweep_row(helpers.row_args(6, 1e-3), "entangle-sweep",
+                         {"delta_over_m": 0.5, "beta": 0.6})
     assert row["converged"]
-    row = cli._entangle_row(helpers.row_args(4, 1e-10), 0.5, 0.9)
+    row = cli._sweep_row(helpers.row_args(4, 1e-10), "entangle-sweep",
+                         {"delta_over_m": 0.5, "beta": 0.9})
     assert not row["converged"]
 
 
 def test_state_validation():
     state = en.bell_gaussian(0.5, 1.0, 4)
     with pytest.raises(ValueError, match="norm"):
+        en.TwoParticleAmplitude(grid1=state.grid1, grid2=state.grid2, g=2.0 * state.g)
+
+
+def test_state_norm_defect_is_a_numerical_error():
+    state = en.bell_gaussian(0.5, 1.0, 4)
+    with pytest.raises(wp.NumericalError, match="state norm"):
         en.TwoParticleAmplitude(grid1=state.grid1, grid2=state.grid2, g=2.0 * state.g)

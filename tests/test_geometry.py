@@ -436,3 +436,9 @@ def test_wigner_su2_batch_from_kernel_quaternions():
     _, u = geo.wigner_su2_batch(lam, momenta, 1.0)
     _, rots = geo.wigner_rotation_batch(lam, momenta, 1.0)
     np.testing.assert_allclose(u, geo.rotations_to_su2(rots), rtol=0.0, atol=1e-15)
+
+
+def test_off_shell_momentum_is_a_numerical_error():
+    # NumericalError is a ValueError: in a sweep row it makes a NaN row, outside one exit 3
+    with pytest.raises(NumericalError, match="off shell"):
+        geo.standard_boost(np.array([1.0, 0.0, 0.0, 0.9]), 1.0)

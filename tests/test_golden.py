@@ -31,10 +31,12 @@ WORKLOADS = GOLDEN.parent.parent / "bench" / "workloads.py"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 ABS_NOISE = 1e-14  # bench/checks.py REF_ABS_TOL
-# (subcommand, stream, pattern whose group 2 is a noise value, compared within ABS_NOISE or not)
+# (subcommand, stream, pattern whose group 2 is a noise value, compared within ABS_NOISE
+# or not compared)
 NOISE = (
     ("channel-audit", "stdout", r'("min_choi_eig": )([^,\n]+)()', True),
-    ("convergence", "stdout", r"^(photon_pair_error_dr_over_k_0\.01,(?:[^,]*,){4})([^,]*)(,)", True),
+    ("convergence", "stdout",
+     r"^(photon_pair_error_dr_over_k_0\.01,(?:[^,]*,){4})([^,]*)(,)", True),
     ("spin-entropy", "stderr", r"(do not fix the time axis \()([^)]*)(\))", False),
 )
 

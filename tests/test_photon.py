@@ -368,3 +368,9 @@ def test_gauss_rules_are_built_once_per_node_count():
         assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError, match="Gauss-Laguerre rule breaks down at 190 nodes"):
         wp._gauss_rule("Gauss-Laguerre", 190)
+
+
+def test_profile_norm_defect_is_a_numerical_error():
+    beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 4)
+    with pytest.raises(wp.NumericalError, match="profile norm"):
+        ph.PhotonPacket(grid=beam.grid, profile=2.0 * beam.profile, helicity=beam.helicity)

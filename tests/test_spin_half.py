@@ -250,7 +250,8 @@ def grid_builds(monkeypatch):
 def test_sweep_builds_one_grid_per_resolution(grid_builds):
     # no n^3 grid at all: each row streams its rule from the cached 1-D rules
     args = helpers.row_args(12)
-    rows = [cli._spin_row(args, theta, gamma)
+    rows = [cli._sweep_row(args, "spin-entropy",
+                           {"theta": theta, "gamma": gamma, "delta_over_m": 1.0})
             for theta in np.linspace(0.0, np.pi, 16) for gamma in (0.0, 0.25, 0.5)]
     assert len(rows) == 48
     assert grid_builds == {"grids": [], "rules": [12, 24]}
@@ -260,7 +261,8 @@ def test_spin_row_memory_bounded():
     args = helpers.row_args(32)
     tracemalloc.start()
     try:
-        row = cli._spin_row(args, np.pi / 2, 0.25)
+        row = cli._sweep_row(args, "spin-entropy",
+                             {"theta": np.pi / 2, "gamma": 0.25, "delta_over_m": 1.0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,7 +278,8 @@ def test_first_spin_row_memory_is_bounded():
     wp._gauss_rule.cache_clear()
     tracemalloc.start()
     try:
-        row = cli._spin_row(args, 0.3, 0.25)
+        row = cli._sweep_row(args, "spin-entropy",
+                             {"theta": 0.3, "gamma": 0.25, "delta_over_m": 1.0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,10 +292,11 @@ def test_spin_row_scratch_is_bounded_once_the_grid_is_cached():
     # first does: nothing accumulates across rows (33 MB when the kernel held
     # every folded node at once).
     args = helpers.row_args(40)
-    cli._spin_row(args, 0.3, 0.25)
+    cli._sweep_row(args, "spin-entropy", {"theta": 0.3, "gamma": 0.25, "delta_over_m": 1.0})
     tracemalloc.start()
     try:
-        row = cli._spin_row(args, 0.7, 0.25)
+        row = cli._sweep_row(args, "spin-entropy",
+                             {"theta": 0.7, "gamma": 0.25, "delta_over_m": 1.0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,7 +357,8 @@ def test_row_entropy_is_the_binary_entropy_of_its_pair_error():
 def test_entropy_sweep_marks_unreachable_gamma():
     with pytest.raises(ValueError, match="unreachable"):
         sh.sweep_values(0.1, 0.9, 0.5, 6)
-    rows = [cli._spin_row(helpers.row_args(6, delta_over_m=0.5), 0.1, 0.9)]
+    rows = [cli._sweep_row(helpers.row_args(6), "spin-entropy",
+                           {"theta": 0.1, "gamma": 0.9, "delta_over_m": 0.5})]
     assert len(rows) == 1
     assert not rows[0]["converged"]
     entropy = cli._csv(cli.SPIN_HEADER, rows).split("\n")[1].split(",")[4]
@@ -362,9 +367,11 @@ def test_entropy_sweep_marks_unreachable_gamma():
 
 
 def test_entropy_sweep_convergence_flag():
-    row = cli._spin_row(helpers.row_args(12, 1e-4), np.pi / 2, 0.25)
+    row = cli._sweep_row(helpers.row_args(12, 1e-4), "spin-entropy",
+                         {"theta": np.pi / 2, "gamma": 0.25, "delta_over_m": 1.0})
     assert row["converged"]
-    row = cli._spin_row(helpers.row_args(4, 1e-8), np.pi / 2, 0.5)
+    row = cli._sweep_row(helpers.row_args(4, 1e-8), "spin-entropy",
+                         {"theta": np.pi / 2, "gamma": 0.5, "delta_over_m": 1.0})
     assert not row["converged"]
 
 
@@ -398,3 +405,9 @@ def test_identity_boost_row_prints_zero(tmp_path):
     assert cli.run(["spin-entropy", "--theta", "0.7", "--gamma", "0", "--no-convergence",
                     "--out", str(out)]) == 0
     assert out.read_text().split("\n")[1] == "0.7,0,0,1,0,0,1728,true"
+
+
+def test_packet_norm_defect_is_a_numerical_error():
+    psi = sh.gaussian_packet(0.5, 1.0, 4)
+    with pytest.raises(wp.NumericalError, match="packet norm"):
+        sh.SpinorPacket(grid=psi.grid, amps=2.0 * psi.amps, mass=1.0)

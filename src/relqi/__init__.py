@@ -22,8 +22,8 @@ from .geometry import (
     observer_boost,
     rotations_to_su2,
     standard_boost,
-    standard_rotation,
-    wigner_rotation,
+    standard_rotation_batch,
+    wigner_rotation_batch,
 )
 from .photon import (
     PhotonPacket,
@@ -51,8 +51,7 @@ from .qmatrix import (
 from .spin_half import (
     SpinorPacket,
     boost_packet,
-    boosted_pair_densities,
-    boosted_pair_error,
+    boosted_pair,
     gamma_parameter,
     gaussian_packet,
     reduced_spin_density,

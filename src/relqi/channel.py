@@ -29,18 +29,6 @@ VERDICT_TEXT = (
 
 
 @dataclass(frozen=True)
-class BoostChannelSpec:
-    """Mixing strength and boost angle of the decoherence channel."""
-
-    gamma: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ChannelReport:
     """Unified audit record; fields irrelevant to a given audit stay None."""
 
@@ -73,13 +61,13 @@ def decoherence_channel(gamma: float) -> QubitChannel:
     )
 
 
-def certify(spec: BoostChannelSpec) -> ChannelReport:
+def certify(gamma: float, theta: float = 0.0) -> ChannelReport:
     """CP/TP report with the minimum Choi eigenvalue always included."""
-    ch = decoherence_channel(spec.gamma)
+    ch = decoherence_channel(gamma)
     is_cp, min_eig = qmatrix.is_completely_positive(ch, tol=1e-12)
     return ChannelReport(
-        gamma=spec.gamma,
-        theta=spec.theta,
+        gamma=gamma,
+        theta=theta,
         is_cp=is_cp,
         is_tp=ch.is_trace_preserving(tol=1e-12),
         min_choi_eig=min_eig,
@@ -98,7 +86,8 @@ class ConsistencyReport:
 
 
 def consistency_check(
-    spec: BoostChannelSpec,
+    gamma: float,
+    theta: float = 0.0,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
     beta: float = 0.6,
 ) -> ConsistencyReport:
@@ -117,7 +106,8 @@ def consistency_check(
     coefficient differs from the boosted one (the angular factor is
     (1 + cos^2 theta)/2), so the distance is reported, never asserted.
     """
-    gamma, theta = spec.gamma, spec.theta
+    if gamma < 0.0:
+        raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
         return ConsistencyReport(gamma, theta, 0.0, 0.0, 0.0, 0.0, grid_resolution**3)
     delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, beta)
@@ -143,8 +133,7 @@ def consistency_order(
     beta: float = 0.6,
 ) -> dict:
     """Residual-vs-gamma scaling study: distances, gamma^4 ratios, fitted order."""
-    reports = [consistency_check(BoostChannelSpec(g, theta), grid_resolution, beta)
-               for g in gammas]
+    reports = [consistency_check(g, theta, grid_resolution, beta) for g in gammas]
     distances = np.array([r.trace_distance for r in reports])
     ratios = np.array([r.ratio_gamma4 for r in reports])
     logs = np.log(np.asarray(gammas))

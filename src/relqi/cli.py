@@ -30,6 +30,7 @@ ENTANGLE_HEADER = (
 CONVERGENCE_HEADER = (
     "observable,nodes_per_axis,grid_nodes,value,refined_value,rel_delta,converged"
 )
+MAX_ROWS = 100_000  # the most values of a min:max:step range, and the most rows of a sweep
 
 
 class ConfigError(Exception):
@@ -53,7 +54,10 @@ def parse_values(text: str, field: str):
     if len(values) != 3 or values[2] <= 0.0 or values[1] < values[0]:
         raise ConfigError(f"{field}: cannot parse range {text!r}")
     lo, hi, step = values
-    return [lo + i * step for i in range(int(math.floor((hi - lo) / step + 1e-9)) + 1)]
+    span = (hi - lo) / step + 1e-9  # the range holds floor(span) + 1 values
+    if not span < MAX_ROWS:
+        raise ConfigError(f"{field}: a range holds at most {MAX_ROWS} values")
+    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def _map_rows(fn, items):
@@ -328,6 +332,9 @@ def _sweep_row(args, command: str, params: dict) -> dict:
 def _sweep(args, grid: dict) -> int:
     """Write the rows of args.command's sweep over the product of `grid`; return the exit code."""
     header, _, swept, _ = _SWEEPS[args.command]
+    if math.prod(map(len, grid.values())) > MAX_ROWS:
+        names = ", ".join(flag.replace("_", "-") for flag in swept)
+        raise ConfigError(f"{names}: a sweep holds at most {MAX_ROWS} rows")
     rows = _map_rows(lambda combo: _sweep_row(args, args.command, dict(zip(grid, combo))),
                      itertools.product(*grid.values()))
     return _write_rows(args, header, [_KEYS.get(flag, flag) for flag in swept], rows)
@@ -359,11 +366,10 @@ def _cmd_photon_density(args) -> int:
 
 
 def _cmd_channel_audit(args) -> int:
-    spec = channel.BoostChannelSpec(gamma=args.gamma, theta=args.theta)
-    report = channel.certify(spec).as_dict()
+    report = channel.certify(args.gamma, args.theta).as_dict()
     if args.gamma > 0.0:
         report["trace_distance"] = channel.consistency_check(
-            spec, args.resolution
+            args.gamma, args.theta, args.resolution
         ).trace_distance
     if args.witness_v is not None:
         # is_cp keeps describing the audited channel; the verdict concerns

@@ -75,17 +75,15 @@ def bell_gaussian(
     """Spin singlet times a product of zero-centered Gaussian profiles.
 
     Centered in the rest frame where the total mean momentum vanishes;
-    the rest-frame spin-spin reduction is the singlet projector.
+    the rest-frame spin-spin reduction is the singlet projector.  Both
+    particles share one grid and one profile.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
-    spec = GaussianSpec.isotropic(delta)
-    grid1 = gauss_grid(spec, nodes_per_axis, Measure.INVARIANT, mass=mass)
-    grid2 = gauss_grid(spec, nodes_per_axis, Measure.INVARIANT, mass=mass)
-    h1 = normalize(grid1, np.exp(-np.sum(grid1.nodes**2, axis=1) / (2.0 * delta**2)))
-    h2 = normalize(grid2, np.exp(-np.sum(grid2.nodes**2, axis=1) / (2.0 * delta**2)))
-    g = h1[:, None, None, None] * h2[None, :, None, None] * SINGLET[None, None, :, :]
-    return TwoParticleAmplitude(grid1=grid1, grid2=grid2, g=g)
+    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, Measure.INVARIANT, mass=mass)
+    h = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta**2)))
+    g = h[:, None, None, None] * h[None, :, None, None] * SINGLET[None, None, :, :]
+    return TwoParticleAmplitude(grid1=grid, grid2=grid, g=g)
 
 
 def boost_pair(lam: np.ndarray, state: TwoParticleAmplitude) -> TwoParticleAmplitude:

@@ -12,10 +12,12 @@ it is given.  It is the one copy of the per-node kernel:
 spin_half streams the blocks of a packet's quadrature rule through it,
 wigner_quaternion_batch cuts explicit (n, 3) momenta into blocks of
 _WIGNER_BLOCK nodes, and wigner_rotation_batch and wigner_su2_batch are
-built from its quaternions.  The 4x4 matrix product is kept only as a test
-oracle.  mirror_axes finds the reflections q_k -> -q_k that commute with a
-Lorentz transformation, over which spin_half folds its rules;
-spin_half.wigner_moments applies the resulting symmetry to its sums.
+built from its quaternions.  The Wigner and standard rotations have one
+form each, on (n, 3) stacks; one momentum or direction is a stack of one.
+The 4x4 matrix product is kept only as a test oracle.  mirror_axes finds
+the reflections q_k -> -q_k that commute with a Lorentz transformation,
+over which spin_half folds its rules; spin_half.wigner_moments applies the
+resulting symmetry to its sums.
 """
 
 from __future__ import annotations
@@ -105,17 +107,6 @@ def standard_boost(p4, mass: float) -> np.ndarray:
     return out
 
 
-def wigner_rotation(lam: np.ndarray, p4, mass: float) -> np.ndarray:
-    """Little-group rotation W = B(Lp)^{-1} L B(p) as a 3x3 matrix.
-
-    Raises for a momentum off shell beyond a relative 1e-10, as
-    standard_boost does.
-    """
-    p4 = np.asarray(p4, dtype=float)
-    _require_on_shell(p4, mass)
-    return wigner_rotation_batch(lam, p4[None, 1:], mass)[1][0]
-
-
 def _skew(n):
     """Cross-product matrices [n]_x of (..., 3) vectors."""
     zero = np.zeros(np.shape(n)[:-1])
@@ -129,21 +120,16 @@ def _skew(n):
     )
 
 
-def standard_rotation(khat) -> np.ndarray:
-    """Rotation R(khat) with R(khat) z = khat.
+def standard_rotation_batch(khats: np.ndarray) -> np.ndarray:
+    """Rotations R(khat) with R(khat) z = khat, for an (n, 3) array of unit vectors.
 
     Rotates about the axis z x khat by the polar angle of khat.  Tie-breaks:
-    identity at khat = +z, rotation by pi about x at khat = -z.
+    identity at khat = +z, rotation by pi about x at khat = -z.  Raises
+    ValueError for a khat whose norm differs from 1 by more than 1e-10.
     """
-    khat = np.asarray(khat, dtype=float)
-    if abs(np.linalg.norm(khat) - 1.0) > 1e-10:
-        raise ValueError("khat must be a unit vector")
-    return standard_rotation_batch(khat[None, :])[0]
-
-
-def standard_rotation_batch(khats: np.ndarray) -> np.ndarray:
-    """Vectorized standard_rotation for an (n, 3) array of unit vectors."""
     khats = np.asarray(khats, dtype=float)
+    if np.any(np.abs(np.linalg.norm(khats, axis=-1) - 1.0) > 1e-10):
+        raise ValueError("khat must be a unit vector")
     n = khats.shape[0]
     axis = np.cross(np.broadcast_to(_Z_AXIS, khats.shape), khats)
     sin_t = np.linalg.norm(axis, axis=-1)
@@ -332,7 +318,7 @@ def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
 
 
 def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """Transport momenta through `lam` and return their 3x3 Wigner rotations.
+    """Little-group rotations W = B(Lp)^{-1} L B(p) of (n, 3) momenta, as 3x3 matrices.
 
     Returns (p4_out, W): the (n, 4) transported four-momenta and the
     (n, 3, 3) rotations of wigner_quaternion_batch, with its checks.

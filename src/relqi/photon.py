@@ -29,6 +29,7 @@ zero); pure spatial rotations act on polarization vectors exactly.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -46,6 +47,11 @@ EPS_MINUS_STD = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
 _AXES = np.eye(3)
 
 
+def directions(nodes) -> np.ndarray:
+    """Unit directions khat = k / |k| of (n, 3) photon momenta."""
+    return nodes / np.linalg.norm(nodes, axis=1)[:, None]
+
+
 def helicity_vectors_batch(khats):
     """Right/left circular polarization vectors attached to each row of `khats`."""
     rots = geometry.standard_rotation_batch(khats)
@@ -56,15 +62,16 @@ def transversal_b(direction, khat):
     """Transverse part of a real unit direction and its longitudinal coefficient.
 
     Returns (b, ell) with b = direction - ell * khat, ell = direction . khat,
-    so |b|^2 + ell^2 = 1 and b . khat = 0.
+    so |b|^2 + ell^2 = 1 and b . khat = 0.  `khat` is one unit vector or an
+    (n, 3) stack of them, for which b is (n, 3) and ell (n,).
     """
     direction = np.asarray(direction, dtype=float)
     khat = np.asarray(khat, dtype=float)
     for v in (direction, khat):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
             raise ValueError("direction and khat must be unit vectors")
-    ell = float(direction @ khat)
-    return direction - ell * khat, ell
+    ell = khat @ direction
+    return direction - ell[..., None] * khat, ell
 
 
 @dataclass(frozen=True)
@@ -95,13 +102,9 @@ class PhotonPacket:
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "helicity", helicity)
 
-    def khat(self) -> np.ndarray:
-        k = self.grid.nodes
-        return k / np.linalg.norm(k, axis=1)[:, None]
-
     def alpha_vectors(self) -> np.ndarray:
         """Geometrical polarization 3-vector at every node."""
-        eps_p, eps_m = helicity_vectors_batch(self.khat())
+        eps_p, eps_m = helicity_vectors_batch(directions(self.grid.nodes))
         return self.helicity[:, :1] * eps_p + self.helicity[:, 1:] * eps_m
 
 
@@ -112,7 +115,11 @@ def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: in
     if k_mean <= 5.0 * delta_z:
         raise ValueError("k_mean must exceed 5 * delta_z to keep nodes forward")
     if k_mean < 5.0 * delta_r:
-        warnings.warn("k_mean < 5 * delta_r: beam is far from paraxial", stacklevel=3)
+        # attributed to the first caller outside relqi, whichever public function it called
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__name__", "").startswith("relqi."):
+            frame, level = frame.f_back, level + 1
+        warnings.warn("k_mean < 5 * delta_r: beam is far from paraxial", stacklevel=level)
     t, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     k_z = k_mean + delta_z * t
     if np.any(k_z <= 0.0):
@@ -193,11 +200,8 @@ def build_povm(grid: MomentumGrid) -> PolarizationPOVM:
     """Transverse-projection POVM elements for the Cartesian directions."""
     if grid.convention is not Measure.INVARIANT:
         raise ValueError("polarization POVMs require an INVARIANT-convention grid")
-    k = grid.nodes
-    khat = k / np.linalg.norm(k, axis=1)[:, None]
-    bvecs = np.empty((3, grid.n, 3))
-    for m in range(3):
-        bvecs[m] = _AXES[m] - khat * khat[:, m:m + 1]
+    khat = directions(grid.nodes)
+    bvecs = np.stack([transversal_b(axis, khat)[0] for axis in _AXES])
     return PolarizationPOVM(grid=grid, bvecs=bvecs)
 
 
@@ -259,8 +263,7 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
         mass=0.0,
     )
     alpha = psi.alpha_vectors() @ rot.T
-    khat = nodes / np.linalg.norm(nodes, axis=1)[:, None]
-    eps_p, eps_m = helicity_vectors_batch(khat)
+    eps_p, eps_m = helicity_vectors_batch(directions(nodes))
     hel = np.stack(
         [
             np.einsum("nc,nc->n", eps_p.conj(), alpha),

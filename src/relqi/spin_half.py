@@ -14,7 +14,8 @@ average of the 3x3 Wigner rotations (`wigner_kernel`).  Every sweep
 observable is a short function of one kernel, `wigner_moments`: D = T - I
 and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
 quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
-with r = e_z + D e_z.  Each observable costs O(N) time in the N grid nodes
+with r = e_z + D e_z; `boosted_pair` returns both and their Helstrom
+error.  Each observable costs O(N) time in the N grid nodes
 and O(block + n) memory at any resolution: `_packet_blocks` streams the
 packet's quadrature rule, built from the cached 1-D Gauss-Hermite rule, in
 blocks of geometry._WIGNER_BLOCK nodes through the kernel, and no n^3 grid
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, qmatrix, wavepacket
-from .wavepacket import (TWO_PI_CUBED, GaussianSpec, Measure, MomentumGrid, _gauss_rule,
-                         gauss_grid, inner_product)
+from .wavepacket import TWO_PI_CUBED, GaussianSpec, Measure, MomentumGrid, _gauss_rule, gauss_grid
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -64,15 +64,11 @@ class SpinorPacket:
             raise ValueError("grid mass does not match the packet mass")
         if amps.shape != (self.grid.n, 2):
             raise ValueError("amplitudes must have shape (n_nodes, 2)")
-        nrm = self.norm(amps)
+        nrm = wavepacket.norm(self.grid, amps)
         if abs(nrm - 1.0) > 1e-8:
             raise wavepacket.NumericalError(f"packet norm {nrm:.12g} differs from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    def norm(self, amps=None) -> float:
-        a = self.amps if amps is None else amps
-        return float(np.sqrt(np.real(inner_product(self.grid, a, a))))
 
 
 def gaussian_packet(
@@ -89,7 +85,7 @@ def gaussian_packet(
     spinor = np.asarray(spinor, dtype=complex)
     spinor = spinor / np.linalg.norm(spinor)
     amps = profile[:, None] * spinor[None, :]
-    amps /= np.sqrt(np.real(inner_product(grid, amps, amps)))
+    amps /= wavepacket.norm(grid, amps)
     return SpinorPacket(grid=grid, amps=amps, mass=mass)
 
 
@@ -245,23 +241,6 @@ def wigner_moments(
     return d, float(mxx + myy + mzz)
 
 
-def _boosted_pair(lam, delta, mass, nodes_per_axis):
-    """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down pair.
-
-    The boosted states are (I +- r.sigma)/2 with r = T e_z = e_z + D e_z.
-    Their Helstrom error (1 - |r|)/2 is taken as
-    (1 - |r|^2) / (2 (1 + |r|)) = (-2 D_zz - |D e_z|^2) / (2 (1 + |r|)),
-    where -2 D_zz = 4 <x^2 + y^2> sums positive terms, so the error keeps
-    its relative accuracy in the small-error (Gamma^2) regime.
-    """
-    d, _ = wigner_moments(lam, delta, mass, nodes_per_axis)
-    dz = d[:, 2]
-    r = dz + (0.0, 0.0, 1.0)
-    p_error = max(0.0, float((-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r)))))
-    r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
-    return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
-
-
 def gamma_parameter(delta: float, mass: float, beta: float) -> float:
     """(delta/mass) (1 - sqrt(1 - beta^2)) / beta, continued to 0 at beta = 0.
 
@@ -298,14 +277,22 @@ def boost_for_angle(beta: float, theta: float) -> np.ndarray:
     return geometry.boost_from_velocity(velocity)
 
 
-def boosted_pair_densities(delta, mass, beta, theta, nodes_per_axis=DEFAULT_NODES_PER_AXIS):
-    """Reduced spin states of boosted spin-up and spin-down Gaussian packets."""
-    return _boosted_pair(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)[:2]
+def boosted_pair(delta, mass, beta, theta, nodes_per_axis):
+    """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down Gaussian pair.
 
-
-def boosted_pair_error(delta, mass, beta, theta, nodes_per_axis=DEFAULT_NODES_PER_AXIS) -> float:
-    """Helstrom error for the boosted images of the orthogonal spin pair."""
-    return _boosted_pair(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)[2]
+    The boost has speed beta at angle theta from z (boost_for_angle).  The
+    boosted states are (I +- r.sigma)/2 with r = T e_z = e_z + D e_z.
+    Their Helstrom error (1 - |r|)/2 is taken as
+    (1 - |r|^2) / (2 (1 + |r|)) = (-2 D_zz - |D e_z|^2) / (2 (1 + |r|)),
+    where -2 D_zz = 4 <x^2 + y^2> sums positive terms, so the error keeps
+    its relative accuracy in the small-error (Gamma^2) regime.
+    """
+    d, _ = wigner_moments(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)
+    dz = d[:, 2]
+    r = dz + (0.0, 0.0, 1.0)
+    p_error = max(0.0, float((-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r)))))
+    r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
+    return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
 
 
 def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis: int) -> dict:
@@ -315,7 +302,7 @@ def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis
     gamma raises ValueError.
     """
     beta = beta_for_gamma(gamma, delta_over_m)
-    p_error = _boosted_pair(boost_for_angle(beta, theta), delta_over_m, 1.0, nodes_per_axis)[2]
+    p_error = boosted_pair(delta_over_m, 1.0, beta, theta, nodes_per_axis)[2]
     # tau_up has eigenvalues p_error and 1 - p_error, so its entropy is the binary
     # entropy of p_error; log1p(-p) keeps the digits that a rounded 1 - p loses
     entropy = 0.0 if p_error == 0.0 else -(

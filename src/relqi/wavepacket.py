@@ -114,15 +114,6 @@ class MomentumGrid:
         """Per-node on-shell energies sqrt(mass^2 + |k|^2)."""
         return np.sqrt(self.mass * self.mass + np.sum(self.nodes * self.nodes, axis=1))
 
-    def same_grid(self, other: "MomentumGrid") -> bool:
-        return (
-            self.convention is other.convention
-            and self.mass == other.mass
-            and self.nodes.shape == other.nodes.shape
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.weights, other.weights)
-        )
-
 
 _GAUSS_RULES = {
     "Gauss-Hermite": np.polynomial.hermite.hermgauss,
@@ -147,12 +138,13 @@ def _gauss_rule(name: str, nodes_per_axis: int):
 
 
 def ensure_same_grid(a: MomentumGrid, b: MomentumGrid) -> None:
-    """Raise unless two grids share nodes, weights and measure convention."""
+    """Raise unless two grids share nodes, weights, mass and measure convention."""
     if a.convention is not b.convention:
         raise ValueError(
             f"measure conventions differ: {a.convention.value} vs {b.convention.value}"
         )
-    if not a.same_grid(b):
+    same = a.mass == b.mass and np.array_equal(a.nodes, b.nodes)
+    if not (same and np.array_equal(a.weights, b.weights)):
         raise ValueError("amplitudes live on different grids")
 
 

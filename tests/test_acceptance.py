@@ -40,7 +40,7 @@ def criterion_02_entropy_surface():
     for theta in thetas:
         for gamma in gammas:
             beta = sh.beta_for_gamma(gamma, 1.0)
-            tau, _ = sh.boosted_pair_densities(1.0, 1.0, beta, theta, 12)
+            tau, _ = sh.boosted_pair(1.0, 1.0, beta, theta, 12)[:2]
             surface[(theta, gamma)] = qm.entropy(tau)
     assert all(s >= 0.0 for s in surface.values())
     for theta in thetas:
@@ -49,11 +49,11 @@ def criterion_02_entropy_surface():
         )
     beta_25 = sh.beta_for_gamma(0.25, 1.0)
     beta_50 = sh.beta_for_gamma(0.5, 1.0)
-    tau_25, _ = sh.boosted_pair_densities(1.0, 1.0, beta_25, np.pi / 2, 20)
-    tau_50, _ = sh.boosted_pair_densities(1.0, 1.0, beta_50, np.pi / 2, 20)
+    tau_25, _ = sh.boosted_pair(1.0, 1.0, beta_25, np.pi / 2, 20)[:2]
+    tau_50, _ = sh.boosted_pair(1.0, 1.0, beta_50, np.pi / 2, 20)[:2]
     s0, s25, s50 = 0.0, qm.entropy(tau_25), qm.entropy(tau_50)
     assert s0 < s25 < s50
-    tau_50_fine, _ = sh.boosted_pair_densities(1.0, 1.0, beta_50, np.pi / 2, 40)
+    tau_50_fine, _ = sh.boosted_pair(1.0, 1.0, beta_50, np.pi / 2, 40)[:2]
     refinement = abs(qm.entropy(tau_50_fine) - s50)
     assert refinement < 1e-6
     return f"S(pi/2)={s0:.1e}<{s25:.4f}<{s50:.4f}, refinement delta={refinement:.2e}"
@@ -63,7 +63,7 @@ def criterion_03_quadratic_error_law():
     ratios = []
     for gamma in (0.001, 0.002, 0.005):
         beta = sh.beta_for_gamma(gamma, 1.0)
-        pe = sh.boosted_pair_error(1.0, 1.0, beta, np.pi / 2, 12)
+        pe = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 12)[2]
         ratios.append(pe / gamma**2)
     spread = max(ratios) / min(ratios)
     assert spread < 1.05
@@ -224,7 +224,8 @@ def criterion_10_oracle_equivalences():
     lam = geo.boost_from_velocity([0.0, 0.0, 0.6])
     p4 = geo.four_momentum(mass, [mass, 0.0, 0.0])
     w_oracle = np.linalg.inv(exp_boost(lam @ p4, mass)) @ lam @ exp_boost(p4, mass)
-    gaps.append(np.abs(geo.wigner_rotation(lam, p4, mass) - w_oracle[1:, 1:]).max())
+    w = geo.wigner_rotation_batch(lam, [p4[1:]], mass)[1][0]
+    gaps.append(np.abs(w - w_oracle[1:, 1:]).max())
     assert gaps[-1] < 1e-10
 
     # Helstrom error vs the matrix square-root definition

@@ -7,6 +7,7 @@ helpers live in tests/helpers.py.
 """
 
 import ast
+import itertools
 import pathlib
 import re
 
@@ -61,3 +62,22 @@ def test_every_public_name_is_used_in_src_or_exported_and_documented():
         "public names neither used in src nor exported and named in the README: "
         + ", ".join(stray)
     )
+
+
+
+def _readme_exports():
+    """The names in the "exported from `relqi`" column of the README's layout table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "exported from `relqi`" in line)
+    column = [cell.strip() for cell in lines[start].split("|")].index("exported from `relqi`")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[column])}
+
+
+def test_readme_export_column_lists_exactly_the_exports():
+    # the names imported from relqi's modules, not the modules themselves
+    exported = {alias.asname or alias.name
+                for node in _modules()["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.module is not None
+                for alias in node.names}
+    assert _readme_exports() == exported

@@ -52,15 +52,15 @@ def test_gamma_out_of_range():
     with pytest.raises(ValueError, match="gamma"):
         ch.decoherence_channel(-0.1)
     with pytest.raises(ValueError, match="gamma"):
-        ch.BoostChannelSpec(gamma=-1.0)
+        ch.consistency_check(-1.0)
 
 
 def test_certify_reports():
-    rep = ch.certify(ch.BoostChannelSpec(gamma=0.5, theta=0.3))
+    rep = ch.certify(0.5, 0.3)
     assert rep.is_cp and rep.is_tp
     assert rep.min_choi_eig >= -1e-12
     assert rep.gamma == 0.5 and rep.theta == 0.3
-    rep0 = ch.certify(ch.BoostChannelSpec(0.0))
+    rep0 = ch.certify(0.0)
     assert rep0.is_cp and rep0.is_tp and rep0.min_choi_eig >= -1e-12
     d = rep.as_dict()
     assert set(d) == {
@@ -85,7 +85,7 @@ def test_distinguishability_never_improves_under_channel():
 
 
 def test_consistency_zero_gamma_exact():
-    rep = ch.consistency_check(ch.BoostChannelSpec(0.0), grid_resolution=6)
+    rep = ch.consistency_check(0.0, grid_resolution=6)
     assert rep.trace_distance == 0.0
 
 
@@ -99,11 +99,11 @@ def test_consistency_collinear_residual_scaling():
 
 
 def test_consistency_small_gamma_small_distance():
-    rep = ch.consistency_check(ch.BoostChannelSpec(0.1, theta=0.0), grid_resolution=12)
+    rep = ch.consistency_check(0.1, theta=0.0, grid_resolution=12)
     assert rep.trace_distance < 1e-3
     # off-axis boosts mix less; the quadratic coefficients differ, so the
     # distance is reported but stays at the quadratic scale
-    rep_perp = ch.consistency_check(ch.BoostChannelSpec(0.1, theta=np.pi / 2), 12)
+    rep_perp = ch.consistency_check(0.1, np.pi / 2, 12)
     assert 0.0 < rep_perp.trace_distance < 0.01
 
 
@@ -159,7 +159,7 @@ def thomas_wigner_distance(gamma, theta, n=12, beta=0.6):
 def test_consistency_distance_matches_thomas_wigner_oracle(gamma, theta):
     # 1 - (T e_z)_z is taken from the quaternions, not as 1 minus a number
     # close to 1; the subtraction left errors of 8e-12 to 5e-9 here.
-    report = ch.consistency_check(ch.BoostChannelSpec(gamma, theta))
+    report = ch.consistency_check(gamma, theta)
     assert report.trace_distance == pytest.approx(
         thomas_wigner_distance(gamma, theta), rel=1e-12, abs=0.0
     )
@@ -171,7 +171,7 @@ def test_first_consistency_check_memory_is_bounded():
     wp._gauss_rule.cache_clear()
     tracemalloc.start()
     try:
-        report = ch.consistency_check(ch.BoostChannelSpec(0.2, 0.5), 40)
+        report = ch.consistency_check(0.2, 0.5, 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

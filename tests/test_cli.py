@@ -31,6 +31,9 @@ def test_parse_values():
         cli.parse_values("a,b", "x")
     with pytest.raises(cli.ConfigError, match="x"):
         cli.parse_values("1:0:0.1", "x")
+    assert len(cli.parse_values(f"1:{cli.MAX_ROWS}:1", "x")) == cli.MAX_ROWS
+    with pytest.raises(cli.ConfigError, match="x: a range holds at most"):
+        cli.parse_values(f"0:{cli.MAX_ROWS}:1", "x")
 
 
 def test_refine_compares_every_value_at_twice_the_nodes():
@@ -382,12 +385,31 @@ def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, csv_row, reason):
     (["entangle-sweep", "--beta", "0.3,nan"], "beta"),
     (["doppler", "--kA", "inf"], "kA"),
     (["channel-audit", "--witness-v", "nan"], "witness-v"),
+    # (max - min) / step overflows to inf, so the range has no value count
+    (["spin-entropy", "--theta=0:1e308:1e-300"], "theta"),
 ])
 def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, argv, field):
     out = tmp_path / "out"
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"relqi: configuration error: {field}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field, limit", [
+    (["spin-entropy", "--theta=0:1e12:1"], "theta", "a range holds at most"),
+    (["doppler", "--v=-0.9:0.9:1e-9", "--format=csv"], "v", "a range holds at most"),
+    (["spin-entropy", "--theta=0:999:1", "--gamma=0:0.999:0.001"], "theta, gamma",
+     "a sweep holds at most"),
+    (["entangle-sweep", "--delta-over-m=0.01:1:0.001", "--beta=0:0.9:0.001"],
+     "delta-over-m, beta", "a sweep holds at most"),
+])
+def test_huge_range_or_sweep_is_refused_before_any_row(monkeypatch, capsys, argv, field, limit):
+    monkeypatch.setattr(cli, "_map_rows", lambda fn, items: pytest.fail("a row was run"))
+    assert cli.run(argv + ["--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"relqi: configuration error: {field}: {limit}")
+    assert captured.out == ""
+
 
 def test_convergence_report(tmp_path):
     out = tmp_path / "conv.csv"

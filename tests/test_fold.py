@@ -94,7 +94,7 @@ def test_folded_values_match_unfolded(convention, n, name):
     assert np.all(d[odd] == 0.0)
     if convention is Measure.PLAIN:
         full = mixture_pair_error(probs, rots[:, :, 2])
-        folded = sh.boosted_pair_error(DELTA, MASS, beta, theta, n)
+        folded = sh.boosted_pair(DELTA, MASS, beta, theta, n)[2]
         assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
     else:
         full = 1.0 - 0.5 * probs @ np.sum((rots - t) ** 2, axis=(1, 2))

@@ -150,16 +150,17 @@ def test_wigner_rotation_passthrough():
     lam = np.eye(4)
     lam[1:, 1:] = rot
     p4 = random_onshell(RNG, m)
-    np.testing.assert_allclose(geo.wigner_rotation(lam, p4, m), rot, atol=1e-11)
+    w = geo.wigner_rotation_batch(lam, [p4[1:]], m)[1][0]
+    np.testing.assert_allclose(w, rot, atol=1e-11)
 
 
 def test_wigner_rotation_collinear_identity():
     m = 1.0
     lam = geo.boost_from_velocity([0.0, 0.0, 0.7])
-    w = geo.wigner_rotation(lam, np.array([m, 0.0, 0.0, 0.0]), m)
+    w = geo.wigner_rotation_batch(lam, [[0.0, 0.0, 0.0]], m)[1][0]
     np.testing.assert_allclose(w, np.eye(3), atol=1e-12)
-    p4 = geo.four_momentum(m, [0.0, 0.0, 0.4])
-    np.testing.assert_allclose(geo.wigner_rotation(lam, p4, m), np.eye(3), atol=1e-11)
+    w = geo.wigner_rotation_batch(lam, [[0.0, 0.0, 0.4]], m)[1][0]
+    np.testing.assert_allclose(w, np.eye(3), atol=1e-11)
 
 
 def test_wigner_rotation_matrix_product_oracle():
@@ -167,7 +168,7 @@ def test_wigner_rotation_matrix_product_oracle():
     m = 1.0
     lam = geo.boost_from_velocity([0.0, 0.0, 0.6])
     p4 = geo.four_momentum(m, [m, 0.0, 0.0])
-    w = geo.wigner_rotation(lam, p4, m)
+    w = geo.wigner_rotation_batch(lam, [p4[1:]], m)[1][0]
     p_out = lam @ p4
     w_oracle = np.linalg.inv(exp_boost(p_out, m)) @ lam @ exp_boost(p4, m)
     np.testing.assert_allclose(w, w_oracle[1:, 1:], atol=1e-10)
@@ -176,21 +177,15 @@ def test_wigner_rotation_matrix_product_oracle():
     np.testing.assert_allclose(w, helpers.rotation_about([0.0, 1.0, 0.0], -angle), atol=1e-10)
 
 
-def test_wigner_rotation_rejects_off_shell():
-    lam = geo.boost_from_velocity([0.0, 0.0, 0.6])
-    with pytest.raises(ValueError, match="off shell"):
-        geo.wigner_rotation(lam, np.array([1.0, 0.0, 0.0, 0.9]), 1.0)
-
-
 def test_little_group_closure():
     m = 0.8
     for _ in range(20):
         lam1 = geo.boost_from_velocity(random_beta(RNG, 0.8))
         lam2 = geo.boost_from_velocity(random_beta(RNG, 0.8))
         p4 = random_onshell(RNG, m)
-        w1 = geo.wigner_rotation(lam1, p4, m)
-        w2 = geo.wigner_rotation(lam2, lam1 @ p4, m)
-        w12 = geo.wigner_rotation(lam2 @ lam1, p4, m)
+        w1 = geo.wigner_rotation_batch(lam1, [p4[1:]], m)[1][0]
+        w2 = geo.wigner_rotation_batch(lam2, [(lam1 @ p4)[1:]], m)[1][0]
+        w12 = geo.wigner_rotation_batch(lam2 @ lam1, [p4[1:]], m)[1][0]
         np.testing.assert_allclose(w2 @ w1, w12, atol=1e-10)
 
 
@@ -278,7 +273,7 @@ def test_wigner_kernel_perpendicular_angle_at_high_rapidity(px):
     lam = geo.boost_from_velocity([0.0, 0.0, beta])
     p4 = geo.four_momentum(m, [px, 0.0, 0.0])
     theta = 2.0 * np.arctan(beta / (1.0 + np.sqrt(1.0 - beta * beta)) * px / (p4[0] + m))
-    w = geo.wigner_rotation(lam, p4, m)
+    w = geo.wigner_rotation_batch(lam, [p4[1:]], m)[1][0]
     np.testing.assert_allclose(w, helpers.rotation_about([0.0, 1.0, 0.0], -theta), atol=1e-11)
 
 
@@ -323,7 +318,7 @@ def test_wigner_kernel_rejects_improper_or_non_orthochronous(signs):
     with pytest.raises(ValueError, match="proper and orthochronous"):
         geo.wigner_rotation_batch(lam, momenta, 1.0)
     with pytest.raises(ValueError, match="proper and orthochronous"):
-        geo.wigner_rotation(lam, geo.four_momentum(1.0, momenta[0]), 1.0)
+        geo.wigner_rotation_batch(lam, momenta[:1], 1.0)
     with pytest.raises(ValueError, match="proper and orthochronous"):
         geo.wigner_su2_batch(lam, momenta, 1.0)
 
@@ -395,14 +390,14 @@ def test_su2_lift_every_pivot_and_half_turns():
 
 
 def test_standard_rotation_conventions():
-    np.testing.assert_allclose(geo.standard_rotation([0, 0, 1]), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(geo.standard_rotation_batch([[0, 0, 1]])[0], np.eye(3), atol=1e-14)
     np.testing.assert_allclose(
-        geo.standard_rotation([1, 0, 0]),
+        geo.standard_rotation_batch([[1, 0, 0]])[0],
         helpers.rotation_about([0, 1, 0], np.pi / 2),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        geo.standard_rotation([0, 0, -1]),
+        geo.standard_rotation_batch([[0, 0, -1]])[0],
         helpers.rotation_about([1, 0, 0], np.pi),
         atol=1e-12,
     )
@@ -412,7 +407,7 @@ def test_standard_rotation_maps_z():
     for _ in range(30):
         khat = RNG.normal(size=3)
         khat /= np.linalg.norm(khat)
-        rot = geo.standard_rotation(khat)
+        rot = geo.standard_rotation_batch([khat])[0]
         np.testing.assert_allclose(rot @ np.array([0.0, 0.0, 1.0]), khat, atol=1e-10)
         assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-12
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
@@ -420,7 +415,7 @@ def test_standard_rotation_maps_z():
 
 def test_standard_rotation_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
-        geo.standard_rotation([0.0, 0.0, 0.5])
+        geo.standard_rotation_batch([[0.0, 0.0, 0.5]])[0]
 
 
 def test_wigner_su2_batch_from_kernel_quaternions():

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from relqi import channel as ch
 from relqi import geometry as geo
 from relqi import photon as ph
 from relqi import wavepacket as wp
@@ -66,7 +68,7 @@ def test_helicity_vectors_transverse_orthonormal():
 
 
 def test_helicity_vectors_via_standard_rotation():
-    rot = geo.standard_rotation([1.0, 0.0, 0.0])
+    rot = geo.standard_rotation_batch([[1.0, 0.0, 0.0]])[0]
     ep, em = one_direction([1.0, 0.0, 0.0])
     np.testing.assert_allclose(ep, rot @ (np.array([1, 1j, 0]) / np.sqrt(2)), atol=1e-12)
     np.testing.assert_allclose(em, rot @ (np.array([1, -1j, 0]) / np.sqrt(2)), atol=1e-12)
@@ -185,7 +187,7 @@ def test_gaussian_beam_moments():
     mean = np.einsum("n,nc->c", w2, beam.grid.nodes)
     direction = mean / np.linalg.norm(mean)
     np.testing.assert_allclose(direction, [0, 0, 1], atol=1e-8)
-    khat = beam.khat()
+    khat = ph.directions(beam.grid.nodes)
     theta2 = np.einsum("n,n->", w2, khat[:, 0] ** 2 + khat[:, 1] ** 2)
     assert theta2 == pytest.approx(5.0**2 / 100.0**2, rel=0.01)
 
@@ -195,6 +197,23 @@ def test_gaussian_beam_guards():
         ph.gaussian_beam(1.0, 0.5, 0.1)
     with pytest.warns(UserWarning, match="paraxial"):
         ph.gaussian_beam(10.0, 0.2, 5.0, nodes_per_axis=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ph.gaussian_beam(10.0, 0.2, 5.0, +1, 4),
+    lambda: ph.circular_density(10.0, 0.2, 5.0, +1, 4),
+    lambda: ph.circular_pair_error(10.0, 0.2, 5.0, 4),
+    lambda: ph.doppler_report(10.0, 0.2, 5.0, 0.5, 4),
+    lambda: ch.non_cp_witness(0.5, 10.0, 0.2, 5.0, 4),
+], ids=["gaussian_beam", "circular_density", "circular_pair_error", "doppler_report",
+        "non_cp_witness"])
+def test_paraxial_warning_names_the_calling_line(call):
+    # however deep in relqi the beam rule is built, the warning points here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert [str(w.message) for w in caught] == ["k_mean < 5 * delta_r: beam is far from paraxial"]
+    assert caught[0].filename == __file__
 
 
 def test_circular_pair_error_leading_order():
@@ -247,7 +266,7 @@ def test_orthogonality_audit_circular_pair():
 def variance_form_oracle(beam):
     """(1 - |<khat>|)/2 in variance form, every sum taken by math.fsum."""
     p = beam.grid.weights * np.abs(beam.profile) ** 2
-    khat = beam.khat()
+    khat = ph.directions(beam.grid.nodes)
     r = [math.fsum(p * khat[:, c]) for c in range(3)]
     spread = math.fsum(p * np.sum((khat - r) ** 2, axis=1))
     return 0.5 * spread / (1.0 + math.sqrt(math.fsum(x * x for x in r)))
@@ -325,7 +344,7 @@ def test_boost_preserves_transversality_and_norm():
     lam = geo.observer_boost([0.0, 0.0, 0.6])
     out = ph.boost_photon(lam, beam)
     alpha = out.alpha_vectors()
-    khat = out.khat()
+    khat = ph.directions(out.grid.nodes)
     assert np.abs(np.einsum("nc,nc->n", alpha, khat)).max() < 1e-10
     w2 = np.real(np.sum(out.grid.weights * np.abs(out.profile) ** 2))
     assert w2 == pytest.approx(1.0, abs=1e-8)

@@ -32,7 +32,7 @@ def reduced_density_oracle(psi):
 
 def test_gaussian_spin_up_is_product_state():
     psi = sh.gaussian_packet(0.4, 1.0, 8)
-    assert psi.norm() == pytest.approx(1.0, abs=1e-8)
+    assert wp.norm(psi.grid, psi.amps) == pytest.approx(1.0, abs=1e-8)
     tau = sh.reduced_spin_density(psi)
     np.testing.assert_allclose(tau, KET0, atol=1e-10)
     assert qm.entropy(tau) < 1e-9
@@ -67,7 +67,8 @@ def test_boost_norm_conservation():
         direction = RNG.normal(size=3)
         direction /= np.linalg.norm(direction)
         lam = geo.boost_from_velocity(RNG.uniform(0.1, 0.99) * direction)
-        assert abs(sh.boost_packet(lam, psi).norm() - 1.0) < 1e-8
+        boosted = sh.boost_packet(lam, psi)
+        assert abs(wp.norm(boosted.grid, boosted.amps) - 1.0) < 1e-8
 
 
 def test_boost_composition_covariance():
@@ -150,23 +151,23 @@ def test_gamma_monotonicity():
 
 def test_boosted_entropy_positive_and_pinned():
     beta = sh.beta_for_gamma(0.5, 1.0)
-    tau, _ = sh.boosted_pair_densities(1.0, 1.0, beta, np.pi / 2, 20)
+    tau, _ = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 20)[:2]
     s = qm.entropy(tau)
     assert s > 0.0
     assert s == pytest.approx(ENTROPY_GAMMA_05, abs=1e-6)
-    tau2, _ = sh.boosted_pair_densities(1.0, 1.0, beta, np.pi / 2, 40)
+    tau2, _ = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 40)[:2]
     assert abs(qm.entropy(tau2) - s) < 1e-6
 
 
 def test_pair_error_zero_at_rest():
-    assert sh.boosted_pair_error(0.5, 1.0, 0.0, 0.3, 6) < 1e-9
+    assert sh.boosted_pair(0.5, 1.0, 0.0, 0.3, 6)[2] < 1e-9
 
 
 def test_pair_error_quadratic_law():
     ratios = []
     for gamma in (0.001, 0.002, 0.005):
         beta = sh.beta_for_gamma(gamma, 1.0)
-        ratios.append(sh.boosted_pair_error(1.0, 1.0, beta, np.pi / 2, 12) / gamma**2)
+        ratios.append(sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 12)[2] / gamma**2)
     ratios = np.array(ratios)
     assert ratios.max() / ratios.min() < 1.05
 
@@ -176,7 +177,7 @@ def test_pair_error_small_gamma_ratio(theta):
     # the variance form keeps P/Gamma^2 flat far below the Helstrom path's
     # cancellation floor
     ratios = np.array([
-        sh.boosted_pair_error(1.0, 1.0, sh.beta_for_gamma(gamma, 1.0), theta, 16) / gamma**2
+        sh.boosted_pair(1.0, 1.0, sh.beta_for_gamma(gamma, 1.0), theta, 16)[2] / gamma**2
         for gamma in (1e-4, 1e-5, 1e-6)
     ])
     assert ratios.max() / ratios.min() - 1.0 < 1e-8
@@ -306,15 +307,15 @@ def test_spin_row_scratch_is_bounded_once_the_grid_is_cached():
 
 def test_pair_error_refined_grid_pin():
     beta = sh.beta_for_gamma(0.005, 1.0)
-    coarse = sh.boosted_pair_error(1.0, 1.0, beta, np.pi / 2, 12)
-    fine = sh.boosted_pair_error(1.0, 1.0, beta, np.pi / 2, 24)
+    coarse = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 12)[2]
+    fine = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 24)[2]
     assert abs(coarse - fine) < 1e-7
     assert fine == pytest.approx(PAIR_ERROR_GAMMA_0005, rel=1e-4)
 
 
 def test_pair_error_exchange_symmetry():
     beta = sh.beta_for_gamma(0.3, 1.0)
-    tau_up, tau_down = sh.boosted_pair_densities(1.0, 1.0, beta, 0.8, 8)
+    tau_up, tau_down = sh.boosted_pair(1.0, 1.0, beta, 0.8, 8)[:2]
     assert qm.helstrom_error(tau_up, tau_down) == pytest.approx(
         qm.helstrom_error(tau_down, tau_up), abs=1e-10
     )
@@ -323,7 +324,7 @@ def test_pair_error_exchange_symmetry():
 def test_sharp_momentum_limit_entropy_vanishes():
     values = []
     for delta in (0.3, 0.1, 0.03):
-        tau, _ = sh.boosted_pair_densities(delta, 1.0, 0.8, np.pi / 2, 10)
+        tau, _ = sh.boosted_pair(delta, 1.0, 0.8, np.pi / 2, 10)[:2]
         values.append(qm.entropy(tau))
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-3
@@ -385,7 +386,7 @@ def test_mass_mismatch_rejected():
 def test_identity_boost_rows_are_exactly_zero(n):
     # Gamma = 0 is the identity boost: every W_n is I, unfolded (wigner_kernel),
     # and the moments D and s are exactly 0, so the pair error and the entropy
-    # are 0, from the sweep row and from boosted_pair_error at beta = 0.
+    # are 0, from the sweep row and from boosted_pair at beta = 0.
     for theta in (0.0, 0.7):
         row = sh.sweep_values(theta, 0.0, 1.0, n)
         assert row["p_error"] == 0.0 and row["entropy_bits"] == 0.0
@@ -393,7 +394,7 @@ def test_identity_boost_rows_are_exactly_zero(n):
     for convention in (Measure.PLAIN, Measure.INVARIANT):
         d, s = sh.wigner_moments(np.eye(4), 1.0, 1.0, n, convention)
         assert s == 0.0 and np.all(d == 0.0)
-    p_error = sh.boosted_pair_error(1.0, 1.0, 0.0, 0.0, n)
+    p_error = sh.boosted_pair(1.0, 1.0, 0.0, 0.0, n)[2]
     assert p_error == 0.0
     assert qm.entropy(np.diag([1.0 - p_error, p_error])) == 0.0
 

@@ -3,7 +3,9 @@
 tests/golden/cases.json lists each case's argv, exit code and stderr; its
 stdout is tests/golden/<case>.stdout.  The cases are every subcommand at
 its defaults, the four seed-0 benchmark invocations (their flags come from
-bench/workloads.py) and the pinned failures.  A golden file is edited only
+bench/workloads.py), the pinned failures, and the report branches that the
+defaults leave out (a zero gamma, a witness that does not fire, helicity -1
+and a single-speed doppler JSON).  A golden file is edited only
 when a printed value changes, with the change listed in CHANGES.md beside
 an oracle value, and never to make a defect pass.
 

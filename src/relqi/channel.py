@@ -10,12 +10,14 @@ moments of spin_half.wigner_moments.  General frame changes, however, act
 on the traced-out momentum as well; the Doppler audit exhibits a pair
 transformation that lowers the Helstrom error, which no completely
 positive map can do.
+
+Each audit returns only what it computes, as plain values: `certify` a
+dict of is_cp, is_tp and min_choi_eig, `consistency_check` the trace
+distance, `non_cp_witness` a dict of the two pair errors and the verdict.
+`relqi.cli` adds the inputs it echoes.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,24 +28,6 @@ WITNESS_TOL = 1e-9
 VERDICT_TEXT = (
     "no CP map on the 3x3 polarization state space can realize this pair transformation"
 )
-
-
-@dataclass(frozen=True)
-class ChannelReport:
-    """Unified audit record; fields irrelevant to a given audit stay None."""
-
-    gamma: Optional[float] = None
-    theta: Optional[float] = None
-    is_cp: Optional[bool] = None
-    is_tp: Optional[bool] = None
-    min_choi_eig: Optional[float] = None
-    trace_distance: Optional[float] = None
-    pe_before: Optional[float] = None
-    pe_after: Optional[float] = None
-    verdict: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def decoherence_channel(gamma: float) -> QubitChannel:
@@ -61,28 +45,11 @@ def decoherence_channel(gamma: float) -> QubitChannel:
     )
 
 
-def certify(gamma: float, theta: float = 0.0) -> ChannelReport:
-    """CP/TP report with the minimum Choi eigenvalue always included."""
+def certify(gamma: float) -> dict:
+    """is_cp, is_tp and min_choi_eig (always included) of decoherence_channel(gamma)."""
     ch = decoherence_channel(gamma)
     is_cp, min_eig = qmatrix.is_completely_positive(ch, tol=1e-12)
-    return ChannelReport(
-        gamma=gamma,
-        theta=theta,
-        is_cp=is_cp,
-        is_tp=ch.is_trace_preserving(tol=1e-12),
-        min_choi_eig=min_eig,
-    )
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    gamma: float
-    theta: float
-    beta: float
-    delta_over_m: float
-    trace_distance: float
-    ratio_gamma4: float
-    grid_nodes: int
+    return {"is_cp": is_cp, "is_tp": ch.is_trace_preserving(tol=1e-12), "min_choi_eig": min_eig}
 
 
 def consistency_check(
@@ -90,8 +57,8 @@ def consistency_check(
     theta: float = 0.0,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
     beta: float = 0.6,
-) -> ConsistencyReport:
-    """Compare the channel image of spin-up with the boosted reduction.
+) -> float:
+    """Trace distance between the channel image of spin-up and the boosted reduction.
 
     The boosted reduction of spin-up has Bloch vector T e_z = e_z + D e_z,
     with D = T - I from spin_half.wigner_moments; the channel image has
@@ -109,21 +76,12 @@ def consistency_check(
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
-        return ConsistencyReport(gamma, theta, 0.0, 0.0, 0.0, 0.0, grid_resolution**3)
+        return 0.0
     delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, beta)
     d, _ = spin_half.wigner_moments(
         spin_half.boost_for_angle(beta, theta), delta_over_m, 1.0, grid_resolution
     )
-    dist = 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
-    return ConsistencyReport(
-        gamma=gamma,
-        theta=theta,
-        beta=beta,
-        delta_over_m=delta_over_m,
-        trace_distance=dist,
-        ratio_gamma4=dist / gamma**4,
-        grid_nodes=grid_resolution**3,
-    )
+    return 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
 
 
 def consistency_order(
@@ -133,9 +91,8 @@ def consistency_order(
     beta: float = 0.6,
 ) -> dict:
     """Residual-vs-gamma scaling study: distances, gamma^4 ratios, fitted order."""
-    reports = [consistency_check(g, theta, grid_resolution, beta) for g in gammas]
-    distances = np.array([r.trace_distance for r in reports])
-    ratios = np.array([r.ratio_gamma4 for r in reports])
+    distances = np.array([consistency_check(g, theta, grid_resolution, beta) for g in gammas])
+    ratios = distances / np.asarray(gammas) ** 4
     logs = np.log(np.asarray(gammas))
     slope = np.polyfit(logs, np.log(distances), 1)[0]
     return {
@@ -154,20 +111,18 @@ def non_cp_witness(
     delta_z: float = 0.1,
     delta_r: float = 1.0,
     nodes_per_axis: int = photon.DEFAULT_NODES_PER_AXIS,
-) -> ChannelReport:
+) -> dict:
     """Doppler distinguishability audit of the frame-change pair map.
 
-    When the boosted-frame error exceeds the rest-frame one beyond
-    tolerance, the error-lowering direction of the frame change (from the
-    boosted pair back to the rest pair) beats the Helstrom monotonicity of
-    completely positive maps, and the verdict fires.  A lowered boosted
-    error proves nothing in this direction and leaves the verdict empty.
+    Returns the pair errors pe_before (rest frame) and pe_after (boosted
+    frame) and the verdict.  When the boosted-frame error exceeds the
+    rest-frame one beyond tolerance, the error-lowering direction of the
+    frame change (from the boosted pair back to the rest pair) beats the
+    Helstrom monotonicity of completely positive maps, and the verdict
+    fires.  A lowered boosted error proves nothing in this direction and
+    leaves the verdict empty.
     """
     rep = photon.doppler_report(k_mean, delta_z, delta_r, v, nodes_per_axis)
-    fired = rep.pe_boosted > rep.pe_rest + WITNESS_TOL
-    return ChannelReport(
-        is_cp=False if fired else None,
-        pe_before=rep.pe_rest,
-        pe_after=rep.pe_boosted,
-        verdict=VERDICT_TEXT if fired else None,
-    )
+    fired = rep["pe_boosted"] > rep["pe_rest"] + WITNESS_TOL
+    return {"pe_before": rep["pe_rest"], "pe_after": rep["pe_boosted"],
+            "verdict": VERDICT_TEXT if fired else None}

@@ -353,9 +353,11 @@ def _cmd_doppler(args) -> int:
     grid = _grid(args)
     if (args.format or ("json" if len(grid["v"]) == 1 else "csv")) == "csv":
         return _sweep(args, grid)
-    k_mean, delta_z, delta_r, v = (grid[flag][0] for flag in ("kA", "dz", "dr", "v"))
-    return _report(args, {}, lambda n: photon.doppler_report(
-        k_mean, delta_z, delta_r, v, n).as_dict())
+    if len(grid["v"]) > 1:
+        raise ConfigError("v: a JSON report takes one speed; list speeds with --format csv")
+    (k_mean,), (delta_r,), (delta_z,), (v,) = (grid[flag] for flag in ("kA", "dr", "dz", "v"))
+    fields = {"kA": k_mean, "delta_r": delta_r, "delta_z": delta_z, "v": v}
+    return _report(args, fields, lambda n: photon.doppler_report(k_mean, delta_z, delta_r, v, n))
 
 
 def _cmd_photon_density(args) -> int:
@@ -366,20 +368,15 @@ def _cmd_photon_density(args) -> int:
 
 
 def _cmd_channel_audit(args) -> int:
-    report = channel.certify(args.gamma, args.theta).as_dict()
+    # every key is printed, null where its audit does not run; is_cp describes the
+    # audited channel, the verdict the Doppler frame-change pair map
+    report = {"gamma": args.gamma, "theta": args.theta, **channel.certify(args.gamma),
+              "trace_distance": None, "pe_before": None, "pe_after": None, "verdict": None}
     if args.gamma > 0.0:
         report["trace_distance"] = channel.consistency_check(
-            args.gamma, args.theta, args.resolution
-        ).trace_distance
+            args.gamma, args.theta, args.resolution)
     if args.witness_v is not None:
-        # is_cp keeps describing the audited channel; the verdict concerns
-        # the Doppler frame-change pair map.
-        witness = channel.non_cp_witness(args.witness_v, nodes_per_axis=args.resolution)
-        report.update(
-            pe_before=witness.pe_before,
-            pe_after=witness.pe_after,
-            verdict=witness.verdict,
-        )
+        report.update(channel.non_cp_witness(args.witness_v, nodes_per_axis=args.resolution))
     _write(args.out, _json(report))
     return 0
 
@@ -394,7 +391,7 @@ def _cmd_convergence(args) -> int:
         ("photon_pair_error_dr_over_k_0.01", n,
          lambda res: photon.circular_pair_error(100.0, 0.1, 1.0, res)),
         ("doppler_ratio_v_0.5", n,
-         lambda res: photon.doppler_report(100.0, 0.1, 1.0, 0.5, res).ratio),
+         lambda res: photon.doppler_report(100.0, 0.1, 1.0, 0.5, res)["ratio"]),
         ("entangle_concurrence_dm_0.5_beta_0.6", max(2, n // 2),
          lambda res: entangle.sweep_values(0.5, 0.6, res)["concurrence"]),
     ]

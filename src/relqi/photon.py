@@ -14,11 +14,12 @@ Circular beams need neither route: with P_T the transverse projector and
 [khat]_x the cross-product matrix, helicity +-1 beams of one profile are
 (<P_T> +- i[<khat>]_x)/2, with Helstrom error (1 - |<khat>|)/2.  The beam
 and an observer moving along z are axially symmetric, so <P_T> is diagonal,
-<khat'> is <cos theta'> e_z, and aberration gives cos theta' node by node:
-`circular_density`, `circular_pair_error` and the Doppler report average
-on one 2-D Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2)
-(`_beam_rule`).  `sweep_values` and `circular_density_values` give `relqi.cli`
-a sweep row's and the density report's values as Python floats and lists.
+fixed by <sin^2 theta>, and <khat'> is <cos theta'> e_z, with cos theta'
+from aberration node by node.  One photon kernel, `_beam_means`, takes both
+means on a 2-D Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2), and
+`circular_density`, `circular_pair_error` and `doppler_report` are short
+functions of it.  `sweep_values`, `circular_density_values` and
+`doppler_report` give `relqi.cli` plain Python floats, lists and dicts.
 
 Boosts transport nodes along L k with the invariant-measure weights and the
 helicity amplitudes unchanged (the transported 3-vector is the standard
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,15 +275,21 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
 
 
-def _beam_rule(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):
-    """The 2-D rule of a gaussian_beam: (p, k_z, k_r^2, |k|) on n x n nodes.
+def _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, speeds):
+    """<sin^2 theta> at rest, and the pair (1 - <cos theta'>, 1 + <cos theta'>) per speed.
 
-    Gauss-Hermite in k_z times Gauss-Laguerre in k_r^2 / delta_r^2: the
-    weights absorb the beam envelope, and p = w_z w_x / |k| (invariant
-    measure) is normalised to 1.  The azimuth is averaged exactly, so any
-    mean of an axially symmetric function of k is a sum over p.  Raises
-    NumericalError when numpy's Laguerre weights fail (about 190 nodes).
+    The one photon kernel: the 2-D rule of a gaussian_beam, Gauss-Hermite
+    in k_z times Gauss-Laguerre in k_r^2 / delta_r^2, whose weights absorb
+    the beam envelope, with p = w_z w_x / |k| (invariant measure)
+    normalised to 1.  The azimuth is averaged exactly, so any mean of an
+    axially symmetric function of k is a sum over p.  For an observer
+    moving at speed v along z, aberration gives 1 -+ cos theta' =
+    (1 +- v)(|k| -+ k_z) / (|k| - v k_z), and |k| - k_z = k_r^2 / (|k| + k_z):
+    every mean sums positive terms.
+    Raises NumericalError when numpy's Laguerre weights fail (about 190 nodes).
     """
+    if any(abs(v) >= 1.0 for v in speeds):
+        raise ValueError("observer speed must satisfy |v| < 1")
     k_z, w_z = _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
     x, w_x = _gauss_rule("Gauss-Laguerre", nodes_per_axis)
     k_z = k_z[:, None]
@@ -290,26 +297,13 @@ def _beam_rule(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: in
     k = np.sqrt(k_z * k_z + k_r2)
     p = w_z[:, None] * w_x / k
     p /= p.sum()
-    return p, k_z, k_r2, k
-
-
-def _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, speeds) -> list:
-    """Circular-pair errors (1 - |<cos theta'>|)/2 for observers moving along z.
-
-    By aberration 1 -+ cos theta' is (1 +- v)(|k| -+ k_z) / (|k| - v k_z),
-    |k| - k_z = k_r^2 / (|k| + k_z): on the _beam_rule both means sum
-    positive terms, and the smaller is the error.
-    """
-    if any(abs(v) >= 1.0 for v in speeds):
-        raise ValueError("observer speed must satisfy |v| < 1")
-    p, k_z, k_r2, k = _beam_rule(k_mean, delta_z, delta_r, nodes_per_axis)
-    errors = []
+    means = []
     for v in speeds:
         doppler = k - v * k_z
         minus = np.sum(p * (1.0 + v) * (k_r2 / (k + k_z)) / doppler)
         plus = np.sum(p * (1.0 - v) * (k + k_z) / doppler)
-        errors.append(0.5 * float(min(minus, plus)))
-    return errors
+        means.append((float(minus), float(plus)))
+    return float(np.sum(p * k_r2 / (k * k))), means
 
 
 def circular_density(
@@ -319,20 +313,17 @@ def circular_density(
     helicity: int = +1,
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
 ) -> np.ndarray:
-    """Effective 3x3 polarization matrix of gaussian_beam, from the 2-D rule.
+    """Effective 3x3 polarization matrix of gaussian_beam, from the photon kernel.
 
     The beam is axially symmetric, so rho = (P +- i c [e_z]_x)/2 with
-    P = diag(1 - S/2, 1 - S/2, S), S = <sin^2 theta> = <k_r^2/|k|^2> and
-    c = <cos theta> = 1 - <k_r^2/(|k|(|k| + k_z))>: both means sum positive
-    terms, and the entries that vanish by symmetry are exactly 0.  Raises
-    ValueError unless `helicity` is +1 or -1.
+    P = diag(1 - S/2, 1 - S/2, S), S = <sin^2 theta> and c = <cos theta>,
+    both from _beam_means at rest; the entries that vanish by symmetry are
+    exactly 0.  Raises ValueError unless `helicity` is +1 or -1.
     """
     if helicity not in (1, -1):
         raise ValueError("helicity must be +1 or -1")
-    p, k_z, k_r2, k = _beam_rule(k_mean, delta_z, delta_r, nodes_per_axis)
-    s = float(np.sum(p * k_r2 / (k * k)))
-    c = 1.0 - float(np.sum(p * k_r2 / (k * (k + k_z))))
-    half_c = 0.5 * c if helicity > 0 else -0.5 * c
+    s, ((minus, _),) = _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, (0.0,))
+    half_c = 0.5 * (1.0 - minus) * helicity
     rho = np.diag([0.5 - 0.25 * s, 0.5 - 0.25 * s, 0.5 * s]).astype(complex)
     rho[0, 1], rho[1, 0] = complex(0.0, -half_c), complex(0.0, half_c)
     return rho
@@ -357,7 +348,7 @@ def sweep_values(k_mean, delta_z, delta_r, v, nodes_per_axis) -> dict:
     """
     closed_form = {"p_error_closed_form": _doppler_factor(v) * delta_r**2 / (4.0 * k_mean**2)}
     try:
-        p_error = _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (v,))[0]
+        p_error = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis, v)
     except ValueError as exc:
         exc.values = closed_form
         raise
@@ -374,12 +365,13 @@ def circular_pair_error(
     """Helstrom error between the two circular beams of a common profile.
 
     `v` is the speed of an observer moving along z; at v = 0 the beams are
-    compared in their rest frame.  The error (1 - |<khat>|)/2 is averaged
-    on the n^2 nodes of _pair_errors.  Strictly positive for any finite
-    radial spread; tends to (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) as
-    delta_r / k_mean -> 0.
+    compared in their rest frame.  The error (1 - |<cos theta'>|)/2 is the
+    smaller of the two means of _beam_means, halved.  Strictly positive for
+    any finite radial spread; tends to (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2)
+    as delta_r / k_mean -> 0.
     """
-    return _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (v,))[0]
+    _, (means,) = _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, (v,))
+    return 0.5 * min(means)
 
 
 def orthogonality_audit(psi1: PhotonPacket, psi2: PhotonPacket) -> float:
@@ -388,45 +380,23 @@ def orthogonality_audit(psi1: PhotonPacket, psi2: PhotonPacket) -> float:
     return qmatrix.helstrom_error(effective_density(psi1), effective_density(psi2))
 
 
-@dataclass(frozen=True)
-class DopplerReport:
-    k_mean: float
-    delta_z: float
-    delta_r: float
-    v: float
-    pe_rest: float
-    pe_boosted: float
-    ratio: float
-    closed_form_ratio: float
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["kA"] = out.pop("k_mean")
-        return out
-
-
 def doppler_report(
     k_mean: float,
     delta_z: float,
     delta_r: float,
     v: float,
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-) -> DopplerReport:
+) -> dict:
     """Distinguishability of the circular pair for an observer moving along z.
 
-    Positive v (observer receding along the propagation axis) redshifts the
-    beam and scales the error by (1 + v)/(1 - v) at leading order; negative
-    v shrinks it by the same law.  Both errors come from one rule of n^2
-    nodes.
+    Returns pe_rest, pe_boosted, their ratio and the closed_form_ratio
+    (1 + v)/(1 - v).  Positive v (observer receding along the propagation
+    axis) redshifts the beam and scales the error by that law at leading
+    order; negative v shrinks it by the same law.  Both errors come from
+    one call of the photon kernel.
     """
-    pe_rest, pe_boosted = _pair_errors(k_mean, delta_z, delta_r, nodes_per_axis, (0.0, v))
-    return DopplerReport(
-        k_mean=k_mean,
-        delta_z=delta_z,
-        delta_r=delta_r,
-        v=v,
-        pe_rest=pe_rest,
-        pe_boosted=pe_boosted,
-        ratio=pe_boosted / pe_rest if pe_rest > 0.0 else math.nan,
-        closed_form_ratio=_doppler_factor(v),
-    )
+    _, means = _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, (0.0, v))
+    pe_rest, pe_boosted = (0.5 * min(pair) for pair in means)
+    return {"pe_rest": pe_rest, "pe_boosted": pe_boosted,
+            "ratio": pe_boosted / pe_rest if pe_rest > 0.0 else math.nan,
+            "closed_form_ratio": _doppler_factor(v)}

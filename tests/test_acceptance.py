@@ -86,7 +86,7 @@ def criterion_05_doppler_law():
     worst = 0.0
     for v in (-0.5, -0.25, 0.25, 0.5):
         rep = ph.doppler_report(100.0, 0.1, 1.0, v, 12)
-        deviation = abs(rep.ratio / rep.closed_form_ratio - 1.0)
+        deviation = abs(rep["ratio"] / rep["closed_form_ratio"] - 1.0)
         worst = max(worst, deviation)
         assert deviation < 0.05
     return f"max |ratio/closed - 1| = {worst:.2e} over v in {{+-0.25, +-0.5}}"
@@ -134,8 +134,8 @@ def criterion_07_decoherence_channel():
 
 def criterion_08_non_cp_witness():
     rep = ch.non_cp_witness(0.5, k_mean=100.0, delta_z=0.1, delta_r=1.0, nodes_per_axis=12)
-    assert rep.pe_after > rep.pe_before + 1e-9
-    assert rep.verdict is not None
+    assert rep["pe_after"] > rep["pe_before"] + 1e-9
+    assert rep["verdict"] is not None
     violations = 0
     for _ in range(200):
         chan = helpers.random_cptp_channel(RNG, n_kraus=int(RNG.integers(1, 5)))
@@ -144,7 +144,7 @@ def criterion_08_non_cp_witness():
             violations += 1
     assert violations == 0
     return (
-        f"pair error {rep.pe_before:.3e} -> {rep.pe_after:.3e}, verdict fired; "
+        f"pair error {rep['pe_before']:.3e} -> {rep['pe_after']:.3e}, verdict fired; "
         f"monotonicity counterexamples: {violations}/200"
     )
 

@@ -115,6 +115,14 @@ def test_doppler_json(tmp_path):
     assert payload["converged"] is True
 
 
+def test_doppler_json_refuses_a_list_of_speeds(capsys):
+    # a JSON report holds one speed; a list is not cut to its first value
+    assert cli.run(["doppler", "--v", "0.1,0.5", "--format", "json", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("relqi: configuration error: v: ")
+    assert captured.out == ""
+
+
 def test_doppler_csv_over_speeds(tmp_path):
     out = tmp_path / "d.csv"
     code = cli.run([
@@ -194,6 +202,18 @@ def test_channel_audit_json(tmp_path):
     assert payload["min_choi_eig"] >= -1e-12
     assert payload["trace_distance"] < 0.02
     assert payload["verdict"] is None
+
+
+def test_channel_audit_echoes_its_inputs_and_prints_every_key(tmp_path):
+    out = tmp_path / "c.json"
+    assert cli.run(["channel-audit", "--gamma", "0.5", "--theta", "0.3", "--resolution", "6",
+                    "--out", str(out)]) == 0
+    payload = json.loads(read(out))
+    assert payload["gamma"] == 0.5 and payload["theta"] == 0.3
+    assert set(payload) == {
+        "gamma", "theta", "is_cp", "is_tp", "min_choi_eig",
+        "trace_distance", "pe_before", "pe_after", "verdict",
+    }
 
 
 def test_channel_audit_witness(tmp_path):
@@ -551,6 +571,6 @@ def test_values_reach_the_cli_as_python_floats():
         reports = [spin_half.sweep_values(0.7, 0.25, 1.0, n), entangle.sweep_values(0.5, 0.6, n),
                    photon.sweep_values(100.0, 0.1, 1.0, 0.5, n),
                    photon.circular_density_values(100.0, 0.1, 1.0, 1, n),
-                   photon.doppler_report(100.0, 0.1, 1.0, 0.5, n).as_dict()]
+                   photon.doppler_report(100.0, 0.1, 1.0, 0.5, n)]
         for report in reports:
             assert all(floats(v) for v in report.values()), report

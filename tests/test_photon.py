@@ -320,22 +320,22 @@ def test_orthogonality_audit_monochromatic_limit():
 
 def test_doppler_zero_velocity():
     rep = ph.doppler_report(100.0, 0.1, 1.0, 0.0, 8)
-    assert rep.pe_boosted == pytest.approx(rep.pe_rest, abs=1e-15)
-    assert rep.closed_form_ratio == 1.0
+    assert rep["pe_boosted"] == pytest.approx(rep["pe_rest"], abs=1e-15)
+    assert rep["closed_form_ratio"] == 1.0
 
 
 def test_doppler_closed_form_ratios():
     for v, expected in ((-0.5, 1.0 / 3.0), (-0.25, 0.6), (0.25, 5.0 / 3.0), (0.5, 3.0)):
         rep = ph.doppler_report(100.0, 0.1, 1.0, v, 12)
-        assert rep.ratio == pytest.approx(expected, rel=0.05)
-        assert rep.closed_form_ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert rep["ratio"] == pytest.approx(expected, rel=0.05)
+        assert rep["closed_form_ratio"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_doppler_leading_order_improves_with_narrow_beams():
     devs = []
     for dr in (3.0, 1.0, 0.3):
         rep = ph.doppler_report(100.0, dr / 10.0, dr, 0.5, 10)
-        devs.append(abs(rep.ratio / rep.closed_form_ratio - 1.0))
+        devs.append(abs(rep["ratio"] / rep["closed_form_ratio"] - 1.0))
     assert devs[0] > devs[1] > devs[2]
 
 

@@ -413,6 +413,31 @@ def test_standard_rotation_maps_z():
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_standard_rotation_twist_is_the_polar_rotation():
+    # R z = khat leaves the twist about khat free, and the twist fixes the helicity
+    # phase: R(khat) is the rotation about z x khat by the polar angle of khat
+    rng = np.random.default_rng(7)
+    khats = rng.normal(size=(1000, 3))
+    khats /= np.linalg.norm(khats, axis=1)[:, None]
+    rots = geo.standard_rotation_batch(khats)
+    oracle = [helpers.rotation_about(np.cross([0.0, 0.0, 1.0], k), np.arccos(k[2]))
+              for k in khats]
+    np.testing.assert_allclose(rots, oracle, rtol=0.0, atol=5e-15)
+
+
+def test_standard_rotation_near_minus_z():
+    # the arccos oracle is ill-conditioned here, so check R z = khat and R^T R = I
+    rng = np.random.default_rng(8)
+    offsets = rng.normal(size=(1000, 2))
+    offsets *= (10.0 ** rng.uniform(-12.0, -3.0, size=1000) / np.linalg.norm(offsets, axis=1))[:, None]
+    khats = np.column_stack([offsets, -np.ones(1000)])
+    khats /= np.linalg.norm(khats, axis=1)[:, None]
+    rots = geo.standard_rotation_batch(khats)
+    np.testing.assert_allclose(rots[:, :, 2], khats, rtol=0.0, atol=2e-15)
+    np.testing.assert_allclose(np.swapaxes(rots, 1, 2) @ rots, np.broadcast_to(np.eye(3), rots.shape),
+                               rtol=0.0, atol=4e-15)
+
+
 def test_standard_rotation_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         geo.standard_rotation_batch([[0.0, 0.0, 0.5]])[0]

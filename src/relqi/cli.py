@@ -186,8 +186,9 @@ def _build_parser():
 def _apply_config(args, subparser) -> None:
     """Override parsed flags with the --config entries.
 
-    Each entry goes through its flag's own `type` and `choices`, so a value
-    means what it would mean on the command line.
+    An entry of a switch is true or false; any other entry is a JSON string
+    or number, read as its command-line text through the flag's own `type`
+    and `choices`, so a value means what it would mean on the command line.
     """
     if not args.config:
         return
@@ -203,12 +204,14 @@ def _apply_config(args, subparser) -> None:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"config: unknown field {key!r}")
-        if action.nargs == 0 and not isinstance(value, bool):
-            raise ConfigError(f"{key}: expected true or false, got {value!r}")
-        if action.type is not None:
+        switch = action.nargs == 0
+        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            expected = "true or false" if switch else "a string or a number"
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+        if not switch:
             text = value if isinstance(value, str) else json.dumps(value)
             try:
-                value = action.type(text)
+                value = text if action.type is None else action.type(text)
             except ValueError:
                 raise ConfigError(
                     f"{key}: invalid {action.type.__name__} value {value!r}"

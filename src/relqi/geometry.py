@@ -2,22 +2,19 @@
 
 Conventions: units c = hbar = 1, metric diag(+,-,-,-), four-vectors ordered
 (t, x, y, z).  All transformations are proper orthochronous; the Wigner
-kernel rejects any other.  The Wigner rotation of a massive particle is the
-little-group element W(L, p) = B(Lp)^{-1} L B(p), where B(p) is the pure
-boost taking the rest momentum (m, 0, 0, 0) to p.  wigner_quaternion_blocks
-evaluates it in closed form: L is split once into a pure boost B and a
-rotation R, and the Thomas-Wigner quaternion of W(B, R p) R is one fixed
-linear map of (p, E + m), normalized node by node, on the blocks of momenta
-it is given.  It is the one copy of the per-node kernel:
-spin_half streams the blocks of a packet's quadrature rule through it,
-wigner_quaternion_batch cuts explicit (n, 3) momenta into blocks of
-_WIGNER_BLOCK nodes, and wigner_rotation_batch and wigner_su2_batch are
-built from its quaternions.  The Wigner and standard rotations have one
-form each, on (n, 3) stacks; one momentum or direction is a stack of one.
-The 4x4 matrix product is kept only as a test oracle.  mirror_axes finds
-the reflections q_k -> -q_k that commute with a Lorentz transformation,
-over which spin_half folds its rules; spin_half.wigner_moments applies the
-resulting symmetry to its sums.
+kernel rejects any other.  Both rotations are built from unit quaternions,
+on (n, 3) stacks (one momentum or direction is a stack of one): the
+standard rotation R(khat) of a photon direction, and the Wigner rotation of
+a massive particle, the little-group element W(L, p) = B(Lp)^{-1} L B(p)
+with B(p) the pure boost taking (m, 0, 0, 0) to p.  wigner_quaternion_map
+splits L once into a pure boost and a rotation, checks the split, and
+returns the one copy of the per-node kernel, whose Thomas-Wigner quaternion
+is one fixed linear map of (p, E + m), normalized node by node.
+wigner_quaternion_batch, wigner_rotation_batch and wigner_su2_batch apply
+it to explicit momenta; spin_half passes a packet rule through it block by
+block.  The 4x4 matrix product is kept only as a test oracle.  mirror_axes
+finds the reflections q_k -> -q_k that commute with a Lorentz
+transformation, over which spin_half folds its rules.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ import numpy as np
 from .wavepacket import NumericalError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def _norm2(v) -> np.ndarray:
@@ -107,46 +102,24 @@ def standard_boost(p4, mass: float) -> np.ndarray:
     return out
 
 
-def _skew(n):
-    """Cross-product matrices [n]_x of (..., 3) vectors."""
-    zero = np.zeros(np.shape(n)[:-1])
-    return np.stack(
-        [
-            np.stack([zero, -n[..., 2], n[..., 1]], axis=-1),
-            np.stack([n[..., 2], zero, -n[..., 0]], axis=-1),
-            np.stack([-n[..., 1], n[..., 0], zero], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
 def standard_rotation_batch(khats: np.ndarray) -> np.ndarray:
     """Rotations R(khat) with R(khat) z = khat, for an (n, 3) array of unit vectors.
 
-    Rotates about the axis z x khat by the polar angle of khat.  Tie-breaks:
-    identity at khat = +z, rotation by pi about x at khat = -z.  Raises
-    ValueError for a khat whose norm differs from 1 by more than 1e-10.
+    R(khat) rotates about z x khat by the polar angle of khat: its quaternion
+    is (-k_y, k_x, 0, 1 + k_z), normalized, with 1 + k_z = |k_xy|^2 / (1 + |k_z|)
+    below the equator, so that R z = khat to rounding near -z; at khat = -z
+    it is 0, and R is pi about x.  Raises ValueError for a khat whose norm
+    differs from 1 by more than 1e-10.
     """
     khats = np.asarray(khats, dtype=float)
     if np.any(np.abs(np.linalg.norm(khats, axis=-1) - 1.0) > 1e-10):
         raise ValueError("khat must be a unit vector")
-    n = khats.shape[0]
-    axis = np.cross(np.broadcast_to(_Z_AXIS, khats.shape), khats)
-    sin_t = np.linalg.norm(axis, axis=-1)
-    cos_t = khats[:, 2]
-    out = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    degenerate = sin_t < 1e-15
-    flipped = degenerate & (cos_t < 0.0)
-    out[flipped] = np.diag([1.0, -1.0, -1.0])
-    regular = ~degenerate
-    if np.any(regular):
-        k = _skew(axis[regular] / sin_t[regular, None])
-        out[regular] = (
-            np.eye(3)
-            + sin_t[regular, None, None] * k
-            + (1.0 - cos_t[regular, None, None]) * (k @ k)
-        )
-    return out
+    kx, ky, kz = khats.T
+    transverse = kx * kx + ky * ky
+    w = np.where(kz < 0.0, transverse / (1.0 + np.abs(kz)), 1.0 + kz)
+    quats = np.stack([-ky, kx, np.zeros_like(kz), w], axis=-1)
+    quats[~quats.any(axis=-1)] = (1.0, 0.0, 0.0, 0.0)
+    return quaternion_rotations(quats / np.linalg.norm(quats, axis=-1, keepdims=True))
 
 
 def _rotation_quaternion(rots: np.ndarray) -> np.ndarray:
@@ -239,37 +212,30 @@ def mirror_axes(lam: np.ndarray) -> tuple:
     return tuple(axes)
 
 
-# Nodes per block of the little-group kernel and of the packet rules streamed
-# through it: no per-node array, (n,) or (n, 4), is longer, so the scratch of
-# a row is about 1 MB at any grid size.
-_WIGNER_BLOCK = 2048
+def wigner_quaternion_map(lam: np.ndarray, mass: float):
+    """The Wigner quaternions of `lam`, as a function of momenta.
 
+    Returns a function of one (b, 3) array of momenta q_n that gives
+    (p4, u): the (b, 4) transported four-momenta p_n = L q_n and the (4, b)
+    unit quaternions, rows (x, y, z, w), of the spatial blocks W_n of the
+    little-group elements B(p_n)^{-1} L B(q_n).
 
-def wigner_quaternion_blocks(lam: np.ndarray, blocks, mass: float):
-    """Transport blocks of momenta through `lam` and yield their Wigner quaternions.
-
-    `blocks` is an iterable of tuples whose first entry is a (b, 3) array of
-    momenta q_n.  For each tuple `block` it yields (block, p4, u): p4 is the
-    (b, 4) array of transported four-momenta p_n = L q_n and u the (4, b)
-    array, rows (x, y, z, w), of the unit quaternions of the spatial blocks
-    W_n of the little-group elements B(p_n)^{-1} L B(q_n) at the incoming
-    momenta q_n.
-
-    `lam` is split once into B R, with B the pure boost along its time
-    column and R a rotation, so that W(L, q) = W(B, R q) R.  With
+    `lam` is split once, here, into B R, with B the pure boost along its
+    time column and R a rotation, so that W(L, q) = W(B, R q) R.  With
     A(q) ~ E + m + q.sigma the spinor image of B(q) and A(B) ~ c0 + c.sigma
     (c0 = gamma + 1, c = gamma beta), A(B) A(R q) = x0 + (xr + i xi).sigma
     with x0 = c0 (E + m) + c.R q > 0, xr in the span of c and R q, and
     xi = c x R q orthogonal to it.  Its unitary polar factor, the SU(2)
     image of W(B, R q), is therefore (x0 + i xi.sigma) / |(x0, xi)|, the
     quaternion (-(c x R q), x0) up to a positive factor.  Composed with the
-    quaternion of R this is one linear map per call,
-    u_n ~ A q_n + b (E_n + m), with A a 4x3 matrix and b a 4-vector, and u_n
-    is normalized node by node.  No node's arithmetic depends on its block.
+    quaternion of R this is one linear map, u_n ~ A q_n + b (E_n + m), with
+    A a 4x3 matrix and b a 4-vector, and u_n is normalized node by node.
+    No node's arithmetic depends on the other momenta of its call.
 
-    Raises ValueError for a `lam` that is improper or not orthochronous or
-    when a node is off shell, and, after the last block, NumericalError when
-    B^{-1} L leaves the time axis beyond 1e-9.
+    Raises ValueError for a `lam` that is improper or not orthochronous and
+    NumericalError when B^{-1} L leaves the time axis beyond 1e-9, both
+    before any node is evaluated; the function raises NumericalError when a
+    node is off shell.
     """
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
@@ -278,6 +244,8 @@ def wigner_quaternion_blocks(lam: np.ndarray, blocks, mass: float):
     boost = standard_boost(lam[:, 0], 1.0)
     r4 = lorentz_inverse(boost) @ lam
     defect = max(abs(r4[0, 0] - 1.0), *np.abs(r4[0, 1:]), *np.abs(r4[1:, 0]))
+    if defect > 1e-9:
+        raise NumericalError(f"little-group elements do not fix the time axis ({defect:.3g})")
     rot = r4[1:, 1:]
     x, y, z, w = _rotation_quaternion(rot)
     c0, (cx, cy, cz) = boost[0, 0] + 1.0, boost[1:, 0]
@@ -289,31 +257,23 @@ def wigner_quaternion_blocks(lam: np.ndarray, blocks, mass: float):
     # columns 0-2 are A, column 3 is b
     linear = compose @ thomas
     linear[:, :3] = linear[:, :3] @ rot
-    for block in blocks:
-        q4 = four_momentum(mass, block[0])
+
+    def wigner(momenta):
+        q4 = four_momentum(mass, momenta)
         p4 = q4 @ lam.T
         _require_on_shell(q4, mass)
         _require_on_shell(p4, mass)
         u = linear[:, 3:] * (q4[:, 0] + mass)
         for k in range(3):
             u += linear[:, k:k + 1] * q4[:, k + 1]
-        yield block, p4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
-    if defect > 1e-9:
-        raise NumericalError(f"little-group elements do not fix the time axis ({defect:.3g})")
+        return p4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
+
+    return wigner
 
 
 def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """wigner_quaternion_blocks on (n, 3) momenta, in blocks of _WIGNER_BLOCK.
-
-    Returns the (n, 4) arrays p4_out and q (x, y, z, w).
-    """
-    momenta = np.asarray(momenta, dtype=float)
-    n = len(momenta)
-    p4, quats = np.empty((n, 4)), np.empty((4, n))
-    slices = (slice(start, start + _WIGNER_BLOCK) for start in range(0, n, _WIGNER_BLOCK))
-    blocks = ((momenta[block], block) for block in slices)
-    for (_, block), p4_block, q in wigner_quaternion_blocks(lam, blocks, mass):
-        p4[block], quats[:, block] = p4_block, q
+    """wigner_quaternion_map of `lam` on (n, 3) momenta: the (n, 4) p4_out and q (x, y, z, w)."""
+    p4, quats = wigner_quaternion_map(lam, mass)(momenta)
     return p4, quats.T
 
 

@@ -120,7 +120,9 @@ def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: in
         frame, level = sys._getframe(1), 2
         while frame is not None and frame.f_globals.get("__name__", "").startswith("relqi."):
             frame, level = frame.f_back, level + 1
-        warnings.warn("k_mean < 5 * delta_r: beam is far from paraxial", stacklevel=level)
+        # the message names the beam, so that each beam warns once
+        warnings.warn(f"k_mean {k_mean:.12g} < 5 * delta_r {delta_r:.12g}: beam is far from "
+                      "paraxial", stacklevel=level)
     t, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     k_z = k_mean + delta_z * t
     if np.any(k_z <= 0.0):

@@ -15,14 +15,14 @@ observable is a short function of one kernel, `wigner_moments`: D = T - I
 and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
 quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
 with r = e_z + D e_z; `boosted_pair` returns both and their Helstrom
-error.  Each observable costs O(N) time in the N grid nodes
-and O(block + n) memory at any resolution: `_packet_blocks` streams the
+error.  Each observable costs O(N) time in the N grid nodes and
+O(block + n) memory at any resolution: `_packet_blocks` streams the
 packet's quadrature rule, built from the cached 1-D Gauss-Hermite rule, in
-blocks of geometry._WIGNER_BLOCK nodes through the kernel, and no n^3 grid
-is built or cached.  The rule is folded over every mirror axis whose
-reflection commutes with the boost (the packet is centred on 0), which
-keeps half the nodes for a boost in the x-z plane, a quarter for a boost
-along z and an eighth for the identity.
+blocks of _WIGNER_BLOCK nodes through one geometry.wigner_quaternion_map,
+and no n^3 grid is built or cached.  The rule is folded over every mirror
+axis whose reflection commutes with the boost (the packet is centred on 0):
+half the nodes are kept for a boost in the x-z plane, a quarter for a
+boost along z and an eighth for the identity.
 
 `sweep_values` returns the values of one sweep row at one resolution; the
 n/2n convergence check of the row is made in `relqi.cli`.
@@ -110,15 +110,20 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     return qmatrix.hermitize(tau)
 
 
+# Nodes per block of the packet rules: no per-node array, (n,) or (n, 4), is
+# longer, so the scratch of a row is about 1 MB at any grid size.
+_WIGNER_BLOCK = 2048
+
+
 def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
     """The quadrature rule of the Gaussian packet of wigner_kernel, in blocks.
 
-Yields (nodes, weights, profile, probs) for consecutive blocks of
+    Yields (nodes, weights, profile, probs) for consecutive blocks of
     gauss_grid's tensor Gauss-Hermite rule, in its C order, built from the
     cached 1-D rule: the (b, 3) nodes, their PLAIN or INVARIANT weights w_n,
     the normalized profile h_n and the probabilities p_n = m_n w_n h_n^2.
-    A block is a run of whole z lines of at most geometry._WIGNER_BLOCK
-    nodes (one line, when a line is longer).  Along each mirror axis k in `axes`
+    A block is a run of whole z lines of at most _WIGNER_BLOCK nodes
+    (one line, when a line is longer).  Along each mirror axis k in `axes`
     only the nodes with q_k >= 0 are kept, and the multiplicity m_n doubles
     for each such k with q_k > 0, so that sum_n p_n f(q_n) is the full
     rule's sum for any f even under those reflections.  The profile
@@ -144,7 +149,7 @@ Yields (nodes, weights, profile, probs) for consecutive blocks of
         (q[half], wq[half], np.where(q[half] > 0.0, 2.0, 1.0)) if k in axes
         else (q, wq, np.ones(nodes_per_axis)) for k in range(3))
     # z lines per block; line l holds the nodes (px[i], py[j], pz), (i, j) = divmod(l, len(py))
-    lines = max(1, geometry._WIGNER_BLOCK // len(pz))
+    lines = max(1, _WIGNER_BLOCK // len(pz))
     starts = range(0, len(px) * len(py), lines)
 
     def block(start):
@@ -183,17 +188,16 @@ def wigner_kernel(
     h = exp(-|p|^2 / (2 delta^2)), normalized under `convention`.  Returns
     (p, W): the (n,) probabilities p_n = w_n |h_n|^2 and the (n, 3, 3)
     rotations W_n of the little group of `lam` at the nodes of the full
-    (unfolded) rule, streamed through geometry.wigner_quaternion_blocks.
+    (unfolded) rule, from geometry.wigner_rotation_batch.
     Tracing out the momentum of the boosted packet is the channel
     rho -> sum_n p_n U_n rho U_n^dagger, whose Bloch matrix is
     geometry.bloch_map(p, W).
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
-    rule = _packet_blocks(delta, mass, nodes_per_axis, convention, ())
-    probs, quats = zip(*((block[3], q) for block, _, q
-                         in geometry.wigner_quaternion_blocks(lam, rule, mass)))
-    return np.concatenate(probs), geometry.quaternion_rotations(np.concatenate(quats, axis=1).T)
+    nodes, _, _, probs = (np.concatenate(parts) for parts in zip(
+        *_packet_blocks(delta, mass, nodes_per_axis, convention, ())))
+    return probs, geometry.wigner_rotation_batch(lam, nodes, mass)[1]
 
 
 def wigner_moments(
@@ -219,16 +223,17 @@ def wigner_moments(
     quaternion S q, with S = -1 on the two vector components other than k,
     so the full-grid M is invariant under M -> S M S: M is replaced by
     (M + S M S)/2, exact in floating point, which keeps its even entries
-    and sets the odd ones to exactly 0.  The rule's blocks stream through
-    geometry.wigner_quaternion_blocks, and M adds each block's
+    and sets the odd ones to exactly 0.  The rule's blocks pass through one
+    geometry.wigner_quaternion_map of `lam`, and M adds each block's
     (q p) q^T, so a call holds O(block + n) memory at any resolution.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     axes = geometry.mirror_axes(lam)
-    rule = _packet_blocks(delta, mass, nodes_per_axis, convention, axes)
+    wigner = geometry.wigner_quaternion_map(lam, mass)
     m = np.zeros((4, 4))
-    for (_, _, _, probs), _, q in geometry.wigner_quaternion_blocks(lam, rule, mass):
+    for nodes, _, _, probs in _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
+        q = wigner(nodes)[1]
         m += (q * probs) @ q.T
     for k in axes:
         signs = np.full(4, -1.0)

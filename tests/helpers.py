@@ -103,8 +103,8 @@ def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-12) -> bool:
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Rotation by `angle` about the (normalized) `axis`, Rodrigues form."""
     axis = np.asarray(axis, dtype=float)
-    n = axis / np.linalg.norm(axis)
-    k = geometry._skew(n)
+    x, y, z = axis / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

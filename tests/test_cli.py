@@ -317,11 +317,20 @@ def test_config_values_read_as_flags(tmp_path):
     assert read(out) == read(flags)  # "kA": 100.0 in both, as --kA parses it
 
 
-def test_config_entries_without_type_are_checked(tmp_path, capsys):
+def test_config_entries_without_type_are_checked(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"dr": null}')
     assert cli.run(["photon-distinguish", "--config", str(cfg), "--out", "-"]) == 2
     assert "dr" in capsys.readouterr().err
+    for out in ("null", '["a"]', "true"):
+        cfg.write_text('{"out": %s}' % out)
+        assert cli.run(["channel-audit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("relqi: configuration error: out: ")
+    # a number is read as its command-line text: a path, not a file descriptor
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text('{"out": 5}')
+    assert cli.run(["channel-audit", "--config", str(cfg)]) == 0
+    assert json.loads(read(tmp_path / "5"))["is_cp"] is True
     cfg.write_text('{"no_convergence": "false"}')
     assert cli.run(["spin-distinguish", "--config", str(cfg), "--out", "-"]) == 2
     assert "no_convergence" in capsys.readouterr().err
@@ -519,6 +528,17 @@ def test_numerical_failure_exits_3_and_a_failed_row_exits_1():
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
     assert out.stdout.split("\n")[1] == "100,1,0.1,0,nan,2.5e-05,857375,false"
+
+
+def test_paraxial_warning_is_printed_for_each_beam():
+    # the default filter shows a warning once per text and line; each beam has its own text,
+    # and a row's n and 2n passes build the same beam
+    out = subprocess.run([sys.executable, "-m", "relqi", "photon-distinguish", "--kA", "4",
+                          "--dr", "1,2", "--dz", "0.1", "--out", "-"], env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    warned = [line.split(": ", 1)[1] for line in out.stderr.splitlines() if "paraxial" in line]
+    assert warned == [f"UserWarning: k_mean 4 < 5 * delta_r {dr}: beam is far from paraxial"
+                      for dr in (1, 2)]
 
 
 def test_time_axis_defect_is_a_numerical_error():

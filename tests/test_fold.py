@@ -154,7 +154,7 @@ def test_folded_rule_keeps_one_node_per_mirror_orbit(convention, n, axes):
     keep = np.all(nodes[:, axes] >= 0.0, axis=1)
     images = 2.0 ** np.sum(nodes[keep][:, axes] > 0.0, axis=1)
     blocks = list(sh._packet_blocks(DELTA, MASS, n, convention, axes))
-    assert max(len(block[0]) for block in blocks) <= geo._WIGNER_BLOCK
+    assert max(len(block[0]) for block in blocks) <= sh._WIGNER_BLOCK
     folded = [np.concatenate(parts) for parts in zip(*blocks)]
     np.testing.assert_array_equal(folded[0], nodes[keep])
     np.testing.assert_array_equal(folded[1], weights[keep])

@@ -189,7 +189,7 @@ def test_little_group_closure():
         np.testing.assert_allclose(w2 @ w1, w12, atol=1e-10)
 
 
-def test_wigner_rotation_batch_matches_single_node(monkeypatch):
+def test_wigner_rotation_batch_matches_single_node():
     m = 1.2
     lam = geo.boost_from_velocity(random_beta(RNG, 0.9))
     momenta = RNG.normal(scale=m, size=(40, 3))
@@ -198,13 +198,12 @@ def test_wigner_rotation_batch_matches_single_node(monkeypatch):
         q4 = geo.four_momentum(m, q)
         np.testing.assert_allclose(p_out, lam @ q4, atol=1e-12)
         np.testing.assert_allclose(w, little_group_element(lam, q4, m)[1:, 1:], atol=1e-12)
-    p4_one, quats_one = geo.wigner_quaternion_batch(lam, momenta, m)
-    monkeypatch.setattr(geo, "_WIGNER_BLOCK", 7)
-    # each node's arithmetic is the same in any block
-    p4_seven, quats_seven = geo.wigner_quaternion_batch(lam, momenta, m)
-    np.testing.assert_array_equal(p4_seven, p4_one)
-    np.testing.assert_array_equal(quats_seven, quats_one)
-    np.testing.assert_array_equal(geo.wigner_rotation_batch(lam, momenta, m)[1], rots)
+    # each node's arithmetic is the same whatever other momenta share its call
+    wigner = geo.wigner_quaternion_map(lam, m)
+    parts = [wigner(momenta[:7]), wigner(momenta[7:])]
+    np.testing.assert_array_equal(np.concatenate([p for p, _ in parts]), p4)
+    np.testing.assert_array_equal(np.concatenate([q for _, q in parts], axis=1).T,
+                                  geo.wigner_quaternion_batch(lam, momenta, m)[1])
     _, u = geo.wigner_su2_batch(lam, momenta, m)
     np.testing.assert_allclose(u, geo.rotations_to_su2(rots), atol=1e-15)
 
@@ -213,23 +212,41 @@ def test_wigner_rotation_batch_matches_single_node(monkeypatch):
 def test_wigner_moments_do_not_depend_on_the_block_size(monkeypatch, velocity):
     lam = geo.boost_from_velocity(velocity)
     d, s = sh.wigner_moments(lam, 1.0, 1.0, 9)
-    monkeypatch.setattr(geo, "_WIGNER_BLOCK", 7)
+    monkeypatch.setattr(sh, "_WIGNER_BLOCK", 7)
     d_seven, s_seven = sh.wigner_moments(lam, 1.0, 1.0, 9)
     np.testing.assert_allclose(d_seven, d, rtol=1e-14, atol=0.0)
     assert s_seven == pytest.approx(s, rel=1e-14, abs=0.0)
 
 
-def test_time_axis_defect_does_not_depend_on_the_block_size(monkeypatch):
-    # the largest defect over all blocks is reported once, after the last block
+def test_wigner_moments_split_lam_once(monkeypatch):
+    # the split lam = B R takes the quaternion of R once per call, and each block
+    # of the rule takes its four-momenta once; n = 24 folded over y is 4 blocks
+    calls = {"split": 0, "blocks": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(geo, "_rotation_quaternion", counted("split", geo._rotation_quaternion))
+    monkeypatch.setattr(geo, "four_momentum", counted("blocks", geo.four_momentum))
+    sh.wigner_moments(sh.boost_for_angle(0.6, 0.7), 1.0, 1.0, 24)
+    assert calls == {"split": 1, "blocks": 4}
+
+
+def test_time_axis_defect_is_raised_before_any_node():
+    # B^-1 L of the float boost (gamma ~ 1e4) leaves the time axis by 8.0e-9;
+    # the map's function, which evaluates nodes, is never made
     lam = sh.boost_for_angle(sh.beta_for_gamma(0.9999, 1.0), 1.0)
-    nodes = helpers.packet_rule(1.0, 1.0, 24)[0]
     messages = []
-    for block in (geo._WIGNER_BLOCK, 7):
-        monkeypatch.setattr(geo, "_WIGNER_BLOCK", block)
+    for call in (lambda: geo.wigner_quaternion_map(lam, 1.0),
+                 lambda: geo.wigner_quaternion_batch(lam, helpers.packet_rule(1.0, 1.0, 24)[0], 1.0),
+                 lambda: sh.wigner_moments(lam, 1.0, 1.0, 24)):
         with pytest.raises(NumericalError, match="do not fix the time axis") as err:
-            geo.wigner_quaternion_batch(lam, nodes, 1.0)
+            call()
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert messages == [messages[0]] * 3
 
 
 def _kernel_cases():
@@ -429,13 +446,14 @@ def test_standard_rotation_near_minus_z():
     # the arccos oracle is ill-conditioned here, so check R z = khat and R^T R = I
     rng = np.random.default_rng(8)
     offsets = rng.normal(size=(1000, 2))
-    offsets *= (10.0 ** rng.uniform(-12.0, -3.0, size=1000) / np.linalg.norm(offsets, axis=1))[:, None]
+    scales = 10.0 ** rng.uniform(-12.0, -3.0, size=1000) / np.linalg.norm(offsets, axis=1)
+    offsets *= scales[:, None]
     khats = np.column_stack([offsets, -np.ones(1000)])
     khats /= np.linalg.norm(khats, axis=1)[:, None]
     rots = geo.standard_rotation_batch(khats)
     np.testing.assert_allclose(rots[:, :, 2], khats, rtol=0.0, atol=2e-15)
-    np.testing.assert_allclose(np.swapaxes(rots, 1, 2) @ rots, np.broadcast_to(np.eye(3), rots.shape),
-                               rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(np.swapaxes(rots, 1, 2) @ rots,
+                               np.broadcast_to(np.eye(3), rots.shape), rtol=0.0, atol=4e-15)
 
 
 def test_standard_rotation_rejects_non_unit():

@@ -212,7 +212,8 @@ def test_paraxial_warning_names_the_calling_line(call):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call()
-    assert [str(w.message) for w in caught] == ["k_mean < 5 * delta_r: beam is far from paraxial"]
+    assert [str(w.message) for w in caught] == [
+        "k_mean 10 < 5 * delta_r 5: beam is far from paraxial"]
     assert caught[0].filename == __file__
 
 

@@ -17,7 +17,6 @@ from .entangle import (
     spin_spin_density,
 )
 from .geometry import (
-    bloch_map,
     boost_from_velocity,
     observer_boost,
     rotations_to_su2,
@@ -55,7 +54,6 @@ from .spin_half import (
     gamma_parameter,
     gaussian_packet,
     reduced_spin_density,
-    wigner_kernel,
 )
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid
 

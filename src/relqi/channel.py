@@ -25,6 +25,7 @@ from . import photon, qmatrix, spin_half
 from .qmatrix import ID2, SIGMA_X, SIGMA_Y, QubitChannel
 
 WITNESS_TOL = 1e-9
+CONSISTENCY_BETA = 0.6  # the boost speed of the consistency audit
 VERDICT_TEXT = (
     "no CP map on the 3x3 polarization state space can realize this pair transformation"
 )
@@ -48,15 +49,14 @@ def decoherence_channel(gamma: float) -> QubitChannel:
 def certify(gamma: float) -> dict:
     """is_cp, is_tp and min_choi_eig (always included) of decoherence_channel(gamma)."""
     ch = decoherence_channel(gamma)
-    is_cp, min_eig = qmatrix.is_completely_positive(ch, tol=1e-12)
-    return {"is_cp": is_cp, "is_tp": ch.is_trace_preserving(tol=1e-12), "min_choi_eig": min_eig}
+    is_cp, min_eig = qmatrix.is_completely_positive(ch)
+    return {"is_cp": is_cp, "is_tp": ch.is_trace_preserving(), "min_choi_eig": min_eig}
 
 
 def consistency_check(
     gamma: float,
     theta: float = 0.0,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
-    beta: float = 0.6,
 ) -> float:
     """Trace distance between the channel image of spin-up and the boosted reduction.
 
@@ -67,19 +67,20 @@ def consistency_check(
     positive quaternion terms: 1 - (T e_z)_z without subtracting two
     numbers close to 1.
 
-    The mixing parameter is realized at fixed `beta` by scaling the packet
-    width, so the leading-order residual scales as gamma^4 for collinear
-    boosts (theta = 0).  At other angles the channel's quadratic
-    coefficient differs from the boosted one (the angular factor is
-    (1 + cos^2 theta)/2), so the distance is reported, never asserted.
+    The mixing parameter is realized at the fixed speed CONSISTENCY_BETA by
+    scaling the packet width, so the leading-order residual scales as
+    gamma^4 for collinear boosts (theta = 0).  At other angles the
+    channel's quadratic coefficient differs from the boosted one (the
+    angular factor is (1 + cos^2 theta)/2), so the distance is reported,
+    never asserted.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
         return 0.0
-    delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, beta)
+    delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, CONSISTENCY_BETA)
     d, _ = spin_half.wigner_moments(
-        spin_half.boost_for_angle(beta, theta), delta_over_m, 1.0, grid_resolution
+        spin_half.boost_for_angle(CONSISTENCY_BETA, theta), delta_over_m, 1.0, grid_resolution
     )
     return 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
 
@@ -88,10 +89,9 @@ def consistency_order(
     gammas=(0.05, 0.1, 0.2),
     theta: float = 0.0,
     grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
-    beta: float = 0.6,
 ) -> dict:
     """Residual-vs-gamma scaling study: distances, gamma^4 ratios, fitted order."""
-    distances = np.array([consistency_check(g, theta, grid_resolution, beta) for g in gammas])
+    distances = np.array([consistency_check(g, theta, grid_resolution) for g in gammas])
     ratios = distances / np.asarray(gammas) ** 4
     logs = np.log(np.asarray(gammas))
     slope = np.polyfit(logs, np.log(distances), 1)[0]

@@ -31,6 +31,9 @@ CONVERGENCE_HEADER = (
     "observable,nodes_per_axis,grid_nodes,value,refined_value,rel_delta,converged"
 )
 MAX_ROWS = 100_000  # the most values of a min:max:step range, and the most rows of a sweep
+# the most nodes per axis: numpy's 1-D rules break down far below it (Gauss-Hermite from 371
+# nodes, Gauss-Laguerre from 187), and a 2000-node companion matrix is 32 MB
+MAX_RESOLUTION = 1000
 
 
 class ConfigError(Exception):
@@ -204,6 +207,8 @@ def _apply_config(args, subparser) -> None:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"config: unknown field {key!r}")
+        if action.dest == "config":
+            raise ConfigError("config: a config file cannot name another config file")
         switch = action.nargs == 0
         if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
             expected = "true or false" if switch else "a string or a number"
@@ -248,6 +253,8 @@ def _validate(args) -> None:
     least = 1 if args.command == "convergence" else 4
     if args.resolution < least:
         raise ConfigError(f"resolution: must be >= {least}")
+    if args.resolution > MAX_RESOLUTION:
+        raise ConfigError(f"resolution: must be <= {MAX_RESOLUTION}")
 
 
 def _moved(coarse, fine, tolerance: float) -> bool:

@@ -10,11 +10,12 @@ with B(p) the pure boost taking (m, 0, 0, 0) to p.  wigner_quaternion_map
 splits L once into a pure boost and a rotation, checks the split, and
 returns the one copy of the per-node kernel, whose Thomas-Wigner quaternion
 is one fixed linear map of (p, E + m), normalized node by node.
-wigner_quaternion_batch, wigner_rotation_batch and wigner_su2_batch apply
-it to explicit momenta; spin_half passes a packet rule through it block by
-block.  The 4x4 matrix product is kept only as a test oracle.  mirror_axes
-finds the reflections q_k -> -q_k that commute with a Lorentz
-transformation, over which spin_half folds its rules.
+wigner_rotation_batch and wigner_su2_batch apply it to explicit momenta;
+spin_half.wigner_moments passes a packet rule through it block by block
+and sums the Bloch matrix T = sum_n p_n W_n from its quaternions.  The
+4x4 matrix product is kept only as a test oracle.  mirror_axes finds the
+reflections q_k -> -q_k that commute with a Lorentz transformation, over
+which spin_half folds its rules.
 """
 
 from __future__ import annotations
@@ -271,20 +272,14 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
     return wigner
 
 
-def wigner_quaternion_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
-    """wigner_quaternion_map of `lam` on (n, 3) momenta: the (n, 4) p4_out and q (x, y, z, w)."""
-    p4, quats = wigner_quaternion_map(lam, mass)(momenta)
-    return p4, quats.T
-
-
 def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     """Little-group rotations W = B(Lp)^{-1} L B(p) of (n, 3) momenta, as 3x3 matrices.
 
     Returns (p4_out, W): the (n, 4) transported four-momenta and the
-    (n, 3, 3) rotations of wigner_quaternion_batch, with its checks.
+    (n, 3, 3) rotations of wigner_quaternion_map(lam, mass), with its checks.
     """
-    p4, quats = wigner_quaternion_batch(lam, momenta, mass)
-    return p4, quaternion_rotations(quats)
+    p4, quats = wigner_quaternion_map(lam, mass)(momenta)
+    return p4, quaternion_rotations(quats.T)
 
 
 def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
@@ -293,14 +288,10 @@ def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     Returns (p4_out, U) where p4_out is the (n, 4) array of transported
     four-momenta and U the (n, 2, 2) stack of SU(2) Wigner rotations
     evaluated at the incoming momenta.  U is built from the quaternions of
-    wigner_quaternion_batch, divided by their norm with the sign that makes
-    w >= 0, as rotations_to_su2 does.
+    wigner_quaternion_map(lam, mass), divided by their norm with the sign
+    that makes w >= 0, as rotations_to_su2 does.
     """
-    p4, quats = wigner_quaternion_batch(lam, momenta, mass)
+    p4, quats = wigner_quaternion_map(lam, mass)(momenta)
+    quats = quats.T
     norms = np.copysign(np.linalg.norm(quats, axis=1), quats[:, 3])
     return p4, _quaternion_su2(quats / norms[:, None])
-
-
-def bloch_map(probs: np.ndarray, rots: np.ndarray) -> np.ndarray:
-    """Bloch matrix T = sum_n p_n W_n of the random-unitary channel."""
-    return np.einsum("n,nij->ij", probs, rots)

@@ -18,6 +18,9 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+PSD_TOL = 1e-10  # eigenvalues down to -PSD_TOL are quadrature noise around 0
+CHANNEL_TOL = 1e-12  # the CP and TP checks of a channel
+
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """(M + M^dagger)/2; removes rounding-level anti-Hermitian noise."""
@@ -43,14 +46,14 @@ def partial_trace(rho, dims, side: str = "left") -> np.ndarray:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def entropy(rho, psd_tol: float = 1e-10) -> float:
+def entropy(rho) -> float:
     """von Neumann entropy -sum(lam * log2(lam)) in bits, from rho's spectrum.
 
-    Eigenvalues in [-psd_tol, 1e-14] are treated as exact zeros (quadrature
+    Eigenvalues in [-PSD_TOL, 1e-14] are treated as exact zeros (quadrature
     noise); anything more negative raises.
     """
     eigs = np.linalg.eigvalsh(hermitize(rho))
-    if eigs.min() < -psd_tol:
+    if eigs.min() < -PSD_TOL:
         raise ValueError(f"negative eigenvalue {eigs.min():.3g} beyond tolerance")
     eigs = eigs[eigs > 1e-14]
     return max(0.0, float(-(eigs @ np.log2(eigs))))
@@ -110,9 +113,10 @@ class QubitChannel:
 
     __call__ = apply
 
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
+    def is_trace_preserving(self) -> bool:
+        """Whether the partial trace of C is I within CHANNEL_TOL."""
         acc = partial_trace(self._choi, (self.dim, self.dim), side="right")
-        return bool(np.abs(acc - np.eye(self.dim)).max() <= tol)
+        return bool(np.abs(acc - np.eye(self.dim)).max() <= CHANNEL_TOL)
 
 
 def choi_matrix(channel: QubitChannel) -> np.ndarray:
@@ -120,21 +124,21 @@ def choi_matrix(channel: QubitChannel) -> np.ndarray:
     return channel._choi
 
 
-def is_completely_positive(channel: QubitChannel, tol: float = 1e-10):
-    """(CP verdict, minimum Choi eigenvalue)."""
+def is_completely_positive(channel: QubitChannel):
+    """(CP verdict, minimum Choi eigenvalue); CP when that is at least -CHANNEL_TOL."""
     eigs = np.linalg.eigvalsh(hermitize(choi_matrix(channel)))
     min_eig = float(eigs.min())
-    return min_eig >= -tol, min_eig
+    return min_eig >= -CHANNEL_TOL, min_eig
 
 
-def kraus_from_choi(choi, dim: int = 2, tol: float = 1e-10):
-    """Kraus operators of a positive Choi matrix; raises if it is not PSD."""
+def kraus_from_choi(choi, dim: int = 2):
+    """Kraus operators of a PSD Choi matrix (none for eigenvalues <= PSD_TOL); else raises."""
     choi = np.asarray(choi, dtype=complex)
     eigs, vecs = np.linalg.eigh(hermitize(choi))
-    if eigs.min() < -tol:
+    if eigs.min() < -PSD_TOL:
         raise ValueError(f"Choi matrix is not positive (min eig {eigs.min():.3g})")
     ops = []
     for lam, v in zip(eigs, vecs.T):
-        if lam > tol:
+        if lam > PSD_TOL:
             ops.append(np.sqrt(lam) * v.reshape(dim, dim).T)
     return ops

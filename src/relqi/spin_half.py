@@ -10,17 +10,18 @@ and no resampling or interpolation ever happens.
 Sweeps never build a boosted packet.  Tracing out the momentum of a
 boosted packet with node probabilities p_n = w_n |h_n|^2 is the
 random-unitary channel with Bloch matrix T = sum_n p_n W_n, the momentum
-average of the 3x3 Wigner rotations (`wigner_kernel`).  Every sweep
-observable is a short function of one kernel, `wigner_moments`: D = T - I
-and s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
-quaternions.  The boosted spin-up and spin-down states are (I +- r.sigma)/2
-with r = e_z + D e_z; `boosted_pair` returns both and their Helstrom
-error.  Each observable costs O(N) time in the N grid nodes and
-O(block + n) memory at any resolution: `_packet_blocks` streams the
-packet's quadrature rule, built from the cached 1-D Gauss-Hermite rule, in
-blocks of _WIGNER_BLOCK nodes through one geometry.wigner_quaternion_map,
-and no n^3 grid is built or cached.  The rule is folded over every mirror
-axis whose reflection commutes with the boost (the packet is centred on 0):
+average of the 3x3 Wigner rotations W_n.  Every sweep observable is a
+short function of one kernel, `wigner_moments`: D = T - I and
+s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
+quaternions, so T is I + D and no stack of rotations is built.  The
+boosted spin-up and spin-down states are (I +- r.sigma)/2 with
+r = e_z + D e_z; `boosted_pair` returns both and their Helstrom error.
+Each observable costs O(N) time in the N grid nodes and O(block + n)
+memory at any resolution: `_packet_blocks` streams the packet's
+quadrature rule, built from the cached 1-D Gauss-Hermite rule, in blocks
+of _WIGNER_BLOCK nodes through one geometry.wigner_quaternion_map, and no
+n^3 grid is built or cached.  The rule is folded over every mirror axis
+whose reflection commutes with the boost (the packet is centred on 0):
 half the nodes are kept for a boost in the x-z plane, a quarter for a
 boost along z and an eighth for the identity.
 
@@ -116,7 +117,7 @@ _WIGNER_BLOCK = 2048
 
 
 def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
-    """The quadrature rule of the Gaussian packet of wigner_kernel, in blocks.
+    """The quadrature rule of the zero-centred isotropic Gaussian packet, in blocks.
 
     Yields (nodes, weights, profile, probs) for consecutive blocks of
     gauss_grid's tensor Gauss-Hermite rule, in its C order, built from the
@@ -133,8 +134,10 @@ def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
 
     Raises NumericalError when a 1-D weight is not finite and positive or,
     for nonempty `axes`, when the 1-D rule is not exactly mirror-symmetric
-    (x == -x[::-1], w == w[::-1]), and, after the last block, when the
-    probabilities do not sum to 1 within 1e-8.
+    (x == -x[::-1], w == w[::-1]); when Z underflows (is not a finite float
+    of at least np.finfo(float).tiny), before anything is divided by it;
+    and, after the last block, when the probabilities do not sum to 1
+    within 1e-8.
     """
     x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     if axes and not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
@@ -161,8 +164,15 @@ def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
         h = np.exp(-r2 / (2.0 * delta * delta))
         return i, j, weights, h, ((mx[i] * my[j])[:, None] * mz).ravel()
 
-    norm = np.sqrt(sum(float(np.sum(weights * (h * h) * mult))
-                       for _, _, weights, h, mult in map(block, starts)))
+    # the weights carry delta^3, so Z leaves the normal floats below delta/m ~ 1e-104;
+    # below ~1e-154 delta^2 is 0 too and h is 0/0, so a NaN Z is the same failure
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = sum(float(np.sum(weights * (h * h) * mult))
+                for _, _, weights, h, mult in map(block, starts))
+    if not (math.isfinite(z) and z >= np.finfo(float).tiny):
+        raise wavepacket.NumericalError(f"the packet normalization underflows (Z = {z:.3g}): "
+                                        "the packet is too narrow for floats")
+    norm = np.sqrt(z)
     total = 0.0
     for i, j, weights, h, mult in map(block, starts):
         nodes = np.empty((len(i), len(pz), 3))
@@ -175,31 +185,6 @@ def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
         raise wavepacket.NumericalError(f"node probabilities sum to {total:.12g}, not 1")
 
 
-def wigner_kernel(
-    lam: np.ndarray,
-    delta: float,
-    mass: float,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-    convention: Measure = Measure.PLAIN,
-):
-    """Node probabilities and Wigner rotations of a boosted Gaussian packet.
-
-    The packet is the zero-centered isotropic profile
-    h = exp(-|p|^2 / (2 delta^2)), normalized under `convention`.  Returns
-    (p, W): the (n,) probabilities p_n = w_n |h_n|^2 and the (n, 3, 3)
-    rotations W_n of the little group of `lam` at the nodes of the full
-    (unfolded) rule, from geometry.wigner_rotation_batch.
-    Tracing out the momentum of the boosted packet is the channel
-    rho -> sum_n p_n U_n rho U_n^dagger, whose Bloch matrix is
-    geometry.bloch_map(p, W).
-    """
-    if delta <= 0.0 or mass <= 0.0:
-        raise ValueError("width and mass must be positive")
-    nodes, _, _, probs = (np.concatenate(parts) for parts in zip(
-        *_packet_blocks(delta, mass, nodes_per_axis, convention, ())))
-    return probs, geometry.wigner_rotation_batch(lam, nodes, mass)[1]
-
-
 def wigner_moments(
     lam: np.ndarray,
     delta: float,
@@ -207,7 +192,11 @@ def wigner_moments(
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
     convention: Measure = Measure.PLAIN,
 ):
-    """D = T - I and s = <sin^2(omega/2)> of the boosted packet of wigner_kernel.
+    """D = T - I and s = <sin^2(omega/2)> of a boosted Gaussian packet.
+
+    T = sum_n p_n W_n is the Bloch matrix of the packet of _packet_blocks
+    (node probabilities p_n) with its momentum traced out, W_n the Wigner
+    rotation of `lam` at node n.
 
     With q_n = (x, y, z, w) the unit Wigner quaternion of W_n (rotation
     angle omega_n), W_n - I is quadratic in q_n, so T - I is linear in the

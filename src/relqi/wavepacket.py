@@ -69,8 +69,9 @@ class GaussianSpec:
         object.__setattr__(self, "widths", widths)
 
     @classmethod
-    def isotropic(cls, width: float, center=(0.0, 0.0, 0.0)) -> "GaussianSpec":
-        return cls(center=np.asarray(center, dtype=float), widths=np.full(3, float(width)))
+    def isotropic(cls, width: float) -> "GaussianSpec":
+        """Zero-centred profile of equal width along every axis."""
+        return cls(center=np.zeros(3), widths=np.full(3, float(width)))
 
     @classmethod
     def beam(cls, k_mean: float, delta_z: float, delta_r: float) -> "GaussianSpec":

@@ -1,8 +1,8 @@
 """Test-only helpers: random states and channels, reference channels,
 density-matrix and Lorentz-matrix checks, explicit rotations, the
 one-particle spin marginal of a pair amplitude, a packet's whole
-quadrature rule, the parsed flags that the CLI's sweep rows read, and a
-40-digit decimal oracle for Wigner rotations.
+quadrature rule and its Wigner rotations, the parsed flags that the CLI's
+sweep rows read, and a 40-digit decimal oracle for Wigner rotations.
 """
 
 import argparse
@@ -127,6 +127,14 @@ def packet_rule(delta: float, mass: float, nodes_per_axis: int,
     """(nodes, weights, profile, probs) of spin_half._packet_blocks, the blocks concatenated."""
     blocks = spin_half._packet_blocks(delta, mass, nodes_per_axis, convention, axes)
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def unfolded_kernel(lam, delta: float, mass: float, nodes_per_axis: int,
+                    convention: Measure = Measure.PLAIN):
+    """(probs, W): the probabilities of the whole (unfolded) packet rule and the
+    (n, 3, 3) Wigner rotations of `lam` at its nodes; T = sum_n p_n W_n."""
+    nodes, _, _, probs = packet_rule(delta, mass, nodes_per_axis, convention)
+    return probs, geometry.wigner_rotation_batch(lam, nodes, mass)[1]
 
 
 def _product(a, b):

@@ -123,7 +123,7 @@ def criterion_07_decoherence_channel():
         chan = ch.decoherence_channel(gamma)
         acc = sum(k.conj().T @ k for k in chan.kraus_operators())
         worst_tp = max(worst_tp, float(np.abs(acc - np.eye(2)).max()))
-        _, min_eig = qm.is_completely_positive(chan, tol=1e-12)
+        _, min_eig = qm.is_completely_positive(chan)
         worst_eig = min(worst_eig, min_eig)
     assert worst_tp < 1e-12
     assert worst_eig >= -1e-12

@@ -336,6 +336,17 @@ def test_config_entries_without_type_are_checked(tmp_path, capsys, monkeypatch):
     assert "no_convergence" in capsys.readouterr().err
 
 
+def test_config_file_cannot_name_another(tmp_path, capsys):
+    # the entry was set after the only read of the file, so it was silently ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config": str(tmp_path / "missing.json"), "gamma": 0.1}))
+    assert cli.run(["spin-entropy", "--theta", "0", "--config", str(cfg), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("relqi: configuration error: "
+                            "config: a config file cannot name another config file\n")
+    assert captured.out == ""
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -438,6 +449,47 @@ def test_huge_range_or_sweep_is_refused_before_any_row(monkeypatch, capsys, argv
     captured = capsys.readouterr()
     assert captured.err.startswith(f"relqi: configuration error: {field}: {limit}")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["spin-entropy", "--theta", "0", "--gamma", "0.1"], 1,
+     "relqi: row theta=0 gamma=0.1: the Gauss-Hermite rule breaks down at 1000 nodes\n"),
+    (["convergence"], 3,
+     "relqi: numerical failure: the Gauss-Hermite rule breaks down at 1000 nodes\n"),
+], ids=["spin-entropy", "convergence"])
+def test_resolution_is_bounded(capsys, argv, code, err):
+    # the largest accepted value reaches the rules, which break down long before it
+    assert cli.run(argv + ["--resolution", "1000", "--out", "-"]) == code
+    assert capsys.readouterr().err == err
+    assert cli.run(argv + ["--resolution", "1001", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "relqi: configuration error: resolution: must be <= 1000\n"
+    assert captured.out == ""
+
+
+UNDERFLOW = "the packet normalization underflows (Z = {}): the packet is too narrow for floats"
+
+
+@pytest.mark.parametrize("argv, code, err, row", [
+    (["spin-entropy", "--theta", "0", "--gamma", "1e-112", "--delta-over-m", "1e-110"], 1,
+     "relqi: row theta=0 gamma=1e-112: " + UNDERFLOW.format(0),
+     "0,1e-112,nan,1e-110,nan,nan,1728,false"),
+    # delta^2 is 0 in floats, so the profile is 0/0
+    (["spin-entropy", "--theta", "0", "--gamma", "1e-172", "--delta-over-m", "1e-170"], 1,
+     "relqi: row theta=0 gamma=1e-172: " + UNDERFLOW.format("nan"),
+     "0,1e-172,nan,1e-170,nan,nan,1728,false"),
+    (["entangle-sweep", "--delta-over-m", "1e-110", "--beta", "0.6"], 1,
+     "relqi: row delta_over_m=1e-110 beta=0.6: " + UNDERFLOW.format(0),
+     "1e-110,0.6,nan,nan,512,false"),
+    (["channel-audit", "--gamma", "1e-110"], 3,
+     "relqi: numerical failure: " + UNDERFLOW.format(0), None),
+], ids=["spin", "spin-delta-squared", "entangle", "channel"])
+def test_packet_too_narrow_for_floats_fails_on_its_normalization(capsys, argv, code, err, row):
+    # a numpy RuntimeWarning is an error here, as in the CLI runs of CI
+    assert cli.run(argv + ["--out", "-"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n"
+    assert (captured.out.split("\n")[1] if row else captured.out) == (row or "")
 
 
 def test_convergence_report(tmp_path):
@@ -547,7 +599,7 @@ def test_time_axis_defect_is_a_numerical_error():
     beta = spin_half.beta_for_gamma(0.9999, 1.0)
     nodes = helpers.packet_rule(1.0, 1.0, 12)[0]
     with pytest.raises(wavepacket.NumericalError, match="time axis"):
-        geometry.wigner_quaternion_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)
+        geometry.wigner_rotation_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)
 
 
 def test_off_shell_node_exits_3_outside_a_row_and_is_a_nan_row_inside_one(monkeypatch, capsys):

@@ -2,8 +2,8 @@
 
 The rule blocks of spin_half._packet_blocks are checked against gauss_grid
 and against a fold of the full rule written here, and the moments of
-spin_half.wigner_moments against the unfolded wigner_kernel, summed node
-by node with math.fsum.
+spin_half.wigner_moments against the unfolded rule's Wigner rotations
+(helpers.unfolded_kernel), summed node by node with math.fsum.
 """
 
 import math
@@ -79,11 +79,11 @@ def test_unfolded_kernel_is_mirror_equivariant(convention, n, name):
 def test_folded_values_match_unfolded(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
-    probs, rots = sh.wigner_kernel(lam, DELTA, MASS, n, convention)
+    probs, rots = helpers.unfolded_kernel(lam, DELTA, MASS, n, convention)
     folded_probs = helpers.packet_rule(DELTA, MASS, n, convention, axes)[3]
     assert len(folded_probs) < len(probs)
     assert folded_probs.sum() == pytest.approx(1.0, rel=1e-14)
-    # math.fsum: the einsum of bloch_map accumulates 24^3 terms in order (2e-14)
+    # math.fsum: an einsum over the rotations accumulates 24^3 terms in order (2e-14)
     t = np.array([[math.fsum(probs * rots[:, i, j]) for j in range(3)] for i in range(3)])
     d, _ = sh.wigner_moments(lam, DELTA, MASS, n, convention)
     np.testing.assert_allclose(np.eye(3) + d, t, rtol=1e-14, atol=1e-15)
@@ -105,10 +105,9 @@ def test_folded_values_match_unfolded(convention, n, name):
 def test_generic_boost_folds_nothing():
     lam = geo.boost_from_velocity([0.3, -0.4, 0.5])
     assert geo.mirror_axes(lam) == ()
-    nodes, _, _, probs = helpers.packet_rule(DELTA, MASS, 6)
+    nodes = helpers.packet_rule(DELTA, MASS, 6)[0]
     d, _ = sh.wigner_moments(lam, DELTA, MASS, 6)
     assert nodes.shape == (6**3, 3) and np.all(d != 0.0)
-    np.testing.assert_array_equal(probs, sh.wigner_kernel(lam, DELTA, MASS, 6)[0])
 
 
 MOMENT_BOOSTS = {**{name: sh.boost_for_angle(*bt) for name, (bt, _) in BOOSTS.items()},
@@ -120,9 +119,9 @@ MOMENT_BOOSTS = {**{name: sh.boost_for_angle(*bt) for name, (bt, _) in BOOSTS.it
 @pytest.mark.parametrize("name", MOMENT_BOOSTS)
 def test_wigner_moments_match_unfolded_fsum(convention, n, name):
     # D = T - I and s = <sin^2(omega/2)> = <(3 - tr W)/4>, node by node over
-    # the full grid of wigner_kernel, each entry summed exactly by math.fsum
+    # the full grid of helpers.unfolded_kernel, each entry summed exactly by math.fsum
     lam = MOMENT_BOOSTS[name]
-    probs, rots = sh.wigner_kernel(lam, DELTA, MASS, n, convention)
+    probs, rots = helpers.unfolded_kernel(lam, DELTA, MASS, n, convention)
     excess = rots - np.eye(3)
     expected = np.array([[math.fsum(probs * excess[:, i, j]) for j in range(3)]
                          for i in range(3)])

@@ -211,7 +211,9 @@ def bloch_vector(rho):
     return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
 
 
-def test_wigner_kernel_bloch_map_matches_boosted_packet():
+def test_wigner_moments_bloch_matrix_matches_boosted_packet():
+    # T = I + D maps the Bloch vector of the packet's spin to that of the boosted
+    # packet, transported node by node with its SU(2) Wigner rotations
     for _ in range(5):
         velocity = RNG.normal(size=3)
         velocity *= RNG.uniform(0.2, 0.9) / np.linalg.norm(velocity)
@@ -220,8 +222,8 @@ def test_wigner_kernel_bloch_map_matches_boosted_packet():
         packet = sh.gaussian_packet(0.8, 1.0, 8, spinor=spinor)
         before = bloch_vector(sh.reduced_spin_density(packet))
         after = bloch_vector(sh.reduced_spin_density(sh.boost_packet(lam, packet)))
-        probs, rots = sh.wigner_kernel(lam, 0.8, 1.0, 8)
-        np.testing.assert_allclose(geo.bloch_map(probs, rots) @ before, after, atol=1e-13)
+        d, _ = sh.wigner_moments(lam, 0.8, 1.0, 8)
+        np.testing.assert_allclose((np.eye(3) + d) @ before, after, atol=1e-13)
 
 
 @pytest.fixture
@@ -384,13 +386,13 @@ def test_mass_mismatch_rejected():
 
 @pytest.mark.parametrize("n", range(4, 33))
 def test_identity_boost_rows_are_exactly_zero(n):
-    # Gamma = 0 is the identity boost: every W_n is I, unfolded (wigner_kernel),
+    # Gamma = 0 is the identity boost: every W_n of the unfolded rule is I,
     # and the moments D and s are exactly 0, so the pair error and the entropy
     # are 0, from the sweep row and from boosted_pair at beta = 0.
     for theta in (0.0, 0.7):
         row = sh.sweep_values(theta, 0.0, 1.0, n)
         assert row["p_error"] == 0.0 and row["entropy_bits"] == 0.0
-    assert np.all(sh.wigner_kernel(np.eye(4), 1.0, 1.0, n)[1] == np.eye(3))
+    assert np.all(helpers.unfolded_kernel(np.eye(4), 1.0, 1.0, n)[1] == np.eye(3))
     for convention in (Measure.PLAIN, Measure.INVARIANT):
         d, s = sh.wigner_moments(np.eye(4), 1.0, 1.0, n, convention)
         assert s == 0.0 and np.all(d == 0.0)

@@ -264,6 +264,20 @@ def _moved(coarse, fine, tolerance: float) -> bool:
     return any(_moved(c, f, tolerance) for c, f in zip(coarse, fine))
 
 
+def _normal(values: dict) -> dict:
+    """`values`, unless one (or an entry of a nested list) is a subnormal float, whose
+    printed digits were never computed: NumericalError then names its key."""
+    def subnormal(v):
+        if isinstance(v, list):
+            return any(map(subnormal, v))
+        return isinstance(v, float) and 0.0 < abs(v) < sys.float_info.min
+
+    for key, value in values.items():
+        if subnormal(value):
+            raise wavepacket.NumericalError(f"{key} underflows: below the smallest normal float")
+    return values
+
+
 def _refine(args, values_at) -> dict:
     """The values at --resolution, their node count and converged flag.
 
@@ -274,7 +288,7 @@ def _refine(args, values_at) -> dict:
     This is the one refinement rule of every sweep row and JSON report.
     """
     n = args.resolution
-    values = values_at(n)
+    values = _normal(values_at(n))
     converged = True
     if not args.no_convergence:
         fine = values_at(2 * n)
@@ -286,14 +300,18 @@ def _row(args, fields: dict, values_at) -> dict:
     """One sweep row: its input `fields` and _refine(args, values_at).
 
     A row whose evaluation raises ValueError, at either resolution, keeps
-    its `fields` and the `values` the error carries, if any, is not
+    its `fields` and the normal `values` the error carries, if any, is not
     converged and carries the reason as "error".
     """
     try:
         return {**fields, **_refine(args, values_at)}
     except ValueError as exc:
-        return {**fields, **getattr(exc, "values", {}), "grid_nodes": args.resolution**3,
-                "converged": False, "error": str(exc)}
+        try:
+            values, error = _normal(getattr(exc, "values", {})), str(exc)
+        except ValueError as underflow:
+            values, error = {}, f"{exc}; {underflow}"
+        return {**fields, **values, "grid_nodes": args.resolution**3,
+                "converged": False, "error": error}
 
 
 def _report(args, fields: dict, values_at) -> int:

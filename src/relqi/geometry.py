@@ -52,8 +52,11 @@ def boost_from_velocity(beta) -> np.ndarray:
     """Pure boost with velocity `beta`; maps (1,0,0,0) to (gamma, gamma*beta)."""
     beta = np.asarray(beta, dtype=float)
     b2 = float(beta @ beta)
-    if b2 >= (1.0 - 1e-12):
+    if b2 >= 1.0:
         raise ValueError(f"superluminal velocity: |beta| = {np.sqrt(b2):.6g}")
+    if b2 >= (1.0 - 1e-12):
+        raise NumericalError(f"speed too close to 1 for the float boost matrix "
+                             f"(1 - beta^2 <= 1e-12): |beta| = {np.sqrt(b2):.17g}")
     lam = np.eye(4)
     if b2 == 0.0:
         return lam
@@ -236,7 +239,7 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
     Raises ValueError for a `lam` that is improper or not orthochronous and
     NumericalError when B^{-1} L leaves the time axis beyond 1e-9, both
     before any node is evaluated; the function raises NumericalError when a
-    node is off shell.
+    node is off shell or its arithmetic overflows (too large for floats).
     """
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
@@ -260,14 +263,18 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
     linear[:, :3] = linear[:, :3] @ rot
 
     def wigner(momenta):
-        q4 = four_momentum(mass, momenta)
-        p4 = q4 @ lam.T
-        _require_on_shell(q4, mass)
-        _require_on_shell(p4, mass)
-        u = linear[:, 3:] * (q4[:, 0] + mass)
-        for k in range(3):
-            u += linear[:, k:k + 1] * q4[:, k + 1]
-        return p4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
+        try:
+            with np.errstate(over="raise"):
+                q4 = four_momentum(mass, momenta)
+                p4 = q4 @ lam.T
+                _require_on_shell(q4, mass)
+                _require_on_shell(p4, mass)
+                u = linear[:, 3:] * (q4[:, 0] + mass)
+                for k in range(3):
+                    u += linear[:, k:k + 1] * q4[:, k + 1]
+                return p4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
+        except FloatingPointError:
+            raise NumericalError("momenta too large for floats in the Wigner kernel") from None
 
     return wigner
 

@@ -288,12 +288,19 @@ def _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, speeds):
     moving at speed v along z, aberration gives 1 -+ cos theta' =
     (1 +- v)(|k| -+ k_z) / (|k| - v k_z), and |k| - k_z = k_r^2 / (|k| + k_z):
     every mean sums positive terms.
-    Raises NumericalError when numpy's Laguerre weights fail (about 190 nodes).
+    Raises NumericalError when numpy's Laguerre weights fail (about 190 nodes)
+    and, before any node is squared, when the outermost |k|^2 overflows or
+    the innermost k_z^2 is below the normal floats.
     """
     if any(abs(v) >= 1.0 for v in speeds):
         raise ValueError("observer speed must satisfy |v| < 1")
     k_z, w_z = _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
     x, w_x = _gauss_rule("Gauss-Laguerre", nodes_per_axis)
+    k_z_min, k_z_max = float(k_z[0]), float(k_z[-1])
+    if not math.isfinite(k_z_max * k_z_max + delta_r * delta_r * float(x[-1])):
+        raise NumericalError("|k|^2 overflows: the beam's momenta are too large for floats")
+    if k_z_min * k_z_min < sys.float_info.min:
+        raise NumericalError("k_z^2 underflows: the beam's momenta are too small for floats")
     k_z = k_z[:, None]
     k_r2 = delta_r * delta_r * x
     k = np.sqrt(k_z * k_z + k_r2)
@@ -348,7 +355,8 @@ def sweep_values(k_mean, delta_z, delta_r, v, nodes_per_axis) -> dict:
     A ValueError that the rule raises carries that closed form, which needs
     no rule, as its `values`, so that a failed sweep row still prints it.
     """
-    closed_form = {"p_error_closed_form": _doppler_factor(v) * delta_r**2 / (4.0 * k_mean**2)}
+    ratio = delta_r / (2.0 * k_mean)
+    closed_form = {"p_error_closed_form": _doppler_factor(v) * (ratio * ratio)}
     try:
         p_error = circular_pair_error(k_mean, delta_z, delta_r, nodes_per_axis, v)
     except ValueError as exc:

@@ -8,22 +8,17 @@ inverse Jacobian (Lq)0 / q0, so the quadrature norm is conserved exactly
 and no resampling or interpolation ever happens.
 
 Sweeps never build a boosted packet.  Tracing out the momentum of a
-boosted packet with node probabilities p_n = w_n |h_n|^2 is the
-random-unitary channel with Bloch matrix T = sum_n p_n W_n, the momentum
-average of the 3x3 Wigner rotations W_n.  Every sweep observable is a
-short function of one kernel, `wigner_moments`: D = T - I and
-s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
-quaternions, so T is I + D and no stack of rotations is built.  The
-boosted spin-up and spin-down states are (I +- r.sigma)/2 with
-r = e_z + D e_z; `boosted_pair` returns both and their Helstrom error.
-Each observable costs O(N) time in the N grid nodes and O(block + n)
-memory at any resolution: `_packet_blocks` streams the packet's
-quadrature rule, built from the cached 1-D Gauss-Hermite rule, in blocks
-of _WIGNER_BLOCK nodes through one geometry.wigner_quaternion_map, and no
-n^3 grid is built or cached.  The rule is folded over every mirror axis
-whose reflection commutes with the boost (the packet is centred on 0):
-half the nodes are kept for a boost in the x-z plane, a quarter for a
-boost along z and an eighth for the identity.
+boosted packet with node probabilities p_n is the random-unitary channel
+with Bloch matrix T = sum_n p_n W_n, the momentum average of the 3x3
+Wigner rotations W_n.  Every sweep observable is a short function of one
+kernel, `wigner_moments`: D = T - I and s = <sin^2(omega/2)>, both linear
+in the second moment of the Wigner quaternions.  The boosted spin-up and
+spin-down states are (I +- r.sigma)/2 with r = e_z + D e_z;
+`boosted_pair` returns both and their Helstrom error.  Each observable
+costs O(N) time in the N grid nodes and O(block + n) memory:
+`_packet_blocks` streams the packet's rule from the cached 1-D
+Gauss-Hermite rule, folded over every mirror axis whose reflection
+commutes with the boost, and no n^3 grid is built or cached.
 
 `sweep_values` returns the values of one sweep row at one resolution; the
 n/2n convergence check of the row is made in `relqi.cli`.
@@ -42,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, qmatrix, wavepacket
-from .wavepacket import TWO_PI_CUBED, GaussianSpec, Measure, MomentumGrid, _gauss_rule, gauss_grid
+from .wavepacket import GaussianSpec, Measure, MomentumGrid, _gauss_rule, gauss_grid
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -119,70 +114,39 @@ _WIGNER_BLOCK = 2048
 def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
     """The quadrature rule of the zero-centred isotropic Gaussian packet, in blocks.
 
-    Yields (nodes, weights, profile, probs) for consecutive blocks of
-    gauss_grid's tensor Gauss-Hermite rule, in its C order, built from the
-    cached 1-D rule: the (b, 3) nodes, their PLAIN or INVARIANT weights w_n,
-    the normalized profile h_n and the probabilities p_n = m_n w_n h_n^2.
-    A block is a run of whole z lines of at most _WIGNER_BLOCK nodes
-    (one line, when a line is longer).  Along each mirror axis k in `axes`
-    only the nodes with q_k >= 0 are kept, and the multiplicity m_n doubles
-    for each such k with q_k > 0, so that sum_n p_n f(q_n) is the full
-    rule's sum for any f even under those reflections.  The profile
-    exp(-|q|^2 / (2 delta^2)) is normalized by one scalar,
-    Z = sum_n m_n w_n h_n^2, taken in a streaming pass before the first
-    block.  Nothing of size n^3 is built or kept: every array is O(block + n).
-
-    Raises NumericalError when a 1-D weight is not finite and positive or,
-    for nonempty `axes`, when the 1-D rule is not exactly mirror-symmetric
-    (x == -x[::-1], w == w[::-1]); when Z underflows (is not a finite float
-    of at least np.finfo(float).tiny), before anything is divided by it;
-    and, after the last block, when the probabilities do not sum to 1
-    within 1e-8.
+    Yields (nodes, masses) for runs of whole z lines, at most _WIGNER_BLOCK
+    nodes (or one line), of gauss_grid's tensor Gauss-Hermite rule in its C
+    order.  The squared profile exp(-|q|^2 / delta^2) is the envelope that
+    the 1-D weights w absorb, so a node q = delta x has the mass w_i w_j w_k
+    (over sqrt(mass^2 + |q|^2) if INVARIANT), its probability times one
+    factor.  Along each axis in `axes` only x >= 0 is kept and the 1-D
+    weights double where x > 0: the masses sum any f even under those
+    reflections as the full rule does.  Every array is O(block + n).
+    Raises NumericalError, before any node is formed, when the rule folds
+    but is not mirror-symmetric or its largest |q|^2 overflows (too wide).
     """
     x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     if axes and not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
         raise wavepacket.NumericalError(
             f"the Gauss-Hermite rule at {nodes_per_axis} nodes is not mirror-symmetric")
-    q, wq = delta * x, delta * w * np.exp(x * x)
-    if not np.all(np.isfinite(wq) & (wq > 0.0)):
-        raise wavepacket.NumericalError(
-            f"the Gauss-Hermite rule breaks down at {nodes_per_axis} nodes")
-    half = q >= 0.0
-    (px, wx, mx), (py, wy, my), (pz, wz, mz) = (
-        (q[half], wq[half], np.where(q[half] > 0.0, 2.0, 1.0)) if k in axes
-        else (q, wq, np.ones(nodes_per_axis)) for k in range(3))
+    q_max = delta * float(x[-1])
+    if not math.isfinite(3.0 * q_max * q_max):
+        raise wavepacket.NumericalError(f"the packet of width {delta:.6g} is too wide for floats")
+    half = x >= 0.0
+    (px, wx), (py, wy), (pz, wz) = (
+        (delta * x[half], np.where(x[half] > 0.0, 2.0, 1.0) * w[half]) if k in axes
+        else (delta * x, w) for k in range(3))
     # z lines per block; line l holds the nodes (px[i], py[j], pz), (i, j) = divmod(l, len(py))
-    lines = max(1, _WIGNER_BLOCK // len(pz))
-    starts = range(0, len(px) * len(py), lines)
-
-    def block(start):
-        i, j = np.divmod(np.arange(start, min(start + lines, starts.stop)), len(py))
-        r2 = ((px[i] * px[i] + py[j] * py[j])[:, None] + pz * pz).ravel()
-        weights = ((wx[i] * wy[j])[:, None] * wz).ravel()
-        if convention is Measure.INVARIANT:
-            weights = weights / (TWO_PI_CUBED * 2.0 * np.sqrt(mass * mass + r2))
-        h = np.exp(-r2 / (2.0 * delta * delta))
-        return i, j, weights, h, ((mx[i] * my[j])[:, None] * mz).ravel()
-
-    # the weights carry delta^3, so Z leaves the normal floats below delta/m ~ 1e-104;
-    # below ~1e-154 delta^2 is 0 too and h is 0/0, so a NaN Z is the same failure
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = sum(float(np.sum(weights * (h * h) * mult))
-                for _, _, weights, h, mult in map(block, starts))
-    if not (math.isfinite(z) and z >= np.finfo(float).tiny):
-        raise wavepacket.NumericalError(f"the packet normalization underflows (Z = {z:.3g}): "
-                                        "the packet is too narrow for floats")
-    norm = np.sqrt(z)
-    total = 0.0
-    for i, j, weights, h, mult in map(block, starts):
+    lines, stop = max(1, _WIGNER_BLOCK // len(pz)), len(px) * len(py)
+    for start in range(0, stop, lines):
+        i, j = np.divmod(np.arange(start, min(start + lines, stop)), len(py))
         nodes = np.empty((len(i), len(pz), 3))
         nodes[..., 0], nodes[..., 1], nodes[..., 2] = px[i, None], py[j, None], pz
-        profile = h / norm
-        probs = weights * profile**2 * mult
-        total += float(np.sum(probs))
-        yield nodes.reshape(-1, 3), weights, profile, probs
-    if not abs(total - 1.0) <= 1e-8:
-        raise wavepacket.NumericalError(f"node probabilities sum to {total:.12g}, not 1")
+        masses = ((wx[i] * wy[j])[:, None] * wz).ravel()
+        if convention is Measure.INVARIANT:
+            r2 = ((px[i] * px[i] + py[j] * py[j])[:, None] + pz * pz).ravel()
+            masses = masses / np.sqrt(mass * mass + r2)
+        yield nodes.reshape(-1, 3), masses
 
 
 def wigner_moments(
@@ -195,8 +159,8 @@ def wigner_moments(
     """D = T - I and s = <sin^2(omega/2)> of a boosted Gaussian packet.
 
     T = sum_n p_n W_n is the Bloch matrix of the packet of _packet_blocks
-    (node probabilities p_n) with its momentum traced out, W_n the Wigner
-    rotation of `lam` at node n.
+    (p_n its masses over their sum Z) with its momentum traced out, W_n the
+    Wigner rotation of `lam` at node n.
 
     With q_n = (x, y, z, w) the unit Wigner quaternion of W_n (rotation
     angle omega_n), W_n - I is quadratic in q_n, so T - I is linear in the
@@ -212,18 +176,19 @@ def wigner_moments(
     quaternion S q, with S = -1 on the two vector components other than k,
     so the full-grid M is invariant under M -> S M S: M is replaced by
     (M + S M S)/2, exact in floating point, which keeps its even entries
-    and sets the odd ones to exactly 0.  The rule's blocks pass through one
-    geometry.wigner_quaternion_map of `lam`, and M adds each block's
-    (q p) q^T, so a call holds O(block + n) memory at any resolution.
+    and sets the odd ones to exactly 0.  One pass adds each block's (q m) q^T
+    to M and its masses m to Z, and M is divided by Z at the end.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     axes = geometry.mirror_axes(lam)
     wigner = geometry.wigner_quaternion_map(lam, mass)
-    m = np.zeros((4, 4))
-    for nodes, _, _, probs in _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
+    m, z = np.zeros((4, 4)), 0.0
+    for nodes, masses in _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
         q = wigner(nodes)[1]
-        m += (q * probs) @ q.T
+        m += (q * masses) @ q.T
+        z += float(np.sum(masses))
+    m /= z
     for k in axes:
         signs = np.full(4, -1.0)
         signs[[k, 3]] = 1.0

@@ -19,9 +19,10 @@ The 1-D Gauss rules are built once per node count (`_gauss_rule`) and are
 the only rules cached: `gauss_grid` builds its n^3 tensor grid from them
 on every call, the photon beam rule reads them, and the massive-spin
 kernel streams its folded 3-D rule from them block by block
-(spin_half._packet_blocks) without building the grid.  No convergence
-check lives here: whether a value has converged (recomputed at twice the
-nodes per axis) is decided by one rule in `relqi.cli`.
+(spin_half._packet_blocks) without building the grid, its probabilities
+products of the 1-D weights and the packet width in its nodes only.  No
+convergence check lives here: whether a value has converged (recomputed at
+twice the nodes per axis) is decided by one rule in `relqi.cli`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ sweep rows read, and a 40-digit decimal oracle for Wigner rotations.
 """
 
 import argparse
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -124,16 +125,18 @@ def row_args(resolution: int, tolerance: float = 1e-6,
 
 def packet_rule(delta: float, mass: float, nodes_per_axis: int,
                 convention: Measure = Measure.PLAIN, axes=()):
-    """(nodes, weights, profile, probs) of spin_half._packet_blocks, the blocks concatenated."""
+    """(nodes, probs) of spin_half._packet_blocks: the blocks concatenated and
+    the masses divided by their math.fsum."""
     blocks = spin_half._packet_blocks(delta, mass, nodes_per_axis, convention, axes)
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    nodes, masses = (np.concatenate(parts) for parts in zip(*blocks))
+    return nodes, masses / math.fsum(masses)
 
 
 def unfolded_kernel(lam, delta: float, mass: float, nodes_per_axis: int,
                     convention: Measure = Measure.PLAIN):
     """(probs, W): the probabilities of the whole (unfolded) packet rule and the
     (n, 3, 3) Wigner rotations of `lam` at its nodes; T = sum_n p_n W_n."""
-    nodes, _, _, probs = packet_rule(delta, mass, nodes_per_axis, convention)
+    nodes, probs = packet_rule(delta, mass, nodes_per_axis, convention)
     return probs, geometry.wigner_rotation_batch(lam, nodes, mass)[1]
 
 

@@ -388,7 +388,8 @@ def test_failed_rows_say_why(tmp_path, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("relqi: row delta_over_m=0.5 beta=1: superluminal velocity")
+    assert err == ("relqi: row delta_over_m=0.5 beta=1: speed too close to 1 for the float "
+                   "boost matrix (1 - beta^2 <= 1e-12): |beta| = 0.99999999999989997\n")
     assert read(out).strip().split("\n")[2] == "0.5,1,nan,nan,64,false"
 
 
@@ -404,7 +405,7 @@ def test_failed_rows_say_why(tmp_path, capsys):
     (["entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.9999999999999",
       "--resolution", "4"],
      "0.5,1,nan,nan,64,false",
-     "relqi: row delta_over_m=0.5 beta=1: superluminal velocity"),
+     "relqi: row delta_over_m=0.5 beta=1: speed too close to 1 for the float boost matrix"),
     # numpy's Gauss-Laguerre weights are not finite at the 190-node refinement
     (["photon-distinguish", "--dr", "1", "--resolution", "95"],
      "100,1,0.1,0,nan,2.5e-05,857375,false",
@@ -467,29 +468,78 @@ def test_resolution_is_bounded(capsys, argv, code, err):
     assert captured.out == ""
 
 
-UNDERFLOW = "the packet normalization underflows (Z = {}): the packet is too narrow for floats"
+UNDERFLOW = "underflows: below the smallest normal float"
+TOO_WIDE = "the packet of width 1e+200 is too wide for floats"
+TOO_LARGE = "|k|^2 overflows: the beam's momenta are too large for floats"
+TOO_SMALL = "k_z^2 underflows: the beam's momenta are too small for floats"
+KERNEL = "momenta too large for floats in the Wigner kernel"
 
 
-@pytest.mark.parametrize("argv, code, err, row", [
-    (["spin-entropy", "--theta", "0", "--gamma", "1e-112", "--delta-over-m", "1e-110"], 1,
-     "relqi: row theta=0 gamma=1e-112: " + UNDERFLOW.format(0),
-     "0,1e-112,nan,1e-110,nan,nan,1728,false"),
-    # delta^2 is 0 in floats, so the profile is 0/0
-    (["spin-entropy", "--theta", "0", "--gamma", "1e-172", "--delta-over-m", "1e-170"], 1,
-     "relqi: row theta=0 gamma=1e-172: " + UNDERFLOW.format("nan"),
-     "0,1e-172,nan,1e-170,nan,nan,1728,false"),
-    (["entangle-sweep", "--delta-over-m", "1e-110", "--beta", "0.6"], 1,
-     "relqi: row delta_over_m=1e-110 beta=0.6: " + UNDERFLOW.format(0),
-     "1e-110,0.6,nan,nan,512,false"),
-    (["channel-audit", "--gamma", "1e-110"], 3,
-     "relqi: numerical failure: " + UNDERFLOW.format(0), None),
-], ids=["spin", "spin-delta-squared", "entangle", "channel"])
-def test_packet_too_narrow_for_floats_fails_on_its_normalization(capsys, argv, code, err, row):
-    # a numpy RuntimeWarning is an error here, as in the CLI runs of CI
+@pytest.mark.parametrize("argv, code, err, printed", [
+    # delta/m = 1e-110: at theta = 0 the pair error is Gamma^2/4 to leading order
+    (["spin-entropy", "--theta", "0", "--gamma", "1e-112", "--delta-over-m", "1e-110"], 0, "",
+     {"p_error": f"{1e-112 ** 2 / 4:.12g}", "converged": "true"}),
+    # a subnormal width: Gamma^2/4 ~ 2.4e-645 rounds to 0, and so does delta^2 at 1e-170
+    (["spin-entropy", "--theta", "0", "--gamma", "1e-322", "--delta-over-m", "5e-322"], 0, "",
+     {"p_error": f"{1e-322 ** 2 / 4:.12g}", "entropy_bits": "0", "converged": "true"}),
+    (["spin-entropy", "--theta", "0", "--gamma", "1e-172", "--delta-over-m", "1e-170"], 0, "",
+     {"p_error": f"{1e-172 ** 2 / 4:.12g}", "entropy_bits": "0", "converged": "true"}),
+    # the concurrence deficit is of order Gamma^2 ~ 1e-221, and the marginals stay mixed
+    (["entangle-sweep", "--delta-over-m", "1e-110", "--beta", "0.6"], 0, "",
+     {"concurrence": "1", "entropy_of_marginal_bits": "1", "converged": "true"}),
+    # at theta = 0 the distance is of order Gamma^4 ~ 1e-440
+    (["channel-audit", "--gamma", "1e-110"], 0, "", {"trace_distance": 0.0}),
+    # p_error ~ Gamma^2 (sin^2 + 2 cos^2)/8 = 1.4e-321 and entropy_bits are subnormal
+    (["spin-entropy", "--theta", "1.2", "--gamma", "1e-160", "--delta-over-m", "1e-150"], 1,
+     f"relqi: row theta=1.2 gamma=1e-160: entropy_bits {UNDERFLOW}\n",
+     {"beta": "nan", "p_error": "nan", "converged": "false"}),
+    (["spin-entropy", "--theta", "0", "--gamma", "0.5", "--delta-over-m", "1e200"], 1,
+     f"relqi: row theta=0 gamma=0.5: {TOO_WIDE}\n", {"p_error": "nan"}),
+    (["entangle-sweep", "--delta-over-m", "1e200", "--beta", "0.6"], 1,
+     f"relqi: row delta_over_m=1e+200 beta=0.6: {TOO_WIDE}\n", {"concurrence": "nan"}),
+    # |q|^2 is finite, but the kernel's squares of the energy are not
+    (["spin-entropy", "--theta", "1.2", "--gamma", "0.5", "--delta-over-m", "1e153"], 1,
+     f"relqi: row theta=1.2 gamma=0.5: {KERNEL}\n", {"p_error": "nan"}),
+    # the closed form (dr / 2 kA)^2 = 2.5e-321 is subnormal too
+    (["photon-distinguish", "--kA", "1e160", "--dr", "1", "--dz", "1"], 1,
+     f"relqi: row delta_r=1: {TOO_LARGE}; p_error_closed_form {UNDERFLOW}\n",
+     {"p_error": "nan", "p_error_closed_form": "nan"}),
+    (["doppler", "--kA", "1e160", "--format", "csv"], 1,
+     f"relqi: row v=0.5: {TOO_LARGE}; p_error_closed_form {UNDERFLOW}\n", {"p_error": "nan"}),
+    (["doppler", "--kA", "1e160"], 3, f"relqi: numerical failure: {TOO_LARGE}\n", None),
+    (["photon-density", "--kA", "1e160"], 3, f"relqi: numerical failure: {TOO_LARGE}\n", None),
+    (["photon-distinguish", "--kA", "1e-200", "--dr", "1e-201", "--dz", "1e-201"], 1,
+     f"relqi: row delta_r=1e-201: {TOO_SMALL}\n",
+     {"p_error": "nan", "p_error_closed_form": f"{(1e-201 / 2e-200) ** 2:.12g}"}),
+], ids=["spin-1e-110", "spin-subnormal", "spin-1e-170", "entangle-1e-110", "channel-1e-110",
+        "spin-underflow", "spin-too-wide", "entangle-too-wide", "spin-kernel-overflow",
+        "photon-distinguish-huge-kA", "doppler-csv-huge-kA", "doppler-json-huge-kA",
+        "photon-density-huge-kA", "photon-distinguish-tiny-kA"])
+def test_row_at_the_edge_of_floats_computes_or_says_why(capsys, argv, code, err, printed):
+    # a numpy RuntimeWarning is an error here, as in the CLI runs of CI; a
+    # value that computes matches the oracle in its comment to every printed digit
     assert cli.run(argv + ["--out", "-"]) == code
     captured = capsys.readouterr()
-    assert captured.err == err + "\n"
-    assert (captured.out.split("\n")[1] if row else captured.out) == (row or "")
+    assert captured.err == err
+    if printed is None:
+        assert captured.out == ""
+        return
+    if captured.out.startswith("{"):
+        values = json.loads(captured.out)
+    else:
+        header, row = captured.out.strip().split("\n")
+        values = dict(zip(header.split(","), row.split(",")))
+    assert {key: values[key] for key in printed} == printed
+
+
+def test_a_subnormal_value_fails_and_an_exact_zero_passes():
+    from relqi.wavepacket import NumericalError
+
+    values = {"rho_re": [[0.5, 0.0], [-0.0, 0.5]], "p_error": 2.5e-225, "verdict": None,
+              "converged": True}
+    assert cli._normal(values) is values
+    with pytest.raises(NumericalError, match="^rho_im underflows"):
+        cli._normal({"rho_re": [[0.5]], "rho_im": [[0.0, -5e-324]]})
 
 
 def test_convergence_report(tmp_path):

@@ -1,7 +1,8 @@
 """The streamed, mirror-folded Gauss-Hermite rules: the kernels evaluated once per orbit.
 
-The rule blocks of spin_half._packet_blocks are checked against gauss_grid
-and against a fold of the full rule written here, and the moments of
+The rule blocks of spin_half._packet_blocks are checked against gauss_grid's
+nodes, against the products of the 1-D Gauss-Hermite weights and against a
+fold of the full rule written here, and the moments of
 spin_half.wigner_moments against the unfolded rule's Wigner rotations
 (helpers.unfolded_kernel), summed node by node with math.fsum.
 """
@@ -64,7 +65,7 @@ def test_unfolded_kernel_is_mirror_equivariant(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     assert geo.mirror_axes(lam) == axes
-    nodes, _, _, probs = helpers.packet_rule(DELTA, MASS, n, convention)
+    nodes, probs = helpers.packet_rule(DELTA, MASS, n, convention)
     p4, rots = geo.wigner_rotation_batch(lam, nodes, MASS)
     for k in axes:
         image = _images(nodes, k)
@@ -80,7 +81,7 @@ def test_folded_values_match_unfolded(convention, n, name):
     (beta, theta), axes = BOOSTS[name]
     lam = sh.boost_for_angle(beta, theta)
     probs, rots = helpers.unfolded_kernel(lam, DELTA, MASS, n, convention)
-    folded_probs = helpers.packet_rule(DELTA, MASS, n, convention, axes)[3]
+    folded_probs = helpers.packet_rule(DELTA, MASS, n, convention, axes)[1]
     assert len(folded_probs) < len(probs)
     assert folded_probs.sum() == pytest.approx(1.0, rel=1e-14)
     # math.fsum: an einsum over the rotations accumulates 24^3 terms in order (2e-14)
@@ -134,31 +135,43 @@ def test_wigner_moments_match_unfolded_fsum(convention, n, name):
 @pytest.mark.parametrize("convention", [Measure.PLAIN, Measure.INVARIANT])
 @pytest.mark.parametrize("n", [7, 12, 24])
 def test_unfolded_rule_is_the_gauss_grid_rule(convention, n):
-    # the stream builds gauss_grid's nodes and weights bit for bit, block by
-    # block; only the normalization is summed in another order
-    nodes, weights, profile, probs = helpers.packet_rule(DELTA, MASS, n, convention)
+    # the stream builds gauss_grid's nodes bit for bit, block by block, and
+    # its probabilities are the products of the 1-D Gauss-Hermite weights
+    # (over the energy, INVARIANT), normalized here by math.fsum
+    nodes, probs = helpers.packet_rule(DELTA, MASS, n, convention)
     grid = wp.gauss_grid(wp.GaussianSpec.isotropic(DELTA), n, convention, mass=MASS)
     np.testing.assert_array_equal(nodes, grid.nodes)
-    np.testing.assert_array_equal(weights, grid.weights)
-    h = wp.normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * DELTA * DELTA)))
-    np.testing.assert_allclose(profile, h, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(probs, grid.weights * h**2, rtol=1e-15, atol=0.0)
+    _, w = wp._gauss_rule("Gauss-Hermite", n)
+    products = np.multiply.outer(np.multiply.outer(w, w), w).ravel()
+    if convention is Measure.INVARIANT:
+        products = products / np.sqrt(MASS * MASS + np.sum(nodes**2, axis=1))
+    np.testing.assert_allclose(probs, products / math.fsum(products), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("convention", [Measure.PLAIN, Measure.INVARIANT])
 @pytest.mark.parametrize("n", [7, 12, 24])
 @pytest.mark.parametrize("axes", [(1,), (0, 1), (0, 1, 2)])
 def test_folded_rule_keeps_one_node_per_mirror_orbit(convention, n, axes):
-    nodes, weights, _, probs = helpers.packet_rule(DELTA, MASS, n, convention)
+    nodes, masses = (np.concatenate(parts)
+                     for parts in zip(*sh._packet_blocks(DELTA, MASS, n, convention, ())))
     keep = np.all(nodes[:, axes] >= 0.0, axis=1)
     images = 2.0 ** np.sum(nodes[keep][:, axes] > 0.0, axis=1)
     blocks = list(sh._packet_blocks(DELTA, MASS, n, convention, axes))
     assert max(len(block[0]) for block in blocks) <= sh._WIGNER_BLOCK
     folded = [np.concatenate(parts) for parts in zip(*blocks)]
     np.testing.assert_array_equal(folded[0], nodes[keep])
-    np.testing.assert_array_equal(folded[1], weights[keep])
-    np.testing.assert_allclose(folded[3], probs[keep] * images, rtol=1e-15, atol=0.0)
-    assert math.fsum(folded[3]) == pytest.approx(1.0, rel=1e-14)
+    np.testing.assert_array_equal(folded[1], masses[keep] * images)
+    assert math.fsum(folded[1]) == pytest.approx(math.fsum(masses), rel=1e-14)
+
+
+@pytest.mark.parametrize("axes", [(1,), (0, 1), (0, 1, 2)])
+def test_fold_of_a_subnormal_width_selects_on_the_unit_rule(axes):
+    # at delta = 5e-324 every delta x rounds to -0, 0 or one subnormal step:
+    # the fold keeps the nodes with x >= 0, so the PLAIN masses, which hold
+    # no delta, are those of any other width
+    tiny, unit = ([np.concatenate(parts) for parts in zip(*sh._packet_blocks(
+        delta, MASS, 12, Measure.PLAIN, axes))] for delta in (5e-324, DELTA))
+    np.testing.assert_array_equal(tiny[1], unit[1])
 
 
 @pytest.mark.parametrize("part", ["nodes", "weights"])

@@ -98,6 +98,9 @@ def test_boost_superluminal_rejected():
         geo.boost_from_velocity([0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="superluminal"):
         geo.boost_from_velocity([0.8, 0.8, 0.0])
+    # below 1, but 1 - beta^2 <= 1e-12: the float boost matrix fails, not causality
+    with pytest.raises(NumericalError, match=r"too close to 1 .* = 0\.99999999999989997$"):
+        geo.boost_from_velocity([0.0, 0.0, 0.9999999999999])
 
 
 def test_metric_preservation_random():

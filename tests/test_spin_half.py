@@ -196,7 +196,7 @@ def test_small_gamma_pair_error_matches_decimal_node_sum():
     # 1e-16 relative each, so the oracle holds p_error to about 3e-16.
     theta, gamma = np.pi / 2, 1e-6
     beta = sh.beta_for_gamma(gamma, 1.0)
-    nodes, _, _, probs = helpers.packet_rule(1.0, 1.0, 12)
+    nodes, probs = helpers.packet_rule(1.0, 1.0, 12)
     velocity = beta * np.array([np.sin(theta), 0.0, np.cos(theta)])
     x, y, z, w = helpers.decimal_wigner(velocity, None, nodes, 1.0)[1].T
     dz = np.array([math.fsum(probs * 2.0 * (x * z + w * y)),

@@ -6,10 +6,10 @@ is the leading-order image of the spin-up reduction under a collinear
 boost with mixing parameter G.  It is exactly trace preserving and
 completely positive for G <= 2.  The consistency audit compares it with
 the boosted reduction, whose Bloch vector e_z + D e_z comes from the
-moments of spin_half.wigner_moments.  General frame changes, however, act
-on the traced-out momentum as well; the Doppler audit exhibits a pair
-transformation that lowers the Helstrom error, which no completely
-positive map can do.
+moments of spin_half.wigner_moments of tau = tanh(xi/2) n (no Lorentz
+matrix).  General frame changes, however, act on the traced-out momentum
+as well; the Doppler audit exhibits a pair transformation that lowers the
+Helstrom error, which no completely positive map can do.
 
 Each audit returns only what it computes, as plain values: `certify` a
 dict of is_cp, is_tp and min_choi_eig, `consistency_check` the trace
@@ -68,7 +68,8 @@ def consistency_check(
     numbers close to 1.
 
     The mixing parameter is realized at the fixed speed CONSISTENCY_BETA by
-    scaling the packet width, so the leading-order residual scales as
+    scaling the packet width to delta/m = gamma / tanh(xi/2), with the boost
+    tau = tanh(xi/2) (sin theta, 0, cos theta), so the leading-order residual scales as
     gamma^4 for collinear boosts (theta = 0).  At other angles the
     channel's quadratic coefficient differs from the boosted one (the
     angular factor is (1 + cos^2 theta)/2), so the distance is reported,
@@ -78,10 +79,9 @@ def consistency_check(
         raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
         return 0.0
-    delta_over_m = gamma / spin_half.gamma_parameter(1.0, 1.0, CONSISTENCY_BETA)
-    d, _ = spin_half.wigner_moments(
-        spin_half.boost_for_angle(CONSISTENCY_BETA, theta), delta_over_m, 1.0, grid_resolution
-    )
+    t = spin_half.tanh_half_rapidity(CONSISTENCY_BETA)
+    tau = (t * np.sin(theta), 0.0, t * np.cos(theta))
+    d, _ = spin_half.wigner_moments(tau, gamma / t, grid_resolution)
     return 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
 
 

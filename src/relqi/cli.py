@@ -265,16 +265,20 @@ def _moved(coarse, fine, tolerance: float) -> bool:
 
 
 def _normal(values: dict) -> dict:
-    """`values`, unless one (or an entry of a nested list) is a subnormal float, whose
-    printed digits were never computed: NumericalError then names its key."""
-    def subnormal(v):
+    """`values`, unless one (or an entry of a nested list) is a float whose printed digits
+    were never computed, one that is not finite or is subnormal: NumericalError then
+    names its key."""
+    def fault(v):
         if isinstance(v, list):
-            return any(map(subnormal, v))
-        return isinstance(v, float) and 0.0 < abs(v) < sys.float_info.min
+            return next(filter(None, map(fault, v)), None)
+        if isinstance(v, float) and not math.isfinite(v):
+            return f"is not finite ({v})"
+        if isinstance(v, float) and 0.0 < abs(v) < sys.float_info.min:
+            return "underflows: below the smallest normal float"
 
     for key, value in values.items():
-        if subnormal(value):
-            raise wavepacket.NumericalError(f"{key} underflows: below the smallest normal float")
+        if reason := fault(value):
+            raise wavepacket.NumericalError(f"{key} {reason}")
     return values
 
 

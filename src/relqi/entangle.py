@@ -7,15 +7,16 @@ along unchanged, and each spin index is rotated by the SU(2) Wigner matrix
 of its own momentum.  Entanglement is quantified by the Wootters
 concurrence of the 4x4 spin-spin reduction.
 
-Sweeps never build the (n1, n2) pair amplitude.  For the singlet times a
-product of identical Gaussian profiles, the boosted spin-spin state is
-fixed by the Bloch matrix T = sum_n p_n W_n of one particle: its
-correlation tensor is -T T^T and its marginals stay maximally mixed.  T and
-the concurrence (|T|_F^2 - 1)/2 are short functions of the moments (D, s)
-of spin_half.wigner_moments on the INVARIANT grid, so a sweep row costs
-O(N) time and O(block + n) memory in the N = n^3 nodes of one particle's
-grid, not O(N^2); the z boosts of the sweep evaluate W_n on a quarter of
-them, one node per mirror orbit.  `sweep_values` returns the values of one sweep row
+Sweeps never build the (n1, n2) pair amplitude or a Lorentz matrix.  For
+the singlet times a product of identical Gaussian profiles, the boosted
+spin-spin state is fixed by the Bloch matrix T = sum_n p_n W_n of one
+particle: its correlation tensor is -T T^T and its marginals stay
+maximally mixed.  T and the concurrence (|T|_F^2 - 1)/2 are short
+functions of the moments (D, s) of spin_half.wigner_moments on the
+INVARIANT grid, so a sweep row costs O(N) time and O(block + n) memory in
+the N = n^3 nodes of one particle's grid, not O(N^2); the z boost
+tau = (0, 0, tanh(xi/2)) of a row evaluates W_n on a quarter of them, one
+node per mirror orbit.  `sweep_values` returns the values of one sweep row
 at one resolution; the n/2n convergence check is made in `relqi.cli`.
 """
 
@@ -127,29 +128,24 @@ def concurrence(rho) -> float:
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
-def boosted_singlet(
-    lam: np.ndarray,
-    delta: float,
-    mass: float,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-):
+def boosted_singlet(tau, delta_over_m: float, nodes_per_axis: int = DEFAULT_NODES_PER_AXIS):
     """Concurrence and 4x4 spin-spin state of the boosted bell_gaussian singlet.
 
-    Both particles share the Bloch matrix T = I + D of the boosted
-    Gaussian (spin_half.wigner_moments), so the state is
+    Both particles share the Bloch matrix T = I + D of the Gaussian of
+    width delta_over_m boosted by tau (spin_half.wigner_moments), so the state is
     (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4.  Its concurrence
     (|T|_F^2 - 1)/2 is taken as max(0, 1 - 4 s + |D|_F^2 / 2), since
     tr D = -4 s: the deficit from 1 without forming |T|_F^2 near 3.
     """
-    d, s = spin_half.wigner_moments(lam, delta, mass, nodes_per_axis, Measure.INVARIANT)
+    d, s = spin_half.wigner_moments(tau, delta_over_m, nodes_per_axis, Measure.INVARIANT)
     t = np.eye(3) + d
     rho = 0.25 * (np.eye(4) - np.einsum("kl,klab->ab", t @ t.T, _PAULI_PAIRS))
     return max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))), rho
 
 
 def sweep_values(delta_over_m: float, beta: float, nodes_per_axis: int) -> dict:
-    """Concurrence and marginal entropy of the unit-mass boosted singlet at (delta/m, beta)."""
-    lam = geometry.boost_from_velocity([0.0, 0.0, beta])
-    conc, rho = boosted_singlet(lam, delta_over_m, 1.0, nodes_per_axis)
+    """Concurrence and marginal entropy of the singlet at (delta/m, beta), boosted along z."""
+    tau = (0.0, 0.0, spin_half.tanh_half_rapidity(beta))
+    conc, rho = boosted_singlet(tau, delta_over_m, nodes_per_axis)
     marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
     return {"concurrence": conc, "entropy_of_marginal_bits": qmatrix.entropy(marginal)}

@@ -6,16 +6,16 @@ kernel rejects any other.  Both rotations are built from unit quaternions,
 on (n, 3) stacks (one momentum or direction is a stack of one): the
 standard rotation R(khat) of a photon direction, and the Wigner rotation of
 a massive particle, the little-group element W(L, p) = B(Lp)^{-1} L B(p)
-with B(p) the pure boost taking (m, 0, 0, 0) to p.  wigner_quaternion_map
-splits L once into a pure boost and a rotation, checks the split, and
-returns the one copy of the per-node kernel, whose Thomas-Wigner quaternion
-is one fixed linear map of (p, E + m), normalized node by node.
-wigner_rotation_batch and wigner_su2_batch apply it to explicit momenta;
-spin_half.wigner_moments passes a packet rule through it block by block
-and sums the Bloch matrix T = sum_n p_n W_n from its quaternions.  The
-4x4 matrix product is kept only as a test oracle.  mirror_axes finds the
-reflections q_k -> -q_k that commute with a Lorentz transformation, over
-which spin_half folds its rules.
+with B(p) the pure boost taking (m, 0, 0, 0) to p.  Each Wigner
+quaternion is one fixed linear map of (p, E + m), normalized node by node,
+in one per-node function.  For a pure boost the map is fixed by
+tau = tanh(xi/2) n alone: boost_quaternions takes tau, with no Lorentz
+matrix, and spin_half.wigner_moments sums the Bloch matrix
+T = sum_n p_n W_n of a packet rule from its quaternions.  For a general L,
+wigner_quaternion_map splits L once into a pure boost and a rotation,
+checks the split and composes the map with the rotation;
+wigner_rotation_batch and wigner_su2_batch apply it to explicit momenta.
+The 4x4 matrix product is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -197,23 +197,35 @@ def quaternion_rotations(quats: np.ndarray) -> np.ndarray:
     return out
 
 
-def mirror_axes(lam: np.ndarray) -> tuple:
-    """Spatial axes k whose reflection q_k -> -q_k commutes with `lam`.
+def _thomas_map(c0: float, c) -> np.ndarray:
+    """The map (q, E + m) -> (-(c x q), c0 (E + m) + c.q) of wigner_quaternion_map."""
+    cx, cy, cz = c
+    return np.array([[0.0, cz, -cy, 0.0], [-cz, 0.0, cx, 0.0], [cy, -cx, 0.0, 0.0],
+                     [cx, cy, cz, c0]])
 
-    Axis k qualifies when M lam M equals `lam` exactly, M the reflection
-    of axis k (lam is zero off row and column k).  A grid centred on 0
-    with mirror-symmetric nodes and probabilities then carries, at the
-    image M q of a node q, the transported momentum M (L q) and the Wigner
-    rotation M W M.
-    """
-    lam = np.asarray(lam, dtype=float)
-    axes = []
-    for k in range(3):
-        signs = np.ones(4)
-        signs[k + 1] = -1.0
-        if np.array_equal(signs[:, None] * lam * signs, lam):
-            axes.append(k)
-    return tuple(axes)
+
+def _quaternions(linear: np.ndarray, momenta, mass: float):
+    """(q4, u): the (b, 4) four-momenta of (b, 3) momenta and the (4, b) unit quaternions,
+    rows (x, y, z, w), of `linear` applied to (q, E + m), each normalized on its own.
+    Raises NumericalError for a node off shell or too large for floats."""
+    try:
+        with np.errstate(over="raise"):
+            q4 = four_momentum(mass, momenta)
+            _require_on_shell(q4, mass)
+            u = linear[:, 3:] * (q4[:, 0] + mass)
+            for k in range(3):
+                u += linear[:, k:k + 1] * q4[:, k + 1]
+            return q4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
+    except FloatingPointError:
+        raise NumericalError("momenta too large for floats in the Wigner kernel") from None
+
+
+def boost_quaternions(tau, momenta) -> np.ndarray:
+    """The (4, b) unit Wigner quaternions at (b, 3) unit-mass momenta of the pure boost
+    `tau` = tanh(xi/2) n, |tau| < 1: gamma beta / (gamma + 1) = tau, so its map is
+    _thomas_map(1, tau).  Where tau_k == 0 the map is exactly odd in q_k on the two
+    vector rows other than k and even on the others: a mirror fold over k is exact."""
+    return _quaternions(_thomas_map(1.0, tau), momenta, 1.0)[1]
 
 
 def wigner_quaternion_map(lam: np.ndarray, mass: float):
@@ -234,7 +246,6 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
     quaternion (-(c x R q), x0) up to a positive factor.  Composed with the
     quaternion of R this is one linear map, u_n ~ A q_n + b (E_n + m), with
     A a 4x3 matrix and b a 4-vector, and u_n is normalized node by node.
-    No node's arithmetic depends on the other momenta of its call.
 
     Raises ValueError for a `lam` that is improper or not orthochronous and
     NumericalError when B^{-1} L leaves the time axis beyond 1e-9, both
@@ -252,29 +263,18 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
         raise NumericalError(f"little-group elements do not fix the time axis ({defect:.3g})")
     rot = r4[1:, 1:]
     x, y, z, w = _rotation_quaternion(rot)
-    c0, (cx, cy, cz) = boost[0, 0] + 1.0, boost[1:, 0]
-    # (R q, E + m) -> (-(c x R q), c0 (E + m) + c.R q), then right multiplication
-    # by R's quaternion (v, s) -> (s r + w v + v x r, s w - v.r), r = (x, y, z)
-    thomas = np.array([[0.0, cz, -cy, 0.0], [-cz, 0.0, cx, 0.0], [cy, -cx, 0.0, 0.0],
-                       [cx, cy, cz, c0]])
+    # right multiplication by R's quaternion (v, s) -> (s r + w v + v x r, s w - v.r),
+    # r = (x, y, z), after the Thomas map of (R q, E + m)
     compose = np.array([[w, z, -y, x], [-z, w, x, y], [y, -x, w, z], [-x, -y, -z, w]])
     # columns 0-2 are A, column 3 is b
-    linear = compose @ thomas
+    linear = compose @ _thomas_map(boost[0, 0] + 1.0, boost[1:, 0])
     linear[:, :3] = linear[:, :3] @ rot
 
     def wigner(momenta):
-        try:
-            with np.errstate(over="raise"):
-                q4 = four_momentum(mass, momenta)
-                p4 = q4 @ lam.T
-                _require_on_shell(q4, mass)
-                _require_on_shell(p4, mass)
-                u = linear[:, 3:] * (q4[:, 0] + mass)
-                for k in range(3):
-                    u += linear[:, k:k + 1] * q4[:, k + 1]
-                return p4, u / np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
-        except FloatingPointError:
-            raise NumericalError("momenta too large for floats in the Wigner kernel") from None
+        q4, u = _quaternions(linear, momenta, mass)
+        p4 = q4 @ lam.T
+        _require_on_shell(p4, mass)
+        return p4, u
 
     return wigner
 

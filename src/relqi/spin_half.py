@@ -7,26 +7,27 @@ the energy-ratio prefactor sqrt(q0 / (Lq)0), and scale the weight by the
 inverse Jacobian (Lq)0 / q0, so the quadrature norm is conserved exactly
 and no resampling or interpolation ever happens.
 
-Sweeps never build a boosted packet.  Tracing out the momentum of a
-boosted packet with node probabilities p_n is the random-unitary channel
-with Bloch matrix T = sum_n p_n W_n, the momentum average of the 3x3
-Wigner rotations W_n.  Every sweep observable is a short function of one
-kernel, `wigner_moments`: D = T - I and s = <sin^2(omega/2)>, both linear
-in the second moment of the Wigner quaternions.  The boosted spin-up and
-spin-down states are (I +- r.sigma)/2 with r = e_z + D e_z;
-`boosted_pair` returns both and their Helstrom error.  Each observable
-costs O(N) time in the N grid nodes and O(block + n) memory:
-`_packet_blocks` streams the packet's rule from the cached 1-D
-Gauss-Hermite rule, folded over every mirror axis whose reflection
-commutes with the boost, and no n^3 grid is built or cached.
+Sweeps never build a boosted packet or a Lorentz matrix.  Tracing out the
+momentum of a boosted packet with node probabilities p_n is the
+random-unitary channel with Bloch matrix T = sum_n p_n W_n, the momentum
+average of the 3x3 Wigner rotations W_n.  Every sweep observable is a
+short function of one kernel, `wigner_moments` of the boost
+tau = tanh(xi/2) n and the width delta/m: D = T - I and
+s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
+quaternions.  The boosted spin-up and spin-down states are
+(I +- r.sigma)/2 with r = e_z + D e_z; `boosted_pair` returns both and
+their Helstrom error.  Each observable costs O(N) time in the N grid
+nodes and O(block + n) memory: `_packet_blocks` streams the packet's rule
+from the cached 1-D Gauss-Hermite rule, folded over every axis k with
+tau_k = 0, and no n^3 grid is built or cached.
 
 `sweep_values` returns the values of one sweep row at one resolution; the
 n/2n convergence check of the row is made in `relqi.cli`.
 
 The dimensionless boost-mixing parameter is
-gamma_parameter = (width / mass) * (1 - sqrt(1 - beta^2)) / beta;
-boost directions for sweeps lie in the x-z plane at angle theta from z
-(the azimuth is immaterial by symmetry).
+gamma_parameter = (width / mass) tanh(xi/2); boost directions for sweeps
+lie in the x-z plane at angle theta from z (the azimuth is immaterial by
+symmetry).
 """
 
 from __future__ import annotations
@@ -111,19 +112,20 @@ def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
 _WIGNER_BLOCK = 2048
 
 
-def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
+def _packet_blocks(delta, nodes_per_axis, convention, axes):
     """The quadrature rule of the zero-centred isotropic Gaussian packet, in blocks.
 
     Yields (nodes, masses) for runs of whole z lines, at most _WIGNER_BLOCK
     nodes (or one line), of gauss_grid's tensor Gauss-Hermite rule in its C
-    order.  The squared profile exp(-|q|^2 / delta^2) is the envelope that
-    the 1-D weights w absorb, so a node q = delta x has the mass w_i w_j w_k
-    (over sqrt(mass^2 + |q|^2) if INVARIANT), its probability times one
-    factor.  Along each axis in `axes` only x >= 0 is kept and the 1-D
-    weights double where x > 0: the masses sum any f even under those
-    reflections as the full rule does.  Every array is O(block + n).
-    Raises NumericalError, before any node is formed, when the rule folds
-    but is not mirror-symmetric or its largest |q|^2 overflows (too wide).
+    order, in units of the mass.  The squared profile exp(-|q|^2 / delta^2)
+    is the envelope that the 1-D weights w absorb, so a node q = delta x has
+    the mass w_i w_j w_k (over sqrt(1 + |q|^2) if INVARIANT), its
+    probability times one factor.  Along each axis in `axes` only x >= 0 is
+    kept and the 1-D weights double where x > 0: the masses sum any f even
+    under those reflections as the full rule does.  Every array is
+    O(block + n).  Raises NumericalError, before any node is formed, when
+    the rule folds but is not mirror-symmetric or its largest |q|^2
+    overflows (too wide).
     """
     x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     if axes and not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
@@ -145,22 +147,22 @@ def _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
         masses = ((wx[i] * wy[j])[:, None] * wz).ravel()
         if convention is Measure.INVARIANT:
             r2 = ((px[i] * px[i] + py[j] * py[j])[:, None] + pz * pz).ravel()
-            masses = masses / np.sqrt(mass * mass + r2)
+            masses = masses / np.sqrt(1.0 + r2)
         yield nodes.reshape(-1, 3), masses
 
 
 def wigner_moments(
-    lam: np.ndarray,
-    delta: float,
-    mass: float,
+    tau,
+    delta_over_m: float,
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
     convention: Measure = Measure.PLAIN,
 ):
-    """D = T - I and s = <sin^2(omega/2)> of a boosted Gaussian packet.
+    """D = T - I and s = <sin^2(omega/2)> of a boosted Gaussian packet of width delta_over_m.
 
     T = sum_n p_n W_n is the Bloch matrix of the packet of _packet_blocks
     (p_n its masses over their sum Z) with its momentum traced out, W_n the
-    Wigner rotation of `lam` at node n.
+    Wigner rotation at node n of the boost tau = tanh(xi/2) n, |tau| < 1
+    (geometry.boost_quaternions).
 
     With q_n = (x, y, z, w) the unit Wigner quaternion of W_n (rotation
     angle omega_n), W_n - I is quadratic in q_n, so T - I is linear in the
@@ -170,22 +172,22 @@ def wigner_moments(
     positive terms.
 
     The quaternions are evaluated once per mirror orbit of the grid: the
-    rule is folded over geometry.mirror_axes(lam) (the packet is centred on
-    0 along every axis, and a boost in a generic direction folds nothing).
-    The image of a node under the reflection of a folded axis k carries the
-    quaternion S q, with S = -1 on the two vector components other than k,
-    so the full-grid M is invariant under M -> S M S: M is replaced by
-    (M + S M S)/2, exact in floating point, which keeps its even entries
-    and sets the odd ones to exactly 0.  One pass adds each block's (q m) q^T
-    to M and its masses m to Z, and M is divided by Z at the end.
+    rule is folded over every axis k with tau_k == 0 (the packet is centred
+    on 0 along every axis, and a boost in a generic direction folds
+    nothing).  The image of a node under the reflection of a folded axis k
+    carries the quaternion S q, with S = -1 on the two vector components
+    other than k, so the full-grid M is invariant under M -> S M S: M is
+    replaced by (M + S M S)/2, exact in floating point, which keeps its even
+    entries and sets the odd ones to exactly 0.  One pass adds each block's
+    (q m) q^T to M and its masses m to Z, and M is divided by Z at the end.
     """
-    if delta <= 0.0 or mass <= 0.0:
-        raise ValueError("width and mass must be positive")
-    axes = geometry.mirror_axes(lam)
-    wigner = geometry.wigner_quaternion_map(lam, mass)
+    tau = np.asarray(tau, dtype=float)
+    if not (float(tau @ tau) < 1.0 and delta_over_m > 0.0):
+        raise ValueError("the boost needs |tau| = tanh(xi/2) < 1 and the width delta/m > 0")
+    axes = tuple(k for k in range(3) if tau[k] == 0.0)
     m, z = np.zeros((4, 4)), 0.0
-    for nodes, masses in _packet_blocks(delta, mass, nodes_per_axis, convention, axes):
-        q = wigner(nodes)[1]
+    for nodes, masses in _packet_blocks(delta_over_m, nodes_per_axis, convention, axes):
+        q = geometry.boost_quaternions(tau, nodes)
         m += (q * masses) @ q.T
         z += float(np.sum(masses))
     m /= z
@@ -200,17 +202,18 @@ def wigner_moments(
     return d, float(mxx + myy + mzz)
 
 
-def gamma_parameter(delta: float, mass: float, beta: float) -> float:
-    """(delta/mass) (1 - sqrt(1 - beta^2)) / beta, continued to 0 at beta = 0.
+def tanh_half_rapidity(beta: float) -> float:
+    """tanh(xi/2) = beta / (1 + sqrt((1 - beta)(1 + beta))) of a speed |beta| < 1."""
+    return beta / (1.0 + math.sqrt((1.0 - beta) * (1.0 + beta)))
 
-    Evaluated as (delta/mass) beta / (1 + sqrt(1 - beta^2)), which does not
-    cancel at small beta.
-    """
+
+def gamma_parameter(delta: float, mass: float, beta: float) -> float:
+    """(delta/mass) (1 - sqrt(1 - beta^2)) / beta = (delta/mass) tanh(xi/2), 0 at beta = 0."""
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    return (delta / mass) * beta / (1.0 + np.sqrt(1.0 - beta * beta))
+    return (delta / mass) * tanh_half_rapidity(beta)
 
 
 def beta_for_gamma(gamma: float, delta_over_m: float) -> float:
@@ -230,23 +233,16 @@ def beta_for_gamma(gamma: float, delta_over_m: float) -> float:
     return 2.0 * t / (1.0 + t * t)
 
 
-def boost_for_angle(beta: float, theta: float) -> np.ndarray:
-    """Boost with speed beta at angle theta from z, in the x-z plane."""
-    velocity = beta * np.array([np.sin(theta), 0.0, np.cos(theta)])
-    return geometry.boost_from_velocity(velocity)
-
-
-def boosted_pair(delta, mass, beta, theta, nodes_per_axis):
+def boosted_pair(tau, delta_over_m, nodes_per_axis):
     """(tau_up, tau_down, Helstrom error) of a boosted spin-up/spin-down Gaussian pair.
 
-    The boost has speed beta at angle theta from z (boost_for_angle).  The
-    boosted states are (I +- r.sigma)/2 with r = T e_z = e_z + D e_z.
-    Their Helstrom error (1 - |r|)/2 is taken as
+    The boosted states of the wigner_moments packet are (I +- r.sigma)/2
+    with r = T e_z = e_z + D e_z.  Their Helstrom error (1 - |r|)/2 is taken as
     (1 - |r|^2) / (2 (1 + |r|)) = (-2 D_zz - |D e_z|^2) / (2 (1 + |r|)),
     where -2 D_zz = 4 <x^2 + y^2> sums positive terms, so the error keeps
     its relative accuracy in the small-error (Gamma^2) regime.
     """
-    d, _ = wigner_moments(boost_for_angle(beta, theta), delta, mass, nodes_per_axis)
+    d, _ = wigner_moments(tau, delta_over_m, nodes_per_axis)
     dz = d[:, 2]
     r = dz + (0.0, 0.0, 1.0)
     p_error = max(0.0, float((-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r)))))
@@ -255,13 +251,16 @@ def boosted_pair(delta, mass, beta, theta, nodes_per_axis):
 
 
 def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis: int) -> dict:
-    """beta, spin entropy and pair error of a unit-mass packet at (theta, gamma).
+    """beta, spin entropy and pair error of a packet at (theta, gamma).
 
-    Gamma is inverted for beta at the fixed delta_over_m; an unreachable
+    Gamma is delta/m times tanh(xi/2), so the boost is
+    tau = (gamma / delta_over_m) (sin theta, 0, cos theta); an unreachable
     gamma raises ValueError.
     """
     beta = beta_for_gamma(gamma, delta_over_m)
-    p_error = boosted_pair(delta_over_m, 1.0, beta, theta, nodes_per_axis)[2]
+    t = gamma / delta_over_m
+    p_error = boosted_pair((t * math.sin(theta), 0.0, t * math.cos(theta)), delta_over_m,
+                           nodes_per_axis)[2]
     # tau_up has eigenvalues p_error and 1 - p_error, so its entropy is the binary
     # entropy of p_error; log1p(-p) keeps the digits that a rounded 1 - p loses
     entropy = 0.0 if p_error == 0.0 else -(

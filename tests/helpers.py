@@ -1,8 +1,9 @@
 """Test-only helpers: random states and channels, reference channels,
 density-matrix and Lorentz-matrix checks, explicit rotations, the
 one-particle spin marginal of a pair amplitude, a packet's whole
-quadrature rule and its Wigner rotations, the parsed flags that the CLI's
-sweep rows read, and a 40-digit decimal oracle for Wigner rotations.
+quadrature rule and its Wigner rotations, a boost as tau = tanh(xi/2) n and
+as a Lorentz matrix, the parsed flags that the CLI's sweep rows read, and a
+40-digit decimal oracle for Wigner rotations.
 """
 
 import argparse
@@ -123,21 +124,35 @@ def row_args(resolution: int, tolerance: float = 1e-6,
                               no_convergence=no_convergence)
 
 
-def packet_rule(delta: float, mass: float, nodes_per_axis: int,
+def packet_rule(delta_over_m: float, nodes_per_axis: int,
                 convention: Measure = Measure.PLAIN, axes=()):
     """(nodes, probs) of spin_half._packet_blocks: the blocks concatenated and
     the masses divided by their math.fsum."""
-    blocks = spin_half._packet_blocks(delta, mass, nodes_per_axis, convention, axes)
+    blocks = spin_half._packet_blocks(delta_over_m, nodes_per_axis, convention, axes)
     nodes, masses = (np.concatenate(parts) for parts in zip(*blocks))
     return nodes, masses / math.fsum(masses)
 
 
-def unfolded_kernel(lam, delta: float, mass: float, nodes_per_axis: int,
+def unfolded_kernel(lam, delta_over_m: float, nodes_per_axis: int,
                     convention: Measure = Measure.PLAIN):
     """(probs, W): the probabilities of the whole (unfolded) packet rule and the
-    (n, 3, 3) Wigner rotations of `lam` at its nodes; T = sum_n p_n W_n."""
-    nodes, probs = packet_rule(delta, mass, nodes_per_axis, convention)
-    return probs, geometry.wigner_rotation_batch(lam, nodes, mass)[1]
+    (n, 3, 3) Wigner rotations of the Lorentz matrix `lam` at its nodes (unit
+    mass); T = sum_n p_n W_n."""
+    nodes, probs = packet_rule(delta_over_m, nodes_per_axis, convention)
+    return probs, geometry.wigner_rotation_batch(lam, nodes, 1.0)[1]
+
+
+def boost(velocity):
+    """(tau, lam) of the pure boost with `velocity`: tau = tanh(xi/2) n, the boost
+    input of spin_half.wigner_moments, and the float Lorentz matrix that the
+    library oracles (boost_packet, boost_pair, unfolded_kernel) take."""
+    v = np.asarray(velocity, dtype=float)
+    return v / (1.0 + np.sqrt(1.0 - v @ v)), geometry.boost_from_velocity(v)
+
+
+def angle_boost(beta: float, theta: float):
+    """boost(velocity) of speed beta at angle theta from z, in the x-z plane."""
+    return boost(beta * np.array([np.sin(theta), 0.0, np.cos(theta)]))
 
 
 def _product(a, b):
@@ -154,20 +169,22 @@ def _decimal_boost(p, mass):
     return out
 
 
-def decimal_wigner(velocity, quat, momenta, mass):
+def decimal_wigner(tau, quat, momenta, mass):
     """Wigner rotations of B(Lq)^-1 L B(q) as a 4x4 product in 40-digit decimal.
 
-    L is the boost with `velocity`, followed (on the right) by the rotation
-    of the quaternion `quat` = (x, y, z, w) unless it is None; every float
-    input is taken as exact.  Returns the (n, 3, 3) rotations and their
-    (n, 4) unit quaternions (x, y, z, w), each rounded to float once, with
-    the quaternion's sign unspecified.
+    L is the pure boost of `tau` = tanh(xi/2) n, taken exactly: with
+    t = |tau|, gamma beta = 2 tau / (1 - t^2), so that beta = 2t / (1 + t^2)
+    carries no rounding of a float beta.  It is followed (on the right) by
+    the rotation of the quaternion `quat` = (x, y, z, w) unless it is None;
+    every float input is taken as exact.  Returns the (n, 3, 3) rotations
+    and their (n, 4) unit quaternions (x, y, z, w), each rounded to float
+    once, with the quaternion's sign unspecified.
     """
     with localcontext() as ctx:
         ctx.prec = 40
-        v = [Decimal(float(c)) for c in velocity]
-        gamma = 1 / (1 - sum(c * c for c in v)).sqrt()
-        lam = _decimal_boost([gamma * c for c in v], Decimal(1))
+        tau = [Decimal(float(c)) for c in tau]
+        t2 = sum(c * c for c in tau)
+        lam = _decimal_boost([2 * c / (1 - t2) for c in tau], Decimal(1))
         if quat is not None:
             x, y, z, w = (Decimal(float(c)) for c in quat)
             s = 2 / (x * x + y * y + z * z + w * w)
@@ -192,3 +209,18 @@ def decimal_wigner(velocity, quat, momenta, mass):
             rots.append([[float(c) for c in line] for line in r])
             quats.append([float(c / norm) for c in row])
     return np.array(rots), np.array(quats)
+
+
+def decimal_moments(tau, delta_over_m: float, nodes_per_axis: int,
+                    convention: Measure = Measure.PLAIN):
+    """(D, s) of spin_half.wigner_moments on the same, unfolded, packet rule, each
+    node's quaternion from decimal_wigner and every entry of the second moment
+    M = sum_n p_n q_n q_n^T by math.fsum."""
+    nodes, probs = packet_rule(delta_over_m, nodes_per_axis, convention)
+    q = decimal_wigner(tau, None, nodes, 1.0)[1]
+    m = np.array([[math.fsum(probs * q[:, i] * q[:, j]) for j in range(4)] for i in range(4)])
+    wx, wy, wz = 2.0 * m[3, :3]
+    d = 2.0 * m[:3, :3] + np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    d[np.diag_indices(3)] = -2.0 * np.array([m[1, 1] + m[2, 2], m[0, 0] + m[2, 2],
+                                             m[0, 0] + m[1, 1]])
+    return d, math.fsum(np.diag(m)[:3])

@@ -23,7 +23,7 @@ RNG = np.random.default_rng(20260810)
 def criterion_01_zero_boost_identity():
     psi = sh.gaussian_packet(1.0, 1.0, 12)
     beta = sh.beta_for_gamma(0.0, 1.0)
-    lam = sh.boost_for_angle(beta, np.pi / 2)
+    lam = helpers.angle_boost(beta, np.pi / 2)[1]
     boosted = sh.boost_packet(lam, psi)
     entropy = qm.entropy(sh.reduced_spin_density(boosted))
     amp_delta = np.abs(boosted.amps - psi.amps).max()
@@ -40,7 +40,7 @@ def criterion_02_entropy_surface():
     for theta in thetas:
         for gamma in gammas:
             beta = sh.beta_for_gamma(gamma, 1.0)
-            tau, _ = sh.boosted_pair(1.0, 1.0, beta, theta, 12)[:2]
+            tau, _ = sh.boosted_pair(helpers.angle_boost(beta, theta)[0], 1.0, 12)[:2]
             surface[(theta, gamma)] = qm.entropy(tau)
     assert all(s >= 0.0 for s in surface.values())
     for theta in thetas:
@@ -49,11 +49,11 @@ def criterion_02_entropy_surface():
         )
     beta_25 = sh.beta_for_gamma(0.25, 1.0)
     beta_50 = sh.beta_for_gamma(0.5, 1.0)
-    tau_25, _ = sh.boosted_pair(1.0, 1.0, beta_25, np.pi / 2, 20)[:2]
-    tau_50, _ = sh.boosted_pair(1.0, 1.0, beta_50, np.pi / 2, 20)[:2]
+    tau_25, _ = sh.boosted_pair(helpers.angle_boost(beta_25, np.pi / 2)[0], 1.0, 20)[:2]
+    tau_50, _ = sh.boosted_pair(helpers.angle_boost(beta_50, np.pi / 2)[0], 1.0, 20)[:2]
     s0, s25, s50 = 0.0, qm.entropy(tau_25), qm.entropy(tau_50)
     assert s0 < s25 < s50
-    tau_50_fine, _ = sh.boosted_pair(1.0, 1.0, beta_50, np.pi / 2, 40)[:2]
+    tau_50_fine, _ = sh.boosted_pair(helpers.angle_boost(beta_50, np.pi / 2)[0], 1.0, 40)[:2]
     refinement = abs(qm.entropy(tau_50_fine) - s50)
     assert refinement < 1e-6
     return f"S(pi/2)={s0:.1e}<{s25:.4f}<{s50:.4f}, refinement delta={refinement:.2e}"
@@ -63,7 +63,7 @@ def criterion_03_quadratic_error_law():
     ratios = []
     for gamma in (0.001, 0.002, 0.005):
         beta = sh.beta_for_gamma(gamma, 1.0)
-        pe = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 12)[2]
+        pe = sh.boosted_pair(helpers.angle_boost(beta, np.pi / 2)[0], 1.0, 12)[2]
         ratios.append(pe / gamma**2)
     spread = max(ratios) / min(ratios)
     assert spread < 1.05
@@ -185,7 +185,7 @@ def criterion_10_oracle_equivalences():
     # reduced spin density vs direct summation
     beta = sh.beta_for_gamma(0.5, 1.0)
     boosted = sh.boost_packet(
-        sh.boost_for_angle(beta, np.pi / 2), sh.gaussian_packet(1.0, 1.0, 8)
+        helpers.angle_boost(beta, np.pi / 2)[1], sh.gaussian_packet(1.0, 1.0, 8)
     )
     direct = np.zeros((2, 2), dtype=complex)
     for w, a in zip(boosted.grid.weights, boosted.amps):

@@ -130,7 +130,7 @@ def thomas_wigner_distance(gamma, theta, n=12, beta=0.6):
     from relqi import spin_half as sh
 
     delta = gamma / sh.gamma_parameter(1.0, 1.0, beta)
-    nodes, probs = helpers.packet_rule(delta, 1.0, n)
+    nodes, probs = helpers.packet_rule(delta, n)
     nhat = np.array([math.sin(theta), 0.0, math.cos(theta)])
     a = beta / (1.0 + math.sqrt(1.0 - beta * beta)) / (np.sqrt(1.0 + np.sum(nodes**2, axis=1)) + 1.0)
     axis = np.cross(nodes, nhat)

@@ -381,40 +381,42 @@ def test_failed_rows_say_why(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "relqi: row theta=0 gamma=2: gamma 2 unreachable at delta/m = 1\n"
     assert read(out).strip().split("\n")[2] == "0,2,nan,1,nan,nan,64,false"
+    # a speed just below 1 computes: the row takes tanh(xi/2) from beta and builds
+    # no float boost matrix, which could not hold 1 - beta^2 ~ 2e-13
     out = tmp_path / "e.csv"
     code = cli.run([
         "entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.3,0.9999999999999",
         "--resolution", "4", "--no-convergence", "--out", str(out),
     ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == ("relqi: row delta_over_m=0.5 beta=1: speed too close to 1 for the float "
-                   "boost matrix (1 - beta^2 <= 1e-12): |beta| = 0.99999999999989997\n")
-    assert read(out).strip().split("\n")[2] == "0.5,1,nan,nan,64,false"
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert read(out).strip().split("\n")[2] == "0.5,1,0.823373343987,1,64,true"
 
 
 
-@pytest.mark.parametrize("argv, csv_row, reason", [
-    # B^-1 L of the float boost (gamma ~ 1e4) leaves the time axis by 8.0e-9, beyond 1e-9
-    (["spin-entropy", "--theta", "1", "--gamma", "0.9999"],
-     "1,0.9999,nan,1,nan,nan,1728,false",
-     "relqi: row theta=1 gamma=0.9999: little-group elements do not fix the time axis"),
-    (["photon-distinguish", "--kA", "0.4", "--dz", "0.1", "--dr", "0.01"],
+@pytest.mark.parametrize("argv, code, csv_row, reason", [
+    # a boost at gamma ~ 1e4 computes: the row passes tanh(xi/2) n to the kernel, and no
+    # float Lorentz matrix leaves the time axis (by 8.0e-9 here)
+    (["spin-entropy", "--theta", "1", "--gamma", "0.9999"], 0,
+     "1,0.9999,0.999999994999,1,0.402286910118,0.080030573913,1728,true", None),
+    (["photon-distinguish", "--kA", "0.4", "--dz", "0.1", "--dr", "0.01"], 1,
      "0.4,0.01,0.1,0,nan,0.00015625,1728,false",
      "relqi: row delta_r=0.01: k_mean must exceed 5 * delta_z"),
+    # and so does a speed just below 1, where 1 - beta^2 ~ 2e-13 (not converged at n = 4)
     (["entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.9999999999999",
-      "--resolution", "4"],
-     "0.5,1,nan,nan,64,false",
-     "relqi: row delta_over_m=0.5 beta=1: speed too close to 1 for the float boost matrix"),
+      "--resolution", "4"], 1,
+     "0.5,1,0.823373343987,1,64,false", None),
     # numpy's Gauss-Laguerre weights are not finite at the 190-node refinement
-    (["photon-distinguish", "--dr", "1", "--resolution", "95"],
+    (["photon-distinguish", "--dr", "1", "--resolution", "95"], 1,
      "100,1,0.1,0,nan,2.5e-05,857375,false",
      "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 190 nodes"),
 ], ids=["spin-coarse", "photon", "entangle", "photon-laguerre"])
-def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, csv_row, reason):
+def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, code, csv_row, reason):
+    # a failed row prints nan and its reason; a row with no reason computes
     out = tmp_path / "rows.csv"
-    assert cli.run(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(reason)
+    assert cli.run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == "" if reason is None else err.startswith(reason)
     assert read(out).strip().split("\n")[1] == csv_row
 
 
@@ -511,10 +513,18 @@ KERNEL = "momenta too large for floats in the Wigner kernel"
     (["photon-distinguish", "--kA", "1e-200", "--dr", "1e-201", "--dz", "1e-201"], 1,
      f"relqi: row delta_r=1e-201: {TOO_SMALL}\n",
      {"p_error": "nan", "p_error_closed_form": f"{(1e-201 / 2e-200) ** 2:.12g}"}),
+    # the closed form (dr / 2 kA)^2 overflows to inf: it prints nan, and the row says so
+    (["photon-distinguish", "--kA", "1", "--dr", "1e200", "--dz", "0.1"], 1,
+     f"relqi: row delta_r=1e+200: {TOO_LARGE}; p_error_closed_form is not finite (inf)\n",
+     {"p_error": "nan", "p_error_closed_form": "nan"}),
+    # both pair errors round to 0, so their ratio is 0/0: the report fails, naming it
+    (["doppler", "--kA", "100", "--dr", "1e-200", "--dz", "0.1", "--v", "0.5"], 3,
+     "relqi: numerical failure: ratio is not finite (nan)\n", None),
 ], ids=["spin-1e-110", "spin-subnormal", "spin-1e-170", "entangle-1e-110", "channel-1e-110",
         "spin-underflow", "spin-too-wide", "entangle-too-wide", "spin-kernel-overflow",
         "photon-distinguish-huge-kA", "doppler-csv-huge-kA", "doppler-json-huge-kA",
-        "photon-density-huge-kA", "photon-distinguish-tiny-kA"])
+        "photon-density-huge-kA", "photon-distinguish-tiny-kA",
+        "photon-distinguish-closed-form-overflow", "doppler-json-ratio-nan"])
 def test_row_at_the_edge_of_floats_computes_or_says_why(capsys, argv, code, err, printed):
     # a numpy RuntimeWarning is an error here, as in the CLI runs of CI; a
     # value that computes matches the oracle in its comment to every printed digit
@@ -646,10 +656,10 @@ def test_paraxial_warning_is_printed_for_each_beam():
 def test_time_axis_defect_is_a_numerical_error():
     from relqi import geometry, spin_half, wavepacket
 
-    beta = spin_half.beta_for_gamma(0.9999, 1.0)
-    nodes = helpers.packet_rule(1.0, 1.0, 12)[0]
+    lam = helpers.angle_boost(spin_half.beta_for_gamma(0.9999, 1.0), 1.0)[1]
+    nodes = helpers.packet_rule(1.0, 12)[0]
     with pytest.raises(wavepacket.NumericalError, match="time axis"):
-        geometry.wigner_rotation_batch(spin_half.boost_for_angle(beta, 1.0), nodes, 1.0)
+        geometry.wigner_rotation_batch(lam, nodes, 1.0)
 
 
 def test_off_shell_node_exits_3_outside_a_row_and_is_a_nan_row_inside_one(monkeypatch, capsys):

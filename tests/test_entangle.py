@@ -7,6 +7,7 @@ from relqi import cli
 from relqi import entangle as en
 from relqi import geometry as geo
 from relqi import qmatrix as qm
+from relqi import spin_half
 from relqi import wavepacket as wp
 import helpers
 
@@ -146,12 +147,24 @@ def test_concurrence_local_unitary_invariance():
 @pytest.mark.parametrize("delta_over_m", [0.5, 1e-4])
 @pytest.mark.parametrize("velocity", [[0.0, 0.0, 0.8], [0.3, -0.4, 0.6]])
 def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
-    lam = geo.boost_from_velocity(velocity)
-    conc, rho = en.boosted_singlet(lam, delta_over_m, 1.0, n)
+    tau, lam = helpers.boost(velocity)
+    conc, rho = en.boosted_singlet(tau, delta_over_m, n)
     rho_pair = en.spin_spin_density(en.boost_pair(lam, en.bell_gaussian(delta_over_m, 1.0, n)))
     np.testing.assert_allclose(rho, rho_pair, atol=1e-12)
     assert conc == pytest.approx(concurrence_sv_oracle(rho_pair), abs=1e-10)
     assert conc == pytest.approx(en.concurrence(rho_pair), abs=1e-10)
+
+
+@pytest.mark.parametrize("delta_over_m", [1e-4, 0.5])
+def test_row_near_speed_1_matches_decimal_node_sum(delta_over_m):
+    # beta = 0.9999999999999 (1 - beta^2 ~ 2e-13, beyond a float boost matrix):
+    # the row's tau = (0, 0, tanh(xi/2)) gives the concurrence of the same
+    # INVARIANT rule with every quaternion from the 40-digit oracle
+    tau = (0.0, 0.0, spin_half.tanh_half_rapidity(0.9999999999999))
+    d, s = helpers.decimal_moments(tau, delta_over_m, 8, wp.Measure.INVARIANT)
+    expected = 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))
+    row = en.sweep_values(delta_over_m, 0.9999999999999, 8)
+    assert row["concurrence"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_sweep_row_memory_bounded():

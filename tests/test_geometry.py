@@ -3,6 +3,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
+from relqi import channel as ch
+from relqi import entangle as en
 from relqi import geometry as geo
 from relqi import spin_half as sh
 from relqi.wavepacket import NumericalError
@@ -213,18 +215,19 @@ def test_wigner_rotation_batch_matches_single_node():
 
 @pytest.mark.parametrize("velocity", [[0.5, 0.0, 0.6], [0.3, -0.5, 0.6]], ids=["xz", "generic"])
 def test_wigner_moments_do_not_depend_on_the_block_size(monkeypatch, velocity):
-    lam = geo.boost_from_velocity(velocity)
-    d, s = sh.wigner_moments(lam, 1.0, 1.0, 9)
+    tau = helpers.boost(velocity)[0]
+    d, s = sh.wigner_moments(tau, 1.0, 9)
     monkeypatch.setattr(sh, "_WIGNER_BLOCK", 7)
-    d_seven, s_seven = sh.wigner_moments(lam, 1.0, 1.0, 9)
+    d_seven, s_seven = sh.wigner_moments(tau, 1.0, 9)
     np.testing.assert_allclose(d_seven, d, rtol=1e-14, atol=0.0)
     assert s_seven == pytest.approx(s, rel=1e-14, abs=0.0)
 
 
-def test_wigner_moments_split_lam_once(monkeypatch):
-    # the split lam = B R takes the quaternion of R once per call, and each block
-    # of the rule takes its four-momenta once; n = 24 folded over y is 4 blocks
-    calls = {"split": 0, "blocks": 0}
+def test_sweep_rows_build_no_lorentz_matrix(monkeypatch):
+    # a sweep row passes its boost as tau = tanh(xi/2) n: no Lorentz matrix is
+    # built or split into B R, and each block of the rule takes its four-momenta
+    # once; n = 24 folded over y is 4 blocks, folded over x and y 2
+    calls = {"matrix": 0, "split": 0, "blocks": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -232,25 +235,29 @@ def test_wigner_moments_split_lam_once(monkeypatch):
             return function(*args)
         return wrapper
 
+    monkeypatch.setattr(geo, "boost_from_velocity", counted("matrix", geo.boost_from_velocity))
+    monkeypatch.setattr(geo, "standard_boost", counted("split", geo.standard_boost))
     monkeypatch.setattr(geo, "_rotation_quaternion", counted("split", geo._rotation_quaternion))
     monkeypatch.setattr(geo, "four_momentum", counted("blocks", geo.four_momentum))
-    sh.wigner_moments(sh.boost_for_angle(0.6, 0.7), 1.0, 1.0, 24)
-    assert calls == {"split": 1, "blocks": 4}
+    sh.sweep_values(0.7, 0.5, 1.0, 24)
+    assert calls == {"matrix": 0, "split": 0, "blocks": 4}
+    en.sweep_values(0.5, 0.6, 24)
+    ch.consistency_check(0.2, 0.7, 24)
+    assert calls == {"matrix": 0, "split": 0, "blocks": 10}
 
 
 def test_time_axis_defect_is_raised_before_any_node():
     # B^-1 L of the float boost (gamma ~ 1e4) leaves the time axis by 8.0e-9;
     # the map's function, which evaluates nodes, is never made
-    lam = sh.boost_for_angle(sh.beta_for_gamma(0.9999, 1.0), 1.0)
-    nodes = helpers.packet_rule(1.0, 1.0, 24)[0]
+    lam = helpers.angle_boost(sh.beta_for_gamma(0.9999, 1.0), 1.0)[1]
+    nodes = helpers.packet_rule(1.0, 24)[0]
     messages = []
     for call in (lambda: geo.wigner_quaternion_map(lam, 1.0),
-                 lambda: geo.wigner_rotation_batch(lam, nodes, 1.0),
-                 lambda: sh.wigner_moments(lam, 1.0, 1.0, 24)):
+                 lambda: geo.wigner_rotation_batch(lam, nodes, 1.0)):
         with pytest.raises(NumericalError, match="do not fix the time axis") as err:
             call()
         messages.append(str(err.value))
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * 2
 
 
 def _kernel_cases():
@@ -312,20 +319,38 @@ _ORACLE_QUAT = np.array([0.4, -1.0, 0.7, 1.1]) / np.linalg.norm([0.4, -1.0, 0.7,
 ], ids=["xz", "z", "boost_rotation", "gamma_700"])
 def test_wigner_kernel_matches_decimal_oracle(velocity, quat, scale, atol):
     # The kernel's rotations and quaternions against B(Lq)^-1 L B(q) taken in
-    # 40-digit decimal, with L built from the float L's velocity (and quaternion).
-    # Largest gaps measured: 8.1e-16 (boost_rotation) and 1.1e-9 (gamma_700).
-    lam = geo.boost_from_velocity(velocity)
+    # 40-digit decimal, with L built from tanh(xi/2) n of the float L's velocity
+    # (and its quaternion).
+    # Largest gaps measured: 9.2e-16 (boost_rotation) and 1.1e-9 (gamma_700).
+    tau, lam = helpers.boost(velocity)
     if quat is not None:
         lam = lam @ np.block([[1.0, np.zeros((1, 3))],
                               [np.zeros((3, 1)), geo.quaternion_rotations(quat[None])[0]]])
     mass = 1.3
     momenta = np.random.default_rng(3).normal(scale=scale * mass, size=(64, 3))
-    rots, quats = helpers.decimal_wigner(velocity, quat, momenta, mass)
+    rots, quats = helpers.decimal_wigner(tau, quat, momenta, mass)
     kernel_quats = geo.wigner_quaternion_map(lam, mass)(momenta)[1].T
     signs = np.sign(np.sum(kernel_quats * quats, axis=1))
     np.testing.assert_allclose(kernel_quats, signs[:, None] * quats, rtol=0.0, atol=atol)
     np.testing.assert_allclose(geo.wigner_rotation_batch(lam, momenta, mass)[1], rots,
                                rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("tau, delta_over_m", [
+    (0.9999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)]), 1.0),
+    (np.array([0.0, 0.0, sh.tanh_half_rapidity(0.9999999999999)]), 0.5),
+], ids=["spin_gamma_1e4", "entangle_beta_near_1"])
+def test_boost_quaternions_match_decimal_oracle_at_large_rapidity(tau, delta_over_m):
+    # The tau path at gamma ~ 1e4 (the spin row --theta 1 --gamma 0.9999) and
+    # gamma ~ 2.2e6 (the entangle row at beta = 0.9999999999999), on the nodes of
+    # a packet rule, against the 40-digit product with L taken exactly from tau.
+    # A float L cannot carry these boosts: a 1-ulp change in beta moves the
+    # rapidity by about 5e-9 at gamma ~ 1e4.  Largest gap measured: 2.2e-16.
+    nodes = helpers.packet_rule(delta_over_m, 12)[0]
+    quats = helpers.decimal_wigner(tau, None, nodes, 1.0)[1]
+    kernel_quats = geo.boost_quaternions(tau, nodes).T
+    signs = np.sign(np.sum(kernel_quats * quats, axis=1))
+    np.testing.assert_allclose(kernel_quats, signs[:, None] * quats, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize(

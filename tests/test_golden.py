@@ -12,8 +12,7 @@ an oracle value, and never to make a defect pass.
 Values that are only rounding noise are compared by rule, not byte for
 byte: the minimum Choi eigenvalue of a channel audit (LAPACK noise around
 an exact 0) and the photon rel_delta of `convergence` (8.13e-16, two equal
-sums) within the benchmark's absolute 1e-14, and the time-axis defect on
-stderr up to its number.
+sums), both within the benchmark's absolute 1e-14.
 """
 
 import contextlib
@@ -33,23 +32,20 @@ WORKLOADS = GOLDEN.parent.parent / "bench" / "workloads.py"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 ABS_NOISE = 1e-14  # bench/checks.py REF_ABS_TOL
-# (subcommand, stream, pattern whose group 2 is a noise value, compared within ABS_NOISE
-# or not compared)
+# (subcommand, stream, pattern whose group 2 is a noise value, compared within ABS_NOISE)
 NOISE = (
-    ("channel-audit", "stdout", r'("min_choi_eig": )([^,\n]+)()', True),
-    ("convergence", "stdout",
-     r"^(photon_pair_error_dr_over_k_0\.01,(?:[^,]*,){4})([^,]*)(,)", True),
-    ("spin-entropy", "stderr", r"(do not fix the time axis \()([^)]*)(\))", False),
+    ("channel-audit", "stdout", r'("min_choi_eig": )([^,\n]+)()'),
+    ("convergence", "stdout", r"^(photon_pair_error_dr_over_k_0\.01,(?:[^,]*,){4})([^,]*)(,)"),
 )
 
 
 def _masked(command: str, stream: str, text: str):
-    """`text` with its noise values replaced by `*`, and those values (compared ones only)."""
+    """`text` with its noise values replaced by `*`, and those values."""
     values = []
-    for where, kind, pattern, compared in NOISE:
+    for where, kind, pattern in NOISE:
         if (where, kind) != (command, stream):
             continue
-        values += [float(m.group(2)) for m in re.finditer(pattern, text, re.M) if compared]
+        values += [float(m.group(2)) for m in re.finditer(pattern, text, re.M)]
         text = re.sub(pattern, r"\1*\3", text, flags=re.M)
     return text, values
 

@@ -73,7 +73,7 @@ def test_boost_norm_conservation():
 
 def test_boost_composition_covariance():
     psi = sh.gaussian_packet(0.6, 1.0, 8)
-    lam1 = sh.boost_for_angle(0.5, 0.9)
+    lam1 = helpers.angle_boost(0.5, 0.9)[1]
     lam2 = geo.boost_from_velocity([0.2, -0.1, 0.3])
     two_step = sh.boost_packet(lam2, sh.boost_packet(lam1, psi))
     one_step = sh.boost_packet(lam2 @ lam1, psi)
@@ -85,7 +85,7 @@ def test_boost_composition_covariance():
 def test_reduced_density_direct_sum_oracle():
     beta = sh.beta_for_gamma(0.5, 1.0)
     boosted = sh.boost_packet(
-        sh.boost_for_angle(beta, np.pi / 2), sh.gaussian_packet(1.0, 1.0, 8)
+        helpers.angle_boost(beta, np.pi / 2)[1], sh.gaussian_packet(1.0, 1.0, 8)
     )
     np.testing.assert_allclose(
         sh.reduced_spin_density(boosted), reduced_density_oracle(boosted), atol=1e-12
@@ -151,23 +151,24 @@ def test_gamma_monotonicity():
 
 def test_boosted_entropy_positive_and_pinned():
     beta = sh.beta_for_gamma(0.5, 1.0)
-    tau, _ = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 20)[:2]
+    tau, _ = sh.boosted_pair(helpers.angle_boost(beta, np.pi / 2)[0], 1.0, 20)[:2]
     s = qm.entropy(tau)
     assert s > 0.0
     assert s == pytest.approx(ENTROPY_GAMMA_05, abs=1e-6)
-    tau2, _ = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 40)[:2]
+    tau2, _ = sh.boosted_pair(helpers.angle_boost(beta, np.pi / 2)[0], 1.0, 40)[:2]
     assert abs(qm.entropy(tau2) - s) < 1e-6
 
 
 def test_pair_error_zero_at_rest():
-    assert sh.boosted_pair(0.5, 1.0, 0.0, 0.3, 6)[2] < 1e-9
+    assert sh.boosted_pair((0.0, 0.0, 0.0), 0.5, 6)[2] < 1e-9
 
 
 def test_pair_error_quadratic_law():
     ratios = []
     for gamma in (0.001, 0.002, 0.005):
         beta = sh.beta_for_gamma(gamma, 1.0)
-        ratios.append(sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 12)[2] / gamma**2)
+        tau = helpers.angle_boost(beta, np.pi / 2)[0]
+        ratios.append(sh.boosted_pair(tau, 1.0, 12)[2] / gamma**2)
     ratios = np.array(ratios)
     assert ratios.max() / ratios.min() < 1.05
 
@@ -177,7 +178,8 @@ def test_pair_error_small_gamma_ratio(theta):
     # the variance form keeps P/Gamma^2 flat far below the Helstrom path's
     # cancellation floor
     ratios = np.array([
-        sh.boosted_pair(1.0, 1.0, sh.beta_for_gamma(gamma, 1.0), theta, 16)[2] / gamma**2
+        sh.boosted_pair(helpers.angle_boost(sh.beta_for_gamma(gamma, 1.0), theta)[0], 1.0, 16)[2]
+        / gamma**2
         for gamma in (1e-4, 1e-5, 1e-6)
     ])
     assert ratios.max() / ratios.min() - 1.0 < 1e-8
@@ -192,19 +194,33 @@ def test_pair_error_small_gamma_ratio(theta):
 
 def test_small_gamma_pair_error_matches_decimal_node_sum():
     # The same node sum with each Wigner quaternion taken from the 40-digit
-    # decimal oracle and every sum by math.fsum: the float quaternions carry
+    # decimal oracle of the row's boost tau = Gamma (sin theta, 0, cos theta)
+    # (delta/m = 1) and every sum by math.fsum: the float quaternions carry
     # 1e-16 relative each, so the oracle holds p_error to about 3e-16.
     theta, gamma = np.pi / 2, 1e-6
-    beta = sh.beta_for_gamma(gamma, 1.0)
-    nodes, probs = helpers.packet_rule(1.0, 1.0, 12)
-    velocity = beta * np.array([np.sin(theta), 0.0, np.cos(theta)])
-    x, y, z, w = helpers.decimal_wigner(velocity, None, nodes, 1.0)[1].T
+    nodes, probs = helpers.packet_rule(1.0, 12)
+    tau = gamma * np.array([np.sin(theta), 0.0, np.cos(theta)])
+    x, y, z, w = helpers.decimal_wigner(tau, None, nodes, 1.0)[1].T
     dz = np.array([math.fsum(probs * 2.0 * (x * z + w * y)),
                    math.fsum(probs * 2.0 * (y * z - w * x)),
                    math.fsum(probs * -2.0 * (x * x + y * y))])
     expected = (-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(dz + (0.0, 0.0, 1.0))))
     p_error = sh.sweep_values(theta, gamma, 1.0, 12)["p_error"]
     assert p_error == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_row_at_gamma_1e4_matches_decimal_node_sum():
+    # The row --theta 1 --gamma 0.9999 (boost gamma ~ 1e4, whose float Lorentz
+    # matrix leaves the time axis by 8.0e-9) at tau = 0.9999 (sin 1, 0, cos 1)
+    # prints p_error 0.080030573913 and entropy_bits 0.402286910118 at n = 12: the
+    # same rule's values with every quaternion from the 40-digit oracle
+    row = sh.sweep_values(1.0, 0.9999, 1.0, 12)
+    d, _ = helpers.decimal_moments(0.9999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)]), 1.0, 12)
+    dz = d[:, 2]
+    p = (-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(dz + (0.0, 0.0, 1.0))))
+    assert row["p_error"] == pytest.approx(p, rel=1e-12, abs=0.0)
+    binary = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    assert row["entropy_bits"] == pytest.approx(binary, rel=1e-12, abs=0.0)
 
 
 def bloch_vector(rho):
@@ -217,12 +233,12 @@ def test_wigner_moments_bloch_matrix_matches_boosted_packet():
     for _ in range(5):
         velocity = RNG.normal(size=3)
         velocity *= RNG.uniform(0.2, 0.9) / np.linalg.norm(velocity)
-        lam = geo.boost_from_velocity(velocity)
+        tau, lam = helpers.boost(velocity)
         spinor = RNG.normal(size=2) + 1j * RNG.normal(size=2)
         packet = sh.gaussian_packet(0.8, 1.0, 8, spinor=spinor)
         before = bloch_vector(sh.reduced_spin_density(packet))
         after = bloch_vector(sh.reduced_spin_density(sh.boost_packet(lam, packet)))
-        d, _ = sh.wigner_moments(lam, 0.8, 1.0, 8)
+        d, _ = sh.wigner_moments(tau, 0.8, 8)
         np.testing.assert_allclose((np.eye(3) + d) @ before, after, atol=1e-13)
 
 
@@ -309,15 +325,15 @@ def test_spin_row_scratch_is_bounded_once_the_grid_is_cached():
 
 def test_pair_error_refined_grid_pin():
     beta = sh.beta_for_gamma(0.005, 1.0)
-    coarse = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 12)[2]
-    fine = sh.boosted_pair(1.0, 1.0, beta, np.pi / 2, 24)[2]
+    coarse = sh.boosted_pair(helpers.angle_boost(beta, np.pi / 2)[0], 1.0, 12)[2]
+    fine = sh.boosted_pair(helpers.angle_boost(beta, np.pi / 2)[0], 1.0, 24)[2]
     assert abs(coarse - fine) < 1e-7
     assert fine == pytest.approx(PAIR_ERROR_GAMMA_0005, rel=1e-4)
 
 
 def test_pair_error_exchange_symmetry():
     beta = sh.beta_for_gamma(0.3, 1.0)
-    tau_up, tau_down = sh.boosted_pair(1.0, 1.0, beta, 0.8, 8)[:2]
+    tau_up, tau_down = sh.boosted_pair(helpers.angle_boost(beta, 0.8)[0], 1.0, 8)[:2]
     assert qm.helstrom_error(tau_up, tau_down) == pytest.approx(
         qm.helstrom_error(tau_down, tau_up), abs=1e-10
     )
@@ -326,7 +342,7 @@ def test_pair_error_exchange_symmetry():
 def test_sharp_momentum_limit_entropy_vanishes():
     values = []
     for delta in (0.3, 0.1, 0.03):
-        tau, _ = sh.boosted_pair(delta, 1.0, 0.8, np.pi / 2, 10)[:2]
+        tau, _ = sh.boosted_pair(helpers.angle_boost(0.8, np.pi / 2)[0], delta, 10)[:2]
         values.append(qm.entropy(tau))
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-3
@@ -378,6 +394,15 @@ def test_entropy_sweep_convergence_flag():
     assert not row["converged"]
 
 
+def test_wigner_moments_refuse_tau_outside_the_unit_ball():
+    # tau = tanh(xi/2) n lies inside the unit ball: |tau| = 1 is the speed of light
+    for tau in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, math.nan, 0.0)):
+        with pytest.raises(ValueError, match=r"\|tau\| = tanh\(xi/2\) < 1"):
+            sh.wigner_moments(tau, 1.0, 4)
+    with pytest.raises(ValueError, match="delta/m > 0"):
+        sh.wigner_moments((0.0, 0.0, 0.5), 0.0, 4)
+
+
 def test_mass_mismatch_rejected():
     psi = sh.gaussian_packet(0.5, 1.0, 4)
     with pytest.raises(ValueError, match="mass"):
@@ -388,15 +413,15 @@ def test_mass_mismatch_rejected():
 def test_identity_boost_rows_are_exactly_zero(n):
     # Gamma = 0 is the identity boost: every W_n of the unfolded rule is I,
     # and the moments D and s are exactly 0, so the pair error and the entropy
-    # are 0, from the sweep row and from boosted_pair at beta = 0.
+    # are 0, from the sweep row and from boosted_pair at tau = 0.
     for theta in (0.0, 0.7):
         row = sh.sweep_values(theta, 0.0, 1.0, n)
         assert row["p_error"] == 0.0 and row["entropy_bits"] == 0.0
-    assert np.all(helpers.unfolded_kernel(np.eye(4), 1.0, 1.0, n)[1] == np.eye(3))
+    assert np.all(helpers.unfolded_kernel(np.eye(4), 1.0, n)[1] == np.eye(3))
     for convention in (Measure.PLAIN, Measure.INVARIANT):
-        d, s = sh.wigner_moments(np.eye(4), 1.0, 1.0, n, convention)
+        d, s = sh.wigner_moments((0.0, 0.0, 0.0), 1.0, n, convention)
         assert s == 0.0 and np.all(d == 0.0)
-    p_error = sh.boosted_pair(1.0, 1.0, 0.0, 0.0, n)[2]
+    p_error = sh.boosted_pair((0.0, 0.0, 0.0), 1.0, n)[2]
     assert p_error == 0.0
     assert qm.entropy(np.diag([1.0 - p_error, p_error])) == 0.0
 

@@ -31,8 +31,9 @@ CONVERGENCE_HEADER = (
     "observable,nodes_per_axis,grid_nodes,value,refined_value,rel_delta,converged"
 )
 MAX_ROWS = 100_000  # the most values of a min:max:step range, and the most rows of a sweep
-# the most nodes per axis: numpy's 1-D rules break down far below it (Gauss-Hermite from 371
-# nodes, Gauss-Laguerre from 187), and a 2000-node companion matrix is 32 MB
+# the most nodes per axis: the smallest weight of a 1-D rule underflows far below it
+# (Gauss-Hermite from 389 nodes, Gauss-Laguerre from 196), and the O(n^2) rule build
+# takes about 1 s at 1000 nodes
 MAX_RESOLUTION = 1000
 
 

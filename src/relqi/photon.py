@@ -288,9 +288,9 @@ def _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, speeds):
     moving at speed v along z, aberration gives 1 -+ cos theta' =
     (1 +- v)(|k| -+ k_z) / (|k| - v k_z), and |k| - k_z = k_r^2 / (|k| + k_z):
     every mean sums positive terms.
-    Raises NumericalError when numpy's Laguerre weights fail (about 190 nodes)
-    and, before any node is squared, when the outermost |k|^2 overflows or
-    the innermost k_z^2 is below the normal floats.
+    Raises NumericalError when the smallest Laguerre weight underflows
+    (from 196 nodes) and, before any node is squared, when the outermost
+    |k|^2 overflows or the innermost k_z^2 is below the normal floats.
     """
     if any(abs(v) >= 1.0 for v in speeds):
         raise ValueError("observer speed must satisfy |v| < 1")

@@ -122,10 +122,11 @@ def _packet_blocks(delta, nodes_per_axis, convention, axes):
     the mass w_i w_j w_k (over sqrt(1 + |q|^2) if INVARIANT), its
     probability times one factor.  Along each axis in `axes` only x >= 0 is
     kept and the 1-D weights double where x > 0: the masses sum any f even
-    under those reflections as the full rule does.  Every array is
-    O(block + n).  Raises NumericalError, before any node is formed, when
-    the rule folds but is not mirror-symmetric or its largest |q|^2
-    overflows (too wide).
+    under those reflections as the full rule does; the 1-D rule is exactly
+    mirror-symmetric by construction (wavepacket._gauss_rule), and checked
+    here in O(n).  Every array is O(block + n).  Raises NumericalError,
+    before any node is formed, when the rule folds but is not
+    mirror-symmetric or its largest |q|^2 overflows (too wide).
     """
     x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     if axes and not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):

@@ -15,20 +15,23 @@ Two measure conventions are supported and recorded on every grid:
 Quadrature sums use numpy's fixed (pairwise) reduction order, so a given
 grid and integrand give bit-identical results on every run.
 
-The 1-D Gauss rules are built once per node count (`_gauss_rule`) and are
-the only rules cached: `gauss_grid` builds its n^3 tensor grid from them
-on every call, the photon beam rule reads them, and the massive-spin
-kernel streams its folded 3-D rule from them block by block
-(spin_half._packet_blocks) without building the grid, its probabilities
-products of the 1-D weights and the packet width in its nodes only.  No
-convergence check lives here: whether a value has converged (recomputed at
-twice the nodes per axis) is decided by one rule in `relqi.cli`.
+The 1-D Gauss-Hermite and Gauss-Laguerre rules are built once per node
+count (`_gauss_rule`), by Golub-Welsch in the standard library's `math`
+with no LAPACK eigen-solve, and are the only rules cached: `gauss_grid`
+builds its n^3 tensor grid from them on every call, the photon beam rule
+reads them, and the massive-spin kernel streams its folded 3-D rule from
+them block by block (spin_half._packet_blocks) without building the grid,
+its probabilities products of the 1-D weights and the packet width in its
+nodes only.  No convergence check lives here: whether a value has
+converged (recomputed at twice the nodes per axis) is decided by one rule
+in `relqi.cli`.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,23 +120,86 @@ class MomentumGrid:
         return np.sqrt(self.mass * self.mass + np.sum(self.nodes * self.nodes, axis=1))
 
 
-_GAUSS_RULES = {
-    "Gauss-Hermite": np.polynomial.hermite.hermgauss,
-    "Gauss-Laguerre": np.polynomial.laguerre.laggauss,
+# The symmetric Jacobi matrix of each family's three-term recurrence at n nodes: its
+# diagonal, its off-diagonal and mu0, the integral of the weight function.
+_JACOBI_MATRICES = {
+    "Gauss-Hermite": lambda n: ([0.0] * n, [math.sqrt(0.5 * k) for k in range(1, n)],
+                                math.sqrt(math.pi)),
+    "Gauss-Laguerre": lambda n: ([2.0 * k + 1.0 for k in range(n)],
+                                 [float(k) for k in range(1, n)], 1.0),
 }
+
+
+def _golub_welsch(diag, off, mu0):
+    """Ascending nodes and weights of the Gauss rule of a symmetric Jacobi matrix.
+
+    Golub & Welsch, Math. Comp. 23, 221 (1969): the nodes are the
+    eigenvalues of the matrix, and each weight is mu0 times the square of
+    the first component of its unit eigenvector.  The eigenvalues come from
+    implicit QL with Wilkinson shifts (tqli of Numerical Recipes), whose
+    plane rotations are applied to the first row of the eigenvector matrix
+    only: O(n) memory and O(n^2) time.  Raises NumericalError when an
+    eigenvalue is not found in 30 iterations.
+    """
+    n = len(diag)
+    d, e, z = list(diag), list(off) + [0.0], [1.0] + [0.0] * (n - 1)
+    for l in range(n):
+        for _ in range(30):
+            m = l  # the matrix splits below the first negligible off-diagonal entry from l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0.0:  # f = g = 0 after an underflow: split here and sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
+            else:
+                d[l] -= p
+                e[l], e[m] = g, 0.0
+        else:
+            raise NumericalError(f"QL finds no eigenvalue of the {n}-node Jacobi matrix")
+    pairs = sorted(zip(d, z))
+    return [x for x, _ in pairs], [mu0 * v * v for _, v in pairs]
 
 
 @functools.lru_cache(maxsize=8)
 def _gauss_rule(name: str, nodes_per_axis: int):
-    """Read-only nodes and weights of numpy's `name` rule, built once per node count.
+    """Read-only nodes and weights of the `name` rule, built once per node count.
 
-    Raises NumericalError when a weight is not finite and positive, as the
-    Gauss-Laguerre weights are from 187 nodes.
+    Golub-Welsch on the family's Jacobi matrix.  The Gauss-Hermite rule is
+    mirrored exactly, x -> (x - x reversed)/2 and w -> (w + w reversed)/2,
+    so that folding it over x -> -x is exact.  Raises NumericalError when a
+    weight is not finite and positive, as when the smallest weight
+    underflows: Gauss-Hermite from 389 nodes, Gauss-Laguerre from 196.
     """
-    with np.errstate(all="ignore"):
-        x, w = _GAUSS_RULES[name](nodes_per_axis)
-    if not np.all(np.isfinite(w) & (w > 0.0)):
+    if nodes_per_axis < 1:
+        raise ValueError("nodes_per_axis must be >= 1")
+    x, w = _golub_welsch(*_JACOBI_MATRICES[name](nodes_per_axis))
+    if name == "Gauss-Hermite":
+        x = [0.5 * (a - b) for a, b in zip(x, reversed(x))]
+        w = [0.5 * (a + b) for a, b in zip(w, reversed(w))]
+    if not all(0.0 < v < math.inf for v in w):
         raise NumericalError(f"the {name} rule breaks down at {nodes_per_axis} nodes")
+    x, w = np.array(x), np.array(w)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -163,8 +229,6 @@ def gauss_grid(
     so that sum_i w_i g(k_i) approximates the integral of g under the
     declared measure for integrands with the target envelope.
     """
-    if nodes_per_axis < 1:
-        raise ValueError("nodes_per_axis must be >= 1")
     x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     axes_nodes = []
     axes_weights = []

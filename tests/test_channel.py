@@ -64,6 +64,25 @@ def test_certify_reports():
     assert set(rep) == {"is_cp", "is_tp", "min_choi_eig"}
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.2, 1.0, 2.0])
+def test_certify_spectrum_matches_the_choi_eigen_solve(gamma):
+    # certify reads the Choi spectrum from the Kraus Gram matrix, diagonal up to the
+    # rounding of its complex products; is_completely_positive solves the Choi matrix itself
+    kraus = ch.decoherence_channel(gamma).kraus_operators()
+    gram = np.array([[np.vdot(a, b) for b in kraus] for a in kraus])
+    np.testing.assert_allclose(gram - np.diag(np.diag(gram)), 0.0, rtol=0.0, atol=1e-15)
+    spectrum = np.sort([*np.diag(gram).real, 0.0])
+    choi = qm.hermitize(qm.choi_matrix(ch.decoherence_channel(gamma)))
+    np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(choi), rtol=0.0, atol=1e-15)
+    exact = np.sort([2 - gamma**2 / 2, gamma**2 / 4, gamma**2 / 4, 0.0])
+    np.testing.assert_allclose(spectrum, exact, rtol=0.0, atol=1e-15)
+    rep = ch.certify(gamma)
+    is_cp, min_eig = qm.is_completely_positive(ch.decoherence_channel(gamma))
+    assert rep["is_cp"] is is_cp
+    assert rep["min_choi_eig"] == 0.0
+    assert abs(rep["min_choi_eig"] - min_eig) <= 1e-15
+
+
 def test_transpose_negative_control():
     ok, min_eig = qm.is_completely_positive(helpers.transpose_map())
     assert not ok and min_eig < -0.5

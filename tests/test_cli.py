@@ -187,8 +187,8 @@ def test_photon_density_memory_bounded(tmp_path):
 
 
 def test_photon_density_rule_breakdown_exits_3(capsys):
-    assert cli.run(["photon-density", "--resolution", "95", "--out", "-"]) == 3
-    assert "Gauss-Laguerre rule breaks down at 190 nodes" in capsys.readouterr().err
+    assert cli.run(["photon-density", "--resolution", "98", "--out", "-"]) == 3
+    assert "Gauss-Laguerre rule breaks down at 196 nodes" in capsys.readouterr().err
 
 
 def test_channel_audit_json(tmp_path):
@@ -406,10 +406,10 @@ def test_failed_rows_say_why(tmp_path, capsys):
     (["entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.9999999999999",
       "--resolution", "4"], 1,
      "0.5,1,0.823373343987,1,64,false", None),
-    # numpy's Gauss-Laguerre weights are not finite at the 190-node refinement
-    (["photon-distinguish", "--dr", "1", "--resolution", "95"], 1,
-     "100,1,0.1,0,nan,2.5e-05,857375,false",
-     "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 190 nodes"),
+    # the smallest Gauss-Laguerre weight underflows at the 196-node refinement
+    (["photon-distinguish", "--dr", "1", "--resolution", "98"], 1,
+     "100,1,0.1,0,nan,2.5e-05,941192,false",
+     "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 196 nodes"),
 ], ids=["spin-coarse", "photon", "entangle", "photon-laguerre"])
 def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, code, csv_row, reason):
     # a failed row prints nan and its reason; a row with no reason computes
@@ -623,6 +623,14 @@ def test_cli_import_loads_no_thread_pool():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_numpy_polynomial():
+    # the Gauss rules are built in the standard library
+    probe = "import sys, relqi.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_numerical_failure_exits_3_and_a_failed_row_exits_1():
     env = _fresh_env()
 
@@ -630,16 +638,16 @@ def test_numerical_failure_exits_3_and_a_failed_row_exits_1():
         return subprocess.run([sys.executable, "-m", "relqi", *argv, "--out", "-"], env=env,
                               capture_output=True, text=True)
 
-    out = relqi("doppler", "--v", "0.5", "--resolution", "95")
+    out = relqi("doppler", "--v", "0.5", "--resolution", "98")
     assert out.returncode == 3
     assert out.stderr == (
-        "relqi: numerical failure: the Gauss-Laguerre rule breaks down at 190 nodes\n"
+        "relqi: numerical failure: the Gauss-Laguerre rule breaks down at 196 nodes\n"
     )
     assert out.stdout == ""
-    out = relqi("photon-distinguish", "--dr", "1", "--resolution", "95")
+    out = relqi("photon-distinguish", "--dr", "1", "--resolution", "98")
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
-    assert out.stdout.split("\n")[1] == "100,1,0.1,0,nan,2.5e-05,857375,false"
+    assert out.stdout.split("\n")[1] == "100,1,0.1,0,nan,2.5e-05,941192,false"
 
 
 def test_paraxial_warning_is_printed_for_each_beam():

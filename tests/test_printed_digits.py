@@ -110,3 +110,19 @@ def test_photon_density_entries():
                 assert im[i][j] == pytest.approx(0.5 * c * (i - j), rel=REL, abs=0.0)
             else:
                 assert im[i][j] == 0.0
+
+
+def test_photon_distinguish_at_a_190_node_refinement():
+    # --resolution 95 refines on 190 Gauss-Laguerre nodes
+    (row,) = _csv_rows(["photon-distinguish", "--dr", "1", "--resolution", "95"])
+    assert row["converged"] == "true"
+    assert float(row["p_error"]) == pytest.approx(pair_error(1.0, 0.0), rel=REL, abs=0.0)
+
+
+def test_doppler_at_a_190_node_refinement():
+    report = json.loads(_printed(["doppler", "--v", "0.5", "--resolution", "95"]))
+    assert report["converged"] is True
+    rest, boosted = pair_error(1.0, 0.0), pair_error(1.0, 0.5)
+    assert report["pe_rest"] == pytest.approx(rest, rel=REL, abs=0.0)
+    assert report["pe_boosted"] == pytest.approx(boosted, rel=REL, abs=0.0)
+    assert report["ratio"] == pytest.approx(boosted / rest, rel=REL, abs=0.0)

@@ -249,18 +249,18 @@ def grid_builds(monkeypatch):
     Counted from an empty 1-D rule cache.
     """
     built = {"grids": [], "rules": []}
-    real_grid, real_rule = sh.gauss_grid, wp._GAUSS_RULES["Gauss-Hermite"]
+    real_grid, real_matrix = sh.gauss_grid, wp._JACOBI_MATRICES["Gauss-Hermite"]
 
     def counting_grid(spec, nodes_per_axis, *args, **kwargs):
         built["grids"].append(nodes_per_axis)
         return real_grid(spec, nodes_per_axis, *args, **kwargs)
 
-    def counting_rule(nodes_per_axis):
+    def counting_matrix(nodes_per_axis):
         built["rules"].append(nodes_per_axis)
-        return real_rule(nodes_per_axis)
+        return real_matrix(nodes_per_axis)
 
     monkeypatch.setattr(sh, "gauss_grid", counting_grid)
-    monkeypatch.setitem(wp._GAUSS_RULES, "Gauss-Hermite", counting_rule)
+    monkeypatch.setitem(wp._JACOBI_MATRICES, "Gauss-Hermite", counting_matrix)
     wp._gauss_rule.cache_clear()
     yield built
     wp._gauss_rule.cache_clear()

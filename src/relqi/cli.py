@@ -32,8 +32,9 @@ CONVERGENCE_HEADER = (
 )
 MAX_ROWS = 100_000  # the most values of a min:max:step range, and the most rows of a sweep
 # the most nodes per axis: the smallest weight of a 1-D rule underflows far below it
-# (Gauss-Hermite from 389 nodes, Gauss-Laguerre from 196), and the O(n^2) rule build
-# takes about 1 s at 1000 nodes
+# (Gauss-Hermite from 389 nodes, Gauss-Laguerre from 196), and the O(n^2) rule build,
+# paid once per process and node count even when the rule breaks down, takes about 1 s
+# at 1000 nodes
 MAX_RESOLUTION = 1000
 
 

@@ -17,7 +17,8 @@ grid and integrand give bit-identical results on every run.
 
 The 1-D Gauss-Hermite and Gauss-Laguerre rules are built once per node
 count (`_gauss_rule`), by Golub-Welsch in the standard library's `math`
-with no LAPACK eigen-solve, and are the only rules cached: `gauss_grid`
+with no LAPACK eigen-solve, and are the only rules cached, a rule that
+breaks down as its reason (`_gauss_outcome`): `gauss_grid`
 builds its n^3 tensor grid from them on every call, the photon beam rule
 reads them, and the massive-spin kernel streams its folded 3-D rule from
 them block by block (spin_half._packet_blocks) without building the grid,
@@ -182,6 +183,24 @@ def _golub_welsch(diag, off, mu0):
 
 
 @functools.lru_cache(maxsize=8)
+def _gauss_outcome(name: str, nodes_per_axis: int):
+    """The read-only nodes and weights of the `name` rule, or the reason it breaks down.
+
+    lru_cache keeps no exception, so a rule that breaks down is cached as
+    its reason, and each node count is built once per process either way.
+    """
+    x, w = _golub_welsch(*_JACOBI_MATRICES[name](nodes_per_axis))
+    if name == "Gauss-Hermite":
+        x = [0.5 * (a - b) for a, b in zip(x, reversed(x))]
+        w = [0.5 * (a + b) for a, b in zip(w, reversed(w))]
+    if not all(0.0 < v < math.inf for v in w):
+        return f"the {name} rule breaks down at {nodes_per_axis} nodes"
+    x, w = np.array(x), np.array(w)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_rule(name: str, nodes_per_axis: int):
     """Read-only nodes and weights of the `name` rule, built once per node count.
 
@@ -193,16 +212,10 @@ def _gauss_rule(name: str, nodes_per_axis: int):
     """
     if nodes_per_axis < 1:
         raise ValueError("nodes_per_axis must be >= 1")
-    x, w = _golub_welsch(*_JACOBI_MATRICES[name](nodes_per_axis))
-    if name == "Gauss-Hermite":
-        x = [0.5 * (a - b) for a, b in zip(x, reversed(x))]
-        w = [0.5 * (a + b) for a, b in zip(w, reversed(w))]
-    if not all(0.0 < v < math.inf for v in w):
-        raise NumericalError(f"the {name} rule breaks down at {nodes_per_axis} nodes")
-    x, w = np.array(x), np.array(w)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    outcome = _gauss_outcome(name, nodes_per_axis)
+    if isinstance(outcome, str):
+        raise NumericalError(outcome)
+    return outcome
 
 
 def ensure_same_grid(a: MomentumGrid, b: MomentumGrid) -> None:

@@ -176,7 +176,7 @@ def test_consistency_distance_matches_thomas_wigner_oracle(gamma, theta):
 def test_first_consistency_check_memory_is_bounded():
     # the n = 40 rule is streamed in kernel blocks from the 1-D rule: no grid
     # is built or cached
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
     tracemalloc.start()
     try:
         distance = ch.consistency_check(0.2, 0.5, 40)

@@ -491,6 +491,10 @@ KERNEL = "momenta too large for floats in the Wigner kernel"
      {"concurrence": "1", "entropy_of_marginal_bits": "1", "converged": "true"}),
     # at theta = 0 the distance is of order Gamma^4 ~ 1e-440
     (["channel-audit", "--gamma", "1e-110"], 0, "", {"trace_distance": 0.0}),
+    # gamma ~ 1900: the row takes its boost as tanh(xi/2) n, not as a float Lorentz matrix
+    (["spin-entropy", "--theta", "0.9", "--gamma", "0.99947"], 0, "", {"converged": "true"}),
+    # gamma = 2 is the last completely positive decoherence channel
+    (["channel-audit", "--gamma", "2"], 0, "", {"is_cp": True}),
     # p_error ~ Gamma^2 (sin^2 + 2 cos^2)/8 = 1.4e-321 and entropy_bits are subnormal
     (["spin-entropy", "--theta", "1.2", "--gamma", "1e-160", "--delta-over-m", "1e-150"], 1,
      f"relqi: row theta=1.2 gamma=1e-160: entropy_bits {UNDERFLOW}\n",
@@ -521,13 +525,15 @@ KERNEL = "momenta too large for floats in the Wigner kernel"
     (["doppler", "--kA", "100", "--dr", "1e-200", "--dz", "0.1", "--v", "0.5"], 3,
      "relqi: numerical failure: ratio is not finite (nan)\n", None),
 ], ids=["spin-1e-110", "spin-subnormal", "spin-1e-170", "entangle-1e-110", "channel-1e-110",
+        "spin-gamma-1900", "channel-cp-boundary",
         "spin-underflow", "spin-too-wide", "entangle-too-wide", "spin-kernel-overflow",
         "photon-distinguish-huge-kA", "doppler-csv-huge-kA", "doppler-json-huge-kA",
         "photon-density-huge-kA", "photon-distinguish-tiny-kA",
         "photon-distinguish-closed-form-overflow", "doppler-json-ratio-nan"])
 def test_row_at_the_edge_of_floats_computes_or_says_why(capsys, argv, code, err, printed):
-    # a numpy RuntimeWarning is an error here, as in the CLI runs of CI; a
-    # value that computes matches the oracle in its comment to every printed digit
+    # a numpy RuntimeWarning is an error here (pyproject.toml's filterwarnings); a
+    # printed digit matches the oracle in its input's comment, and an input whose
+    # digits have no oracle yet pins only that it computes
     assert cli.run(argv + ["--out", "-"]) == code
     captured = capsys.readouterr()
     assert captured.err == err

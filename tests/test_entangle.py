@@ -184,7 +184,7 @@ def test_first_sweep_row_memory_is_bounded():
     # from the 1-D rules in kernel blocks (3.8 MB when the first row built,
     # cached and folded both grids)
     args = helpers.row_args(16)
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
     tracemalloc.start()
     try:
         row = cli._sweep_row(args, "entangle-sweep", {"delta_over_m": 0.5, "beta": 0.9})

@@ -1,13 +1,17 @@
 """Golden outputs: relqi prints the same bytes for every pinned invocation.
 
 tests/golden/cases.json lists each case's argv, exit code and stderr; its
-stdout is tests/golden/<case>.stdout.  The cases are every subcommand at
-its defaults, the four seed-0 benchmark invocations (their flags come from
-bench/workloads.py), the pinned failures, and the report branches that the
-defaults leave out (a zero gamma, a witness that does not fire, helicity -1
-and a single-speed doppler JSON).  A golden file is edited only
+stdout is tests/golden/<case>.stdout, and every such file names a case.
+The cases are every subcommand at its defaults, the four seed-0 benchmark
+invocations (their flags come from bench/workloads.py), the pinned
+failures, the rows that compute just below a rule's breakdown (photon
+rows refined on 190 Gauss-Laguerre nodes), and the report branches that
+the defaults leave out (a zero gamma, a witness that does not fire,
+helicity -1 and a single-speed doppler JSON).  A golden file is edited only
 when a printed value changes, with the change listed in CHANGES.md beside
-an oracle value, and never to make a defect pass.
+an oracle value, and never to make a defect pass.  This file and
+tests/test_cli.py import no scipy: CI also runs them where relqi is
+installed without its test extra.
 
 Values that are only rounding noise are compared by rule, not byte for
 byte: the photon rel_delta of `convergence` (2.71e-16, two equal sums),
@@ -74,6 +78,11 @@ def test_output_matches_the_golden_file(name):
             assert abs(g - w) <= ABS_NOISE, (stream, g, w)
 
 
+def test_every_golden_file_names_a_case():
+    # an orphan file would never be compared
+    assert sorted({path.stem for path in GOLDEN.glob("*.stdout")} - set(CASES)) == []
+
+
 @pytest.mark.parametrize("name", ["bench-spin", "bench-doppler", "bench-channel"])
 def test_spin_photon_and_channel_paths_call_no_eigen_solver(monkeypatch, name):
     # the Gauss rules come from a QL sweep in the standard library, and the channel
@@ -83,7 +92,7 @@ def test_spin_photon_and_channel_paths_call_no_eigen_solver(monkeypatch, name):
 
     for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver, refuse)
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
     case = CASES[name]
     assert _run(case["argv"]) == (
         case["exit"], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), case["stderr"])

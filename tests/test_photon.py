@@ -375,13 +375,13 @@ def test_packet_validation():
 
 def test_gauss_rules_are_built_once_per_node_count():
     # one cache, in wavepacket, serves the photon rules and gauss_grid
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
     first = ph.circular_pair_error(100.0, 0.1, 1.0, 12, 0.5)
     assert ph.circular_pair_error(100.0, 0.1, 1.0, 12, 0.5) == first
-    info = wp._gauss_rule.cache_info()
+    info = wp._gauss_outcome.cache_info()
     assert (info.misses, info.hits) == (2, 2)
     gauss_grid(GaussianSpec.isotropic(1.0), 12, Measure.PLAIN)
-    info = wp._gauss_rule.cache_info()
+    info = wp._gauss_outcome.cache_info()
     assert (info.misses, info.hits) == (2, 3)
     for name in ("Gauss-Hermite", "Gauss-Laguerre"):
         x, w = wp._gauss_rule(name, 12)

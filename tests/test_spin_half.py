@@ -261,9 +261,9 @@ def grid_builds(monkeypatch):
 
     monkeypatch.setattr(sh, "gauss_grid", counting_grid)
     monkeypatch.setitem(wp._JACOBI_MATRICES, "Gauss-Hermite", counting_matrix)
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
     yield built
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
 
 
 def test_sweep_builds_one_grid_per_resolution(grid_builds):
@@ -274,6 +274,17 @@ def test_sweep_builds_one_grid_per_resolution(grid_builds):
             for theta in np.linspace(0.0, np.pi, 16) for gamma in (0.0, 0.25, 0.5)]
     assert len(rows) == 48
     assert grid_builds == {"grids": [], "rules": [12, 24]}
+
+
+def test_a_rule_that_breaks_down_is_built_once(grid_builds):
+    # lru_cache keeps no exception: the breakdown is cached as its reason
+    args = helpers.row_args(389, no_convergence=True)
+    rows = [cli._sweep_row(args, "spin-entropy",
+                           {"theta": theta, "gamma": 0.1, "delta_over_m": 1.0})
+            for theta in (0.0, 0.5, 1.0)]
+    assert [row["error"] for row in rows] == [
+        "the Gauss-Hermite rule breaks down at 389 nodes"] * 3
+    assert grid_builds["rules"] == [389]
 
 
 def test_spin_row_memory_bounded():
@@ -294,7 +305,7 @@ def test_first_spin_row_memory_is_bounded():
     # 1-D rules in kernel blocks: no grid is built or cached (45.6 MB when the
     # first row built, cached and folded both grids).
     args = helpers.row_args(40)
-    wp._gauss_rule.cache_clear()
+    wp._gauss_outcome.cache_clear()
     tracemalloc.start()
     try:
         row = cli._sweep_row(args, "spin-entropy",

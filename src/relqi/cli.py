@@ -464,7 +464,7 @@ def run(argv) -> int:
         _apply_config(args, subparsers[args.command])
         _validate(args)
         return _COMMANDS[args.command](args)
-    except wavepacket.NUMERICAL_FAILURES as exc:
+    except wavepacket.NumericalError as exc:
         print(f"relqi: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

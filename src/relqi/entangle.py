@@ -10,14 +10,15 @@ concurrence of the 4x4 spin-spin reduction.
 Sweeps never build the (n1, n2) pair amplitude or a Lorentz matrix.  For
 the singlet times a product of identical Gaussian profiles, the boosted
 spin-spin state is fixed by the Bloch matrix T = sum_n p_n W_n of one
-particle: its correlation tensor is -T T^T and its marginals stay
-maximally mixed.  T and the concurrence (|T|_F^2 - 1)/2 are short
-functions of the moments (D, s) of spin_half.wigner_moments on the
-INVARIANT grid, so a sweep row costs O(N) time and O(block + n) memory in
-the N = n^3 nodes of one particle's grid, not O(N^2); the z boost
-tau = (0, 0, tanh(xi/2)) of a row evaluates W_n on a quarter of them, one
-node per mirror orbit.  `sweep_values` returns the values of one sweep row
-at one resolution; the n/2n convergence check is made in `relqi.cli`.
+particle: its correlation tensor is -T T^T and its marginals stay I/2,
+one bit with no eigen-solve (sweep_values).  T and the concurrence
+(|T|_F^2 - 1)/2 are short functions of the moments (D, s) of
+spin_half.wigner_moments on the INVARIANT grid, so a sweep row costs O(N)
+time and O(block + n) memory in the N = n^3 nodes of one particle's grid,
+not O(N^2); the z boost tau = (0, 0, tanh(xi/2)) of a row evaluates W_n
+on a quarter of them, one node per mirror orbit.  `sweep_values` returns
+the values of one sweep row at one resolution; the n/2n convergence check
+is made in `relqi.cli`.
 """
 
 from __future__ import annotations
@@ -144,8 +145,12 @@ def boosted_singlet(tau, delta_over_m: float, nodes_per_axis: int = DEFAULT_NODE
 
 
 def sweep_values(delta_over_m: float, beta: float, nodes_per_axis: int) -> dict:
-    """Concurrence and marginal entropy of the singlet at (delta/m, beta), boosted along z."""
+    """Concurrence and marginal entropy of the singlet at (delta/m, beta), boosted along z.
+
+    The marginal entropy is exactly one bit: every Pauli matrix is
+    traceless, so tracing either spin out of (I - sum_kl C_kl sigma_k (x)
+    sigma_l)/4 leaves I/2 for any correlation tensor C.
+    """
     tau = (0.0, 0.0, spin_half.tanh_half_rapidity(beta))
-    conc, rho = boosted_singlet(tau, delta_over_m, nodes_per_axis)
-    marginal = qmatrix.partial_trace(rho, (2, 2), side="right")
-    return {"concurrence": conc, "entropy_of_marginal_bits": qmatrix.entropy(marginal)}
+    conc, _ = boosted_singlet(tau, delta_over_m, nodes_per_axis)
+    return {"concurrence": conc, "entropy_of_marginal_bits": 1.0}

@@ -12,9 +12,9 @@ in one per-node function.  For a pure boost the map is fixed by
 tau = tanh(xi/2) n alone: boost_quaternions takes tau, with no Lorentz
 matrix, and spin_half.wigner_moments sums the Bloch matrix
 T = sum_n p_n W_n of a packet rule from its quaternions.  For a general L,
-wigner_quaternion_map splits L once into a pure boost and a rotation,
-checks the split and composes the map with the rotation;
-wigner_rotation_batch and wigner_su2_batch apply it to explicit momenta.
+wigner_quaternion_map splits L into a pure boost and a rotation, checks
+the split and applies the map, composed with the rotation, to explicit
+momenta; wigner_rotation_batch and wigner_su2_batch read its quaternions.
 The 4x4 matrix product is kept only as a test oracle.
 """
 
@@ -228,15 +228,14 @@ def boost_quaternions(tau, momenta) -> np.ndarray:
     return _quaternions(_thomas_map(1.0, tau), momenta, 1.0)[1]
 
 
-def wigner_quaternion_map(lam: np.ndarray, mass: float):
-    """The Wigner quaternions of `lam`, as a function of momenta.
+def wigner_quaternion_map(lam: np.ndarray, momenta, mass: float):
+    """The Wigner quaternions of `lam` at (b, 3) momenta q_n.
 
-    Returns a function of one (b, 3) array of momenta q_n that gives
-    (p4, u): the (b, 4) transported four-momenta p_n = L q_n and the (4, b)
-    unit quaternions, rows (x, y, z, w), of the spatial blocks W_n of the
-    little-group elements B(p_n)^{-1} L B(q_n).
+    Returns (p4, u): the (b, 4) transported four-momenta p_n = L q_n and
+    the (4, b) unit quaternions, rows (x, y, z, w), of the spatial blocks
+    W_n of the little-group elements B(p_n)^{-1} L B(q_n).
 
-    `lam` is split once, here, into B R, with B the pure boost along its
+    `lam` is split into B R, with B the pure boost along its
     time column and R a rotation, so that W(L, q) = W(B, R q) R.  With
     A(q) ~ E + m + q.sigma the spinor image of B(q) and A(B) ~ c0 + c.sigma
     (c0 = gamma + 1, c = gamma beta), A(B) A(R q) = x0 + (xr + i xi).sigma
@@ -249,8 +248,8 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
 
     Raises ValueError for a `lam` that is improper or not orthochronous and
     NumericalError when B^{-1} L leaves the time axis beyond 1e-9, both
-    before any node is evaluated; the function raises NumericalError when a
-    node is off shell or its arithmetic overflows (too large for floats).
+    before any node is evaluated, and NumericalError when a node is off
+    shell or its arithmetic overflows (too large for floats).
     """
     lam = np.asarray(lam, dtype=float)
     if not (np.linalg.det(lam) > 0.0 and lam[0, 0] >= 1.0 - 1e-12):
@@ -269,23 +268,19 @@ def wigner_quaternion_map(lam: np.ndarray, mass: float):
     # columns 0-2 are A, column 3 is b
     linear = compose @ _thomas_map(boost[0, 0] + 1.0, boost[1:, 0])
     linear[:, :3] = linear[:, :3] @ rot
-
-    def wigner(momenta):
-        q4, u = _quaternions(linear, momenta, mass)
-        p4 = q4 @ lam.T
-        _require_on_shell(p4, mass)
-        return p4, u
-
-    return wigner
+    q4, u = _quaternions(linear, momenta, mass)
+    p4 = q4 @ lam.T
+    _require_on_shell(p4, mass)
+    return p4, u
 
 
 def wigner_rotation_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     """Little-group rotations W = B(Lp)^{-1} L B(p) of (n, 3) momenta, as 3x3 matrices.
 
     Returns (p4_out, W): the (n, 4) transported four-momenta and the
-    (n, 3, 3) rotations of wigner_quaternion_map(lam, mass), with its checks.
+    (n, 3, 3) rotations of wigner_quaternion_map, with its checks.
     """
-    p4, quats = wigner_quaternion_map(lam, mass)(momenta)
+    p4, quats = wigner_quaternion_map(lam, momenta, mass)
     return p4, quaternion_rotations(quats.T)
 
 
@@ -295,10 +290,10 @@ def wigner_su2_batch(lam: np.ndarray, momenta: np.ndarray, mass: float):
     Returns (p4_out, U) where p4_out is the (n, 4) array of transported
     four-momenta and U the (n, 2, 2) stack of SU(2) Wigner rotations
     evaluated at the incoming momenta.  U is built from the quaternions of
-    wigner_quaternion_map(lam, mass), divided by their norm with the sign
-    that makes w >= 0, as rotations_to_su2 does.
+    wigner_quaternion_map, divided by their norm with the sign that makes
+    w >= 0, as rotations_to_su2 does.
     """
-    p4, quats = wigner_quaternion_map(lam, mass)(momenta)
+    p4, quats = wigner_quaternion_map(lam, momenta, mass)
     quats = quats.T
     norms = np.copysign(np.linalg.norm(quats, axis=1), quats[:, 3])
     return p4, _quaternion_su2(quats / norms[:, None])

@@ -110,7 +110,9 @@ class PhotonPacket:
 
 
 def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):
-    """Gauss-Hermite nodes k_mean + delta_z t and weights along a beam, after its checks."""
+    """Gauss-Hermite nodes k_mean + delta_z t and weights along a beam, after its checks.
+    k_mean > 5 delta_z keeps them forward up to 17 nodes (outermost t 4.87; 5.05 at 18):
+    a node at k_z <= 0 raises NumericalError."""
     if k_mean <= 0.0 or delta_z <= 0.0 or delta_r <= 0.0:
         raise ValueError("k_mean and widths must be positive")
     if k_mean <= 5.0 * delta_z:
@@ -126,7 +128,8 @@ def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: in
     t, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
     k_z = k_mean + delta_z * t
     if np.any(k_z <= 0.0):
-        raise ValueError("beam grid reaches zero or backward momenta")
+        raise NumericalError(
+            f"beam grid reaches zero or backward momenta at {nodes_per_axis} nodes")
     return k_z, w
 
 
@@ -139,8 +142,8 @@ def gaussian_beam(
 ) -> PhotonPacket:
     """Cylindrical Gaussian beam along +z in the circular state `helicity` +-1.
 
-    Requires k_mean > 5 delta_z so the grid stays in the forward cone; a
-    beam with k_mean < 5 delta_r triggers a warning (the paraxial picture
+    Requires k_mean > 5 delta_z, which keeps nodes forward only up to 17 per
+    axis (_beam_axis); k_mean < 5 delta_r warns (the paraxial picture
     degrades).  Raises ValueError unless `helicity` is +1 or -1.
     """
     if helicity not in (1, -1):

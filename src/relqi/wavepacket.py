@@ -44,10 +44,6 @@ class NumericalError(ValueError):
     """A numerical method broke down on valid input (a rule, a defect check)."""
 
 
-# The failures that the CLI reports as numerical (exit 3) outside a sweep row.
-NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
-
-
 class Measure(enum.Enum):
     PLAIN = "plain"
     INVARIANT = "invariant"

@@ -302,6 +302,14 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     assert "helicity" in capsys.readouterr().err
     assert cli.run(["photon-distinguish", "--dr=-1,1", "--out", "-"]) == 2
     assert "dr: must be positive" in capsys.readouterr().err
+    assert cli.run(["spin-entropy", "--theta", ",", "--out", "-"]) == 2
+    assert capsys.readouterr().err == "relqi: configuration error: theta: empty range\n"
+    # a missing file, a file that is not JSON, and JSON whose top level is not an object
+    for path, text in ((tmp_path / "missing.json", None), (cfg, "{oops"), (cfg, "[1, 2]")):
+        if text is not None:
+            path.write_text(text)
+        assert cli.run(["spin-entropy", "--config", str(path), "--out", "-"]) == 2
+        assert capsys.readouterr().err.startswith("relqi: configuration error: config: ")
 
 
 def test_config_values_read_as_flags(tmp_path):
@@ -410,7 +418,11 @@ def test_failed_rows_say_why(tmp_path, capsys):
     (["photon-distinguish", "--dr", "1", "--resolution", "98"], 1,
      "100,1,0.1,0,nan,2.5e-05,941192,false",
      "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 196 nodes"),
-], ids=["spin-coarse", "photon", "entangle", "photon-laguerre"])
+    # the outermost node of the 24-node refinement rule puts k_z below 0
+    (["photon-distinguish", "--kA", "1", "--dz", "0.19", "--dr", "0.1"], 1,
+     "1,0.1,0.19,0,nan,0.0025,1728,false",
+     "relqi: row delta_r=0.1: beam grid reaches zero or backward momenta at 24 nodes"),
+], ids=["spin-coarse", "photon", "entangle", "photon-laguerre", "photon-backward"])
 def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, code, csv_row, reason):
     # a failed row prints nan and its reason; a row with no reason computes
     out = tmp_path / "rows.csv"

@@ -219,7 +219,7 @@ def test_sweep_rows():
             assert row["concurrence"] == pytest.approx(1.0, abs=1e-8)
         if dm == 1e-4:
             assert row["concurrence"] == pytest.approx(1.0, abs=1e-4)
-        assert row["entropy_of_marginal_bits"] == pytest.approx(1.0, abs=1e-6)
+        assert row["entropy_of_marginal_bits"] == 1.0
     wide = [row["concurrence"] for (dm, _), row in rows.items() if dm == 0.5]
     assert wide[0] > wide[1] > wide[2]
 

@@ -204,11 +204,11 @@ def test_wigner_rotation_batch_matches_single_node():
         np.testing.assert_allclose(p_out, lam @ q4, atol=1e-12)
         np.testing.assert_allclose(w, little_group_element(lam, q4, m)[1:, 1:], atol=1e-12)
     # each node's arithmetic is the same whatever other momenta share its call
-    wigner = geo.wigner_quaternion_map(lam, m)
-    parts = [wigner(momenta[:7]), wigner(momenta[7:])]
+    parts = [geo.wigner_quaternion_map(lam, momenta[:7], m),
+             geo.wigner_quaternion_map(lam, momenta[7:], m)]
     np.testing.assert_array_equal(np.concatenate([p for p, _ in parts]), p4)
     np.testing.assert_array_equal(np.concatenate([q for _, q in parts], axis=1),
-                                  wigner(momenta)[1])
+                                  geo.wigner_quaternion_map(lam, momenta, m)[1])
     _, u = geo.wigner_su2_batch(lam, momenta, m)
     np.testing.assert_allclose(u, geo.rotations_to_su2(rots), atol=1e-15)
 
@@ -246,13 +246,17 @@ def test_sweep_rows_build_no_lorentz_matrix(monkeypatch):
     assert calls == {"matrix": 0, "split": 0, "blocks": 10}
 
 
-def test_time_axis_defect_is_raised_before_any_node():
+def test_time_axis_defect_is_raised_before_any_node(monkeypatch):
     # B^-1 L of the float boost (gamma ~ 1e4) leaves the time axis by 8.0e-9;
-    # the map's function, which evaluates nodes, is never made
+    # _quaternions, which evaluates nodes, is never called
+    def refuse(*args):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(geo, "_quaternions", refuse)
     lam = helpers.angle_boost(sh.beta_for_gamma(0.9999, 1.0), 1.0)[1]
     nodes = helpers.packet_rule(1.0, 24)[0]
     messages = []
-    for call in (lambda: geo.wigner_quaternion_map(lam, 1.0),
+    for call in (lambda: geo.wigner_quaternion_map(lam, nodes, 1.0),
                  lambda: geo.wigner_rotation_batch(lam, nodes, 1.0)):
         with pytest.raises(NumericalError, match="do not fix the time axis") as err:
             call()
@@ -329,7 +333,7 @@ def test_wigner_kernel_matches_decimal_oracle(velocity, quat, scale, atol):
     mass = 1.3
     momenta = np.random.default_rng(3).normal(scale=scale * mass, size=(64, 3))
     rots, quats = helpers.decimal_wigner(tau, quat, momenta, mass)
-    kernel_quats = geo.wigner_quaternion_map(lam, mass)(momenta)[1].T
+    kernel_quats = geo.wigner_quaternion_map(lam, momenta, mass)[1].T
     signs = np.sign(np.sum(kernel_quats * quats, axis=1))
     np.testing.assert_allclose(kernel_quats, signs[:, None] * quats, rtol=0.0, atol=atol)
     np.testing.assert_allclose(geo.wigner_rotation_batch(lam, momenta, mass)[1], rots,
@@ -498,7 +502,7 @@ def test_wigner_su2_batch_from_kernel_quaternions():
     rot[1:, 1:] = helpers.rotation_about([0.3, 1.0, -0.2], np.pi - 0.05)
     lam = geo.boost_from_velocity([0.5, 0.0, 0.3]) @ rot
     momenta = np.random.default_rng(11).normal(size=(200, 3))
-    quats = geo.wigner_quaternion_map(lam, 1.0)(momenta)[1].T
+    quats = geo.wigner_quaternion_map(lam, momenta, 1.0)[1].T
     assert np.any(quats[:, 3] < 0.0) and np.any(quats[:, 3] > 0.0)
     _, u = geo.wigner_su2_batch(lam, momenta, 1.0)
     _, rots = geo.wigner_rotation_batch(lam, momenta, 1.0)

@@ -97,6 +97,21 @@ def test_every_golden_file_names_a_case():
     assert sorted({path.stem for path in GOLDEN.glob("*.stdout")} - set(CASES)) == []
 
 
+@pytest.mark.parametrize("name", ["bench-spin", "bench-doppler", "bench-channel"])
+def test_spin_photon_and_channel_paths_call_no_eigen_solver(monkeypatch, name):
+    # the Gauss rules come from a QL sweep in the standard library, and the channel
+    # audit reads its Choi spectrum from the Kraus Gram matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg eigen-solver was called")
+
+    for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, refuse)
+    wp._gauss_outcome.cache_clear()
+    case = CASES[name]
+    assert _run(case["argv"]) == (
+        case["exit"], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), case["stderr"])
+
+
 def test_benchmark_cases_follow_the_workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)

@@ -8,7 +8,7 @@ complete-positivity audits of boost-induced effective channels.
 """
 
 from . import channel, entangle, geometry, photon, qmatrix, spin_half, wavepacket
-from .channel import consistency_order
+from .channel import decoherence_channel
 from .entangle import (
     TwoParticleAmplitude,
     bell_gaussian,
@@ -18,7 +18,6 @@ from .entangle import (
 )
 from .geometry import (
     boost_from_velocity,
-    observer_boost,
     rotations_to_su2,
     standard_boost,
     standard_rotation_batch,
@@ -35,7 +34,6 @@ from .photon import (
     effective_density,
     effective_density_tomography,
     gaussian_beam,
-    orthogonality_audit,
     rotate_packet,
     transversal_b,
 )

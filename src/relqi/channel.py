@@ -14,7 +14,10 @@ Helstrom error, which no completely positive map can do.
 Each audit returns only what it computes, as plain values: `certify` a
 dict of is_cp, is_tp and min_choi_eig, `consistency_check` the trace
 distance, `non_cp_witness` a dict of the two pair errors and the verdict.
-`relqi.cli` adds the inputs it echoes.
+`relqi.cli` adds the inputs it echoes.  `certify` reads the channel's
+Kraus weights (1 - G^2/4, G^2/8, G^2/8) and builds no QubitChannel;
+`decoherence_channel` builds one from the same weights, for library
+callers and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -31,19 +34,20 @@ VERDICT_TEXT = (
 )
 
 
-def decoherence_channel(gamma: float) -> QubitChannel:
-    """Kraus form {sqrt(1 - G^2/4) I, G/sqrt(8) sx, G/sqrt(8) sy}."""
+def _kraus_weights(gamma: float):
+    """(1 - G^2/4, G^2/8, G^2/8): the squared coefficients of the Kraus operators I, sx, sy."""
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     if gamma > 2.0:
         raise ValueError("gamma > 2 makes the identity coefficient negative")
-    return QubitChannel(
-        kraus=[
-            np.sqrt(1.0 - gamma * gamma / 4.0) * ID2,
-            (gamma / np.sqrt(8.0)) * SIGMA_X,
-            (gamma / np.sqrt(8.0)) * SIGMA_Y,
-        ]
-    )
+    g2 = gamma * gamma
+    return 1.0 - g2 / 4.0, g2 / 8.0, g2 / 8.0
+
+
+def decoherence_channel(gamma: float) -> QubitChannel:
+    """Kraus form {sqrt(1 - G^2/4) I, G/sqrt(8) sx, G/sqrt(8) sy}."""
+    return QubitChannel(kraus=[np.sqrt(w) * op for w, op in
+                               zip(_kraus_weights(gamma), (ID2, SIGMA_X, SIGMA_Y))])
 
 
 def certify(gamma: float) -> dict:
@@ -51,14 +55,15 @@ def certify(gamma: float) -> dict:
 
     The Choi matrix of a Kraus form {K_i} is sum_i |K_i>><<K_i|, so its
     nonzero eigenvalues are those of the Gram matrix G_ij = tr(K_i^dag K_j).
-    The Kraus operators I, sx, sy are Hilbert-Schmidt orthogonal: G is
-    diagonal, (2 - G^2/2, G^2/4, G^2/4), and the fourth Choi eigenvalue is
-    exactly 0.  No eigen-solve is needed.
+    The Kraus operators sqrt(w_i) P_i, with P_i = I, sx, sy, are
+    Hilbert-Schmidt orthogonal: G is diagonal, 2 w_i = (2 - G^2/2, G^2/4,
+    G^2/4), and the fourth Choi eigenvalue is exactly 0.  Since
+    P_i^dag P_i = I, sum_i K_i^dag K_i = (sum_i w_i) I.  No channel is built.
     """
-    ch = decoherence_channel(gamma)
-    min_eig = min(0.0, *(float(np.vdot(k, k).real) for k in ch.kraus_operators()))
-    return {"is_cp": min_eig >= -qmatrix.CHANNEL_TOL, "is_tp": ch.is_trace_preserving(),
-            "min_choi_eig": min_eig}
+    weights = _kraus_weights(gamma)
+    min_eig = min(0.0, *(2.0 * w for w in weights))
+    return {"is_cp": min_eig >= -qmatrix.CHANNEL_TOL,
+            "is_tp": abs(sum(weights) - 1.0) <= qmatrix.CHANNEL_TOL, "min_choi_eig": min_eig}
 
 
 def consistency_check(
@@ -91,26 +96,6 @@ def consistency_check(
     tau = (t * np.sin(theta), 0.0, t * np.cos(theta))
     d, _ = spin_half.wigner_moments(tau, gamma / t, grid_resolution)
     return 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
-
-
-def consistency_order(
-    gammas=(0.05, 0.1, 0.2),
-    theta: float = 0.0,
-    grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
-) -> dict:
-    """Residual-vs-gamma scaling study: distances, gamma^4 ratios, fitted order."""
-    distances = np.array([consistency_check(g, theta, grid_resolution) for g in gammas])
-    ratios = distances / np.asarray(gammas) ** 4
-    logs = np.log(np.asarray(gammas))
-    slope = np.polyfit(logs, np.log(distances), 1)[0]
-    return {
-        "gammas": list(gammas),
-        "theta": theta,
-        "distances": distances.tolist(),
-        "ratios_gamma4": ratios.tolist(),
-        "fitted_order": float(slope),
-        "ratio_spread": float(ratios.max() / ratios.min()),
-    }
 
 
 def non_cp_witness(

@@ -378,13 +378,27 @@ def _cmd_sweep(args) -> int:
     return _sweep(args, _grid(args))
 
 
+def _check_beam(args, k_mean: float, delta_z: float) -> None:
+    """Refuse, before any row, a beam on which the Gauss-Hermite rule at the most nodes per
+    axis evaluated (2n, or n with --no-convergence) reaches k_z <= 0: the check of
+    photon._beam_axis.  A rule that breaks down raises its NumericalError here."""
+    n = args.resolution if args.no_convergence else 2 * args.resolution
+    reach = photon.beam_reach(n)
+    if not k_mean > reach * delta_z:
+        raise ConfigError(f"kA: must exceed {_fmt(reach)} * dz = {_fmt(reach * delta_z)}, "
+                          f"the outermost node of the {n}-node beam rule")
+
+
 def _cmd_photon_distinguish(args) -> int:
+    grid = _grid(args)
+    _check_beam(args, *grid["kA"], *grid["dz"])
     # the circular pair compared at rest
-    return _sweep(args, {**_grid(args), "v": [0.0]})
+    return _sweep(args, {**grid, "v": [0.0]})
 
 
 def _cmd_doppler(args) -> int:
     grid = _grid(args)
+    _check_beam(args, *grid["kA"], *grid["dz"])
     if (args.format or ("json" if len(grid["v"]) == 1 else "csv")) == "csv":
         return _sweep(args, grid)
     if len(grid["v"]) > 1:
@@ -396,6 +410,7 @@ def _cmd_doppler(args) -> int:
 
 def _cmd_photon_density(args) -> int:
     (k_mean,), (delta_r,), (delta_z,) = (_values(args, flag) for flag in ("kA", "dr", "dz"))
+    _check_beam(args, k_mean, delta_z)
     fields = {"kA": k_mean, "delta_r": delta_r, "delta_z": delta_z, "helicity": args.helicity}
     return _report(args, fields, lambda n: photon.circular_density_values(
         k_mean, delta_z, delta_r, args.helicity, n))

@@ -7,18 +7,18 @@ along unchanged, and each spin index is rotated by the SU(2) Wigner matrix
 of its own momentum.  Entanglement is quantified by the Wootters
 concurrence of the 4x4 spin-spin reduction.
 
-Sweeps never build the (n1, n2) pair amplitude or a Lorentz matrix.  For
-the singlet times a product of identical Gaussian profiles, the boosted
-spin-spin state is fixed by the Bloch matrix T = sum_n p_n W_n of one
-particle: its correlation tensor is -T T^T and its marginals stay I/2,
-one bit with no eigen-solve (sweep_values).  T and the concurrence
-(|T|_F^2 - 1)/2 are short functions of the moments (D, s) of
-spin_half.wigner_moments on the INVARIANT grid, so a sweep row costs O(N)
-time and O(block + n) memory in the N = n^3 nodes of one particle's grid,
-not O(N^2); the z boost tau = (0, 0, tanh(xi/2)) of a row evaluates W_n
-on a quarter of them, one node per mirror orbit.  `sweep_values` returns
-the values of one sweep row at one resolution; the n/2n convergence check
-is made in `relqi.cli`.
+Sweeps never build the (n1, n2) pair amplitude, a Lorentz matrix or the
+4x4 spin-spin state.  For the singlet times a product of identical
+Gaussian profiles, that state is fixed by the Bloch matrix
+T = sum_n p_n W_n of one particle: its correlation tensor is -T T^T and
+its marginals stay I/2, one bit with no eigen-solve.  The concurrence
+(|T|_F^2 - 1)/2 is a short function of the moments (D, s) of
+spin_half.wigner_moments on the INVARIANT grid (sweep_values), so a
+sweep row costs O(N) time and O(block + n) memory in the N = n^3 nodes
+of one particle's grid, not O(N^2); the z boost tau = (0, 0, tanh(xi/2))
+of a row evaluates W_n on a quarter of them, one node per mirror orbit.
+`sweep_values` returns the values of one sweep row at one resolution; the
+n/2n convergence check is made in `relqi.cli`.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ DEFAULT_NODES_PER_AXIS = 8
 SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
 
 _YY = np.kron(qmatrix.SIGMA_Y, qmatrix.SIGMA_Y)
-
-# sigma_k (x) sigma_l for k, l in x, y, z, shape (3, 3, 4, 4)
-_PAULI_PAIRS = np.array([
-    [np.kron(a, b) for b in (qmatrix.SIGMA_X, qmatrix.SIGMA_Y, qmatrix.SIGMA_Z)]
-    for a in (qmatrix.SIGMA_X, qmatrix.SIGMA_Y, qmatrix.SIGMA_Z)
-])
 
 
 @dataclass(frozen=True)
@@ -129,28 +123,20 @@ def concurrence(rho) -> float:
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
-def boosted_singlet(tau, delta_over_m: float, nodes_per_axis: int = DEFAULT_NODES_PER_AXIS):
-    """Concurrence and 4x4 spin-spin state of the boosted bell_gaussian singlet.
-
-    Both particles share the Bloch matrix T = I + D of the Gaussian of
-    width delta_over_m boosted by tau (spin_half.wigner_moments), so the state is
-    (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4.  Its concurrence
-    (|T|_F^2 - 1)/2 is taken as max(0, 1 - 4 s + |D|_F^2 / 2), since
-    tr D = -4 s: the deficit from 1 without forming |T|_F^2 near 3.
-    """
-    d, s = spin_half.wigner_moments(tau, delta_over_m, nodes_per_axis, Measure.INVARIANT)
-    t = np.eye(3) + d
-    rho = 0.25 * (np.eye(4) - np.einsum("kl,klab->ab", t @ t.T, _PAULI_PAIRS))
-    return max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))), rho
-
-
 def sweep_values(delta_over_m: float, beta: float, nodes_per_axis: int) -> dict:
     """Concurrence and marginal entropy of the singlet at (delta/m, beta), boosted along z.
 
+    Both particles share the Bloch matrix T = I + D of the Gaussian of
+    width delta/m boosted by tau = (0, 0, tanh(xi/2)), with (D, s) the
+    moments of spin_half.wigner_moments on the INVARIANT grid, so the
+    spin-spin state is (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4.  Its
+    concurrence (|T|_F^2 - 1)/2 is taken as max(0, 1 - 4 s + |D|_F^2 / 2),
+    since tr D = -4 s: the deficit from 1 without forming |T|_F^2 near 3.
     The marginal entropy is exactly one bit: every Pauli matrix is
     traceless, so tracing either spin out of (I - sum_kl C_kl sigma_k (x)
     sigma_l)/4 leaves I/2 for any correlation tensor C.
     """
     tau = (0.0, 0.0, spin_half.tanh_half_rapidity(beta))
-    conc, _ = boosted_singlet(tau, delta_over_m, nodes_per_axis)
-    return {"concurrence": conc, "entropy_of_marginal_bits": 1.0}
+    d, s = spin_half.wigner_moments(tau, delta_over_m, nodes_per_axis, Measure.INVARIANT)
+    return {"concurrence": max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))),
+            "entropy_of_marginal_bits": 1.0}

@@ -68,16 +68,6 @@ def boost_from_velocity(beta) -> np.ndarray:
     return lam
 
 
-def observer_boost(velocity) -> np.ndarray:
-    """Frame change to an observer moving with `velocity`.
-
-    A four-vector with components q in the original frame has components
-    observer_boost(v) @ q in the frame of the moving observer; this is the
-    inverse of boost_from_velocity(v).
-    """
-    return boost_from_velocity(-np.asarray(velocity, dtype=float))
-
-
 def _require_on_shell(p4: np.ndarray, mass: float) -> None:
     energy = p4[..., 0]
     e2 = energy * energy

@@ -55,6 +55,17 @@ def test_gamma_out_of_range():
         ch.consistency_check(-1.0)
 
 
+@pytest.mark.parametrize("gamma, message", [
+    (2.5, "gamma > 2 makes the identity coefficient negative"),
+    (-0.1, "gamma must be nonnegative"),
+])
+def test_certify_and_the_channel_refuse_gamma_out_of_range(gamma, message):
+    for audit in (ch.certify, ch.decoherence_channel):
+        with pytest.raises(ValueError) as info:
+            audit(gamma)
+        assert str(info.value) == message
+
+
 def test_certify_reports():
     rep = ch.certify(0.5)
     assert rep["is_cp"] and rep["is_tp"]
@@ -64,10 +75,12 @@ def test_certify_reports():
     assert set(rep) == {"is_cp", "is_tp", "min_choi_eig"}
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.2, 1.0, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 1e-8, 1e-3, 0.2, 1.0, 2.0])
 def test_certify_spectrum_matches_the_choi_eigen_solve(gamma):
-    # certify reads the Choi spectrum from the Kraus Gram matrix, diagonal up to the
-    # rounding of its complex products; is_completely_positive solves the Choi matrix itself
+    # certify reads the Choi spectrum 2 w_i from the Kraus weights w_i and builds no channel;
+    # the Kraus/Choi route reads it from the Gram matrix of decoherence_channel's operators,
+    # diagonal up to the rounding of its complex products, and is_completely_positive and
+    # is_trace_preserving solve and trace the Choi matrix itself
     kraus = ch.decoherence_channel(gamma).kraus_operators()
     gram = np.array([[np.vdot(a, b) for b in kraus] for a in kraus])
     np.testing.assert_allclose(gram - np.diag(np.diag(gram)), 0.0, rtol=0.0, atol=1e-15)
@@ -79,6 +92,7 @@ def test_certify_spectrum_matches_the_choi_eigen_solve(gamma):
     rep = ch.certify(gamma)
     is_cp, min_eig = qm.is_completely_positive(ch.decoherence_channel(gamma))
     assert rep["is_cp"] is is_cp
+    assert rep["is_tp"] is ch.decoherence_channel(gamma).is_trace_preserving() is True
     assert rep["min_choi_eig"] == 0.0
     assert abs(rep["min_choi_eig"] - min_eig) <= 1e-15
 
@@ -103,12 +117,14 @@ def test_consistency_zero_gamma_exact():
 
 
 def test_consistency_collinear_residual_scaling():
-    study = ch.consistency_order(gammas=(0.05, 0.1, 0.2), theta=0.0, grid_resolution=12)
-    ratios = np.array(study["ratios_gamma4"])
+    gammas = np.array([0.05, 0.1, 0.2])
+    distances = np.array([ch.consistency_check(g, 0.0, 12) for g in gammas])
+    ratios = distances / gammas**4
     assert ratios.max() / ratios.min() < 4.0
-    d_ratio = study["distances"][2] / study["distances"][1]
+    d_ratio = distances[2] / distances[1]
     assert 8.0 < d_ratio < 32.0  # within a factor 2 of 2**4
-    assert 3.0 < study["fitted_order"] < 5.0
+    fitted_order = np.polyfit(np.log(gammas), np.log(distances), 1)[0]
+    assert 3.0 < fitted_order < 5.0
 
 
 def test_consistency_small_gamma_small_distance():

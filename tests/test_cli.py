@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqi import cli
+from relqi import cli, photon
 import helpers
 
 
@@ -407,9 +408,6 @@ def test_failed_rows_say_why(tmp_path, capsys):
     # float Lorentz matrix leaves the time axis (by 8.0e-9 here)
     (["spin-entropy", "--theta", "1", "--gamma", "0.9999"], 0,
      "1,0.9999,0.999999994999,1,0.402286910118,0.080030573913,1728,true", None),
-    (["photon-distinguish", "--kA", "0.4", "--dz", "0.1", "--dr", "0.01"], 1,
-     "0.4,0.01,0.1,0,nan,0.00015625,1728,false",
-     "relqi: row delta_r=0.01: k_mean must exceed 5 * delta_z"),
     # and so does a speed just below 1, where 1 - beta^2 ~ 2e-13 (not converged at n = 4)
     (["entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.9999999999999",
       "--resolution", "4"], 1,
@@ -418,11 +416,7 @@ def test_failed_rows_say_why(tmp_path, capsys):
     (["photon-distinguish", "--dr", "1", "--resolution", "98"], 1,
      "100,1,0.1,0,nan,2.5e-05,941192,false",
      "relqi: row delta_r=1: the Gauss-Laguerre rule breaks down at 196 nodes"),
-    # the outermost node of the 24-node refinement rule puts k_z below 0
-    (["photon-distinguish", "--kA", "1", "--dz", "0.19", "--dr", "0.1"], 1,
-     "1,0.1,0.19,0,nan,0.0025,1728,false",
-     "relqi: row delta_r=0.1: beam grid reaches zero or backward momenta at 24 nodes"),
-], ids=["spin-coarse", "photon", "entangle", "photon-laguerre", "photon-backward"])
+], ids=["spin-coarse", "entangle", "photon-laguerre"])
 def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, code, csv_row, reason):
     # a failed row prints nan and its reason; a row with no reason computes
     out = tmp_path / "rows.csv"
@@ -430,6 +424,39 @@ def test_failed_row_is_written_as_nan(tmp_path, capsys, argv, code, csv_row, rea
     err = capsys.readouterr().err
     assert err == "" if reason is None else err.startswith(reason)
     assert read(out).strip().split("\n")[1] == csv_row
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["photon-distinguish", "--kA", "0.4", "--dz", "0.1", "--dr", "0.01"], "0.601592556143"),
+    # kA > 5 dz, but the outermost node of the 24-node refinement rule puts k_z below 0
+    (["photon-distinguish", "--kA", "1", "--dz", "0.19", "--dr", "0.1"], "1.14302585667"),
+    (["photon-density", "--kA", "1", "--dz", "0.19", "--dr", "0.1"], "1.14302585667"),
+    (["doppler", "--kA", "1", "--dz", "0.19", "--dr", "0.1"], "1.14302585667"),
+    (["doppler", "--kA", "1", "--dz", "0.19", "--dr", "0.1", "--v", "0,0.5"], "1.14302585667"),
+], ids=["photon", "photon-backward", "photon-density", "doppler-json", "doppler-csv"])
+def test_beam_beyond_the_refined_rule_is_refused_before_any_row(monkeypatch, capsys, argv,
+                                                               bound):
+    monkeypatch.setattr(photon, "_beam_means", lambda *a: pytest.fail("a beam was evaluated"))
+    assert cli.run(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr() == ("", "relqi: configuration error: kA: must exceed "
+                                   f"6.01592556143 * dz = {bound}, the outermost node of the "
+                                   "24-node beam rule\n")
+
+
+@pytest.mark.parametrize("command", ["photon-distinguish", "photon-density", "doppler"])
+def test_beam_bound_is_the_outermost_node_of_the_rule_evaluated(capsys, command):
+    bound = photon.beam_reach(24) * 0.1
+    beam = ["--dz", "0.1", "--dr", "0.01", "--out", "-"]
+    # every node of the 24-node refinement is forward just above the bound
+    assert cli.run([command, "--kA", repr(math.nextafter(bound, math.inf))] + beam) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "nan" not in out.out and "null" not in out.out
+    assert cli.run([command, "--kA", repr(bound)] + beam) == 2
+    assert "the outermost node of the 24-node beam rule" in capsys.readouterr().err
+    # without the refinement the 12-node rule is the largest evaluated, and it is forward
+    assert cli.run([command, "--kA", repr(bound), "--no-convergence", "--resolution", "12"]
+                   + beam) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -147,12 +147,23 @@ def test_concurrence_local_unitary_invariance():
 @pytest.mark.parametrize("delta_over_m", [0.5, 1e-4])
 @pytest.mark.parametrize("velocity", [[0.0, 0.0, 0.8], [0.3, -0.4, 0.6]])
 def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
+    # the boosted singlet from the moments (D, s) of one particle: T = I + D, the state
+    # (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4 and the concurrence
+    # max(0, 1 - 4 s + |D|_F^2 / 2) that entangle.sweep_values prints for a z boost
     tau, lam = helpers.boost(velocity)
-    conc, rho = en.boosted_singlet(tau, delta_over_m, n)
+    d, s = spin_half.wigner_moments(tau, delta_over_m, n, wp.Measure.INVARIANT)
+    tt = (np.eye(3) + d) @ (np.eye(3) + d).T
+    paulis = (qm.SIGMA_X, qm.SIGMA_Y, qm.SIGMA_Z)
+    rho = 0.25 * (np.eye(4) - sum(tt[k, l] * np.kron(paulis[k], paulis[l])
+                                  for k in range(3) for l in range(3)))
+    conc = max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d)))
     rho_pair = en.spin_spin_density(en.boost_pair(lam, en.bell_gaussian(delta_over_m, 1.0, n)))
     np.testing.assert_allclose(rho, rho_pair, atol=1e-12)
     assert conc == pytest.approx(concurrence_sv_oracle(rho_pair), abs=1e-10)
     assert conc == pytest.approx(en.concurrence(rho_pair), abs=1e-10)
+    if velocity[:2] == [0.0, 0.0]:  # the row's tau differs from this one in its last bit
+        row = en.sweep_values(delta_over_m, velocity[2], n)
+        assert row["concurrence"] == pytest.approx(conc, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("delta_over_m", [1e-4, 0.5])

@@ -89,7 +89,7 @@ def test_folded_values_match_unfolded(convention, n, name):
     assert folded_probs.sum() == pytest.approx(1.0, rel=1e-14)
     # math.fsum: an einsum over the rotations accumulates 24^3 terms in order (2e-14)
     t = np.array([[math.fsum(probs * rots[:, i, j]) for j in range(3)] for i in range(3)])
-    d, _ = sh.wigner_moments(tau, DELTA, n, convention)
+    d, s = sh.wigner_moments(tau, DELTA, n, convention)
     np.testing.assert_allclose(np.eye(3) + d, t, rtol=1e-14, atol=1e-15)
     # D_ij flips sign under the reflection of a folded axis k when exactly
     # one of i, j is k: those entries are exactly 0
@@ -102,7 +102,8 @@ def test_folded_values_match_unfolded(convention, n, name):
         assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
     else:
         full = 1.0 - 0.5 * probs @ np.sum((rots - t) ** 2, axis=(1, 2))
-        folded = ent.boosted_singlet(tau, DELTA, n)[0]
+        # the singlet's concurrence (|T|_F^2 - 1)/2, as entangle.sweep_values takes it
+        folded = max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d)))
         assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
 
 

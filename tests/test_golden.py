@@ -13,12 +13,13 @@ an oracle value, and never to make a defect pass.  This file and
 tests/test_cli.py import no scipy: CI also runs them where relqi is
 installed without its test extra.
 
-No golden case may call a solver: each runs with every numpy.linalg
-function but `norm` replaced by one that raises, and the Gauss rules
+No golden case may call a solver or build a channel: each runs with
+every numpy.linalg function but `norm` replaced by one that raises, with
+`qmatrix.QubitChannel` refusing to be built, and with the Gauss rules
 rebuilt.  The rules come from a QL sweep in the standard library, the
-channel audit reads its Choi spectrum from the Kraus Gram matrix and the
-boosted singlet's marginal entropy is the exact one bit, so no subcommand
-makes a LAPACK call.
+channel audit reads its Choi spectrum from the channel's Kraus weights and
+the boosted singlet's marginal entropy is the exact one bit, so no
+subcommand makes a LAPACK call or builds a Kraus or Choi matrix.
 
 Values that are only rounding noise are compared by rule, not byte for
 byte: the photon rel_delta of `convergence` (2.71e-16, two equal sums),
@@ -36,7 +37,7 @@ import sys
 import numpy as np
 import pytest
 
-from relqi import cli
+from relqi import cli, qmatrix
 from relqi import wavepacket as wp
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -73,9 +74,13 @@ def test_output_matches_the_golden_file(monkeypatch, name):
     def refuse(*args, **kwargs):
         raise AssertionError("a numpy.linalg solver was called")
 
+    def refuse_channel(*args, **kwargs):
+        raise AssertionError("a QubitChannel was built")
+
     for solver, fn in vars(np.linalg).items():
         if callable(fn) and not isinstance(fn, type) and solver != "norm":
             monkeypatch.setattr(np.linalg, solver, refuse)
+    monkeypatch.setattr(qmatrix.QubitChannel, "__init__", refuse_channel)
     wp._gauss_outcome.cache_clear()
     case = CASES[name]
     code, out, err = _run(case["argv"])
@@ -100,7 +105,7 @@ def test_every_golden_file_names_a_case():
 @pytest.mark.parametrize("name", ["bench-spin", "bench-doppler", "bench-channel"])
 def test_spin_photon_and_channel_paths_call_no_eigen_solver(monkeypatch, name):
     # the Gauss rules come from a QL sweep in the standard library, and the channel
-    # audit reads its Choi spectrum from the Kraus Gram matrix
+    # audit reads its Choi spectrum from the channel's Kraus weights
     def refuse(*args, **kwargs):
         raise AssertionError("a numpy.linalg eigen-solver was called")
 

@@ -7,6 +7,7 @@ import pytest
 from relqi import channel as ch
 from relqi import geometry as geo
 from relqi import photon as ph
+from relqi import qmatrix as qm
 from relqi import wavepacket as wp
 from relqi.wavepacket import Measure, gauss_grid, GaussianSpec
 import helpers
@@ -193,7 +194,7 @@ def test_gaussian_beam_moments():
 
 
 def test_gaussian_beam_guards():
-    with pytest.raises(ValueError, match="5 \\* delta_z"):
+    with pytest.raises(ValueError, match="must exceed 3.88972489787 \\* delta_z"):
         ph.gaussian_beam(1.0, 0.5, 0.1)
     with pytest.warns(UserWarning, match="paraxial"):
         ph.gaussian_beam(10.0, 0.2, 5.0, nodes_per_axis=4)
@@ -245,21 +246,26 @@ def test_circular_pair_error_reference_value():
     )
 
 
+def pair_error(psi1, psi2):
+    """Helstrom error of the effective polarization matrices of two beams."""
+    return qm.helstrom_error(ph.effective_density(psi1), ph.effective_density(psi2))
+
+
 def test_orthogonality_audit_identical_states():
     beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 6)
-    assert ph.orthogonality_audit(beam, beam) == pytest.approx(0.5, abs=1e-12)
+    assert pair_error(beam, beam) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_orthogonality_audit_circular_pair():
     k = 100.0
     plus = ph.gaussian_beam(k, 0.5, 5.0, +1, 10)
     minus = ph.gaussian_beam(k, 0.5, 5.0, -1, 10)
-    pe = ph.orthogonality_audit(plus, minus)
+    pe = pair_error(plus, minus)
     assert pe > 0.0
     assert pe == pytest.approx(ph.circular_pair_error(k, 0.5, 5.0, 10), abs=1e-15)
     for v in (-0.9, -0.5, 0.5):
-        lam = geo.observer_boost([0.0, 0.0, v])
-        audit = ph.orthogonality_audit(ph.boost_photon(lam, plus), ph.boost_photon(lam, minus))
+        lam = geo.boost_from_velocity([0.0, 0.0, -v])
+        audit = pair_error(ph.boost_photon(lam, plus), ph.boost_photon(lam, minus))
         pe_v = ph.circular_pair_error(k, 0.5, 5.0, 10, v)
         assert pe_v == pytest.approx(audit, rel=1e-10, abs=0.0)
 
@@ -287,7 +293,7 @@ ORACLE_NODES = 24
 def test_circular_pair_error_small_error_precision(k, dz, dr, n, v):
     beam = ph.gaussian_beam(k, dz, dr, +1, ORACLE_NODES)
     if v != 0.0:
-        beam = ph.boost_photon(geo.observer_boost([0.0, 0.0, v]), beam)
+        beam = ph.boost_photon(geo.boost_from_velocity([0.0, 0.0, -v]), beam)
     expected = variance_form_oracle(beam)
     pe = ph.circular_pair_error(k, dz, dr, n, v)
     assert pe == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -296,7 +302,7 @@ def test_circular_pair_error_small_error_precision(k, dz, dr, n, v):
 def test_circular_pair_error_backward_mean_direction():
     # At v = 0.99 the mean direction of the (10, 1, 2) beam points backward
     # for the observer: <cos theta'> < 0 and the error is (1 + <cos theta'>)/2.
-    lam = geo.observer_boost([0.0, 0.0, 0.99])
+    lam = geo.boost_from_velocity([0.0, 0.0, -0.99])
     expected = variance_form_oracle(ph.boost_photon(lam, ph.gaussian_beam(10.0, 1.0, 2.0, +1, 32)))
     assert ph.circular_pair_error(10.0, 1.0, 2.0, 32, 0.99) == pytest.approx(expected, rel=1e-3)
 
@@ -304,10 +310,12 @@ def test_circular_pair_error_backward_mean_direction():
 @pytest.mark.parametrize("args, match", [
     ((100.0, 0.1, 1.0, 8, 1.0), "observer speed"),
     ((100.0, 0.1, 1.0, 8, -1.0), "observer speed"),
-    ((1.0, 0.2, 0.1, 8), "5 \\* delta_z"),
+    ((1.0, 0.4, 0.1, 8), "must exceed"),
     ((100.0, 0.0, 1.0, 8), "positive"),
     ((100.0, 0.1, -1.0, 8), "positive"),
     ((6.0, 1.0, 0.5, 40), "backward"),
+    # a node exactly at k_z = 0 is not forward
+    ((ph.beam_reach(24) * 0.1, 0.1, 0.01, 24), "must exceed"),
 ])
 def test_circular_pair_error_guards(args, match):
     with pytest.raises(ValueError, match=match):
@@ -342,7 +350,7 @@ def test_doppler_leading_order_improves_with_narrow_beams():
 
 def test_boost_preserves_transversality_and_norm():
     beam = ph.gaussian_beam(100.0, 0.1, 5.0, +1, 8)
-    lam = geo.observer_boost([0.0, 0.0, 0.6])
+    lam = geo.boost_from_velocity([0.0, 0.0, -0.6])
     out = ph.boost_photon(lam, beam)
     alpha = out.alpha_vectors()
     khat = ph.directions(out.grid.nodes)

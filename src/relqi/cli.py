@@ -106,8 +106,11 @@ def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from None
 
 
 def _write_rows(args, header: str, keys, rows) -> int:
@@ -125,17 +128,15 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="relqi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, resolution, refined=True):
+    def common(p, resolution, converged=True):
         p.add_argument("--out", default="-", help="output path; '-' for stdout")
         p.add_argument("--resolution", type=int, default=resolution,
                        help="quadrature nodes per axis")
-        p.add_argument("--tolerance", type=float, default=1e-4,
-                       help="refinement tolerance for the converged flag")
+        if converged:  # channel-audit prints no converged flag
+            p.add_argument("--tolerance", type=float, default=1e-4,
+                           help="refinement tolerance for the converged flag")
         p.add_argument("--config", default=None,
                        help="JSON file whose entries override these flags")
-        if refined:  # convergence always computes both resolutions
-            p.add_argument("--no-convergence", action="store_true",
-                           help="skip the refined-grid convergence check")
 
     for name, help_text, theta, gamma in (
         ("spin-entropy", "spin entropy over (theta, gamma)", "0:3.14159:0.19635",
@@ -176,7 +177,7 @@ def _build_parser():
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--witness-v", type=float, default=None,
                    help="also run the Doppler non-CP witness at this speed")
-    common(p, spin_half.DEFAULT_NODES_PER_AXIS)
+    common(p, spin_half.DEFAULT_NODES_PER_AXIS, converged=False)
 
     p = sub.add_parser("entangle-sweep", help="boosted-singlet concurrence sweep")
     p.add_argument("--delta-over-m", default="0.0001,0.5")
@@ -184,16 +185,16 @@ def _build_parser():
     common(p, entangle.DEFAULT_NODES_PER_AXIS)
 
     p = sub.add_parser("convergence", help="observable values at n and 2n nodes per axis")
-    common(p, 8, refined=False)
+    common(p, 8)
     return parser, sub.choices
 
 
 def _apply_config(args, subparser) -> None:
     """Override parsed flags with the --config entries.
 
-    An entry of a switch is true or false; any other entry is a JSON string
-    or number, read as its command-line text through the flag's own `type`
-    and `choices`, so a value means what it would mean on the command line.
+    Each entry is a JSON string or number, read as its command-line text
+    through the flag's own `type` and `choices`, so a value means what it
+    would mean on the command line.
     """
     if not args.config:
         return
@@ -211,18 +212,13 @@ def _apply_config(args, subparser) -> None:
             raise ConfigError(f"config: unknown field {key!r}")
         if action.dest == "config":
             raise ConfigError("config: a config file cannot name another config file")
-        switch = action.nargs == 0
-        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            expected = "true or false" if switch else "a string or a number"
-            raise ConfigError(f"{key}: expected {expected}, got {value!r}")
-        if not switch:
-            text = value if isinstance(value, str) else json.dumps(value)
-            try:
-                value = text if action.type is None else action.type(text)
-            except ValueError:
-                raise ConfigError(
-                    f"{key}: invalid {action.type.__name__} value {value!r}"
-                ) from None
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"{key}: expected a string or a number, got {value!r}")
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = text if action.type is None else action.type(text)
+        except ValueError:
+            raise ConfigError(f"{key}: invalid {action.type.__name__} value {value!r}") from None
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"{key}: {value!r} is not one of {list(action.choices)}")
         setattr(args, action.dest, value)
@@ -233,7 +229,8 @@ def _apply_config(args, subparser) -> None:
 _POSITIVE = (lambda x: x > 0.0, "must be positive")
 _SPEED = (lambda x: abs(x) < 1.0, "speeds must satisfy |v| < 1")
 _BOUNDS = {"kA": _POSITIVE, "dr": _POSITIVE, "dz": _POSITIVE, "delta_over_m": _POSITIVE,
-           "gamma": (lambda x: x >= 0.0, "must be nonnegative"), "v": _SPEED, "beta": _SPEED}
+           "gamma": (lambda x: x >= 0.0, "must be nonnegative"), "v": _SPEED, "beta": _SPEED,
+           "witness_v": _SPEED}
 
 
 def _values(args, flag: str) -> list:
@@ -250,7 +247,7 @@ def _validate(args) -> None:
     for key, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key.replace('_', '-')}: must be finite")
-    if args.tolerance <= 0.0:
+    if "tolerance" in args and args.tolerance <= 0.0:
         raise ConfigError("tolerance: must be positive")
     least = 1 if args.command == "convergence" else 4
     if args.resolution < least:
@@ -288,17 +285,15 @@ def _refine(args, values_at) -> dict:
     """The values at --resolution, their node count and converged flag.
 
     `values_at(n)` returns the dict of grid-dependent values printed at n
-    nodes per axis.  Unless --no-convergence is set they are recomputed at
-    2n, and `converged` holds when every value (every entry of a list)
-    moved by less than --tolerance, absolute.  A ValueError propagates.
-    This is the one refinement rule of every sweep row and JSON report.
+    nodes per axis.  They are recomputed at 2n, and `converged` holds when
+    every value (every entry of a list) moved by less than --tolerance,
+    absolute.  A ValueError propagates.  This is the one refinement rule of
+    every sweep row and JSON report.
     """
     n = args.resolution
     values = _normal(values_at(n))
-    converged = True
-    if not args.no_convergence:
-        fine = values_at(2 * n)
-        converged = not any(_moved(v, fine[k], args.tolerance) for k, v in values.items())
+    fine = values_at(2 * n)
+    converged = not any(_moved(v, fine[k], args.tolerance) for k, v in values.items())
     return {**values, "grid_nodes": n**3, "converged": converged}
 
 
@@ -379,10 +374,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _check_beam(args, k_mean: float, delta_z: float) -> None:
-    """Refuse, before any row, a beam on which the Gauss-Hermite rule at the most nodes per
-    axis evaluated (2n, or n with --no-convergence) reaches k_z <= 0: the check of
-    photon._beam_axis.  A rule that breaks down raises its NumericalError here."""
-    n = args.resolution if args.no_convergence else 2 * args.resolution
+    """Refuse, before any row, a beam on which the Gauss-Hermite rule of the refinement,
+    2n nodes per axis, reaches k_z <= 0: the check of photon._beam_axis.  A rule that
+    breaks down raises its NumericalError here."""
+    n = 2 * args.resolution
     reach = photon.beam_reach(n)
     if not k_mean > reach * delta_z:
         raise ConfigError(f"kA: must exceed {_fmt(reach)} * dz = {_fmt(reach * delta_z)}, "
@@ -417,6 +412,9 @@ def _cmd_photon_density(args) -> int:
 
 
 def _cmd_channel_audit(args) -> int:
+    for flag in ("gamma", "witness_v"):
+        if getattr(args, flag) is not None:
+            _values(args, flag)  # its bound, checked before any audit runs
     # every key is printed, null where its audit does not run; is_cp describes the
     # audited channel, the verdict the Doppler frame-change pair map
     report = {"gamma": args.gamma, "theta": args.theta, **channel.certify(args.gamma),

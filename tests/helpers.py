@@ -117,11 +117,9 @@ def single_spin_density(state: entangle.TwoParticleAmplitude, particle: int = 1)
     return qmatrix.partial_trace(rho, (2, 2), side=side)
 
 
-def row_args(resolution: int, tolerance: float = 1e-6,
-             no_convergence: bool = False) -> argparse.Namespace:
+def row_args(resolution: int, tolerance: float = 1e-6) -> argparse.Namespace:
     """The flags that relqi.cli's sweep rows (_row, _sweep_row) and _refine read."""
-    return argparse.Namespace(resolution=resolution, tolerance=tolerance,
-                              no_convergence=no_convergence)
+    return argparse.Namespace(resolution=resolution, tolerance=tolerance)
 
 
 def packet_rule(delta_over_m: float, nodes_per_axis: int,

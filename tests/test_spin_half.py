@@ -278,7 +278,7 @@ def test_sweep_builds_one_grid_per_resolution(grid_builds):
 
 def test_a_rule_that_breaks_down_is_built_once(grid_builds):
     # lru_cache keeps no exception: the breakdown is cached as its reason
-    args = helpers.row_args(389, no_convergence=True)
+    args = helpers.row_args(389)
     rows = [cli._sweep_row(args, "spin-entropy",
                            {"theta": theta, "gamma": 0.1, "delta_over_m": 1.0})
             for theta in (0.0, 0.5, 1.0)]
@@ -441,8 +441,7 @@ def test_identity_boost_row_prints_zero(tmp_path):
     from relqi import cli
 
     out = tmp_path / "spin.csv"
-    assert cli.run(["spin-entropy", "--theta", "0.7", "--gamma", "0", "--no-convergence",
-                    "--out", str(out)]) == 0
+    assert cli.run(["spin-entropy", "--theta", "0.7", "--gamma", "0", "--out", str(out)]) == 0
     assert out.read_text().split("\n")[1] == "0.7,0,0,1,0,0,1728,true"
 
 

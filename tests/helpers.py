@@ -2,16 +2,19 @@
 density-matrix and Lorentz-matrix checks, explicit rotations, the
 one-particle spin marginal of a pair amplitude, a packet's whole
 quadrature rule and its Wigner rotations, a boost as tau = tanh(xi/2) n and
-as a Lorentz matrix, the parsed flags that the CLI's sweep rows read, and a
-40-digit decimal oracle for Wigner rotations.
+as a Lorentz matrix, the parsed flags that the CLI's sweep rows read, a
+40-digit decimal oracle for Wigner rotations, and the environment of a
+fresh interpreter that imports the relqi under test.
 """
 
 import argparse
 import math
+import os
 from decimal import Decimal, localcontext
 
 import numpy as np
 
+import relqi
 from relqi import entangle, geometry, qmatrix, spin_half
 from relqi.wavepacket import Measure
 
@@ -222,3 +225,9 @@ def decimal_moments(tau, delta_over_m: float, nodes_per_axis: int,
     d[np.diag_indices(3)] = -2.0 * np.array([m[1, 1] + m[2, 2], m[0, 0] + m[2, 2],
                                              m[0, 0] + m[1, 1]])
     return d, math.fsum(np.diag(m)[:3])
+
+
+def fresh_env() -> dict:
+    """Environment of a fresh interpreter that imports the relqi these tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relqi.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,8 +1,8 @@
 import ast
 import contextlib
+import gc
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqi import cli, photon
+from relqi import cli, photon, spin_half
 import helpers
 
 
@@ -247,6 +247,56 @@ def test_unwritable_out_is_a_configuration_error(tmp_path, capsys, where):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("out", ["missing-parent", "empty"])
+def test_unwritable_out_is_refused_before_any_row(monkeypatch, tmp_path, capsys, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(spin_half, "sweep_values", refuse)
+    path = str(tmp_path / "missing" / "x.csv") if out == "missing-parent" else ""
+    assert cli.run(["spin-entropy", "--theta", "0", "--gamma", "0.5,2", "--resolution", "4",
+                    "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("relqi: configuration error: "
+                            f"out: [Errno 2] No such file or directory: {path!r}\n")
+    assert captured.out == ""
+
+
+def test_checking_out_creates_and_truncates_no_file(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("kept\n", encoding="utf-8")
+    assert cli.run(["doppler", "--v", "0.5", "--resolution", "98", "--out", str(out)]) == 3
+    assert read(out) == "kept\n"
+    new = tmp_path / "new.csv"
+    assert cli.run(["spin-entropy", "--gamma=-0.1", "--out", str(new)]) == 2
+    assert not new.exists()
+    assert capsys.readouterr().err == (
+        "relqi: numerical failure: the Gauss-Laguerre rule breaks down at 196 nodes\n"
+        "relqi: configuration error: gamma: must be nonnegative\n")
+
+
+def test_only_the_entry_point_freezes_the_heap(monkeypatch):
+    # a recorder stands in for gc.freeze, so this process's heap is never frozen
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "run", lambda argv: calls.append(argv) or 3)
+    monkeypatch.setattr(sys, "argv", ["relqi", "convergence", "--resolution", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert calls == ["freeze", ["convergence", "--resolution", "1"]]
+    assert exc.value.code == 3
+
+
+def test_run_and_import_leave_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert cli.run(["channel-audit", "--resolution", "4", "--out", "-"]) == 0
+    assert gc.get_freeze_count() == before
+    probe = "import gc, relqi.cli; print(gc.get_freeze_count())"
+    out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["photon-density"],
     ["doppler", "--v", "0.5"],
@@ -377,11 +427,9 @@ def test_config_file_cannot_name_another(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, relqi.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -728,14 +776,8 @@ def test_stdout_output(capsys):
     assert payload["is_cp"] is True
 
 
-def _fresh_env():
-    """Environment of a fresh interpreter that imports this checkout of relqi."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-
 def test_cli_import_loads_no_thread_pool():
-    env = _fresh_env()
+    env = helpers.fresh_env()
     probe = "import sys, relqi.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
@@ -745,13 +787,13 @@ def test_cli_import_loads_no_thread_pool():
 def test_cli_import_loads_no_numpy_polynomial():
     # the Gauss rules are built in the standard library
     probe = "import sys, relqi.cli; print('numpy.polynomial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
 
 def test_numerical_failure_exits_3_and_a_failed_row_exits_1():
-    env = _fresh_env()
+    env = helpers.fresh_env()
 
     def relqi(*argv):
         return subprocess.run([sys.executable, "-m", "relqi", *argv, "--out", "-"], env=env,
@@ -773,7 +815,7 @@ def test_paraxial_warning_is_printed_for_each_beam():
     # the default filter shows a warning once per text and line; each beam has its own text,
     # and a row's n and 2n passes build the same beam
     out = subprocess.run([sys.executable, "-m", "relqi", "photon-distinguish", "--kA", "4",
-                          "--dr", "1,2", "--dz", "0.1", "--out", "-"], env=_fresh_env(),
+                          "--dr", "1,2", "--dz", "0.1", "--out", "-"], env=helpers.fresh_env(),
                          capture_output=True, text=True, check=True)
     warned = [line.split(": ", 1)[1] for line in out.stderr.splitlines() if "paraxial" in line]
     assert warned == [f"UserWarning: k_mean 4 < 5 * delta_r {dr}: beam is far from paraxial"

@@ -21,6 +21,9 @@ channel audit reads its Choi spectrum from the channel's Kraus weights and
 the boosted singlet's marginal entropy is the exact one bit, so no
 subcommand makes a LAPACK call or builds a Kraus or Choi matrix.
 
+The four benchmark cases also run as the `python -m relqi` processes the
+benchmark times, through `main`, and must print the same bytes.
+
 Values that are only rounding noise are compared by rule, not byte for
 byte: the photon rel_delta of `convergence` (2.71e-16, two equal sums),
 within the benchmark's absolute 1e-14.
@@ -32,6 +35,7 @@ import io
 import json
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -39,6 +43,7 @@ import pytest
 
 from relqi import cli, qmatrix
 from relqi import wavepacket as wp
+import helpers
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 WORKLOADS = GOLDEN.parent.parent / "bench" / "workloads.py"
@@ -115,6 +120,17 @@ def test_spin_photon_and_channel_paths_call_no_eigen_solver(monkeypatch, name):
     case = CASES[name]
     assert _run(case["argv"]) == (
         case["exit"], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), case["stderr"])
+
+
+@pytest.mark.parametrize("name", ["bench-spin", "bench-doppler", "bench-channel",
+                                  "bench-entangle"])
+def test_the_relqi_process_prints_the_golden_bytes(name):
+    # the path the benchmark times: a fresh interpreter through cli.main
+    case = CASES[name]
+    out = subprocess.run([sys.executable, "-m", "relqi", *case["argv"]], env=helpers.fresh_env(),
+                         stdin=subprocess.DEVNULL, capture_output=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        case["exit"], (GOLDEN / f"{name}.stdout").read_bytes(), case["stderr"].encode())
 
 
 def test_benchmark_cases_follow_the_workloads(monkeypatch):

@@ -468,7 +468,9 @@ def _cmd_convergence(args) -> int:
 
     def evaluate(probe):
         name, res, fn = probe
-        value, refined = fn(res), fn(2 * res)
+        # the values as printed: rel_delta is their relative change, which a reader
+        # recomputes from the row, with no digit from below them
+        value, refined = (float(_fmt(fn(r))) for r in (res, 2 * res))
         delta = abs(refined - value) / max(abs(refined), 1e-300)
         return {"observable": name, "nodes_per_axis": res, "grid_nodes": res**3, "value": value,
                 "refined_value": refined, "rel_delta": delta, "converged": delta < args.tolerance}

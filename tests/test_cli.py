@@ -699,6 +699,22 @@ def test_convergence_deltas_shrink_with_resolution(tmp_path):
     assert deltas["photon_pair_error_dr_over_k_0.01"][8] < 1e-8
 
 
+@pytest.mark.parametrize("resolution", [None, "2", "6"], ids=["defaults", "n2", "n6"])
+def test_convergence_rel_delta_is_the_change_between_the_printed_values(capsys, resolution):
+    # rel_delta is |refined_value - value| / |refined_value| of the two columns as printed,
+    # and converged is rel_delta < --tolerance (default 1e-4), so a reader recomputes both
+    argv = ["convergence", "--out", "-"] + (["--resolution", resolution] if resolution else [])
+    cli.run(argv)
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == cli.CONVERGENCE_HEADER
+    assert len(rows) == 5
+    for row in rows:
+        name, _, _, value, refined, rel_delta, converged = row.split(",")
+        value, refined = float(value), float(refined)
+        assert rel_delta == f"{abs(refined - value) / abs(refined):.12g}", name
+        assert converged == ("true" if float(rel_delta) < 1e-4 else "false"), name
+
+
 def test_convergence_has_no_switch_to_skip_its_check(tmp_path, capsys):
     # every subcommand computes both resolutions, so the switch is unknown to each
     cfg = tmp_path / "cfg.json"

@@ -24,9 +24,9 @@ subcommand makes a LAPACK call or builds a Kraus or Choi matrix.
 The four benchmark cases also run as the `python -m relqi` processes the
 benchmark times, through `main`, and must print the same bytes.
 
-Values that are only rounding noise are compared by rule, not byte for
-byte: the photon rel_delta of `convergence` (2.71e-16, two equal sums),
-within the benchmark's absolute 1e-14.
+Every case is compared byte for byte, stdout, stderr and exit code, with no
+exception: every printed digit is one relqi computed, and the `rel_delta`
+of `convergence` is the relative change between the two values as printed.
 """
 
 import contextlib
@@ -34,7 +34,6 @@ import importlib.util
 import io
 import json
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -49,22 +48,11 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 WORKLOADS = GOLDEN.parent.parent / "bench" / "workloads.py"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
-ABS_NOISE = 1e-14  # bench/checks.py REF_ABS_TOL
-# (subcommand, stream, pattern whose group 2 is a noise value, compared within ABS_NOISE)
-NOISE = (
-    ("convergence", "stdout", r"^(photon_pair_error_dr_over_k_0\.01,(?:[^,]*,){4})([^,]*)(,)"),
-)
 
-
-def _masked(command: str, stream: str, text: str):
-    """`text` with its noise values replaced by `*`, and those values."""
-    values = []
-    for where, kind, pattern in NOISE:
-        if (where, kind) != (command, stream):
-            continue
-        values += [float(m.group(2)) for m in re.finditer(pattern, text, re.M)]
-        text = re.sub(pattern, r"\1*\3", text, flags=re.M)
-    return text, values
+def _expected(name):
+    """The exit code, stdout and stderr that case `name` pins."""
+    case = CASES[name]
+    return case["exit"], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), case["stderr"]
 
 
 def _run(argv):
@@ -87,19 +75,7 @@ def test_output_matches_the_golden_file(monkeypatch, name):
             monkeypatch.setattr(np.linalg, solver, refuse)
     monkeypatch.setattr(qmatrix.QubitChannel, "__init__", refuse_channel)
     wp._gauss_outcome.cache_clear()
-    case = CASES[name]
-    code, out, err = _run(case["argv"])
-    assert code == case["exit"]
-    command = case["argv"][0]
-    expected = {"stdout": (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"),
-                "stderr": case["stderr"]}
-    for stream, got in (("stdout", out), ("stderr", err)):
-        got_text, got_values = _masked(command, stream, got)
-        want_text, want_values = _masked(command, stream, expected[stream])
-        assert got_text == want_text, stream
-        assert len(got_values) == len(want_values)
-        for g, w in zip(got_values, want_values):
-            assert abs(g - w) <= ABS_NOISE, (stream, g, w)
+    assert _run(CASES[name]["argv"]) == _expected(name)
 
 
 def test_every_golden_file_names_a_case():
@@ -117,9 +93,7 @@ def test_spin_photon_and_channel_paths_call_no_eigen_solver(monkeypatch, name):
     for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver, refuse)
     wp._gauss_outcome.cache_clear()
-    case = CASES[name]
-    assert _run(case["argv"]) == (
-        case["exit"], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), case["stderr"])
+    assert _run(CASES[name]["argv"]) == _expected(name)
 
 
 @pytest.mark.parametrize("name", ["bench-spin", "bench-doppler", "bench-channel",

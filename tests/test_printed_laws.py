@@ -1,0 +1,145 @@
+"""The paper's laws, checked on the rows relqi prints.
+
+Each test runs a subcommand through `cli.run`, parses its CSV or JSON and
+checks a relation between printed values: the Doppler law of the photon
+pair error, the pair error's positivity and its paraxial closed form, the
+polarization matrix as a state with no pure photon qubit, and the spin
+entropy as the binary entropy of the printed pair error.  No oracle is
+computed; the golden cases supply the spin and density invocations.
+
+Every value is printed with 12 significant digits, so each is within half
+a unit of its 12th digit, relative HALF_DIGIT, of the float relqi computed.
+Each tolerance below is derived from that bound and stated where it is
+used.  This file imports no scipy: CI also runs it where relqi is installed
+without its test extra.
+"""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from relqi import cli
+
+CASES = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "cases.json")
+                   .read_text(encoding="utf-8"))
+HALF_DIGIT = 5e-12  # half a unit in the 12th significant digit, relative
+# a ratio of two printed values is within two HALF_DIGITs of the ratio of the floats
+RATIO_DIGITS = 2 * HALF_DIGIT
+# the next term of a paraxial law moves a hundredfold fall by a share of order (dr/kA)^2
+# at the coarse row: at most 9e-4 times a coefficient that reaches 17 at v = 0.9, a
+# share of at most 0.3% on these rows
+NEXT_ORDER = 5e-3
+
+
+def _printed(argv) -> str:
+    """What `cli.run(argv)` prints on stdout (`--out` is `-` unless argv says otherwise)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return out.getvalue()
+
+
+def _rows(argv) -> list:
+    """The printed CSV rows of `argv` as dicts of floats (but `converged`)."""
+    header, *lines = _printed(argv).splitlines()
+    return [{key: float(cell) for key, cell in zip(header.split(","), line.split(","))
+             if key != "converged"} for line in lines]
+
+
+def _falls_a_hundredfold(coarse: float, fine: float) -> bool:
+    """Whether a deviation from a law falls from `coarse` to `fine`, 100 times smaller.
+
+    Each deviation is a printed ratio minus 1 and is off by up to RATIO_DIGITS, so
+    their quotient is off by RATIO_DIGITS / |fine| + RATIO_DIGITS / |coarse|, relative;
+    NEXT_ORDER allows for the law's next term at the coarse row.
+    """
+    slack = RATIO_DIGITS / abs(fine) + RATIO_DIGITS / abs(coarse) + NEXT_ORDER
+    return abs(coarse / (100.0 * fine) - 1.0) <= slack
+
+
+def test_doppler_ratio_tends_to_the_doppler_factor():
+    # p_error(v) / p_error(0) -> (1 + v)/(1 - v) as dr/kA -> 0, with a deviation of
+    # order (dr/kA)^2: a hundredfold fall per decade of dr at kA = 100, dz = 0.1
+    deviation = {}
+    for dr in (1.0, 0.1, 0.01):
+        rows = _rows(["doppler", "--format", "csv", "--v=-0.9,-0.5,0,0.5,0.9", "--dr", str(dr)])
+        assert len(rows) == 5
+        rest = next(row["p_error"] for row in rows if row["v"] == 0.0)
+        for row in rows:
+            v = row["v"]
+            if v != 0.0:
+                deviation[dr, v] = row["p_error"] / rest / ((1 + v) / (1 - v)) - 1.0
+    for v in (-0.9, -0.5, 0.5, 0.9):
+        assert 0.0 < abs(deviation[0.01, v]) < 1e-7, v
+        for coarse, fine in ((1.0, 0.1), (0.1, 0.01)):
+            assert _falls_a_hundredfold(deviation[coarse, v], deviation[fine, v]), (v, coarse)
+
+
+def test_photon_pair_error_is_positive_at_every_finite_spread():
+    # no two photon states are exactly orthogonal: a finite radial spread gives a
+    # positive pair error, however narrow the beam
+    rows = _rows(["photon-distinguish", "--dr", "1e-3,0.01,0.1,0.3,1,3,10"])
+    assert len(rows) == 7
+    assert all(row["p_error"] > 0.0 for row in rows)
+
+
+def test_photon_pair_error_tends_to_its_closed_form():
+    # p_error -> (dr / 2kA)^2 as dr/kA -> 0: the default dr sweep at kA = 100, 1000 and
+    # 10000, where dz/kA shrinks with dr/kA and the gap falls a hundredfold per decade
+    gap = {}
+    for k_mean in (100.0, 1000.0, 10000.0):
+        rows = _rows(["photon-distinguish", "--kA", str(k_mean)])
+        assert len(rows) == 3
+        for row in rows:
+            assert row["p_error"] > 0.0
+            gap[k_mean, row["delta_r"]] = row["p_error"] / row["p_error_closed_form"] - 1.0
+    for dr in (0.3, 1.0, 3.0):
+        for coarse, fine in ((100.0, 1000.0), (1000.0, 10000.0)):
+            assert _falls_a_hundredfold(gap[coarse, dr], gap[fine, dr]), (dr, coarse)
+
+
+@pytest.mark.parametrize("name", ["photon-density", "photon-density-helicity-minus"])
+def test_photon_density_is_a_state_with_no_pure_qubit(name):
+    report = json.loads(_printed(CASES[name]["argv"]))
+    rho_re, rho_im = np.array(report["rho_re"]), np.array(report["rho_im"])
+    # each printed entry is within HALF_DIGIT of its float, relative; the floats are
+    # symmetric (real part) and antisymmetric (imaginary part)
+    np.testing.assert_allclose(rho_re, rho_re.T, rtol=2 * HALF_DIGIT, atol=0.0)
+    np.testing.assert_allclose(rho_im, -rho_im.T, rtol=2 * HALF_DIGIT, atol=0.0)
+    # the trace: three diagonal entries, each within HALF_DIGIT of a float that sums to 1
+    # up to a few units of double rounding
+    assert abs(np.trace(rho_re) - 1.0) <= HALF_DIGIT * np.abs(np.diag(rho_re)).sum() + 1e-15
+    # printing moves every entry by at most HALF_DIGIT of it, so an eigenvalue by at most
+    # HALF_DIGIT times the Frobenius norm of the matrix
+    rho = rho_re + 1j * rho_im
+    assert np.linalg.eigvalsh(rho).min() >= -HALF_DIGIT * np.linalg.norm(rho)
+    # rho_zz = <sin^2 theta>/2 > 0: a photon's polarization is never a pure qubit
+    assert rho_re[2, 2] > 0.0
+
+
+def _binary_entropy(p: float) -> float:
+    if p == 0.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / math.log(2.0))
+
+
+@pytest.mark.parametrize("name", ["spin-entropy", "spin-distinguish", "bench-spin",
+                                  "spin-entropy-gamma-1e4"])
+def test_spin_entropy_is_the_binary_entropy_of_the_pair_error(name):
+    rows = _rows(CASES[name]["argv"])
+    assert rows
+    for row in rows:
+        p, entropy = row["p_error"], row["entropy_bits"]
+        want = _binary_entropy(p)
+        if want == 0.0:
+            assert entropy == 0.0
+            continue
+        # the printed p is within HALF_DIGIT of its float, which moves h(p) by
+        # HALF_DIGIT times |p h'(p) / h(p)|, relative; the printed entropy adds HALF_DIGIT
+        slope = abs(p * math.log2((1.0 - p) / p) / want)
+        assert abs(entropy / want - 1.0) <= HALF_DIGIT * (1.0 + slope) + 1e-15, row

@@ -22,10 +22,9 @@ callers and as the tests' oracle.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import photon, qmatrix, spin_half
-from .qmatrix import ID2, SIGMA_X, SIGMA_Y, QubitChannel
+from ._numpy import np
+from .qmatrix import QubitChannel
 
 WITNESS_TOL = 1e-9
 CONSISTENCY_BETA = 0.6  # the boost speed of the consistency audit
@@ -47,7 +46,8 @@ def _kraus_weights(gamma: float):
 def decoherence_channel(gamma: float) -> QubitChannel:
     """Kraus form {sqrt(1 - G^2/4) I, G/sqrt(8) sx, G/sqrt(8) sy}."""
     return QubitChannel(kraus=[np.sqrt(w) * op for w, op in
-                               zip(_kraus_weights(gamma), (ID2, SIGMA_X, SIGMA_Y))])
+                               zip(_kraus_weights(gamma),
+                                   (qmatrix.ID2, qmatrix.SIGMA_X, qmatrix.SIGMA_Y))])
 
 
 def certify(gamma: float) -> dict:

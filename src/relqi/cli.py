@@ -513,15 +513,19 @@ def run(argv) -> int:
 def main() -> None:
     """The `relqi` command: run(sys.argv[1:]) in a process of its own.
 
-    The objects the imports leave (numpy's and relqi's, about 21k) live
-    until exit, so gc.freeze() moves them to the permanent generation: no
-    collection traverses them, neither during the run nor at shutdown, which
-    leaves their cycles to the operating system instead of taking them
-    apart.  Only the entry point freezes; run() and importing relqi leave a
-    library caller's heap as it is.
+    The objects the imports leave live until exit, so gc.freeze() moves
+    them to the permanent generation: no collection traverses them, neither
+    during the run nor at shutdown, which leaves their cycles to the
+    operating system instead of taking them apart.  A subcommand that reads
+    numpy imports it inside run() (relqi._numpy), so the entry point
+    freezes again when run() returns, before exit.  Only the entry point
+    freezes; run() and importing relqi leave a library caller's heap as it
+    is.
     """
     gc.freeze()
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ The 4x4 matrix product is kept only as a test oracle.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import constants, np
 from .wavepacket import NumericalError
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+# ETA, the metric diag(+1, -1, -1, -1), built on first use
+_constant, __getattr__ = constants(__name__, ETA=lambda: np.diag([1.0, -1.0, -1.0, -1.0]))
 
 
 def _norm2(v) -> np.ndarray:
@@ -44,8 +44,8 @@ def four_momentum(mass: float, momenta) -> np.ndarray:
 
 def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
     """Inverse via eta L^T eta, exact for any Lorentz matrix (batched)."""
-    lam = np.asarray(lam, dtype=float)
-    return ETA @ np.swapaxes(lam, -1, -2) @ ETA
+    lam, eta = np.asarray(lam, dtype=float), _constant("ETA")
+    return eta @ np.swapaxes(lam, -1, -2) @ eta
 
 
 def boost_from_velocity(beta) -> np.ndarray:

@@ -18,8 +18,10 @@ fixed by <sin^2 theta>, and <khat'> is <cos theta'> e_z, with cos theta'
 from aberration node by node.  One photon kernel, `_beam_means`, takes both
 means on a 2-D Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2), and
 `circular_density`, `circular_pair_error` and `doppler_report` are short
-functions of it.  `sweep_values`, `circular_density_values` and
-`doppler_report` give `relqi.cli` plain Python floats, lists and dicts.
+functions of it.  The kernel works on Python floats with `math` and reads
+no numpy, so `sweep_values`, `circular_density_values` and
+`doppler_report` give `relqi.cli` plain Python floats, lists and dicts
+without loading numpy (relqi._numpy).
 Every node k_z = k_mean + delta_z t of a beam's Gauss-Hermite rule is
 forward exactly when k_mean > beam_reach(n) delta_z, with beam_reach the
 rule's outermost node: `_beam_axis` refuses any other beam with a
@@ -34,23 +36,26 @@ zero); pure spatial rotations act on polarization vectors exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry, qmatrix
-from .wavepacket import (GaussianSpec, Measure, MomentumGrid, NumericalError, _gauss_rule,
+from ._numpy import constants, np
+from .wavepacket import (GaussianSpec, Measure, MomentumGrid, NumericalError, _gauss_floats,
                          ensure_same_grid, gauss_grid, inner_product, normalize)
 
 DEFAULT_NODES_PER_AXIS = 12
 
-EPS_PLUS_STD = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
-EPS_MINUS_STD = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
-
-_AXES = np.eye(3)
+# the circular polarization vectors along +z and the Cartesian axes, built on first use
+_constant, __getattr__ = constants(
+    __name__,
+    EPS_PLUS_STD=lambda: np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
+    EPS_MINUS_STD=lambda: np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
+    _AXES=lambda: np.eye(3),
+)
 
 
 def directions(nodes) -> np.ndarray:
@@ -61,7 +66,7 @@ def directions(nodes) -> np.ndarray:
 def helicity_vectors_batch(khats):
     """Right/left circular polarization vectors attached to each row of `khats`."""
     rots = geometry.standard_rotation_batch(khats)
-    return rots @ EPS_PLUS_STD, rots @ EPS_MINUS_STD
+    return rots @ _constant("EPS_PLUS_STD"), rots @ _constant("EPS_MINUS_STD")
 
 
 def transversal_b(direction, khat):
@@ -121,15 +126,16 @@ def beam_reach(nodes_per_axis: int) -> float:
     exactly when k_mean > beam_reach(nodes_per_axis) * delta_z: the rule is
     mirrored exactly, so its innermost node is -t.
     """
-    return float(_gauss_rule("Gauss-Hermite", nodes_per_axis)[0][-1])
+    return _gauss_floats("Gauss-Hermite", nodes_per_axis)[0][-1]
 
 
 def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: int):
-    """Gauss-Hermite nodes k_mean + delta_z t and weights along a beam, after its checks.
-    A node at k_z <= 0, k_mean <= beam_reach(nodes_per_axis) * delta_z, raises ValueError."""
+    """Gauss-Hermite nodes k_mean + delta_z t and weights along a beam, after its checks, as
+    float tuples.  A node at k_z <= 0, k_mean <= beam_reach(nodes_per_axis) * delta_z,
+    raises ValueError."""
     if k_mean <= 0.0 or delta_z <= 0.0 or delta_r <= 0.0:
         raise ValueError("k_mean and widths must be positive")
-    t, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
+    t, w = _gauss_floats("Gauss-Hermite", nodes_per_axis)
     if not k_mean > t[-1] * delta_z:
         raise ValueError(f"k_mean must exceed {t[-1]:.12g} * delta_z: the outermost of "
                          f"{nodes_per_axis} beam nodes reaches zero or backward momenta")
@@ -141,7 +147,7 @@ def _beam_axis(k_mean: float, delta_z: float, delta_r: float, nodes_per_axis: in
         # the message names the beam, so that each beam warns once
         warnings.warn(f"k_mean {k_mean:.12g} < 5 * delta_r {delta_r:.12g}: beam is far from "
                       "paraxial", stacklevel=level)
-    return k_mean + delta_z * t, w
+    return tuple(k_mean + delta_z * ti for ti in t), w
 
 
 def gaussian_beam(
@@ -218,7 +224,7 @@ def build_povm(grid: MomentumGrid) -> PolarizationPOVM:
     if grid.convention is not Measure.INVARIANT:
         raise ValueError("polarization POVMs require an INVARIANT-convention grid")
     khat = directions(grid.nodes)
-    bvecs = np.stack([transversal_b(axis, khat)[0] for axis in _AXES])
+    bvecs = np.stack([transversal_b(axis, khat)[0] for axis in _constant("_AXES")])
     return PolarizationPOVM(grid=grid, bvecs=bvecs)
 
 
@@ -238,11 +244,12 @@ def effective_density_tomography(psi: PhotonPacket) -> np.ndarray:
     povm = build_povm(psi.grid)
     diag = povm.probabilities(psi)
     rho = np.diag(diag).astype(complex)
+    axes = _constant("_AXES")
     for m in range(3):
         for n in range(m + 1, 3):
             base = 0.5 * (diag[m] + diag[n])
-            re = povm.expectation(psi, _AXES[m] + _AXES[n]) - base
-            im = povm.expectation(psi, _AXES[m] - 1j * _AXES[n]) - base
+            re = povm.expectation(psi, axes[m] + axes[n]) - base
+            im = povm.expectation(psi, axes[m] - 1j * axes[n]) - base
             rho[m, n] = re + 1j * im
             rho[n, m] = re - 1j * im
     return rho
@@ -291,17 +298,40 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
 
 
+@functools.lru_cache(maxsize=2)
+def _beam_rule(k_z, w_z, k_r2, w_x):
+    """<sin^2 theta> and the node tuples p, k_r^2 / (|k| + k_z), |k| and k_z of a beam's rule.
+
+    The 2-D rule of _beam_means, node by node, from the nodes k_z and
+    k_r^2 and the weights of its two 1-D rules (float tuples), with
+    p = w_z w_x / |k| normalised to 1.  The rows of a sweep over speeds
+    share one beam, so the last two rules (a row's n and 2n) are cached:
+    32 bytes a node and tuple, about 4.9 MB at 195 nodes per axis, the most
+    before the Gauss-Laguerre rule breaks down.
+    """
+    z = [kz for kz in k_z for _ in k_r2]
+    r2 = k_r2 * len(k_z)
+    k = [math.sqrt(kz * kz + x) for kz, x in zip(z, r2)]
+    p = [w / kk for w, kk in zip([wz * wx for wz in w_z for wx in w_x], k)]
+    total = math.fsum(p)
+    p = [pi / total for pi in p]
+    sin2 = math.fsum([pi * x / (kk * kk) for pi, x, kk in zip(p, r2, k)])
+    a = [x / (kk + kz) for x, kk, kz in zip(r2, k, z)]
+    return sin2, tuple(p), tuple(a), tuple(k), tuple(z)
+
+
 def _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, speeds):
     """<sin^2 theta> at rest, and the pair (1 - <cos theta'>, 1 + <cos theta'>) per speed.
 
     The one photon kernel: the 2-D rule of a gaussian_beam, Gauss-Hermite
     in k_z times Gauss-Laguerre in k_r^2 / delta_r^2, whose weights absorb
     the beam envelope, with p = w_z w_x / |k| (invariant measure)
-    normalised to 1.  The azimuth is averaged exactly, so any mean of an
-    axially symmetric function of k is a sum over p.  For an observer
-    moving at speed v along z, aberration gives 1 -+ cos theta' =
+    normalised to 1 (_beam_rule).  The azimuth is averaged exactly, so any
+    mean of an axially symmetric function of k is a sum over p.  For an
+    observer moving at speed v along z, aberration gives 1 -+ cos theta' =
     (1 +- v)(|k| -+ k_z) / (|k| - v k_z), and |k| - k_z = k_r^2 / (|k| + k_z):
-    every mean sums positive terms.
+    every mean sums positive terms, in floats with math.fsum, which rounds
+    the exact sum once.
     Raises NumericalError when the smallest Laguerre weight underflows
     (from 196 nodes) and, before any node is squared, when the outermost
     |k|^2 overflows or the innermost k_z^2 is below the normal floats.
@@ -309,24 +339,19 @@ def _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, speeds):
     if any(abs(v) >= 1.0 for v in speeds):
         raise ValueError("observer speed must satisfy |v| < 1")
     k_z, w_z = _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
-    x, w_x = _gauss_rule("Gauss-Laguerre", nodes_per_axis)
-    k_z_min, k_z_max = float(k_z[0]), float(k_z[-1])
-    if not math.isfinite(k_z_max * k_z_max + delta_r * delta_r * float(x[-1])):
+    x, w_x = _gauss_floats("Gauss-Laguerre", nodes_per_axis)
+    if not math.isfinite(k_z[-1] * k_z[-1] + delta_r * delta_r * x[-1]):
         raise NumericalError("|k|^2 overflows: the beam's momenta are too large for floats")
-    if k_z_min * k_z_min < sys.float_info.min:
+    if k_z[0] * k_z[0] < sys.float_info.min:
         raise NumericalError("k_z^2 underflows: the beam's momenta are too small for floats")
-    k_z = k_z[:, None]
-    k_r2 = delta_r * delta_r * x
-    k = np.sqrt(k_z * k_z + k_r2)
-    p = w_z[:, None] * w_x / k
-    p /= p.sum()
+    sin2, p, a, k, z = _beam_rule(k_z, w_z, tuple(delta_r * delta_r * xi for xi in x), w_x)
     means = []
     for v in speeds:
-        doppler = k - v * k_z
-        minus = np.sum(p * (1.0 + v) * (k_r2 / (k + k_z)) / doppler)
-        plus = np.sum(p * (1.0 - v) * (k + k_z) / doppler)
-        means.append((float(minus), float(plus)))
-    return float(np.sum(p * k_r2 / (k * k))), means
+        up, down = 1.0 + v, 1.0 - v
+        minus = math.fsum([pi * up * ai / (kk - v * kz) for pi, ai, kk, kz in zip(p, a, k, z)])
+        plus = math.fsum([pi * down * (kk + kz) / (kk - v * kz) for pi, kk, kz in zip(p, k, z)])
+        means.append((minus, plus))
+    return sin2, means
 
 
 def circular_density(
@@ -340,16 +365,26 @@ def circular_density(
 
     The beam is axially symmetric, so rho = (P +- i c [e_z]_x)/2 with
     P = diag(1 - S/2, 1 - S/2, S), S = <sin^2 theta> and c = <cos theta>,
-    both from _beam_means at rest; the entries that vanish by symmetry are
-    exactly 0.  Raises ValueError unless `helicity` is +1 or -1.
+    both from _beam_means at rest (circular_density_values); the entries
+    that vanish by symmetry are exactly 0.  Raises ValueError unless
+    `helicity` is +1 or -1.
     """
+    values = circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis)
+    rho = np.array(values["rho_re"], dtype=complex)
+    rho.imag = values["rho_im"]
+    return rho
+
+
+def circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis) -> dict:
+    """The real and imaginary parts of circular_density, as the nested float lists rho_re
+    and rho_im of a report, built from the kernel's floats."""
     if helicity not in (1, -1):
         raise ValueError("helicity must be +1 or -1")
     s, ((minus, _),) = _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, (0.0,))
     half_c = 0.5 * (1.0 - minus) * helicity
-    rho = np.diag([0.5 - 0.25 * s, 0.5 - 0.25 * s, 0.5 * s]).astype(complex)
-    rho[0, 1], rho[1, 0] = complex(0.0, -half_c), complex(0.0, half_c)
-    return rho
+    transverse = 0.5 - 0.25 * s
+    return {"rho_re": [[transverse, 0.0, 0.0], [0.0, transverse, 0.0], [0.0, 0.0, 0.5 * s]],
+            "rho_im": [[0.0, -half_c, 0.0], [half_c, 0.0, 0.0], [0.0, 0.0, 0.0]]}
 
 
 def _doppler_factor(v: float) -> float:
@@ -357,17 +392,16 @@ def _doppler_factor(v: float) -> float:
     return (1.0 + v) / (1.0 - v)
 
 
-def circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis) -> dict:
-    """circular_density as the nested lists rho_re and rho_im of a report."""
-    rho = circular_density(k_mean, delta_z, delta_r, helicity, nodes_per_axis)
-    return {"rho_re": rho.real.tolist(), "rho_im": rho.imag.tolist()}
-
-
 def sweep_values(k_mean, delta_z, delta_r, v, nodes_per_axis) -> dict:
-    """p_error, circular_pair_error at one resolution, and its delta_r / k_mean -> 0 limit.
+    """p_error, circular_pair_error at one resolution, and its closed form p_error_closed_form.
 
-    A ValueError that the rule raises carries that closed form, which needs
-    no rule, as its `values`, so that a failed sweep row still prints it.
+    The closed form (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2) is the limit
+    where both delta_r / k_mean -> 0 and delta_z / k_mean -> 0: at a fixed
+    delta_z / k_mean the relative gap p_error / p_error_closed_form - 1
+    levels off near 2.5 (delta_z / k_mean)^2 as delta_r falls (2.5e-6 at the
+    defaults k_mean = 100, delta_z = 0.1).  A ValueError that the rule raises
+    carries the closed form, which needs no rule, as its `values`, so that a
+    failed sweep row still prints it.
     """
     ratio = delta_r / (2.0 * k_mean)
     closed_form = {"p_error_closed_form": _doppler_factor(v) * (ratio * ratio)}
@@ -392,7 +426,7 @@ def circular_pair_error(
     compared in their rest frame.  The error (1 - |<cos theta'>|)/2 is the
     smaller of the two means of _beam_means, halved.  Strictly positive for
     any finite radial spread; tends to (1 + v)/(1 - v) delta_r^2 / (4 k_mean^2)
-    as delta_r / k_mean -> 0.
+    as delta_r / k_mean and delta_z / k_mean -> 0 (sweep_values).
     """
     _, (means,) = _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, (v,))
     return 0.5 * min(means)

@@ -35,9 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry, qmatrix, wavepacket
+from ._numpy import np
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, _gauss_rule, gauss_grid
 
 DEFAULT_NODES_PER_AXIS = 12

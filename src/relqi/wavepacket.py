@@ -12,20 +12,22 @@ Two measure conventions are supported and recorded on every grid:
 * INVARIANT  -- d^3k / ((2 pi)^3 2 k^0), the Lorentz-invariant measure,
                 with k^0 = sqrt(mass^2 + |k|^2) folded into the weights.
 
-Quadrature sums use numpy's fixed (pairwise) reduction order, so a given
-grid and integrand give bit-identical results on every run.
+Every quadrature sum has a fixed order, numpy's pairwise reduction on the
+grids and `math.fsum` (exact, rounded once) in the photon kernel, so a
+given grid and integrand give bit-identical results on every run.
 
 The 1-D Gauss-Hermite and Gauss-Laguerre rules are built once per node
-count (`_gauss_rule`), by Golub-Welsch in the standard library's `math`
-with no LAPACK eigen-solve, and are the only rules cached, a rule that
-breaks down as its reason (`_gauss_outcome`): `gauss_grid`
-builds its n^3 tensor grid from them on every call, the photon beam rule
-reads them, and the massive-spin kernel streams its folded 3-D rule from
-them block by block (spin_half._packet_blocks) without building the grid,
-its probabilities products of the 1-D weights and the packet width in its
-nodes only.  No convergence check lives here: whether a value has
-converged (recomputed at twice the nodes per axis) is decided by one rule
-in `relqi.cli`.
+count by Golub-Welsch in the standard library's `math`, with no LAPACK
+eigen-solve, and cached as float tuples, a rule that breaks down as its
+reason (`_gauss_outcome`, read through `_gauss_floats`).  The photon beam
+kernel reads the tuples and needs no numpy.  `_gauss_rule` hands them out
+as read-only numpy arrays: `gauss_grid` builds its n^3 tensor grid from
+them on every call, and the massive-spin kernel streams its folded 3-D
+rule from them block by block (spin_half._packet_blocks) without building
+the grid, its probabilities products of the 1-D weights and the packet
+width in its nodes only.  No convergence check lives here: whether a
+value has converged (recomputed at twice the nodes per axis) is decided
+by one rule in `relqi.cli`.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
-TWO_PI_CUBED = (2.0 * np.pi) ** 3
+TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
 
 class NumericalError(ValueError):
@@ -180,7 +182,7 @@ def _golub_welsch(diag, off, mu0):
 
 @functools.lru_cache(maxsize=8)
 def _gauss_outcome(name: str, nodes_per_axis: int):
-    """The read-only nodes and weights of the `name` rule, or the reason it breaks down.
+    """The nodes and weights of the `name` rule as float tuples, or the reason it breaks down.
 
     lru_cache keeps no exception, so a rule that breaks down is cached as
     its reason, and each node count is built once per process either way.
@@ -191,14 +193,11 @@ def _gauss_outcome(name: str, nodes_per_axis: int):
         w = [0.5 * (a + b) for a, b in zip(w, reversed(w))]
     if not all(0.0 < v < math.inf for v in w):
         return f"the {name} rule breaks down at {nodes_per_axis} nodes"
-    x, w = np.array(x), np.array(w)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return tuple(x), tuple(w)
 
 
-def _gauss_rule(name: str, nodes_per_axis: int):
-    """Read-only nodes and weights of the `name` rule, built once per node count.
+def _gauss_floats(name: str, nodes_per_axis: int):
+    """Nodes and weights of the `name` rule as float tuples, built once per node count.
 
     Golub-Welsch on the family's Jacobi matrix.  The Gauss-Hermite rule is
     mirrored exactly, x -> (x - x reversed)/2 and w -> (w + w reversed)/2,
@@ -212,6 +211,14 @@ def _gauss_rule(name: str, nodes_per_axis: int):
     if isinstance(outcome, str):
         raise NumericalError(outcome)
     return outcome
+
+
+def _gauss_rule(name: str, nodes_per_axis: int):
+    """The rule of _gauss_floats as read-only numpy arrays (nodes, weights)."""
+    x, w = (np.array(v) for v in _gauss_floats(name, nodes_per_axis))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def ensure_same_grid(a: MomentumGrid, b: MomentumGrid) -> None:

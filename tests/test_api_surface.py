@@ -3,7 +3,8 @@
 A public (no leading underscore) top-level `def` or `class` in
 src/relqi/*.py is either referenced by other src code, or exported from
 relqi/__init__.py and named (in backticks) in the README.  Test-only
-helpers live in tests/helpers.py.
+helpers live in tests/helpers.py.  numpy is imported by relqi/_numpy.py
+alone, which binds it lazily.
 """
 
 import ast
@@ -81,3 +82,17 @@ def test_readme_export_column_lists_exactly_the_exports():
                 if isinstance(node, ast.ImportFrom) and node.module is not None
                 for alias in node.names}
     assert _readme_exports() == exported
+
+
+def test_only_the_lazy_binding_imports_numpy():
+    # `import numpy` reads the module's __spec__, which loads numpy at once; every module
+    # takes it as `from ._numpy import np` instead
+    offenders = []
+    for module, tree in _modules().items():
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module]
+        if module != "_numpy" and any(name.split(".")[0] == "numpy" for name in names):
+            offenders.append(f"relqi/{module}.py")
+    assert offenders == [], f"import numpy outside relqi/_numpy.py: {', '.join(offenders)}"

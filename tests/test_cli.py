@@ -283,7 +283,8 @@ def test_only_the_entry_point_freezes_the_heap(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["relqi", "convergence", "--resolution", "1"])
     with pytest.raises(SystemExit) as exc:
         cli.main()
-    assert calls == ["freeze", ["convergence", "--resolution", "1"]]
+    # again after run(), which may have imported numpy
+    assert calls == ["freeze", ["convergence", "--resolution", "1"], "freeze"]
     assert exc.value.code == 3
 
 
@@ -806,6 +807,45 @@ def test_cli_import_loads_no_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the benchmark's doppler invocation, as tests/test_golden.py pins it
+BENCH_DOPPLER = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cases.json").read_text(encoding="utf-8")
+)["bench-doppler"]["argv"]
+
+
+def _numpy_submodules(argv):
+    """The numpy.* modules a fresh interpreter holds after `import relqi.cli` and, unless
+    `argv` is None, cli.run(argv), with the exit code."""
+    probe = ("import json, sys; from relqi import cli; argv = json.loads(sys.argv[1]); "
+             "code = None if argv is None else cli.run(argv); "
+             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('numpy.'))]),"
+             " file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                         env=helpers.fresh_env(), capture_output=True, text=True, check=True)
+    return json.loads(out.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (None, None),
+    (["--help"], 0),
+    (["doppler", "--v", "2", "--out", "-"], 2),
+    (BENCH_DOPPLER, 0),
+    (["photon-distinguish", "--out", "-"], 0),
+    (["photon-density", "--out", "-"], 0),
+], ids=["import", "help", "config-error", "bench-doppler", "photon-distinguish",
+        "photon-density"])
+def test_photon_paths_load_no_numpy(argv, code):
+    # relqi._numpy binds numpy lazily: these paths never read a numpy attribute
+    assert _numpy_submodules(argv) == [code, []]
+
+
+def test_numpy_loads_on_first_use():
+    code, loaded = _numpy_submodules(["spin-entropy", "--theta", "0", "--gamma", "0.25",
+                                      "--out", "-"])
+    assert code == 0
+    assert "numpy.linalg" in loaded
 
 
 def test_numerical_failure_exits_3_and_a_failed_row_exits_1():

@@ -381,6 +381,31 @@ def test_packet_validation():
         ph.PhotonPacket(grid=beam.grid, profile=2.0 * beam.profile, helicity=beam.helicity)
 
 
+def beam_means_numpy(k_mean, delta_z, delta_r, n, speeds):
+    """_beam_means with numpy: the same per-node terms on the same rule, summed by np.sum."""
+    t, w_z = wp._gauss_rule("Gauss-Hermite", n)
+    x, w_x = wp._gauss_rule("Gauss-Laguerre", n)
+    k_z = (k_mean + delta_z * t)[:, None]
+    k_r2 = delta_r * delta_r * x
+    k = np.sqrt(k_z * k_z + k_r2)
+    p = w_z[:, None] * w_x / k
+    p = p / np.sum(p)
+    means = [(np.sum(p * (1.0 + v) * (k_r2 / (k + k_z)) / (k - v * k_z)),
+              np.sum(p * (1.0 - v) * (k + k_z) / (k - v * k_z))) for v in speeds]
+    return np.sum(p * k_r2 / (k * k)), means
+
+
+@pytest.mark.parametrize("n", [12, 24, 95])
+def test_beam_means_match_a_numpy_oracle(n):
+    # the 19 speeds of the benchmark's doppler sweep, on its beam
+    speeds = [-0.9 + 0.1 * i for i in range(19)]
+    sin2, means = ph._beam_means(100.0, 0.1, 1.0, n, speeds)
+    sin2_np, means_np = beam_means_numpy(100.0, 0.1, 1.0, n, speeds)
+    assert sin2 == pytest.approx(sin2_np, rel=1e-14, abs=0.0)
+    for pair, pair_np in zip(means, means_np, strict=True):
+        assert pair == pytest.approx(pair_np, rel=1e-14, abs=0.0)
+
+
 def test_gauss_rules_are_built_once_per_node_count():
     # one cache, in wavepacket, serves the photon rules and gauss_grid
     wp._gauss_outcome.cache_clear()

@@ -28,7 +28,6 @@ from .photon import (
     PolarizationPOVM,
     boost_photon,
     build_povm,
-    circular_density,
     circular_pair_error,
     doppler_report,
     effective_density,
@@ -52,6 +51,7 @@ from .spin_half import (
     gamma_parameter,
     gaussian_packet,
     reduced_spin_density,
+    wigner_sin2_mean,
 )
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid
 

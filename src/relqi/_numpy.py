@@ -8,15 +8,12 @@ module.  A plain `import numpy` in a relqi module would read the module's
 `__spec__` and load it at once.  So `import relqi.cli`, and a subcommand
 whose path reads no numpy attribute (`doppler`, `photon-distinguish`,
 `photon-density`), never pay for numpy; a missing numpy still raises
-ModuleNotFoundError at `import relqi`.
-
-A module's numpy constants are built on their first use too (`constants`),
-and stay readable as module attributes through its PEP 562 `__getattr__`.
+ModuleNotFoundError at `import relqi`.  No relqi module holds a numpy
+object at module level: each function builds the arrays it computes with.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import sys
 
@@ -37,24 +34,3 @@ def _lazy(name: str):
 
 
 np = _lazy("numpy")
-
-
-def constants(module: str, **builders):
-    """(get, __getattr__) of the numpy constants of `module`, each built on first use.
-
-    get(name) builds the constant `builders[name]()` once and keeps it;
-    __getattr__ is the module's PEP 562 hook, which reads the same names as
-    module attributes.  Any other name raises AttributeError without
-    building anything, so probes such as hasattr(module, "__path__") load
-    no numpy.
-    """
-    @functools.cache
-    def get(name: str):
-        return builders[name]()
-
-    def __getattr__(name: str):
-        if name in builders:
-            return get(name)
-        raise AttributeError(f"module {module!r} has no attribute {name!r}")
-
-    return get, __getattr__

@@ -45,9 +45,9 @@ def _kraus_weights(gamma: float):
 
 def decoherence_channel(gamma: float) -> QubitChannel:
     """Kraus form {sqrt(1 - G^2/4) I, G/sqrt(8) sx, G/sqrt(8) sy}."""
-    return QubitChannel(kraus=[np.sqrt(w) * op for w, op in
-                               zip(_kraus_weights(gamma),
-                                   (qmatrix.ID2, qmatrix.SIGMA_X, qmatrix.SIGMA_Y))])
+    paulis = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                       [[0.0, -1.0j], [1.0j, 0.0]]])
+    return QubitChannel(kraus=[np.sqrt(w) * op for w, op in zip(_kraus_weights(gamma), paulis)])
 
 
 def certify(gamma: float) -> dict:

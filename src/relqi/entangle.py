@@ -26,17 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry, qmatrix, spin_half
-from ._numpy import constants, np
+from ._numpy import np
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid, normalize
 
 DEFAULT_NODES_PER_AXIS = 8
-
-# the singlet's spin amplitudes and Y x Y, built on first use
-_constant, __getattr__ = constants(
-    __name__,
-    SINGLET=lambda: np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0),
-    _YY=lambda: np.kron(qmatrix.SIGMA_Y, qmatrix.SIGMA_Y),
-)
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,8 @@ def bell_gaussian(
         raise ValueError("width and mass must be positive")
     grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, Measure.INVARIANT, mass=mass)
     h = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta**2)))
-    g = h[:, None, None, None] * h[None, :, None, None] * _constant("SINGLET")[None, None, :, :]
+    singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
+    g = h[:, None, None, None] * h[None, :, None, None] * singlet[None, None, :, :]
     return TwoParticleAmplitude(grid1=grid, grid2=grid, g=g)
 
 
@@ -121,7 +115,8 @@ def concurrence(rho) -> float:
         raise ValueError("concurrence is defined for 4x4 density matrices")
     mu, vecs = np.linalg.eigh(qmatrix.hermitize(rho))
     root = (vecs * np.sqrt(np.clip(mu, 0.0, None))) @ vecs.conj().T
-    lam = np.linalg.svd(root @ _constant("_YY") @ root.conj(), compute_uv=False)
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    lam = np.linalg.svd(root @ np.kron(sigma_y, sigma_y) @ root.conj(), compute_uv=False)
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 

@@ -20,11 +20,8 @@ The 4x4 matrix product is kept only as a test oracle.
 
 from __future__ import annotations
 
-from ._numpy import constants, np
+from ._numpy import np
 from .wavepacket import NumericalError
-
-# ETA, the metric diag(+1, -1, -1, -1), built on first use
-_constant, __getattr__ = constants(__name__, ETA=lambda: np.diag([1.0, -1.0, -1.0, -1.0]))
 
 
 def _norm2(v) -> np.ndarray:
@@ -43,8 +40,8 @@ def four_momentum(mass: float, momenta) -> np.ndarray:
 
 
 def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
-    """Inverse via eta L^T eta, exact for any Lorentz matrix (batched)."""
-    lam, eta = np.asarray(lam, dtype=float), _constant("ETA")
+    """Inverse eta L^T eta, eta = diag(1, -1, -1, -1): exact for any Lorentz matrix (batched)."""
+    lam, eta = np.asarray(lam, dtype=float), np.diag([1.0, -1.0, -1.0, -1.0])
     return eta @ np.swapaxes(lam, -1, -2) @ eta
 
 

@@ -17,11 +17,12 @@ and an observer moving along z are axially symmetric, so <P_T> is diagonal,
 fixed by <sin^2 theta>, and <khat'> is <cos theta'> e_z, with cos theta'
 from aberration node by node.  One photon kernel, `_beam_means`, takes both
 means on a 2-D Gauss-Hermite x Gauss-Laguerre rule in (k_z, k_r^2), and
-`circular_density`, `circular_pair_error` and `doppler_report` are short
-functions of it.  The kernel works on Python floats with `math` and reads
-no numpy, so `sweep_values`, `circular_density_values` and
-`doppler_report` give `relqi.cli` plain Python floats, lists and dicts
-without loading numpy (relqi._numpy).
+`circular_density_values`, `circular_pair_error` and `doppler_report` are
+short functions of it.  The kernel works on Python floats with `math` and
+reads no numpy, so these functions and `sweep_values` give `relqi.cli`
+plain Python floats, lists and dicts without loading numpy
+(relqi._numpy).  The 3-D beam, its POVM and the helicity basis build the
+numpy arrays they compute with inside each call.
 Every node k_z = k_mean + delta_z t of a beam's Gauss-Hermite rule is
 forward exactly when k_mean > beam_reach(n) delta_z, with beam_reach the
 rule's outermost node: `_beam_axis` refuses any other beam with a
@@ -43,19 +44,11 @@ import warnings
 from dataclasses import dataclass
 
 from . import geometry, qmatrix
-from ._numpy import constants, np
+from ._numpy import np
 from .wavepacket import (GaussianSpec, Measure, MomentumGrid, NumericalError, _gauss_floats,
                          ensure_same_grid, gauss_grid, inner_product, normalize)
 
 DEFAULT_NODES_PER_AXIS = 12
-
-# the circular polarization vectors along +z and the Cartesian axes, built on first use
-_constant, __getattr__ = constants(
-    __name__,
-    EPS_PLUS_STD=lambda: np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
-    EPS_MINUS_STD=lambda: np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
-    _AXES=lambda: np.eye(3),
-)
 
 
 def directions(nodes) -> np.ndarray:
@@ -64,9 +57,11 @@ def directions(nodes) -> np.ndarray:
 
 
 def helicity_vectors_batch(khats):
-    """Right/left circular polarization vectors attached to each row of `khats`."""
+    """Right/left circular polarization vectors attached to each row of `khats`: the standard
+    rotations R(khat) of (1, +-i, 0)/sqrt(2)."""
     rots = geometry.standard_rotation_batch(khats)
-    return rots @ _constant("EPS_PLUS_STD"), rots @ _constant("EPS_MINUS_STD")
+    eps_plus, eps_minus = np.array([[1.0, 1.0j, 0.0], [1.0, -1.0j, 0.0]]) / np.sqrt(2.0)
+    return rots @ eps_plus, rots @ eps_minus
 
 
 def transversal_b(direction, khat):
@@ -224,7 +219,7 @@ def build_povm(grid: MomentumGrid) -> PolarizationPOVM:
     if grid.convention is not Measure.INVARIANT:
         raise ValueError("polarization POVMs require an INVARIANT-convention grid")
     khat = directions(grid.nodes)
-    bvecs = np.stack([transversal_b(axis, khat)[0] for axis in _constant("_AXES")])
+    bvecs = np.stack([transversal_b(axis, khat)[0] for axis in np.eye(3)])
     return PolarizationPOVM(grid=grid, bvecs=bvecs)
 
 
@@ -244,7 +239,7 @@ def effective_density_tomography(psi: PhotonPacket) -> np.ndarray:
     povm = build_povm(psi.grid)
     diag = povm.probabilities(psi)
     rho = np.diag(diag).astype(complex)
-    axes = _constant("_AXES")
+    axes = np.eye(3)
     for m in range(3):
         for n in range(m + 1, 3):
             base = 0.5 * (diag[m] + diag[n])
@@ -354,30 +349,15 @@ def _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, speeds):
     return sin2, means
 
 
-def circular_density(
-    k_mean: float,
-    delta_z: float,
-    delta_r: float,
-    helicity: int = +1,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-) -> np.ndarray:
-    """Effective 3x3 polarization matrix of gaussian_beam, from the photon kernel.
+def circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis) -> dict:
+    """The effective 3x3 polarization matrix of gaussian_beam, from the photon kernel, as the
+    nested float lists rho_re and rho_im (its real and imaginary parts) of a report.
 
     The beam is axially symmetric, so rho = (P +- i c [e_z]_x)/2 with
     P = diag(1 - S/2, 1 - S/2, S), S = <sin^2 theta> and c = <cos theta>,
-    both from _beam_means at rest (circular_density_values); the entries
-    that vanish by symmetry are exactly 0.  Raises ValueError unless
-    `helicity` is +1 or -1.
+    both from _beam_means at rest; the entries that vanish by symmetry are
+    exactly 0.  Raises ValueError unless `helicity` is +1 or -1.
     """
-    values = circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis)
-    rho = np.array(values["rho_re"], dtype=complex)
-    rho.imag = values["rho_im"]
-    return rho
-
-
-def circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis) -> dict:
-    """The real and imaginary parts of circular_density, as the nested float lists rho_re
-    and rho_im of a report, built from the kernel's floats."""
     if helicity not in (1, -1):
         raise ValueError("helicity must be +1 or -1")
     s, ((minus, _),) = _beam_means(k_mean, delta_z, delta_r, nodes_per_axis, (0.0,))

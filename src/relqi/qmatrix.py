@@ -11,16 +11,7 @@ so a trace-preserving qubit channel has Choi trace 2.
 
 from __future__ import annotations
 
-from ._numpy import constants, np
-
-# the identity and the Pauli matrices, built on first use
-_, __getattr__ = constants(
-    __name__,
-    ID2=lambda: np.eye(2, dtype=complex),
-    SIGMA_X=lambda: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    SIGMA_Y=lambda: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    SIGMA_Z=lambda: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+from ._numpy import np
 
 PSD_TOL = 1e-10  # eigenvalues down to -PSD_TOL are quadrature noise around 0
 CHANNEL_TOL = 1e-12  # the CP and TP checks of a channel

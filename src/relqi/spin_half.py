@@ -21,6 +21,11 @@ nodes and O(block + n) memory: `_packet_blocks` streams the packet's rule
 from the cached 1-D Gauss-Hermite rule, folded over every axis k with
 tau_k = 0, and no n^3 grid is built or cached.
 
+For the zero-centred isotropic packet D = -R diag(s, s, 2s) R^T, with R
+turning z onto n, so s alone fixes every sweep observable.
+`wigner_sin2_mean` takes s from a 1-D rule over the particle rapidity, in
+Python floats with `math`; no sweep reads it yet.
+
 `sweep_values` returns the values of one sweep row at one resolution; the
 n/2n convergence check of the row is made in `relqi.cli`.
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 from . import geometry, qmatrix, wavepacket
 from ._numpy import np
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, _gauss_rule, gauss_grid
+from .wavepacket import GaussianSpec, Measure, MomentumGrid, _gauss_floats, gauss_grid
 
 DEFAULT_NODES_PER_AXIS = 12
 
@@ -122,12 +127,12 @@ def _packet_blocks(delta, nodes_per_axis, convention, axes):
     probability times one factor.  Along each axis in `axes` only x >= 0 is
     kept and the 1-D weights double where x > 0: the masses sum any f even
     under those reflections as the full rule does; the 1-D rule is exactly
-    mirror-symmetric by construction (wavepacket._gauss_rule), and checked
+    mirror-symmetric by construction (wavepacket._gauss_outcome), and checked
     here in O(n).  Every array is O(block + n).  Raises NumericalError,
     before any node is formed, when the rule folds but is not
     mirror-symmetric or its largest |q|^2 overflows (too wide).
     """
-    x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
+    x, w = (np.array(v) for v in _gauss_floats("Gauss-Hermite", nodes_per_axis))
     if axes and not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
         raise wavepacket.NumericalError(
             f"the Gauss-Hermite rule at {nodes_per_axis} nodes is not mirror-symmetric")
@@ -202,6 +207,79 @@ def wigner_moments(
     return d, float(mxx + myy + mzz)
 
 
+# The rapidity rule stops at r = sinh(eta) / (delta/m) = 9, where its weight r^2 exp(-r^2)
+# is 5e-34.
+_RAPIDITY_CUT = 9.0
+
+
+def _direction_mean(t: float) -> float:
+    """f(t), the mean of sin^2(omega/2) over boost directions at t = tanh(xi/2) tanh(eta/2).
+
+    Thomas-Wigner: tan(omega/2) = t sin(theta) / (1 + t cos(theta)), whose
+    sin^2 averaged over cos(theta) is
+    f(t) = [(1 + t^2) - (1 - t^2)^2 artanh(t) / t] / 4.  That form cancels
+    as t -> 0 (5.6e-15 relative at t = 0.1), so below t = 0.25 f is the series
+    2t^2/3 - sum_{k>=2} 2 t^(2k) / ((2k+1)(2k-1)(2k-3)) to k = 12, exact to
+    rounding there; every term after the first is negative.
+    """
+    t2 = t * t
+    if t >= 0.25:
+        return ((1.0 + t2) - ((1.0 - t) * (1.0 + t)) ** 2 * math.atanh(t) / t) / 4.0
+    tail = 0.0
+    for k in range(12, 1, -1):
+        tail = 1.0 / ((2 * k + 1) * (2 * k - 1) * (2 * k - 3)) + t2 * tail
+    return 2.0 * t2 * (1.0 / 3.0 - t2 * tail)
+
+
+def wigner_sin2_mean(tanh_half_xi: float, delta_over_m: float, nodes: int = 32,
+                     convention: Measure = Measure.PLAIN):
+    """s = <sin^2(omega/2)> of the Gaussian packet of width delta/m boosted by rapidity xi,
+    as the pair (s at `nodes` rapidity nodes, s at 2 * nodes).
+
+    The packet is wigner_moments', and s does not depend on the boost
+    direction n: its D is -R diag(s, s, 2s) R^T, with R turning z onto n.
+    s is the mean of f(tanh(xi/2) tanh(eta/2)) (_direction_mean) over the
+    particle rapidity eta under the weight sinh^2(eta) cosh(eta)
+    exp(-sinh^2(eta) / (delta/m)^2), without the cosh(eta) if INVARIANT.
+    The integrand is even in eta and decays super-exponentially, so the
+    trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
+    56, 385 (2014)); it runs on (0, asinh(9 delta/m)], and the trapezoid at
+    step h/2 is the mean of the trapezoid and the midpoint rule at step h, so
+    the 2n-node value reuses every node of the n-node one.  The nodes are
+    delta-scaled, eta = (delta/m) c, with the weights taken in
+    r = sinh(eta) / (delta/m) = c sinh(eta) / eta, so that no
+    sinh^2(eta) / (delta/m)^2 underflows to 0/0: as delta/m falls, down to
+    the subnormals, s tends to its leading term tanh^2(xi/2) (delta/m)^2 / 4.
+    Python floats and `math` only, each sum taken by math.fsum.
+
+    Raises ValueError unless 0 <= tanh_half_xi < 1, delta_over_m > 0 and
+    nodes >= 1, and NumericalError for a packet too wide for floats
+    (delta/m above about 1e307).
+    """
+    a, d = tanh_half_xi, delta_over_m
+    if not (0.0 <= a < 1.0 and d > 0.0 and nodes >= 1):
+        raise ValueError("s needs 0 <= tanh(xi/2) < 1, the width delta/m > 0 and nodes >= 1")
+    x = _RAPIDITY_CUT * d
+    if not math.isfinite(2.0 * x):
+        raise wavepacket.NumericalError(f"the packet of width {d:.6g} is too wide for floats")
+    h = _RAPIDITY_CUT * (math.asinh(x) / x) / nodes  # the step in c
+
+    def terms(c):
+        """(weight, weight * f) at eta = d c; the PLAIN cosh(eta) <= 1 + d r is scaled by
+        1 / (1 + d), so that no weight overflows."""
+        eta = d * c
+        r = c * (math.sinh(eta) / eta) if eta > 0.0 else c
+        w = r * r * math.exp(-r * r)
+        if convention is Measure.PLAIN:
+            w *= math.cosh(eta) / (1.0 + d)
+        return w, w * _direction_mean(a * math.tanh(0.5 * eta))
+
+    coarse = [terms(j * h) for j in range(1, nodes + 1)]
+    fine = coarse + [terms((j - 0.5) * h) for j in range(1, nodes + 1)]
+    return tuple(math.fsum(wf for _, wf in rule) / math.fsum(w for w, _ in rule)
+                 for rule in (coarse, fine))
+
+
 def tanh_half_rapidity(beta: float) -> float:
     """tanh(xi/2) = beta / (1 + sqrt((1 - beta)(1 + beta))) of a speed |beta| < 1."""
     return beta / (1.0 + math.sqrt((1.0 - beta) * (1.0 + beta)))
@@ -246,8 +324,9 @@ def boosted_pair(tau, delta_over_m, nodes_per_axis):
     dz = d[:, 2]
     r = dz + (0.0, 0.0, 1.0)
     p_error = max(0.0, float((-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(r)))))
-    r_sigma = r[0] * qmatrix.SIGMA_X + r[1] * qmatrix.SIGMA_Y + r[2] * qmatrix.SIGMA_Z
-    return 0.5 * (qmatrix.ID2 + r_sigma), 0.5 * (qmatrix.ID2 - r_sigma), p_error
+    x, y, z = r
+    r_sigma = np.array([[z, x - 1j * y], [x + 1j * y, -z]])
+    return 0.5 * (np.eye(2) + r_sigma), 0.5 * (np.eye(2) - r_sigma), p_error
 
 
 def sweep_values(theta: float, gamma: float, delta_over_m: float, nodes_per_axis: int) -> dict:

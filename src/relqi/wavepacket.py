@@ -20,12 +20,12 @@ The 1-D Gauss-Hermite and Gauss-Laguerre rules are built once per node
 count by Golub-Welsch in the standard library's `math`, with no LAPACK
 eigen-solve, and cached as float tuples, a rule that breaks down as its
 reason (`_gauss_outcome`, read through `_gauss_floats`).  The photon beam
-kernel reads the tuples and needs no numpy.  `_gauss_rule` hands them out
-as read-only numpy arrays: `gauss_grid` builds its n^3 tensor grid from
-them on every call, and the massive-spin kernel streams its folded 3-D
-rule from them block by block (spin_half._packet_blocks) without building
-the grid, its probabilities products of the 1-D weights and the packet
-width in its nodes only.  No convergence check lives here: whether a
+kernel reads the tuples and needs no numpy.  `gauss_grid` builds its n^3
+tensor grid from them on every call, and the massive-spin kernel streams
+its folded 3-D rule from them block by block (spin_half._packet_blocks)
+without building the grid, its probabilities products of the 1-D weights
+and the packet width in its nodes only; each turns the tuples into the
+numpy arrays it computes with.  No convergence check lives here: whether a
 value has converged (recomputed at twice the nodes per axis) is decided
 by one rule in `relqi.cli`.
 """
@@ -213,14 +213,6 @@ def _gauss_floats(name: str, nodes_per_axis: int):
     return outcome
 
 
-def _gauss_rule(name: str, nodes_per_axis: int):
-    """The rule of _gauss_floats as read-only numpy arrays (nodes, weights)."""
-    x, w = (np.array(v) for v in _gauss_floats(name, nodes_per_axis))
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def ensure_same_grid(a: MomentumGrid, b: MomentumGrid) -> None:
     """Raise unless two grids share nodes, weights, mass and measure convention."""
     if a.convention is not b.convention:
@@ -245,7 +237,7 @@ def gauss_grid(
     so that sum_i w_i g(k_i) approximates the integral of g under the
     declared measure for integrands with the target envelope.
     """
-    x, w = _gauss_rule("Gauss-Hermite", nodes_per_axis)
+    x, w = (np.array(v) for v in _gauss_floats("Gauss-Hermite", nodes_per_axis))
     axes_nodes = []
     axes_weights = []
     for c, width in zip(spec.center, spec.widths):

@@ -15,8 +15,14 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 import relqi
-from relqi import entangle, geometry, qmatrix, spin_half
+from relqi import entangle, geometry, photon, qmatrix, spin_half, wavepacket
 from relqi.wavepacket import Measure
+
+# the identity and the Pauli matrices
+ID2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def check_density_matrix(rho, tol: float = 1e-10, subnormalized: bool = False) -> None:
@@ -60,10 +66,10 @@ def depolarizing_channel(p: float) -> qmatrix.QubitChannel:
         raise ValueError("depolarizing strength must lie in [0, 1]")
     return qmatrix.QubitChannel(
         kraus=[
-            np.sqrt(1.0 - 0.75 * p) * qmatrix.ID2,
-            0.5 * np.sqrt(p) * qmatrix.SIGMA_X,
-            0.5 * np.sqrt(p) * qmatrix.SIGMA_Y,
-            0.5 * np.sqrt(p) * qmatrix.SIGMA_Z,
+            np.sqrt(1.0 - 0.75 * p) * ID2,
+            0.5 * np.sqrt(p) * SIGMA_X,
+            0.5 * np.sqrt(p) * SIGMA_Y,
+            0.5 * np.sqrt(p) * SIGMA_Z,
         ]
     )
 
@@ -91,7 +97,7 @@ def minkowski_norm2(p4) -> np.ndarray:
 
 def metric_defect(lam: np.ndarray) -> float:
     """max |L^T eta L - eta|, zero for an exact Lorentz matrix."""
-    eta = geometry.ETA
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
     lam = np.asarray(lam, dtype=float)
     return float(np.abs(lam.T @ eta @ lam - eta).max())
 
@@ -111,6 +117,19 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     x, y, z = axis / np.linalg.norm(axis)
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def gauss_rule(name: str, nodes_per_axis: int):
+    """The 1-D rule of wavepacket._gauss_floats as numpy arrays (nodes, weights)."""
+    return tuple(np.array(v) for v in wavepacket._gauss_floats(name, nodes_per_axis))
+
+
+def circular_density(k_mean, delta_z, delta_r, helicity=+1, nodes_per_axis=12) -> np.ndarray:
+    """photon.circular_density_values as a complex 3x3 matrix."""
+    values = photon.circular_density_values(k_mean, delta_z, delta_r, helicity, nodes_per_axis)
+    rho = np.array(values["rho_re"], dtype=complex)
+    rho.imag = values["rho_im"]
+    return rho
 
 
 def single_spin_density(state: entangle.TwoParticleAmplitude, particle: int = 1) -> np.ndarray:

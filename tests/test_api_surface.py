@@ -4,7 +4,8 @@ A public (no leading underscore) top-level `def` or `class` in
 src/relqi/*.py is either referenced by other src code, or exported from
 relqi/__init__.py and named (in backticks) in the README.  Test-only
 helpers live in tests/helpers.py.  numpy is imported by relqi/_numpy.py
-alone, which binds it lazily.
+alone, which binds it lazily and binds no other public name; no module
+serves numpy objects through a module-level `__getattr__`.
 """
 
 import ast
@@ -96,3 +97,27 @@ def test_only_the_lazy_binding_imports_numpy():
         if module != "_numpy" and any(name.split(".")[0] == "numpy" for name in names):
             offenders.append(f"relqi/{module}.py")
     assert offenders == [], f"import numpy outside relqi/_numpy.py: {', '.join(offenders)}"
+
+
+def _module_bindings(tree):
+    """The names a module's top level binds by def, class or assignment (imports aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return names
+
+
+def test_no_module_holds_numpy_objects_behind_a_pep_562_hook():
+    # each function builds the numpy arrays it computes with: no module-level
+    # __getattr__ serves constants, and relqi._numpy hands out numpy alone
+    modules = _modules()
+    hooked = [f"relqi/{module}.py" for module, tree in modules.items()
+              if "__getattr__" in _module_bindings(tree)]
+    assert hooked == [], f"module-level __getattr__ in {', '.join(hooked)}"
+    public = {name for name in _module_bindings(modules["_numpy"]) if not name.startswith("_")}
+    assert public == {"np"}

@@ -28,7 +28,7 @@ def concurrence_sv_oracle(rho):
     """
     mu, vecs = np.linalg.eigh(qm.hermitize(rho))
     root = (vecs * np.sqrt(np.clip(mu, 0.0, None))) @ vecs.conj().T
-    yy = np.kron(qm.SIGMA_Y, qm.SIGMA_Y)
+    yy = np.kron(helpers.SIGMA_Y, helpers.SIGMA_Y)
     lam = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
@@ -153,7 +153,7 @@ def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
     tau, lam = helpers.boost(velocity)
     d, s = spin_half.wigner_moments(tau, delta_over_m, n, wp.Measure.INVARIANT)
     tt = (np.eye(3) + d) @ (np.eye(3) + d).T
-    paulis = (qm.SIGMA_X, qm.SIGMA_Y, qm.SIGMA_Z)
+    paulis = (helpers.SIGMA_X, helpers.SIGMA_Y, helpers.SIGMA_Z)
     rho = 0.25 * (np.eye(4) - sum(tt[k, l] * np.kron(paulis[k], paulis[l])
                                   for k in range(3) for l in range(3)))
     conc = max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d)))

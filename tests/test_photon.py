@@ -165,7 +165,7 @@ def test_circular_density_matches_the_3d_beam(k, dz, dr, helicity):
     # The 3-D oracle grid is converged to about 1e-15 at 24 nodes per axis.
     expected = ph.effective_density(ph.gaussian_beam(k, dz, dr, helicity, 24))
     for n in (8, 12):
-        rho = ph.circular_density(k, dz, dr, helicity, n)
+        rho = helpers.circular_density(k, dz, dr, helicity, n)
         assert np.abs(rho - expected).max() < 1e-14
         assert rho[2, 2].real == pytest.approx(expected[2, 2].real, rel=1e-12, abs=0.0)
         # Only the diagonal and the xy imaginary pair survive the axial symmetry.
@@ -178,7 +178,7 @@ def test_beam_helicity_must_be_plus_or_minus_one(helicity):
     with pytest.raises(ValueError, match="helicity must be"):
         ph.gaussian_beam(100.0, 0.1, 1.0, helicity, 4)
     with pytest.raises(ValueError, match="helicity must be"):
-        ph.circular_density(100.0, 0.1, 1.0, helicity, 4)
+        ph.circular_density_values(100.0, 0.1, 1.0, helicity, 4)
 
 
 def test_gaussian_beam_moments():
@@ -202,11 +202,11 @@ def test_gaussian_beam_guards():
 
 @pytest.mark.parametrize("call", [
     lambda: ph.gaussian_beam(10.0, 0.2, 5.0, +1, 4),
-    lambda: ph.circular_density(10.0, 0.2, 5.0, +1, 4),
+    lambda: ph.circular_density_values(10.0, 0.2, 5.0, +1, 4),
     lambda: ph.circular_pair_error(10.0, 0.2, 5.0, 4),
     lambda: ph.doppler_report(10.0, 0.2, 5.0, 0.5, 4),
     lambda: ch.non_cp_witness(0.5, 10.0, 0.2, 5.0, 4),
-], ids=["gaussian_beam", "circular_density", "circular_pair_error", "doppler_report",
+], ids=["gaussian_beam", "circular_density_values", "circular_pair_error", "doppler_report",
         "non_cp_witness"])
 def test_paraxial_warning_names_the_calling_line(call):
     # however deep in relqi the beam rule is built, the warning points here
@@ -383,8 +383,8 @@ def test_packet_validation():
 
 def beam_means_numpy(k_mean, delta_z, delta_r, n, speeds):
     """_beam_means with numpy: the same per-node terms on the same rule, summed by np.sum."""
-    t, w_z = wp._gauss_rule("Gauss-Hermite", n)
-    x, w_x = wp._gauss_rule("Gauss-Laguerre", n)
+    t, w_z = helpers.gauss_rule("Gauss-Hermite", n)
+    x, w_x = helpers.gauss_rule("Gauss-Laguerre", n)
     k_z = (k_mean + delta_z * t)[:, None]
     k_r2 = delta_r * delta_r * x
     k = np.sqrt(k_z * k_z + k_r2)
@@ -417,10 +417,10 @@ def test_gauss_rules_are_built_once_per_node_count():
     info = wp._gauss_outcome.cache_info()
     assert (info.misses, info.hits) == (2, 3)
     for name in ("Gauss-Hermite", "Gauss-Laguerre"):
-        x, w = wp._gauss_rule(name, 12)
-        assert not x.flags.writeable and not w.flags.writeable
+        x, w = wp._gauss_floats(name, 12)
+        assert type(x) is tuple and type(w) is tuple  # the shared cached rule is immutable
     with pytest.raises(ValueError, match="Gauss-Laguerre rule breaks down at 196 nodes"):
-        wp._gauss_rule("Gauss-Laguerre", 196)
+        wp._gauss_floats("Gauss-Laguerre", 196)
 
 
 def test_profile_norm_defect_is_a_numerical_error():

@@ -156,7 +156,7 @@ def test_choi_matrix_is_the_channel_on_matrix_units():
 
 def test_kraus_operators_are_the_ones_given():
     # the second weight, 1e-12, is below the cut of kraus_from_choi
-    kraus = [np.sqrt(1.0 - 1e-12) * np.eye(2), 1e-6 * qm.SIGMA_X]
+    kraus = [np.sqrt(1.0 - 1e-12) * np.eye(2), 1e-6 * helpers.SIGMA_X]
     ops = qm.QubitChannel(kraus=kraus).kraus_operators()
     assert len(ops) == 2
     for op, k in zip(ops, kraus):

@@ -5,11 +5,12 @@ The explicit decoherence channel
 is the leading-order image of the spin-up reduction under a collinear
 boost with mixing parameter G.  It is exactly trace preserving and
 completely positive for G <= 2.  The consistency audit compares it with
-the boosted reduction, whose Bloch vector e_z + D e_z comes from the
-moments of spin_half.wigner_moments of tau = tanh(xi/2) n (no Lorentz
-matrix).  General frame changes, however, act on the traced-out momentum
-as well; the Doppler audit exhibits a pair transformation that lowers the
-Helstrom error, which no completely positive map can do.
+the boosted reduction, whose Bloch vector is a closed form of the one
+scalar s = <sin^2(omega/2)> of spin_half.wigner_moments at
+tau = tanh(xi/2) n (no Lorentz matrix).  General frame changes, however,
+act on the traced-out momentum as well; the Doppler audit exhibits a pair
+transformation that lowers the Helstrom error, which no completely
+positive map can do.
 
 Each audit returns only what it computes, as plain values: `certify` a
 dict of is_cp, is_tp and min_choi_eig, `consistency_check` the trace
@@ -21,6 +22,8 @@ callers and as the tests' oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import photon, qmatrix, spin_half
 from ._numpy import np
@@ -73,29 +76,28 @@ def consistency_check(
 ) -> float:
     """Trace distance between the channel image of spin-up and the boosted reduction.
 
-    The boosted reduction of spin-up has Bloch vector T e_z = e_z + D e_z,
-    with D = T - I from spin_half.wigner_moments; the channel image has
-    (0, 0, 1 - G^2/2).  The trace distance is half their separation,
-    |(D_xz, D_yz, G^2/2 + D_zz)|/2, where -D_zz = 2 <x^2 + y^2> sums
-    positive quaternion terms: 1 - (T e_z)_z without subtracting two
-    numbers close to 1.
+    The boosted reduction of spin-up has Bloch vector T e_z, with
+    T = R diag(1 - s, 1 - s, 1 - 2s) R^T, R turning z onto the boost
+    direction (sin theta, 0, cos theta) and s = <sin^2(omega/2)> from
+    spin_half.wigner_moments; the channel image has (0, 0, 1 - G^2/2), so
+    the distance is |(s sin theta cos theta, 0, G^2/2 - s (1 + cos^2 theta))|/2.
 
     The mixing parameter is realized at the fixed speed CONSISTENCY_BETA by
-    scaling the packet width to delta/m = gamma / tanh(xi/2), with the boost
-    tau = tanh(xi/2) (sin theta, 0, cos theta), so the leading-order residual scales as
-    gamma^4 for collinear boosts (theta = 0).  At other angles the
-    channel's quadratic coefficient differs from the boosted one (the
-    angular factor is (1 + cos^2 theta)/2), so the distance is reported,
-    never asserted.
+    scaling the packet width to delta/m = gamma / tanh(xi/2), so the
+    leading-order residual scales as gamma^4 for collinear boosts
+    (theta = 0).  At other angles the channel's quadratic coefficient
+    differs from the boosted one (the angular factor is
+    (1 + cos^2 theta)/2), so the distance is reported, never asserted.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
         return 0.0
     t = spin_half.tanh_half_rapidity(CONSISTENCY_BETA)
-    tau = (t * np.sin(theta), 0.0, t * np.cos(theta))
-    d, _ = spin_half.wigner_moments(tau, gamma / t, grid_resolution)
-    return 0.5 * float(np.linalg.norm([d[0, 2], d[1, 2], 0.5 * gamma * gamma + d[2, 2]]))
+    sin, cos = math.sin(theta), math.cos(theta)
+    _, s = spin_half.wigner_moments((t * sin, 0.0, t * cos), gamma / t, grid_resolution)
+    x, z = s * sin * cos, 0.5 * gamma * gamma - s * (1.0 + cos * cos)
+    return 0.5 * math.sqrt(x * x + z * z)
 
 
 def non_cp_witness(

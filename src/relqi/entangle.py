@@ -9,14 +9,15 @@ concurrence of the 4x4 spin-spin reduction.
 
 Sweeps never build the (n1, n2) pair amplitude, a Lorentz matrix or the
 4x4 spin-spin state.  For the singlet times a product of identical
-Gaussian profiles, that state is fixed by the Bloch matrix
-T = sum_n p_n W_n of one particle: its correlation tensor is -T T^T and
-its marginals stay I/2, one bit with no eigen-solve.  The concurrence
-(|T|_F^2 - 1)/2 is a short function of the moments (D, s) of
-spin_half.wigner_moments on the INVARIANT grid (sweep_values), so a
-sweep row costs O(N) time and O(block + n) memory in the N = n^3 nodes
-of one particle's grid, not O(N^2); the z boost tau = (0, 0, tanh(xi/2))
-of a row evaluates W_n on a quarter of them, one node per mirror orbit.
+Gaussian profiles, that state is fixed by the Bloch matrix T of one
+particle: its correlation tensor is -T T^T and its marginals stay I/2, one
+bit with no eigen-solve.  For a z boost T = diag(1 - s, 1 - s, 1 - 2s),
+so the concurrence is max(0, (1 - s)(1 - 3s)) in the one scalar
+s = <sin^2(omega/2)> of spin_half.wigner_moments on the INVARIANT grid
+(sweep_values).  A sweep row costs O(N) time and O(block + n) memory in
+the N = n^3 nodes of one particle's grid, not O(N^2); the z boost
+tau = (0, 0, tanh(xi/2)) of a row evaluates W_n on a quarter of them, one
+node per mirror orbit.
 `sweep_values` returns the values of one sweep row at one resolution; the
 n/2n convergence check is made in `relqi.cli`.
 """
@@ -123,17 +124,14 @@ def concurrence(rho) -> float:
 def sweep_values(delta_over_m: float, beta: float, nodes_per_axis: int) -> dict:
     """Concurrence and marginal entropy of the singlet at (delta/m, beta), boosted along z.
 
-    Both particles share the Bloch matrix T = I + D of the Gaussian of
-    width delta/m boosted by tau = (0, 0, tanh(xi/2)), with (D, s) the
-    moments of spin_half.wigner_moments on the INVARIANT grid, so the
-    spin-spin state is (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4.  Its
-    concurrence (|T|_F^2 - 1)/2 is taken as max(0, 1 - 4 s + |D|_F^2 / 2),
-    since tr D = -4 s: the deficit from 1 without forming |T|_F^2 near 3.
-    The marginal entropy is exactly one bit: every Pauli matrix is
-    traceless, so tracing either spin out of (I - sum_kl C_kl sigma_k (x)
-    sigma_l)/4 leaves I/2 for any correlation tensor C.
+    Both particles share the Bloch matrix T = diag(1 - s, 1 - s, 1 - 2s) of
+    the Gaussian of width delta/m boosted by tau = (0, 0, tanh(xi/2)), with
+    s = <sin^2(omega/2)> from spin_half.wigner_moments on the INVARIANT
+    grid, so the concurrence (|T|_F^2 - 1)/2 is max(0, (1 - s)(1 - 3s)).
+    The marginal entropy is exactly one bit: tracing either spin out of any
+    (I - sum_kl C_kl sigma_k (x) sigma_l)/4 leaves I/2.
     """
     tau = (0.0, 0.0, spin_half.tanh_half_rapidity(beta))
-    d, s = spin_half.wigner_moments(tau, delta_over_m, nodes_per_axis, Measure.INVARIANT)
-    return {"concurrence": max(0.0, 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))),
+    _, s = spin_half.wigner_moments(tau, delta_over_m, nodes_per_axis, Measure.INVARIANT)
+    return {"concurrence": max(0.0, (1.0 - s) * (1.0 - 3.0 * s)),
             "entropy_of_marginal_bits": 1.0}

@@ -16,10 +16,12 @@ tau = tanh(xi/2) n and the width delta/m: D = T - I and
 s = <sin^2(omega/2)>, both linear in the second moment of the Wigner
 quaternions.  The boosted spin-up and spin-down states are
 (I +- r.sigma)/2 with r = e_z + D e_z; `boosted_pair` returns both and
-their Helstrom error.  Each observable costs O(N) time in the N grid
-nodes and O(block + n) memory: `_packet_blocks` streams the packet's rule
-from the cached 1-D Gauss-Hermite rule, folded over every axis k with
-tau_k = 0, and no n^3 grid is built or cached.
+their Helstrom error.  The entangle rows and the channel audit are closed
+forms of s alone (entangle.sweep_values, channel.consistency_check).
+Each observable costs O(N) time in the N grid nodes and O(block + n)
+memory: `_packet_blocks` streams the packet's rule from the cached 1-D
+Gauss-Hermite rule, folded over every axis k with tau_k = 0, and no n^3
+grid is built or cached.
 
 For the zero-centred isotropic packet D = -R diag(s, s, 2s) R^T, with R
 turning z onto n, so s alone fixes every sweep observable.
@@ -167,14 +169,16 @@ def wigner_moments(
     T = sum_n p_n W_n is the Bloch matrix of the packet of _packet_blocks
     (p_n its masses over their sum Z) with its momentum traced out, W_n the
     Wigner rotation at node n of the boost tau = tanh(xi/2) n, |tau| < 1
-    (geometry.boost_quaternions).
+    (geometry.boost_quaternions).  For this zero-centred isotropic packet
+    D = -R diag(s, s, 2s) R^T, with R turning z onto n, up to the tensor
+    grid's anisotropy: boosted_pair reads D e_z, and the entangle rows and
+    the channel audit read s alone.
 
     With q_n = (x, y, z, w) the unit Wigner quaternion of W_n (rotation
-    angle omega_n), W_n - I is quadratic in q_n, so T - I is linear in the
-    4x4 second moment M = sum_n p_n q_n q_n^T:
-    D_ij = 2 (M_ij - delta_ij s) - 2 eps_ijk M_wk with s = M_xx + M_yy + M_zz.
-    Each diagonal entry is summed as -2 times the other two M_kk, a sum of
-    positive terms.
+    angle omega_n), both are linear in the 4x4 second moment
+    M = sum_n p_n q_n q_n^T: s = M_xx + M_yy + M_zz and
+    D_ij = 2 (M_ij - delta_ij s) - 2 eps_ijk M_wk, each diagonal entry
+    summed as -2 times the other two M_kk, a sum of positive terms.
 
     The quaternions are evaluated once per mirror orbit of the grid: the
     rule is folded over every axis k with tau_k == 0 (the packet is centred

@@ -6,6 +6,7 @@ import pytest
 
 from relqi import channel as ch
 from relqi import qmatrix as qm
+from relqi import spin_half
 from relqi import wavepacket as wp
 import helpers
 
@@ -150,6 +151,20 @@ def test_witness_fires_only_for_increased_error():
 def test_witness_ratio_matches_doppler_law():
     rep = ch.non_cp_witness(0.5, k_mean=100.0, delta_z=0.1, delta_r=1.0, nodes_per_axis=12)
     assert rep["pe_after"] / rep["pe_before"] == pytest.approx(3.0, rel=0.05)
+
+
+def test_consistency_reads_only_s_of_the_moments(monkeypatch):
+    # the distance is a closed form of s alone: a NaN D leaves every bit of it
+    cases = [(gamma, theta) for gamma in (1e-60, 0.05, 0.2) for theta in (0.0, 0.5, np.pi / 2)]
+    want = [ch.consistency_check(gamma, theta, 8) for gamma, theta in cases]
+    moments = spin_half.wigner_moments
+
+    def nan_d(*args, **kwargs):
+        d, s = moments(*args, **kwargs)
+        return np.full_like(d, np.nan), s
+
+    monkeypatch.setattr(spin_half, "wigner_moments", nan_d)
+    assert [ch.consistency_check(gamma, theta, 8) for gamma, theta in cases] == want
 
 
 def thomas_wigner_distance(gamma, theta, n=12, beta=0.6):

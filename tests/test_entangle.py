@@ -149,7 +149,8 @@ def test_concurrence_local_unitary_invariance():
 def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
     # the boosted singlet from the moments (D, s) of one particle: T = I + D, the state
     # (I - sum_kl (T T^T)_kl sigma_k (x) sigma_l)/4 and the concurrence
-    # max(0, 1 - 4 s + |D|_F^2 / 2) that entangle.sweep_values prints for a z boost
+    # max(0, 1 - 4 s + |D|_F^2 / 2), which for a z boost, T = diag(1 - s, 1 - s, 1 - 2s),
+    # is the max(0, (1 - s)(1 - 3s)) that entangle.sweep_values prints
     tau, lam = helpers.boost(velocity)
     d, s = spin_half.wigner_moments(tau, delta_over_m, n, wp.Measure.INVARIANT)
     tt = (np.eye(3) + d) @ (np.eye(3) + d).T
@@ -233,6 +234,19 @@ def test_sweep_rows():
         assert row["entropy_of_marginal_bits"] == 1.0
     wide = [row["concurrence"] for (dm, _), row in rows.items() if dm == 0.5]
     assert wide[0] > wide[1] > wide[2]
+
+
+def test_sweep_row_reads_only_s_of_the_moments(monkeypatch):
+    # the concurrence is a closed form of s alone: a NaN D leaves every bit of the row
+    want = [en.sweep_values(dm, beta, 6) for dm in (1e-4, 0.5) for beta in (0.3, 0.9)]
+    moments = spin_half.wigner_moments
+
+    def nan_d(*args, **kwargs):
+        d, s = moments(*args, **kwargs)
+        return np.full_like(d, np.nan), s
+
+    monkeypatch.setattr(spin_half, "wigner_moments", nan_d)
+    assert [en.sweep_values(dm, beta, 6) for dm in (1e-4, 0.5) for beta in (0.3, 0.9)] == want
 
 
 def test_sweep_monotone_in_beta():

@@ -5,9 +5,10 @@ stdout is tests/golden/<case>.stdout, and every such file names a case.
 The cases are every subcommand at its defaults, the four seed-0 benchmark
 invocations (their flags come from bench/workloads.py), the pinned
 failures, the rows that compute just below a rule's breakdown (photon
-rows refined on 190 Gauss-Laguerre nodes), and the report branches that
-the defaults leave out (a zero gamma, a witness that does not fire,
-helicity -1 and a single-speed doppler JSON).  A golden file is edited only
+rows refined on 190 Gauss-Laguerre nodes), the report branches that the
+defaults leave out (a zero gamma, a witness that does not fire,
+helicity -1 and a single-speed doppler JSON), and a tilted channel audit
+at gamma = 1e-60, whose distance is Gamma^2 sin(theta)/8.  A golden file is edited only
 when a printed value changes, with the change listed in CHANGES.md beside
 an oracle value, and never to make a defect pass.  This file and
 tests/test_cli.py import no scipy: CI also runs them where relqi is

@@ -3,9 +3,12 @@
 Each test runs a subcommand through `cli.run`, parses its CSV or JSON and
 checks a relation between printed values: the Doppler law of the photon
 pair error, the pair error's positivity and its paraxial closed form, the
-polarization matrix as a state with no pure photon qubit, and the spin
-entropy as the binary entropy of the printed pair error.  No oracle is
-computed; the golden cases supply the spin and density invocations.
+polarization matrix as a state with no pure photon qubit, the spin
+entropy as the binary entropy of the printed pair error, the channel
+audit's quadratic law off axis and quartic law on axis, and the boosted
+singlet's concurrence falling with beta and delta/m over an exact one-bit
+marginal.  No oracle is computed; the golden cases supply the spin and
+density invocations.
 
 Every value is printed with 12 significant digits, so each is within half
 a unit of its 12th digit, relative HALF_DIGIT, of the float relqi computed.
@@ -23,7 +26,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from relqi import cli
+from relqi import cli, spin_half
 
 CASES = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "cases.json")
                    .read_text(encoding="utf-8"))
@@ -143,3 +146,82 @@ def test_spin_entropy_is_the_binary_entropy_of_the_pair_error(name):
         # HALF_DIGIT times |p h'(p) / h(p)|, relative; the printed entropy adds HALF_DIGIT
         slope = abs(p * math.log2((1.0 - p) / p) / want)
         assert abs(entropy / want - 1.0) <= HALF_DIGIT * (1.0 + slope) + 1e-15, row
+
+
+def _trace_distance(gamma: float, theta: float) -> float:
+    report = json.loads(_printed(["channel-audit", "--gamma", repr(gamma), "--theta", repr(theta)]))
+    return report["trace_distance"]
+
+
+# the float distance carries the rounding of a kernel sum and of the closed form, and
+# the quadratic law's next term is of relative order Gamma^2 <= 1e-20: together below
+# 1e-14 on these rows, against the HALF_DIGIT of the printed value
+LAW_ROUNDING = 1e-14
+
+
+def _check_the_off_axis_channel_distance_is_quadratic():
+    # T e_z = e_z - s (sin theta cos theta, 0, 1 + cos^2 theta) with s -> Gamma^2 / 4, so
+    # the distance to the channel image (0, 0, 1 - Gamma^2/2) tends to Gamma^2 sin(theta)/8
+    for theta in (0.5, 1.2):
+        for gamma in (1e-10, 1e-30, 1e-60):
+            law = gamma * gamma * math.sin(theta) / 8.0
+            distance = _trace_distance(gamma, theta)
+            assert abs(distance / law - 1.0) <= HALF_DIGIT + LAW_ROUNDING, (theta, gamma, distance)
+
+
+def test_off_axis_channel_distance_is_quadratic_in_gamma():
+    _check_the_off_axis_channel_distance_is_quadratic()
+
+
+def test_the_quadratic_law_sees_s_off_by_1e_10(monkeypatch):
+    # s scaled by 1 + e moves the off-axis distance by -e relative, twenty times the
+    # tolerance of the law at e = 1e-10
+    moments = spin_half.wigner_moments
+
+    def off(*args, **kwargs):
+        d, s = moments(*args, **kwargs)
+        return d, s * (1.0 + 1e-10)
+
+    monkeypatch.setattr(spin_half, "wigner_moments", off)
+    with pytest.raises(AssertionError) as failure:
+        _check_the_off_axis_channel_distance_is_quadratic()
+    # the law's comparison failed, not the exit code
+    assert "distance / law" in str(failure.traceback[-1].statement)
+
+
+def test_on_axis_channel_distance_is_quartic_in_gamma():
+    # at theta = 0 the Gamma^2 terms cancel: d(Gamma) / d(Gamma/2) tends to 2^4 from
+    # below, with a gap of order Gamma^2 that falls fourfold per halving.  Each printed
+    # ratio is within 16 RATIO_DIGITS of the ratio of the floats, far below the gaps.
+    gammas = (0.1, 0.05, 0.025, 0.0125)
+    distances = [_trace_distance(gamma, 0.0) for gamma in gammas]
+    gaps = [16.0 - coarse / fine for coarse, fine in zip(distances, distances[1:])]
+    slack = 16.0 * RATIO_DIGITS
+    assert all(gap > slack for gap in gaps), gaps
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.0 * (fine - slack) <= coarse + slack, gaps
+
+
+def test_concurrence_falls_with_beta_and_width_over_a_one_bit_marginal():
+    widths, betas = (1e-4, 1e-3, 1e-2, 0.1, 0.5), (0.1, 0.3, 0.6, 0.9, 0.99)
+    rows = _rows(["entangle-sweep", "--delta-over-m=" + ",".join(map(repr, widths)),
+                  "--beta=" + ",".join(map(repr, betas))])
+    assert len(rows) == len(widths) * len(betas)
+    # tracing a spin out of the singlet's state leaves I/2, whatever the boost
+    assert all(row["entropy_of_marginal_bits"] == 1.0 for row in rows)
+    concurrence = {(row["delta_over_m"], row["beta"]): row["concurrence"] for row in rows}
+    # (1 - s)(1 - 3s) falls as s = <sin^2(omega/2)> rises with beta and with delta/m; each
+    # printed value <= 1 is within HALF_DIGIT of its float, so two within 2 HALF_DIGIT
+    for width in widths:
+        for slow, fast in zip(betas, betas[1:]):
+            assert concurrence[width, fast] <= concurrence[width, slow] + 2 * HALF_DIGIT
+    for beta in betas:
+        for narrow, wide in zip(widths, widths[1:]):
+            assert concurrence[wide, beta] <= concurrence[narrow, beta] + 2 * HALF_DIGIT
+    # and it tends to 1 as delta/m -> 0: 1 - C = 4s - 3s^2 with s of order (delta/m)^2
+    # falls a hundredfold per decade.  1 - C is off by at most HALF_DIGIT < RATIO_DIGITS,
+    # and the next order of s moves the fall by 2e-4 at beta = 0.99, inside NEXT_ORDER.
+    for beta in (0.6, 0.9, 0.99):
+        deficits = [1.0 - concurrence[width, beta] for width in (1e-2, 1e-3, 1e-4)]
+        for coarse, fine in zip(deficits, deficits[1:]):
+            assert _falls_a_hundredfold(coarse, fine), (beta, deficits)

@@ -183,6 +183,7 @@ def _build_parser():
     p.add_argument("--kA", type=float, default=100.0)
     p.add_argument("--dr", default="0.3,1,3")
     p.add_argument("--dz", type=float, default=0.1)
+    p.set_defaults(v="0")
     common(p, photon.DEFAULT_NODES_PER_AXIS)
 
     p = sub.add_parser("doppler", help="pair error seen by an observer moving along z")
@@ -256,9 +257,13 @@ _BOUNDS = {"kA": _POSITIVE, "dr": _POSITIVE, "dz": _POSITIVE, "delta_over_m": _P
 
 
 def _values(args, flag: str) -> list:
-    """The values of a parameter flag, one number or a list, each checked against its bound."""
+    """The values of a parameter flag, one number or a list, each checked against its bound;
+    an int flag, whose choices the parser checks, holds its one value as it is."""
+    value = getattr(args, flag)
+    if isinstance(value, int):
+        return [value]
     field = flag.replace("_", "-")
-    values = parse_values(str(getattr(args, flag)), field)
+    values = parse_values(str(value), field)
     holds, message = _BOUNDS.get(flag, (None, None))
     if holds is not None and not all(map(holds, values)):
         raise ConfigError(f"{field}: {message}")
@@ -338,100 +343,86 @@ def _row(args, fields: dict, values_at) -> dict:
                 "converged": False, "error": error}
 
 
-def _report(args, fields: dict, values_at) -> int:
-    """Write one JSON report, `fields` and _refine(args, values_at); return the exit code."""
-    report = {**fields, **_refine(args, values_at), "tolerance": args.tolerance}
-    _write(args.out, _json(report))
-    return 0 if report["converged"] else 1
-
-
 _KEYS = {"dr": "delta_r", "dz": "delta_z"}  # the printed name of a flag, where it differs
 
 _SPIN = (SPIN_HEADER, ("delta_over_m",), ("theta", "gamma"),
          lambda p, n: spin_half.sweep_values(p["theta"], p["gamma"], p["delta_over_m"], n))
+_PHOTON = lambda p, n: photon.sweep_values(p["kA"], p["dz"], p["dr"], p["v"], n)
 
 
-def _photon_values(p: dict, n: int) -> dict:
-    return photon.sweep_values(p["kA"], p["dz"], p["dr"], p["v"], n)
-
-
-# Each sweep: its CSV header, its flags that hold one value and its swept flags
-# (which name a failed row), each in the order they are checked, and the values
-# of a row at n nodes per axis, one sweep_values call of its physics module on
-# the row's parameters (by flag).
-_SWEEPS = {
+# Each row kind: its CSV header, or None for a one-row JSON report; its flags that hold
+# one value and its swept flags (which name a failed row), each in the order they are
+# checked; and the values of a row at n nodes per axis, one call of its physics module on
+# the row's parameters (by flag).  A kind with a dz flag is a beam's.  A subcommand
+# without a _COMMANDS entry writes the rows of the kind of its name.
+_ROWS = {
     "spin-entropy": _SPIN,
     "spin-distinguish": _SPIN,
-    "photon-distinguish": (PHOTON_HEADER, ("kA", "dz"), ("dr",), _photon_values),
-    "doppler": (PHOTON_HEADER, ("kA", "dr", "dz"), ("v",), _photon_values),
+    "photon-density": (None, ("kA", "dr", "dz", "helicity"), (),
+                       lambda p, n: photon.circular_density_values(
+                           p["kA"], p["dz"], p["dr"], p["helicity"], n)),
+    # the circular pair compared at rest: the parser sets v to 0 and adds no flag
+    "photon-distinguish": (PHOTON_HEADER, ("kA", "dz", "v"), ("dr",), _PHOTON),
+    "doppler": (PHOTON_HEADER, ("kA", "dr", "dz"), ("v",), _PHOTON),
+    "doppler-report": (None, ("kA", "dr", "dz", "v"), (),
+                       lambda p, n: photon.doppler_report(p["kA"], p["dz"], p["dr"], p["v"], n)),
     "entangle-sweep": (ENTANGLE_HEADER, (), ("delta_over_m", "beta"),
                        lambda p, n: entangle.sweep_values(p["delta_over_m"], p["beta"], n)),
 }
 
 
-def _grid(args) -> dict:
-    """The checked values of every flag of args.command's sweep, by flag."""
-    _, fixed, swept, _ = _SWEEPS[args.command]
-    return {flag: _values(args, flag) for flag in fixed + swept}
+def _grid(args, kind: str) -> dict:
+    """The checked values of every flag of row kind `kind`, by flag.
+
+    A beam on which the Gauss-Hermite rule of the refinement, 2n nodes per
+    axis, reaches k_z <= 0 (the check of photon._beam_axis) is refused here,
+    before any row; a rule that breaks down raises its NumericalError.
+    """
+    _, fixed, swept, _ = _ROWS[kind]
+    grid = {flag: _values(args, flag) for flag in fixed + swept}
+    if "dz" in grid:
+        n = 2 * args.resolution
+        reach, (k_mean,), (delta_z,) = photon.beam_reach(n), grid["kA"], grid["dz"]
+        if not k_mean > reach * delta_z:
+            raise ConfigError(f"kA: must exceed {_fmt(reach)} * dz = {_fmt(reach * delta_z)}, "
+                              f"the outermost node of the {n}-node beam rule")
+    return grid
+
+
+def _fields(params: dict) -> dict:
+    """A row's parameters by printed name."""
+    return {_KEYS.get(flag, flag): value for flag, value in params.items()}
 
 
 def _sweep_row(args, command: str, params: dict) -> dict:
-    """The row of `command`'s sweep at `params` (flag: value), refined by _row."""
-    return _row(args, {_KEYS.get(flag, flag): value for flag, value in params.items()},
-                lambda n: _SWEEPS[command][3](params, n))
+    """The row of row kind `command` at `params` (flag: value), refined by _row."""
+    return _row(args, _fields(params), lambda n: _ROWS[command][3](params, n))
 
 
-def _sweep(args, grid: dict) -> int:
-    """Write the rows of args.command's sweep over the product of `grid`; return the exit code."""
-    header, _, swept, _ = _SWEEPS[args.command]
+def _sweep(args, kind: str, grid: dict) -> int:
+    """Write the rows of row kind `kind` over the product of `grid`, as CSV, or as the JSON
+    report of its one row, which _refine refines; return the exit code."""
+    header, _, swept, values = _ROWS[kind]
+    if header is None:
+        params = {flag: value for flag, (value,) in grid.items()}
+        report = {**_fields(params), **_refine(args, lambda n: values(params, n)),
+                  "tolerance": args.tolerance}
+        _write(args.out, _json(report))
+        return 0 if report["converged"] else 1
     if math.prod(map(len, grid.values())) > MAX_ROWS:
         names = ", ".join(flag.replace("_", "-") for flag in swept)
         raise ConfigError(f"{names}: a sweep holds at most {MAX_ROWS} rows")
-    rows = _map_rows(lambda combo: _sweep_row(args, args.command, dict(zip(grid, combo))),
+    rows = _map_rows(lambda combo: _sweep_row(args, kind, dict(zip(grid, combo))),
                      itertools.product(*grid.values()))
     return _write_rows(args, header, [_KEYS.get(flag, flag) for flag in swept], rows)
 
 
-def _cmd_sweep(args) -> int:
-    return _sweep(args, _grid(args))
-
-
-def _check_beam(args, k_mean: float, delta_z: float) -> None:
-    """Refuse, before any row, a beam on which the Gauss-Hermite rule of the refinement,
-    2n nodes per axis, reaches k_z <= 0: the check of photon._beam_axis.  A rule that
-    breaks down raises its NumericalError here."""
-    n = 2 * args.resolution
-    reach = photon.beam_reach(n)
-    if not k_mean > reach * delta_z:
-        raise ConfigError(f"kA: must exceed {_fmt(reach)} * dz = {_fmt(reach * delta_z)}, "
-                          f"the outermost node of the {n}-node beam rule")
-
-
-def _cmd_photon_distinguish(args) -> int:
-    grid = _grid(args)
-    _check_beam(args, *grid["kA"], *grid["dz"])
-    # the circular pair compared at rest
-    return _sweep(args, {**grid, "v": [0.0]})
-
-
 def _cmd_doppler(args) -> int:
-    grid = _grid(args)
-    _check_beam(args, *grid["kA"], *grid["dz"])
-    if (args.format or ("json" if len(grid["v"]) == 1 else "csv")) == "csv":
-        return _sweep(args, grid)
-    if len(grid["v"]) > 1:
+    grid = _grid(args, "doppler")
+    report = (args.format or ("json" if len(grid["v"]) == 1 else "csv")) == "json"
+    if report and len(grid["v"]) > 1:
         raise ConfigError("v: a JSON report takes one speed; list speeds with --format csv")
-    (k_mean,), (delta_r,), (delta_z,), (v,) = (grid[flag] for flag in ("kA", "dr", "dz", "v"))
-    fields = {"kA": k_mean, "delta_r": delta_r, "delta_z": delta_z, "v": v}
-    return _report(args, fields, lambda n: photon.doppler_report(k_mean, delta_z, delta_r, v, n))
-
-
-def _cmd_photon_density(args) -> int:
-    (k_mean,), (delta_r,), (delta_z,) = (_values(args, flag) for flag in ("kA", "dr", "dz"))
-    _check_beam(args, k_mean, delta_z)
-    fields = {"kA": k_mean, "delta_r": delta_r, "delta_z": delta_z, "helicity": args.helicity}
-    return _report(args, fields, lambda n: photon.circular_density_values(
-        k_mean, delta_z, delta_r, args.helicity, n))
+    return _sweep(args, "doppler-report" if report else "doppler", grid)
 
 
 def _cmd_channel_audit(args) -> int:
@@ -451,42 +442,40 @@ def _cmd_channel_audit(args) -> int:
     return 0
 
 
+# Each convergence probe: its observable, and the row kind, parameters (by flag) and
+# column of the row whose value it refines
+_PROBES = (
+    ("spin_entropy_theta_pi2_gamma_0.5", "spin-entropy",
+     {"theta": math.pi / 2, "gamma": 0.5, "delta_over_m": 1.0}, "entropy_bits"),
+    ("spin_pair_error_gamma_0.005", "spin-distinguish",
+     {"theta": math.pi / 2, "gamma": 0.005, "delta_over_m": 1.0}, "p_error"),
+    ("photon_pair_error_dr_over_k_0.01", "photon-distinguish",
+     {"kA": 100.0, "dz": 0.1, "v": 0.0, "dr": 1.0}, "p_error"),
+    ("doppler_ratio_v_0.5", "doppler-report",
+     {"kA": 100.0, "dr": 1.0, "dz": 0.1, "v": 0.5}, "ratio"),
+    ("entangle_concurrence_dm_0.5_beta_0.6", "entangle-sweep",
+     {"delta_over_m": 0.5, "beta": 0.6}, "concurrence"),
+)
+
+
 def _cmd_convergence(args) -> int:
     n = args.resolution
-    probes = [
-        ("spin_entropy_theta_pi2_gamma_0.5", n,
-         lambda res: spin_half.sweep_values(math.pi / 2, 0.5, 1.0, res)["entropy_bits"]),
-        ("spin_pair_error_gamma_0.005", n,
-         lambda res: spin_half.sweep_values(math.pi / 2, 0.005, 1.0, res)["p_error"]),
-        ("photon_pair_error_dr_over_k_0.01", n,
-         lambda res: photon.circular_pair_error(100.0, 0.1, 1.0, res)),
-        ("doppler_ratio_v_0.5", n,
-         lambda res: photon.doppler_report(100.0, 0.1, 1.0, 0.5, res)["ratio"]),
-        ("entangle_concurrence_dm_0.5_beta_0.6", max(2, n // 2),
-         lambda res: entangle.sweep_values(0.5, 0.6, res)["concurrence"]),
-    ]
 
     def evaluate(probe):
-        name, res, fn = probe
+        name, kind, params, column = probe
         # the values as printed: rel_delta is their relative change, which a reader
         # recomputes from the row, with no digit from below them
-        value, refined = (float(_fmt(fn(r))) for r in (res, 2 * res))
+        value, refined = (float(_fmt(_ROWS[kind][3](params, r)[column])) for r in (n, 2 * n))
         delta = abs(refined - value) / max(abs(refined), 1e-300)
-        return {"observable": name, "nodes_per_axis": res, "grid_nodes": res**3, "value": value,
+        return {"observable": name, "nodes_per_axis": n, "grid_nodes": n**3, "value": value,
                 "refined_value": refined, "rel_delta": delta, "converged": delta < args.tolerance}
 
-    rows = _map_rows(evaluate, probes)
-    return _write_rows(args, CONVERGENCE_HEADER, (), rows)
+    return _write_rows(args, CONVERGENCE_HEADER, (), _map_rows(evaluate, _PROBES))
 
 
 _COMMANDS = {
-    "spin-entropy": _cmd_sweep,
-    "spin-distinguish": _cmd_sweep,
-    "photon-density": _cmd_photon_density,
-    "photon-distinguish": _cmd_photon_distinguish,
     "doppler": _cmd_doppler,
     "channel-audit": _cmd_channel_audit,
-    "entangle-sweep": _cmd_sweep,
     "convergence": _cmd_convergence,
 }
 
@@ -501,7 +490,9 @@ def run(argv) -> int:
     try:
         _apply_config(args, subparsers[args.command])
         _validate(args)
-        return _COMMANDS[args.command](args)
+        if args.command in _COMMANDS:
+            return _COMMANDS[args.command](args)
+        return _sweep(args, args.command, _grid(args, args.command))
     except wavepacket.NumericalError as exc:
         print(f"relqi: numerical failure: {exc}", file=sys.stderr)
         return 3

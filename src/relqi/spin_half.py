@@ -238,7 +238,7 @@ def _direction_mean(t: float) -> float:
 def wigner_sin2_mean(tanh_half_xi: float, delta_over_m: float, nodes: int = 32,
                      convention: Measure = Measure.PLAIN):
     """s = <sin^2(omega/2)> of the Gaussian packet of width delta/m boosted by rapidity xi,
-    as the pair (s at `nodes` rapidity nodes, s at 2 * nodes).
+    on `nodes` rapidity nodes.
 
     The packet is wigner_moments', and s does not depend on the boost
     direction n: its D is -R diag(s, s, 2s) R^T, with R turning z onto n.
@@ -247,9 +247,8 @@ def wigner_sin2_mean(tanh_half_xi: float, delta_over_m: float, nodes: int = 32,
     exp(-sinh^2(eta) / (delta/m)^2), without the cosh(eta) if INVARIANT.
     The integrand is even in eta and decays super-exponentially, so the
     trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
-    56, 385 (2014)); it runs on (0, asinh(9 delta/m)], and the trapezoid at
-    step h/2 is the mean of the trapezoid and the midpoint rule at step h, so
-    the 2n-node value reuses every node of the n-node one.  The nodes are
+    56, 385 (2014)); it runs on (0, asinh(9 delta/m)], and its 2n nodes are
+    exactly its n nodes and the midpoints between them.  The nodes are
     delta-scaled, eta = (delta/m) c, with the weights taken in
     r = sinh(eta) / (delta/m) = c sinh(eta) / eta, so that no
     sinh^2(eta) / (delta/m)^2 underflows to 0/0: as delta/m falls, down to
@@ -278,10 +277,8 @@ def wigner_sin2_mean(tanh_half_xi: float, delta_over_m: float, nodes: int = 32,
             w *= math.cosh(eta) / (1.0 + d)
         return w, w * _direction_mean(a * math.tanh(0.5 * eta))
 
-    coarse = [terms(j * h) for j in range(1, nodes + 1)]
-    fine = coarse + [terms((j - 0.5) * h) for j in range(1, nodes + 1)]
-    return tuple(math.fsum(wf for _, wf in rule) / math.fsum(w for w, _ in rule)
-                 for rule in (coarse, fine))
+    rule = [terms(j * h) for j in range(1, nodes + 1)]
+    return math.fsum(wf for _, wf in rule) / math.fsum(w for w, _ in rule)
 
 
 def tanh_half_rapidity(beta: float) -> float:

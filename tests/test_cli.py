@@ -716,6 +716,47 @@ def test_convergence_rel_delta_is_the_change_between_the_printed_values(capsys, 
         assert converged == ("true" if float(rel_delta) < 1e-4 else "false"), name
 
 
+# Each convergence probe: the subcommand row it is, and the column it reads
+PROBE_ROWS = {
+    "spin_entropy_theta_pi2_gamma_0.5": (
+        ["spin-entropy", "--theta", repr(math.pi / 2), "--gamma", "0.5", "--delta-over-m", "1"],
+        "entropy_bits"),
+    "spin_pair_error_gamma_0.005": (
+        ["spin-distinguish", "--theta", repr(math.pi / 2), "--gamma", "0.005",
+         "--delta-over-m", "1"], "p_error"),
+    "photon_pair_error_dr_over_k_0.01": (
+        ["photon-distinguish", "--kA", "100", "--dr", "1", "--dz", "0.1"], "p_error"),
+    "doppler_ratio_v_0.5": (
+        ["doppler", "--kA", "100", "--dr", "1", "--dz", "0.1", "--v", "0.5"], "ratio"),
+    "entangle_concurrence_dm_0.5_beta_0.6": (
+        ["entangle-sweep", "--delta-over-m", "0.5", "--beta", "0.6"], "concurrence"),
+}
+
+
+def test_convergence_probes_are_rows_of_the_subcommands_they_name(capsys):
+    # value and refined_value are what the named subcommand prints for the probe's row at
+    # nodes_per_axis and at twice that
+    cli.run(["convergence", "--out", "-"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert sorted(row.split(",")[0] for row in rows) == sorted(PROBE_ROWS)
+
+    def printed(argv, column, n):
+        cli.run(argv + ["--resolution", str(n), "--out", "-"])
+        out = capsys.readouterr().out
+        if out.startswith("{"):
+            return json.loads(out)[column]
+        keys, values = (line.split(",") for line in out.splitlines())
+        return float(dict(zip(keys, values))[column])
+
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        argv, column = PROBE_ROWS[cells["observable"]]
+        n = int(cells["nodes_per_axis"])
+        assert n == 8, cells
+        assert float(cells["value"]) == printed(argv, column, n), cells
+        assert float(cells["refined_value"]) == printed(argv, column, 2 * n), cells
+
+
 def test_convergence_has_no_switch_to_skip_its_check(tmp_path, capsys):
     # every subcommand computes both resolutions, so the switch is unknown to each
     cfg = tmp_path / "cfg.json"

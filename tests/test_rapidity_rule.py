@@ -23,7 +23,7 @@ from relqi.wavepacket import Measure
 import helpers
 
 CUT = 9.0  # the integrals stop where r^2 exp(-r^2) is 5e-34
-NODES = 32  # the 2n-node value of this rule is the one checked
+NODES = 32  # the value at 2 * NODES rapidity nodes is the one checked
 
 
 def dblquad_s(a, d, convention):
@@ -56,7 +56,7 @@ def dblquad_s(a, d, convention):
     (0.5, 100.0, Measure.INVARIANT),
 ])
 def test_s_matches_a_thomas_wigner_dblquad(a, d, convention):
-    coarse, fine = sh.wigner_sin2_mean(a, d, NODES, convention)
+    coarse, fine = (sh.wigner_sin2_mean(a, d, n, convention) for n in (NODES, 2 * NODES))
     oracle = dblquad_s(a, d, convention)
     assert fine == pytest.approx(oracle, rel=1e-13, abs=0.0)
     # the n/2n pair carries its own error: the coarse value sits within its change
@@ -69,7 +69,7 @@ def test_a_narrow_packet_gives_the_leading_term(d, convention):
     # s -> tanh^2(xi/2) (delta/m)^2 / 4; at a subnormal width both round to 0
     a = 0.3
     leading = a * a * d * d / 4.0
-    for s in sh.wigner_sin2_mean(a, d, NODES, convention):
+    for s in (sh.wigner_sin2_mean(a, d, n, convention) for n in (NODES, 2 * NODES)):
         assert s == pytest.approx(leading, rel=1e-15, abs=0.0)
 
 
@@ -84,7 +84,7 @@ def test_the_3d_moments_are_minus_r_diag_s_s_2s_rt(theta, convention):
     a, d = 0.5, 1.0
     tau = a * np.array([math.sin(theta), 0.0, math.cos(theta)])
     rot = helpers.rotation_about([0.0, 1.0, 0.0], theta)
-    s = sh.wigner_sin2_mean(a, d, NODES, convention)[1]
+    s = sh.wigner_sin2_mean(a, d, 2 * NODES, convention)
     expected = -rot @ np.diag([s, s, 2.0 * s]) @ rot.T
     (d_n, s_n), (d_2n, s_2n) = (sh.wigner_moments(tau, d, n, convention) for n in (16, 32))
     change = np.abs(d_n - d_2n).max()
@@ -103,7 +103,7 @@ def test_s_reads_no_numpy():
 
 
 def test_wide_packets_compute_or_say_why():
-    s = sh.wigner_sin2_mean(0.3, 1e200)[1]
+    s = sh.wigner_sin2_mean(0.3, 1e200, 2 * NODES)
     assert 0.0 < s < 0.5
     with pytest.raises(wp.NumericalError, match="too wide for floats"):
         sh.wigner_sin2_mean(0.3, 1e308)

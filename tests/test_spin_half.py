@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -412,6 +413,32 @@ def test_wigner_moments_refuse_tau_outside_the_unit_ball():
             sh.wigner_moments(tau, 1.0, 4)
     with pytest.raises(ValueError, match="delta/m > 0"):
         sh.wigner_moments((0.0, 0.0, 0.5), 0.0, 4)
+
+
+# the kernel's own failures, which the CLI rows spin-entropy and entangle-sweep print
+@pytest.mark.parametrize("tau, delta_over_m, nodes, convention, reason", [
+    # spin-entropy --theta 0 --gamma 0.5 --delta-over-m 1e200
+    ((0.0, 0.0, 5e-201), 1e200, 12, Measure.PLAIN,
+     "the packet of width 1e+200 is too wide for floats"),
+    # entangle-sweep --delta-over-m 1e200 --beta 0.6
+    ((0.0, 0.0, sh.tanh_half_rapidity(0.6)), 1e200, 8, Measure.INVARIANT,
+     "the packet of width 1e+200 is too wide for floats"),
+    # spin-entropy --theta 1.2 --gamma 0.5 --delta-over-m 1e153, on its refined grid:
+    # |q|^2 is finite, but the kernel's squares of the energy are not
+    ((5e-154 * math.sin(1.2), 0.0, 5e-154 * math.cos(1.2)), 1e153, 24, Measure.PLAIN,
+     "momenta too large for floats in the Wigner kernel"),
+    ((0.0, 0.0, 0.5), 1.0, 389, Measure.PLAIN, "the Gauss-Hermite rule breaks down at 389 nodes"),
+], ids=["too-wide-plain", "too-wide-invariant", "kernel-overflow", "hermite-breakdown"])
+def test_wigner_moments_say_why_they_fail(tau, delta_over_m, nodes, convention, reason):
+    with pytest.raises(wp.NumericalError, match=f"^{re.escape(reason)}$"):
+        sh.wigner_moments(tau, delta_over_m, nodes, convention)
+
+
+def test_the_kernel_overflow_case_computes_at_12_nodes():
+    # at 12 nodes per axis the row of the kernel-overflow case above computes
+    tau = (5e-154 * math.sin(1.2), 0.0, 5e-154 * math.cos(1.2))
+    d, s = sh.wigner_moments(tau, 1e153, 12)
+    assert np.isfinite(d).all() and math.isfinite(s)
 
 
 def test_mass_mismatch_rejected():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from . import photon, qmatrix, spin_half
+from . import photon, qmatrix, spin_half, wavepacket
 from ._numpy import np
 from .qmatrix import QubitChannel
 
@@ -72,7 +72,7 @@ def certify(gamma: float) -> dict:
 def consistency_check(
     gamma: float,
     theta: float = 0.0,
-    grid_resolution: int = spin_half.DEFAULT_NODES_PER_AXIS,
+    nodes_per_axis: int = wavepacket.DEFAULT_NODES_PER_AXIS,
 ) -> float:
     """Trace distance between the channel image of spin-up and the boosted reduction.
 
@@ -95,7 +95,7 @@ def consistency_check(
         return 0.0
     t = spin_half.tanh_half_rapidity(CONSISTENCY_BETA)
     sin, cos = math.sin(theta), math.cos(theta)
-    _, s = spin_half.wigner_moments((t * sin, 0.0, t * cos), gamma / t, grid_resolution)
+    _, s = spin_half.wigner_moments((t * sin, 0.0, t * cos), gamma / t, nodes_per_axis)
     x, z = s * sin * cos, 0.5 * gamma * gamma - s * (1.0 + cos * cos)
     return 0.5 * math.sqrt(x * x + z * z)
 
@@ -105,7 +105,7 @@ def non_cp_witness(
     k_mean: float = 100.0,
     delta_z: float = 0.1,
     delta_r: float = 1.0,
-    nodes_per_axis: int = photon.DEFAULT_NODES_PER_AXIS,
+    nodes_per_axis: int = wavepacket.DEFAULT_NODES_PER_AXIS,
 ) -> dict:
     """Doppler distinguishability audit of the frame-change pair map.
 

@@ -6,10 +6,11 @@ Parameter lists accept `a,b,c` or `min:max:step` (inclusive); angles are in
 radians, speeds are fractions of c.  Lists starting with a negative number
 need the `--flag=value` form.  Rows run in order in the calling thread
 and floats, in CSV and JSON alike, are printed with 12 significant digits,
-so a fixed configuration yields byte-identical output.
+so a fixed configuration yields byte-identical output.  Every subcommand
+takes --resolution from 4 to 1000 nodes per axis, 12 by default.
 Exit codes: 0 success, 1 numerical non-convergence (output still written),
-2 configuration error, 3 numerical failure outside a sweep row.  A sweep
-row that fails is written as NaN, and its reason is printed on stderr.
+2 configuration error, 3 numerical failure of a JSON report.  A failed CSV
+row, convergence probes included, prints NaN and its reason on stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ MAX_ROWS = 100_000  # the most values of a min:max:step range, and the most rows
 # paid once per process and node count even when the rule breaks down, takes about 1 s
 # at 1000 nodes
 MAX_RESOLUTION = 1000
+MIN_RESOLUTION = 4  # the fewest nodes per axis of every subcommand, convergence included
 
 
 class ConfigError(Exception):
@@ -150,9 +152,9 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="relqi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, resolution, converged=True):
+    def common(p, converged=True):
         p.add_argument("--out", default="-", help="output path; '-' for stdout")
-        p.add_argument("--resolution", type=int, default=resolution,
+        p.add_argument("--resolution", type=int, default=wavepacket.DEFAULT_NODES_PER_AXIS,
                        help="quadrature nodes per axis")
         if converged:  # channel-audit prints no converged flag
             p.add_argument("--tolerance", type=float, default=1e-4,
@@ -170,21 +172,21 @@ def _build_parser():
         p.add_argument("--theta", default=theta)
         p.add_argument("--gamma", default=gamma)
         p.add_argument("--delta-over-m", type=float, default=1.0)
-        common(p, spin_half.DEFAULT_NODES_PER_AXIS)
+        common(p)
 
     p = sub.add_parser("photon-density", help="3x3 polarization matrix of a beam")
     p.add_argument("--kA", type=float, default=100.0)
     p.add_argument("--dr", type=float, default=1.0)
     p.add_argument("--dz", type=float, default=0.1)
     p.add_argument("--helicity", type=int, choices=(-1, 1), default=1)
-    common(p, photon.DEFAULT_NODES_PER_AXIS)
+    common(p)
 
     p = sub.add_parser("photon-distinguish", help="circular-pair error vs radial spread")
     p.add_argument("--kA", type=float, default=100.0)
     p.add_argument("--dr", default="0.3,1,3")
     p.add_argument("--dz", type=float, default=0.1)
     p.set_defaults(v="0")
-    common(p, photon.DEFAULT_NODES_PER_AXIS)
+    common(p)
 
     p = sub.add_parser("doppler", help="pair error seen by an observer moving along z")
     p.add_argument("--kA", type=float, default=100.0)
@@ -193,22 +195,22 @@ def _build_parser():
     p.add_argument("--v", default="0.5")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="default: json for a single speed, csv for a list")
-    common(p, photon.DEFAULT_NODES_PER_AXIS)
+    common(p)
 
     p = sub.add_parser("channel-audit", help="CP/TP audit of the decoherence channel")
     p.add_argument("--gamma", type=float, default=0.2)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--witness-v", type=float, default=None,
                    help="also run the Doppler non-CP witness at this speed")
-    common(p, spin_half.DEFAULT_NODES_PER_AXIS, converged=False)
+    common(p, converged=False)
 
     p = sub.add_parser("entangle-sweep", help="boosted-singlet concurrence sweep")
     p.add_argument("--delta-over-m", default="0.0001,0.5")
     p.add_argument("--beta", default="0.3,0.6,0.9")
-    common(p, entangle.DEFAULT_NODES_PER_AXIS)
+    common(p)
 
     p = sub.add_parser("convergence", help="observable values at n and 2n nodes per axis")
-    common(p, 8)
+    common(p)
     return parser, sub.choices
 
 
@@ -276,9 +278,8 @@ def _validate(args) -> None:
             raise ConfigError(f"{key.replace('_', '-')}: must be finite")
     if "tolerance" in args and args.tolerance <= 0.0:
         raise ConfigError("tolerance: must be positive")
-    least = 1 if args.command == "convergence" else 4
-    if args.resolution < least:
-        raise ConfigError(f"resolution: must be >= {least}")
+    if args.resolution < MIN_RESOLUTION:
+        raise ConfigError(f"resolution: must be >= {MIN_RESOLUTION}")
     if args.resolution > MAX_RESOLUTION:
         raise ConfigError(f"resolution: must be <= {MAX_RESOLUTION}")
     _check_out(args.out)
@@ -325,15 +326,15 @@ def _refine(args, values_at) -> dict:
     return {**values, "grid_nodes": n**3, "converged": converged}
 
 
-def _row(args, fields: dict, values_at) -> dict:
-    """One sweep row: its input `fields` and _refine(args, values_at).
+def _row(args, fields: dict, evaluate) -> dict:
+    """One CSV row, of a sweep or a convergence probe: its input `fields` and evaluate().
 
     A row whose evaluation raises ValueError, at either resolution, keeps
     its `fields` and the normal `values` the error carries, if any, is not
     converged and carries the reason as "error".
     """
     try:
-        return {**fields, **_refine(args, values_at)}
+        return {**fields, **evaluate()}
     except ValueError as exc:
         try:
             values, error = _normal(getattr(exc, "values", {})), str(exc)
@@ -395,8 +396,9 @@ def _fields(params: dict) -> dict:
 
 
 def _sweep_row(args, command: str, params: dict) -> dict:
-    """The row of row kind `command` at `params` (flag: value), refined by _row."""
-    return _row(args, _fields(params), lambda n: _ROWS[command][3](params, n))
+    """The row of row kind `command` at `params` (flag: value): _refine's values, through _row."""
+    return _row(args, _fields(params),
+                lambda: _refine(args, lambda n: _ROWS[command][3](params, n)))
 
 
 def _sweep(args, kind: str, grid: dict) -> int:
@@ -463,14 +465,18 @@ def _cmd_convergence(args) -> int:
 
     def evaluate(probe):
         name, kind, params, column = probe
-        # the values as printed: rel_delta is their relative change, which a reader
-        # recomputes from the row, with no digit from below them
-        value, refined = (float(_fmt(_ROWS[kind][3](params, r)[column])) for r in (n, 2 * n))
-        delta = abs(refined - value) / max(abs(refined), 1e-300)
-        return {"observable": name, "nodes_per_axis": n, "grid_nodes": n**3, "value": value,
-                "refined_value": refined, "rel_delta": delta, "converged": delta < args.tolerance}
 
-    return _write_rows(args, CONVERGENCE_HEADER, (), _map_rows(evaluate, _PROBES))
+        def printed():
+            # the values as printed: rel_delta is their relative change, which a reader
+            # recomputes from the row, with no digit from below them
+            value, refined = (float(_fmt(_ROWS[kind][3](params, r)[column])) for r in (n, 2 * n))
+            delta = abs(refined - value) / max(abs(refined), 1e-300)
+            return {"grid_nodes": n**3, "value": value, "refined_value": refined,
+                    "rel_delta": delta, "converged": delta < args.tolerance}
+
+        return _row(args, {"observable": name, "nodes_per_axis": n}, printed)
+
+    return _write_rows(args, CONVERGENCE_HEADER, ("observable",), _map_rows(evaluate, _PROBES))
 
 
 _COMMANDS = {

@@ -30,8 +30,6 @@ from . import geometry, qmatrix, spin_half
 from ._numpy import np
 from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid, normalize
 
-DEFAULT_NODES_PER_AXIS = 8
-
 
 @dataclass(frozen=True)
 class TwoParticleAmplitude:
@@ -59,16 +57,13 @@ class TwoParticleAmplitude:
         object.__setattr__(self, "g", g)
 
 
-def bell_gaussian(
-    delta: float,
-    mass: float,
-    nodes_per_axis: int = DEFAULT_NODES_PER_AXIS,
-) -> TwoParticleAmplitude:
+def bell_gaussian(delta: float, mass: float, nodes_per_axis: int) -> TwoParticleAmplitude:
     """Spin singlet times a product of zero-centered Gaussian profiles.
 
     Centered in the rest frame where the total mean momentum vanishes;
     the rest-frame spin-spin reduction is the singlet projector.  Both
-    particles share one grid and one profile.
+    particles share one grid and one profile.  The amplitude holds
+    (nodes_per_axis^3)^2 pair nodes, so every caller names its node count.
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")

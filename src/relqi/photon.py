@@ -45,10 +45,9 @@ from dataclasses import dataclass
 
 from . import geometry, qmatrix
 from ._numpy import np
-from .wavepacket import (GaussianSpec, Measure, MomentumGrid, NumericalError, _gauss_floats,
-                         ensure_same_grid, gauss_grid, inner_product, normalize)
-
-DEFAULT_NODES_PER_AXIS = 12
+from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
+                         NumericalError, _gauss_floats, ensure_same_grid, gauss_grid,
+                         inner_product, normalize)
 
 
 def directions(nodes) -> np.ndarray:

@@ -44,9 +44,8 @@ from dataclasses import dataclass
 
 from . import geometry, qmatrix, wavepacket
 from ._numpy import np
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, _gauss_floats, gauss_grid
-
-DEFAULT_NODES_PER_AXIS = 12
+from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
+                         _gauss_floats, gauss_grid)
 
 
 @dataclass(frozen=True)

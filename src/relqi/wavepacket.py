@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from ._numpy import np
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
+DEFAULT_NODES_PER_AXIS = 12  # every kernel's default, and every subcommand's --resolution
 
 
 class NumericalError(ValueError):

@@ -114,7 +114,7 @@ def test_distinguishability_never_improves_under_channel():
 
 
 def test_consistency_zero_gamma_exact():
-    assert ch.consistency_check(0.0, grid_resolution=6) == 0.0
+    assert ch.consistency_check(0.0, nodes_per_axis=6) == 0.0
 
 
 def test_consistency_collinear_residual_scaling():
@@ -129,7 +129,7 @@ def test_consistency_collinear_residual_scaling():
 
 
 def test_consistency_small_gamma_small_distance():
-    assert ch.consistency_check(0.1, theta=0.0, grid_resolution=12) < 1e-3
+    assert ch.consistency_check(0.1, theta=0.0, nodes_per_axis=12) < 1e-3
     # off-axis boosts mix less; the quadratic coefficients differ, so the
     # distance is reported but stays at the quadratic scale
     assert 0.0 < ch.consistency_check(0.1, np.pi / 2, 12) < 0.01

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqi import cli, photon, spin_half
+from relqi import cli, photon, spin_half, wavepacket
 import helpers
 
 
@@ -59,15 +59,15 @@ def test_row_that_fails_at_the_refined_grid_is_a_nan_row():
             raise ValueError("refined grid failed")
         return {"x": 1.0}
 
-    fields = {"k": 2.0}
-    out = cli._row(helpers.row_args(4, 1e-3), fields, values_at)
+    fields, args = {"k": 2.0}, helpers.row_args(4, 1e-3)
+    out = cli._row(args, fields, lambda: cli._refine(args, values_at))
     assert "x" not in out and out["k"] == 2.0
     assert out["grid_nodes"] == 64 and out["converged"] is False
     assert out["error"] == "refined grid failed"
     # the CSV writer prints nan for a value that a failed row lacks
     header = "k,x,grid_nodes,converged"
     assert cli._csv(header, [out]) == header + "\n2,nan,64,false\n"
-    ok = cli._row(helpers.row_args(4, 1e-3), fields, lambda n: {"x": 1.0})
+    ok = cli._row(args, fields, lambda: cli._refine(args, lambda n: {"x": 1.0}))
     assert ok == {"k": 2.0, "x": 1.0, "grid_nodes": 64, "converged": True}
     # a row that did not fail must carry every value its header names
     with pytest.raises(KeyError, match="y"):
@@ -566,8 +566,9 @@ def test_huge_range_or_sweep_is_refused_before_any_row(monkeypatch, capsys, argv
 @pytest.mark.parametrize("argv, code, err", [
     (["spin-entropy", "--theta", "0", "--gamma", "0.1"], 1,
      "relqi: row theta=0 gamma=0.1: the Gauss-Hermite rule breaks down at 1000 nodes\n"),
-    (["convergence"], 3,
-     "relqi: numerical failure: the Gauss-Hermite rule breaks down at 1000 nodes\n"),
+    (["convergence"], 1, "".join(
+        f"relqi: row observable={name}: the Gauss-Hermite rule breaks down at 1000 nodes\n"
+        for name, *_ in cli._PROBES)),
 ], ids=["spin-entropy", "convergence"])
 def test_resolution_is_bounded(capsys, argv, code, err):
     # the largest accepted value reaches the rules, which break down long before it
@@ -700,7 +701,7 @@ def test_convergence_deltas_shrink_with_resolution(tmp_path):
     assert deltas["photon_pair_error_dr_over_k_0.01"][8] < 1e-8
 
 
-@pytest.mark.parametrize("resolution", [None, "2", "6"], ids=["defaults", "n2", "n6"])
+@pytest.mark.parametrize("resolution", [None, "4", "6"], ids=["defaults", "n4", "n6"])
 def test_convergence_rel_delta_is_the_change_between_the_printed_values(capsys, resolution):
     # rel_delta is |refined_value - value| / |refined_value| of the two columns as printed,
     # and converged is rel_delta < --tolerance (default 1e-4), so a reader recomputes both
@@ -734,14 +735,14 @@ PROBE_ROWS = {
 
 
 def test_convergence_probes_are_rows_of_the_subcommands_they_name(capsys):
-    # value and refined_value are what the named subcommand prints for the probe's row at
-    # nodes_per_axis and at twice that
+    # at the defaults, value is what the named subcommand prints for the probe's row at its
+    # own defaults, and refined_value what it prints at twice nodes_per_axis
     cli.run(["convergence", "--out", "-"])
     header, *rows = capsys.readouterr().out.splitlines()
     assert sorted(row.split(",")[0] for row in rows) == sorted(PROBE_ROWS)
 
-    def printed(argv, column, n):
-        cli.run(argv + ["--resolution", str(n), "--out", "-"])
+    def printed(argv, column, n=None):
+        cli.run(argv + (["--resolution", str(n)] if n else []) + ["--out", "-"])
         out = capsys.readouterr().out
         if out.startswith("{"):
             return json.loads(out)[column]
@@ -752,8 +753,7 @@ def test_convergence_probes_are_rows_of_the_subcommands_they_name(capsys):
         cells = dict(zip(header.split(","), row.split(",")))
         argv, column = PROBE_ROWS[cells["observable"]]
         n = int(cells["nodes_per_axis"])
-        assert n == 8, cells
-        assert float(cells["value"]) == printed(argv, column, n), cells
+        assert float(cells["value"]) == printed(argv, column), cells
         assert float(cells["refined_value"]) == printed(argv, column, 2 * n), cells
 
 
@@ -789,7 +789,7 @@ FLAG_VALUES = {
                       "--witness-v": ("0.5", "-0.5"), "--resolution": ("4", "5")},
     "entangle-sweep": {"--delta-over-m": ("0.5", "0.4"), "--beta": ("0.6", "0.5"),
                        "--resolution": ("4", "5"), "--tolerance": ("1", "1e-12")},
-    "convergence": {"--resolution": ("2", "3"), "--tolerance": ("1", "1e-12")},
+    "convergence": {"--resolution": ("4", "5"), "--tolerance": ("1", "1e-12")},
 }
 
 
@@ -817,14 +817,40 @@ def test_every_flag_changes_what_relqi_prints(capsys, command):
         assert run(flag) != base, f"{command} {flag} changes nothing"
 
 
-def test_convergence_resolution_one_not_converged(tmp_path):
-    out = tmp_path / "conv1.csv"
-    code = cli.run(["convergence", "--resolution", "1", "--tolerance", "1e-6",
-                    "--out", str(out)])
-    assert code == 1
-    rows = read(out).strip().split("\n")[1:]
-    spin_row = [r for r in rows if r.startswith("spin_entropy")][0]
-    assert spin_row.endswith("false")
+@pytest.mark.parametrize("command", list(FLAG_VALUES))
+def test_every_subcommand_has_one_resolution_contract(capsys, command):
+    # one default and one range of --resolution: a convergence probe is a row of the
+    # subcommand it names, so it takes the node counts that subcommand takes
+    parser = cli._build_parser()[1][command]
+    assert parser.get_default("resolution") == wavepacket.DEFAULT_NODES_PER_AXIS == 12
+    for resolution, bound in (("1", ">= 4"), ("3", ">= 4"), ("1001", "<= 1000")):
+        assert cli.run([command, "--resolution", resolution, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"relqi: configuration error: resolution: must be {bound}\n"
+        assert captured.out == ""
+
+
+def test_convergence_probe_that_fails_is_a_nan_row(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise wavepacket.NumericalError("beam kernel broke down")
+
+    monkeypatch.setattr(photon, "_beam_means", broken)
+    assert cli.run(["convergence", "--resolution", "4", "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    header, *rows = captured.out.splitlines()
+    values = {row.split(",")[0]: dict(zip(header.split(","), row.split(","))) for row in rows}
+    assert sorted(values) == sorted(PROBE_ROWS)
+    failed = ("photon_pair_error_dr_over_k_0.01", "doppler_ratio_v_0.5")
+    for name, cells in values.items():
+        assert cells["nodes_per_axis"] == "4" and cells["grid_nodes"] == "64", cells
+        if name in failed:
+            assert [cells[k] for k in ("value", "refined_value", "rel_delta", "converged")] == [
+                "nan", "nan", "nan", "false"], cells
+        else:
+            assert all(math.isfinite(float(cells[k]))
+                       for k in ("value", "refined_value", "rel_delta")), cells
+    assert captured.err == "".join(
+        f"relqi: row observable={name}: beam kernel broke down\n" for name in failed)
 
 
 def test_stdout_output(capsys):

@@ -1,13 +1,14 @@
 """Two-particle spin-1/2 states: boosts, spin-spin reductions, concurrence.
 
-Amplitudes g(sigma1, sigma2, p1, p2) live on a product of two
-INVARIANT-convention grids (massive particles, invariant measure).  Boosts
-act on each particle separately: nodes transport, invariant weights ride
-along unchanged, and each spin index is rotated by the SU(2) Wigner matrix
-of its own momentum.  Entanglement is quantified by the Wootters
-concurrence of the 4x4 spin-spin reduction.
+Amplitudes g(sigma1, sigma2, p1, p2) live on one INVARIANT-convention grid
+(massive particles, invariant measure) that both momenta range over, so
+the pair nodes are its node pairs.  Boosts act on each particle separately:
+nodes transport, invariant weights ride along unchanged, and each spin
+index is rotated by the SU(2) Wigner matrix of its own momentum.
+Entanglement is quantified by the Wootters concurrence of the 4x4
+spin-spin reduction.
 
-Sweeps never build the (n1, n2) pair amplitude, a Lorentz matrix or the
+Sweeps never build the (n, n) pair amplitude, a Lorentz matrix or the
 4x4 spin-spin state.  For the singlet times a product of identical
 Gaussian profiles, that state is fixed by the Bloch matrix T of one
 particle: its correlation tensor is -T T^T and its marginals stay I/2, one
@@ -33,24 +34,21 @@ from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gau
 
 @dataclass(frozen=True)
 class TwoParticleAmplitude:
-    """Spin-resolved amplitude over a product momentum grid."""
+    """Spin-resolved amplitude g(p1, p2) of two particles on one momentum grid."""
 
-    grid1: MomentumGrid
-    grid2: MomentumGrid
-    g: np.ndarray   # (n1, n2, 2, 2) complex, indices (p1, p2, sigma1, sigma2)
+    grid: MomentumGrid
+    g: np.ndarray   # (n, n, 2, 2) complex, indices (p1, p2, sigma1, sigma2)
 
     def __post_init__(self):
         g = np.ascontiguousarray(self.g, dtype=complex)
-        for grid in (self.grid1, self.grid2):
-            if grid.convention is not Measure.INVARIANT:
-                raise ValueError("two-particle states use the INVARIANT convention")
-            if grid.mass <= 0.0:
-                raise ValueError("two-particle grids must carry a positive mass")
-        if g.shape != (self.grid1.n, self.grid2.n, 2, 2):
+        if self.grid.convention is not Measure.INVARIANT:
+            raise ValueError("two-particle states use the INVARIANT convention")
+        if self.grid.mass <= 0.0:
+            raise ValueError("two-particle grids must carry a positive mass")
+        if g.shape != (self.grid.n, self.grid.n, 2, 2):
             raise ValueError("amplitude shape does not match the product grid")
-        total = np.einsum("n,m,nmab,nmab->", self.grid1.weights, self.grid2.weights,
-                          g, g.conj())
-        nrm = float(np.sqrt(np.real(total)))
+        w = self.grid.weights
+        nrm = float(np.sqrt(np.real(np.einsum("n,m,nmab,nmab->", w, w, g, g.conj()))))
         if abs(nrm - 1.0) > 1e-8:
             raise NumericalError(f"state norm {nrm:.12g} differs from 1")
         g.setflags(write=False)
@@ -71,31 +69,27 @@ def bell_gaussian(delta: float, mass: float, nodes_per_axis: int) -> TwoParticle
     h = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta**2)))
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
     g = h[:, None, None, None] * h[None, :, None, None] * singlet[None, None, :, :]
-    return TwoParticleAmplitude(grid1=grid, grid2=grid, g=g)
+    return TwoParticleAmplitude(grid=grid, g=g)
 
 
 def boost_pair(lam: np.ndarray, state: TwoParticleAmplitude) -> TwoParticleAmplitude:
-    """Boost both particles: node transport plus per-node Wigner rotations."""
-    mass = state.grid1.mass
-    p4_1, u1 = geometry.wigner_su2_batch(lam, state.grid1.nodes, mass)
-    p4_2, u2 = geometry.wigner_su2_batch(lam, state.grid2.nodes, state.grid2.mass)
-    g = np.einsum("nab,mcd,nmbd->nmac", u1, u2, state.g)
-    grid1 = MomentumGrid(nodes=p4_1[:, 1:], weights=state.grid1.weights,
-                         convention=Measure.INVARIANT, mass=mass)
-    grid2 = MomentumGrid(nodes=p4_2[:, 1:], weights=state.grid2.weights,
-                         convention=Measure.INVARIANT, mass=state.grid2.mass)
-    return TwoParticleAmplitude(grid1=grid1, grid2=grid2, g=g)
+    """Boost both particles: node transport plus per-node Wigner rotations.
+
+    Both particles sit on the same nodes, so one Wigner matrix u_n per node
+    rotates the spin of either particle at p = node n.
+    """
+    mass = state.grid.mass
+    p4, u = geometry.wigner_su2_batch(lam, state.grid.nodes, mass)
+    g = np.einsum("nab,mcd,nmbd->nmac", u, u, state.g)
+    grid = MomentumGrid(nodes=p4[:, 1:], weights=state.grid.weights,
+                        convention=Measure.INVARIANT, mass=mass)
+    return TwoParticleAmplitude(grid=grid, g=g)
 
 
 def spin_spin_density(state: TwoParticleAmplitude) -> np.ndarray:
     """4x4 spin-spin state, both momenta integrated out."""
-    rho = np.einsum(
-        "n,m,nmab,nmcd->abcd",
-        state.grid1.weights,
-        state.grid2.weights,
-        state.g,
-        state.g.conj(),
-    ).reshape(4, 4)
+    w = state.grid.weights
+    rho = np.einsum("n,m,nmab,nmcd->abcd", w, w, state.g, state.g.conj()).reshape(4, 4)
     return qmatrix.hermitize(rho)
 
 

@@ -5,8 +5,10 @@ exact reduced density matrix exists; what is measurable is the POVM built
 from the transverse parts of the Cartesian axes.  For each node k the
 helicity basis is eps_pm(k) = R(khat) (1, +-i, 0)/sqrt(2) with R the
 standard rotation, and the measurement vector attached to a real direction
-d is its transverse projection b_d(k) = d - (d.khat) khat.  The effective
-3x3 polarization matrix rho_mn = integral dmu |f|^2 alpha_m alpha_n^*
+d is its transverse projection b_d(k) = d - (d.khat) khat.  A packet is its
+grid and the helicity amplitudes f_pm(k), one (n, 2) array, and its
+polarization vector at k is alpha = f_+ eps_+ + f_- eps_-.  The effective
+3x3 polarization matrix rho_mn = integral dmu alpha_m alpha_n^*
 coincides entry by entry with the tomographic reconstruction from POVM
 expectation values; the tests check the two routes against each other.
 
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 from . import geometry, qmatrix
 from ._numpy import np
 from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
-                         NumericalError, _gauss_floats, ensure_same_grid, gauss_grid,
-                         inner_product, normalize)
+                         NumericalError, _gauss_floats, ensure_same_grid, gauss_grid, norm,
+                         normalize)
 
 
 def directions(nodes) -> np.ndarray:
@@ -81,36 +83,29 @@ def transversal_b(direction, khat):
 
 @dataclass(frozen=True)
 class PhotonPacket:
-    """Scalar profile and per-node helicity amplitudes on an invariant grid."""
+    """Helicity amplitudes f_pm(k) on a massless invariant grid."""
 
     grid: MomentumGrid
-    profile: np.ndarray    # (n,) complex
-    helicity: np.ndarray   # (n, 2) complex, unit norm per node
+    amps: np.ndarray   # (n, 2) complex, columns helicity +1 and -1
 
     def __post_init__(self):
-        profile = np.ascontiguousarray(self.profile, dtype=complex)
-        helicity = np.ascontiguousarray(self.helicity, dtype=complex)
+        amps = np.ascontiguousarray(self.amps, dtype=complex)
         if self.grid.convention is not Measure.INVARIANT:
             raise ValueError("photon packets require the INVARIANT measure convention")
         if self.grid.mass != 0.0:
             raise ValueError("photon grids must be massless")
-        if profile.shape != (self.grid.n,) or helicity.shape != (self.grid.n, 2):
-            raise ValueError("profile/helicity shapes do not match the grid")
-        node_norm = np.sum(np.abs(helicity) ** 2, axis=1)
-        if np.abs(node_norm - 1.0).max() > 1e-10:
-            raise ValueError("per-node helicity amplitudes must be normalized")
-        total = np.real(inner_product(self.grid, profile, profile))
-        if abs(total - 1.0) > 1e-8:
-            raise NumericalError(f"profile norm {total:.12g} differs from 1")
-        profile.setflags(write=False)
-        helicity.setflags(write=False)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "helicity", helicity)
+        if amps.shape != (self.grid.n, 2):
+            raise ValueError("amplitudes must have shape (n_nodes, 2)")
+        nrm = norm(self.grid, amps)
+        if abs(nrm - 1.0) > 1e-8:
+            raise NumericalError(f"packet norm {nrm:.12g} differs from 1")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
 
     def alpha_vectors(self) -> np.ndarray:
-        """Geometrical polarization 3-vector at every node."""
+        """Polarization 3-vector f_+ eps_+ + f_- eps_- at every node."""
         eps_p, eps_m = helicity_vectors_batch(directions(self.grid.nodes))
-        return self.helicity[:, :1] * eps_p + self.helicity[:, 1:] * eps_m
+        return self.amps[:, :1] * eps_p + self.amps[:, 1:] * eps_m
 
 
 def beam_reach(nodes_per_axis: int) -> float:
@@ -163,14 +158,12 @@ def gaussian_beam(
     grid = gauss_grid(GaussianSpec.beam(k_mean, delta_z, delta_r),
                       nodes_per_axis, Measure.INVARIANT, mass=0.0)
     k = grid.nodes
-    f = np.exp(
+    amps = np.zeros((grid.n, 2), dtype=complex)
+    amps[:, 0 if helicity > 0 else 1] = np.exp(
         -((k[:, 2] - k_mean) ** 2) / (2.0 * delta_z**2)
         - (k[:, 0] ** 2 + k[:, 1] ** 2) / (2.0 * delta_r**2)
-    ).astype(complex)
-    f = normalize(grid, f)
-    hel = np.zeros((grid.n, 2), dtype=complex)
-    hel[:, 0 if helicity > 0 else 1] = 1.0
-    return PhotonPacket(grid=grid, profile=f, helicity=hel)
+    )
+    return PhotonPacket(grid=grid, amps=normalize(grid, amps))
 
 
 @dataclass(frozen=True)
@@ -184,16 +177,11 @@ class PolarizationPOVM:
     grid: MomentumGrid
     bvecs: np.ndarray    # (3, n, 3) real
 
-    def _weights2(self, packet: PhotonPacket) -> np.ndarray:
-        ensure_same_grid(self.grid, packet.grid)
-        return self.grid.weights * np.abs(packet.profile) ** 2
-
     def probabilities(self, packet: PhotonPacket) -> np.ndarray:
         """(p_x, p_y, p_z) on a packet."""
-        w2 = self._weights2(packet)
-        alpha = packet.alpha_vectors()
-        overlaps = np.einsum("mnc,nc->mn", self.bvecs, alpha)
-        return np.einsum("n,mn->m", w2, np.abs(overlaps) ** 2).real
+        ensure_same_grid(self.grid, packet.grid)
+        overlaps = np.einsum("mnc,nc->mn", self.bvecs, packet.alpha_vectors())
+        return np.einsum("n,mn->m", self.grid.weights, np.abs(overlaps) ** 2)
 
     def expectation(self, packet: PhotonPacket, direction) -> float:
         """Expectation of the element attached to a (possibly complex) direction.
@@ -203,11 +191,10 @@ class PolarizationPOVM:
         """
         d = np.asarray(direction, dtype=complex)
         d = d / np.linalg.norm(d)
-        w2 = self._weights2(packet)
-        alpha = packet.alpha_vectors()
+        ensure_same_grid(self.grid, packet.grid)
         b_d = np.einsum("m,mnc->nc", d, self.bvecs)
-        overlaps = np.einsum("nc,nc->n", b_d.conj(), alpha)
-        return float(np.sum(w2 * np.abs(overlaps) ** 2))
+        overlaps = np.einsum("nc,nc->n", b_d.conj(), packet.alpha_vectors())
+        return float(np.sum(self.grid.weights * np.abs(overlaps) ** 2))
 
     def completeness_residual(self, packet: PhotonPacket) -> float:
         return float(abs(self.probabilities(packet).sum() - 1.0))
@@ -223,10 +210,9 @@ def build_povm(grid: MomentumGrid) -> PolarizationPOVM:
 
 
 def effective_density(psi: PhotonPacket) -> np.ndarray:
-    """3x3 polarization matrix integral dmu |f|^2 alpha alpha^dagger."""
-    w2 = psi.grid.weights * np.abs(psi.profile) ** 2
+    """3x3 polarization matrix integral dmu alpha alpha^dagger."""
     alpha = psi.alpha_vectors()
-    return qmatrix.hermitize(np.einsum("n,nm,nc->mc", w2, alpha, alpha.conj()))
+    return qmatrix.hermitize(np.einsum("n,nm,nc->mc", psi.grid.weights, alpha, alpha.conj()))
 
 
 def effective_density_tomography(psi: PhotonPacket) -> np.ndarray:
@@ -253,8 +239,8 @@ def boost_photon(lam: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     """Transport a packet through a boost.
 
     Nodes move to the spatial part of L k; the invariant-measure weights and
-    the profile values ride along unchanged, and so do the helicity
-    amplitudes (polarization vectors follow the standard-rotation transport).
+    the helicity amplitudes ride along unchanged (polarization vectors
+    follow the standard-rotation transport).
     """
     k = psi.grid.nodes
     k4 = np.concatenate([np.linalg.norm(k, axis=1)[:, None], k], axis=1)
@@ -267,7 +253,7 @@ def boost_photon(lam: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
         convention=Measure.INVARIANT,
         mass=0.0,
     )
-    return PhotonPacket(grid=grid, profile=psi.profile, helicity=psi.helicity)
+    return PhotonPacket(grid=grid, amps=psi.amps)
 
 
 def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
@@ -282,14 +268,14 @@ def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     )
     alpha = psi.alpha_vectors() @ rot.T
     eps_p, eps_m = helicity_vectors_batch(directions(nodes))
-    hel = np.stack(
+    amps = np.stack(
         [
             np.einsum("nc,nc->n", eps_p.conj(), alpha),
             np.einsum("nc,nc->n", eps_m.conj(), alpha),
         ],
         axis=1,
     )
-    return PhotonPacket(grid=grid, profile=psi.profile, helicity=hel)
+    return PhotonPacket(grid=grid, amps=amps)
 
 
 @functools.lru_cache(maxsize=2)

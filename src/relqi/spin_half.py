@@ -50,20 +50,17 @@ from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, Momentum
 
 @dataclass(frozen=True)
 class SpinorPacket:
-    """Two-component spinor amplitudes on a PLAIN momentum grid."""
+    """Two-component spinor amplitudes psi_sigma(p) on a PLAIN momentum grid of positive mass."""
 
     grid: MomentumGrid
     amps: np.ndarray   # (n, 2) complex
-    mass: float
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amps, dtype=complex)
         if self.grid.convention is not Measure.PLAIN:
             raise ValueError("spinor packets require the PLAIN measure convention")
-        if self.mass <= 0.0:
+        if self.grid.mass <= 0.0:
             raise ValueError("mass must be positive")
-        if self.grid.mass != self.mass:
-            raise ValueError("grid mass does not match the packet mass")
         if amps.shape != (self.grid.n, 2):
             raise ValueError("amplitudes must have shape (n_nodes, 2)")
         nrm = wavepacket.norm(self.grid, amps)
@@ -88,12 +85,12 @@ def gaussian_packet(
     spinor = spinor / np.linalg.norm(spinor)
     amps = profile[:, None] * spinor[None, :]
     amps /= wavepacket.norm(grid, amps)
-    return SpinorPacket(grid=grid, amps=amps, mass=mass)
+    return SpinorPacket(grid=grid, amps=amps)
 
 
 def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
     """Apply a Lorentz transformation to a packet (node transport, no resampling)."""
-    p4_out, wigner = geometry.wigner_su2_batch(lam, psi.grid.nodes, psi.mass)
+    p4_out, wigner = geometry.wigner_su2_batch(lam, psi.grid.nodes, psi.grid.mass)
     q0 = psi.grid.k0()
     p0 = p4_out[:, 0]
     amps = np.sqrt(q0 / p0)[:, None] * np.einsum("nij,nj->ni", wigner, psi.amps)
@@ -101,9 +98,9 @@ def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
         nodes=p4_out[:, 1:],
         weights=psi.grid.weights * (p0 / q0),
         convention=Measure.PLAIN,
-        mass=psi.mass,
+        mass=psi.grid.mass,
     )
-    return SpinorPacket(grid=grid, amps=amps, mass=psi.mass)
+    return SpinorPacket(grid=grid, amps=amps)
 
 
 def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
@@ -234,7 +231,7 @@ def _direction_mean(t: float) -> float:
     return 2.0 * t2 * (1.0 / 3.0 - t2 * tail)
 
 
-def wigner_sin2_mean(tanh_half_xi: float, delta_over_m: float, nodes: int = 32,
+def wigner_sin2_mean(tanh_half_xi: float, delta_over_m: float, nodes: int,
                      convention: Measure = Measure.PLAIN):
     """s = <sin^2(omega/2)> of the Gaussian packet of width delta/m boosted by rapidity xi,
     on `nodes` rapidity nodes.

@@ -97,7 +97,7 @@ def _random_packet(grid, rng):
     profile /= np.sqrt(np.real(np.sum(grid.weights * np.abs(profile) ** 2)))
     hel = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
     hel /= np.linalg.norm(hel, axis=1)[:, None]
-    return ph.PhotonPacket(grid=grid, profile=profile, helicity=hel)
+    return ph.PhotonPacket(grid=grid, amps=profile[:, None] * hel)
 
 
 def criterion_06_povm_completeness_and_dual_route():
@@ -197,10 +197,10 @@ def criterion_10_oracle_equivalences():
     state = en.boost_pair(
         geo.boost_from_velocity([0.0, 0.0, 0.7]), en.bell_gaussian(0.5, 1.0, 4)
     )
-    flat = state.g.reshape(state.grid1.n, state.grid2.n, 4)
+    flat = state.g.reshape(state.grid.n, state.grid.n, 4)
     double = np.zeros((4, 4), dtype=complex)
-    for i, wi in enumerate(state.grid1.weights):
-        for j, wj in enumerate(state.grid2.weights):
+    for i, wi in enumerate(state.grid.weights):
+        for j, wj in enumerate(state.grid.weights):
             double += wi * wj * np.outer(flat[i, j], flat[i, j].conj())
     gaps.append(np.abs(en.spin_spin_density(state) - double).max())
     assert gaps[-1] < 1e-12

@@ -36,9 +36,9 @@ def concurrence_sv_oracle(rho):
 def spin_spin_oracle(state):
     """Double sum over node pairs, element by element."""
     out = np.zeros((4, 4), dtype=complex)
-    g = state.g.reshape(state.grid1.n, state.grid2.n, 4)
-    for i, wi in enumerate(state.grid1.weights):
-        for j, wj in enumerate(state.grid2.weights):
+    g = state.g.reshape(state.grid.n, state.grid.n, 4)
+    for i, wi in enumerate(state.grid.weights):
+        for j, wj in enumerate(state.grid.weights):
             out += wi * wj * np.outer(g[i, j], g[i, j].conj())
     return out
 
@@ -46,8 +46,8 @@ def spin_spin_oracle(state):
 def state_norm(state):
     """Norm of a pair amplitude, summed node pair by node pair."""
     total = 0.0
-    for i, wi in enumerate(state.grid1.weights):
-        for j, wj in enumerate(state.grid2.weights):
+    for i, wi in enumerate(state.grid.weights):
+        for j, wj in enumerate(state.grid.weights):
             total += wi * wj * np.sum(np.abs(state.g[i, j]) ** 2)
     return float(np.sqrt(total))
 
@@ -73,7 +73,7 @@ def test_product_state_reduces_to_projector():
     up[0, 0] = 1.0
     profile = np.abs(state.g[:, :, 0, 1]) * np.sqrt(2.0)
     g = profile[:, :, None, None] * up[None, None, :, :]
-    product = en.TwoParticleAmplitude(grid1=state.grid1, grid2=state.grid2, g=g)
+    product = en.TwoParticleAmplitude(grid=state.grid, g=g)
     rho = en.spin_spin_density(product)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
@@ -139,7 +139,7 @@ def test_concurrence_local_unitary_invariance():
     base = en.concurrence(en.spin_spin_density(boosted))
     v = geo.rotations_to_su2(helpers.rotation_about(RNG.normal(size=3), 0.9))
     g = np.einsum("ab,nmbd->nmad", v, boosted.g)
-    rotated = en.TwoParticleAmplitude(grid1=boosted.grid1, grid2=boosted.grid2, g=g)
+    rotated = en.TwoParticleAmplitude(grid=boosted.grid, g=g)
     assert en.concurrence(en.spin_spin_density(rotated)) == pytest.approx(base, abs=1e-10)
 
 
@@ -267,10 +267,10 @@ def test_sweep_convergence_flag():
 def test_state_validation():
     state = en.bell_gaussian(0.5, 1.0, 4)
     with pytest.raises(ValueError, match="norm"):
-        en.TwoParticleAmplitude(grid1=state.grid1, grid2=state.grid2, g=2.0 * state.g)
+        en.TwoParticleAmplitude(grid=state.grid, g=2.0 * state.g)
 
 
 def test_state_norm_defect_is_a_numerical_error():
     state = en.bell_gaussian(0.5, 1.0, 4)
     with pytest.raises(wp.NumericalError, match="state norm"):
-        en.TwoParticleAmplitude(grid1=state.grid1, grid2=state.grid2, g=2.0 * state.g)
+        en.TwoParticleAmplitude(grid=state.grid, g=2.0 * state.g)

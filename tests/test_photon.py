@@ -20,11 +20,8 @@ PE_REFERENCE_DR1_K100 = 2.49950640906e-05  # converged (24 nodes per axis)
 def monochromatic(direction_amps):
     """Single-node beam along z with the given helicity amplitudes."""
     base = ph.gaussian_beam(100.0, 0.1, 1.0, +1, nodes_per_axis=1)
-    amps = np.asarray(direction_amps, dtype=complex)
-    amps = amps / np.linalg.norm(amps)
-    return ph.PhotonPacket(
-        grid=base.grid, profile=base.profile, helicity=amps[None, :]
-    )
+    amps = np.asarray(direction_amps, dtype=complex)[None, :]
+    return ph.PhotonPacket(grid=base.grid, amps=wp.normalize(base.grid, amps))
 
 
 def one_direction(khat):
@@ -49,7 +46,7 @@ def random_packet(grid, rng):
     profile = profile / np.sqrt(np.real(np.sum(grid.weights * np.abs(profile) ** 2)))
     hel = rng.normal(size=(grid.n, 2)) + 1j * rng.normal(size=(grid.n, 2))
     hel /= np.linalg.norm(hel, axis=1)[:, None]
-    return ph.PhotonPacket(grid=grid, profile=profile, helicity=hel)
+    return ph.PhotonPacket(grid=grid, amps=profile[:, None] * hel)
 
 
 def test_helicity_vectors_at_z():
@@ -183,7 +180,7 @@ def test_beam_helicity_must_be_plus_or_minus_one(helicity):
 
 def test_gaussian_beam_moments():
     beam = ph.gaussian_beam(100.0, 0.5, 5.0, +1, 10)
-    w2 = beam.grid.weights * np.abs(beam.profile) ** 2
+    w2 = beam.grid.weights * np.sum(np.abs(beam.amps) ** 2, axis=1)
     assert np.sum(w2) == pytest.approx(1.0, abs=1e-8)
     mean = np.einsum("n,nc->c", w2, beam.grid.nodes)
     direction = mean / np.linalg.norm(mean)
@@ -272,7 +269,7 @@ def test_orthogonality_audit_circular_pair():
 
 def variance_form_oracle(beam):
     """(1 - |<khat>|)/2 in variance form, every sum taken by math.fsum."""
-    p = beam.grid.weights * np.abs(beam.profile) ** 2
+    p = beam.grid.weights * np.sum(np.abs(beam.amps) ** 2, axis=1)
     khat = ph.directions(beam.grid.nodes)
     r = [math.fsum(p * khat[:, c]) for c in range(3)]
     spread = math.fsum(p * np.sum((khat - r) ** 2, axis=1))
@@ -355,7 +352,7 @@ def test_boost_preserves_transversality_and_norm():
     alpha = out.alpha_vectors()
     khat = ph.directions(out.grid.nodes)
     assert np.abs(np.einsum("nc,nc->n", alpha, khat)).max() < 1e-10
-    w2 = np.real(np.sum(out.grid.weights * np.abs(out.profile) ** 2))
+    w2 = np.sum(out.grid.weights * np.sum(np.abs(out.amps) ** 2, axis=1))
     assert w2 == pytest.approx(1.0, abs=1e-8)
 
 
@@ -374,11 +371,8 @@ def test_rotation_invariance_of_povm_probabilities():
 
 def test_packet_validation():
     beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 4)
-    bad_hel = np.full((beam.grid.n, 2), 0.9, dtype=complex)
-    with pytest.raises(ValueError, match="helicity"):
-        ph.PhotonPacket(grid=beam.grid, profile=beam.profile, helicity=bad_hel)
     with pytest.raises(ValueError, match="norm"):
-        ph.PhotonPacket(grid=beam.grid, profile=2.0 * beam.profile, helicity=beam.helicity)
+        ph.PhotonPacket(grid=beam.grid, amps=2.0 * beam.amps)
 
 
 def beam_means_numpy(k_mean, delta_z, delta_r, n, speeds):
@@ -425,5 +419,5 @@ def test_gauss_rules_are_built_once_per_node_count():
 
 def test_profile_norm_defect_is_a_numerical_error():
     beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 4)
-    with pytest.raises(wp.NumericalError, match="profile norm"):
-        ph.PhotonPacket(grid=beam.grid, profile=2.0 * beam.profile, helicity=beam.helicity)
+    with pytest.raises(wp.NumericalError, match="packet norm"):
+        ph.PhotonPacket(grid=beam.grid, amps=2.0 * beam.amps)

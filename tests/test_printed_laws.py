@@ -4,7 +4,8 @@ Each test runs a subcommand through `cli.run`, parses its CSV or JSON and
 checks a relation between printed values: the Doppler law of the photon
 pair error, the pair error's positivity and its paraxial closed form, the
 polarization matrix as a state with no pure photon qubit, the spin
-entropy as the binary entropy of the printed pair error, the channel
+entropy as the binary entropy of the printed pair error and its dependence
+on the boost direction, the spin pair error's shape in theta, the channel
 audit's quadratic law off axis and quartic law on axis, and the boosted
 singlet's concurrence falling with beta and delta/m over an exact one-bit
 marginal.  No oracle is computed; the golden cases supply the spin and
@@ -48,10 +49,10 @@ def _printed(argv) -> str:
 
 
 def _rows(argv) -> list:
-    """The printed CSV rows of `argv` as dicts of floats (but `converged`)."""
+    """The printed CSV rows of `argv` as dicts of floats, and of `converged` as a bool."""
     header, *lines = _printed(argv).splitlines()
-    return [{key: float(cell) for key, cell in zip(header.split(","), line.split(","))
-             if key != "converged"} for line in lines]
+    return [{key: cell == "true" if key == "converged" else float(cell)
+             for key, cell in zip(header.split(","), line.split(","))} for line in lines]
 
 
 def _falls_a_hundredfold(coarse: float, fine: float) -> bool:
@@ -146,6 +147,57 @@ def test_spin_entropy_is_the_binary_entropy_of_the_pair_error(name):
         # HALF_DIGIT times |p h'(p) / h(p)|, relative; the printed entropy adds HALF_DIGIT
         slope = abs(p * math.log2((1.0 - p) / p) / want)
         assert abs(entropy / want - 1.0) <= HALF_DIGIT * (1.0 + slope) + 1e-15, row
+
+
+def test_spin_entropy_depends_on_the_boost_direction():
+    # the spin entropy is not a Lorentz scalar: one packet and one Gamma give different
+    # entropies for a boost along z and one along x, and none at Gamma = 0
+    rows = _rows(["spin-entropy", "--theta", "0,1.5707963267948966", "--gamma", "0,0.25"])
+    assert len(rows) == 4 and all(row["converged"] for row in rows)
+    entropy = {(row["theta"] > 0.0, row["gamma"]): row["entropy_bits"] for row in rows}
+    assert entropy[False, 0.0] == entropy[True, 0.0] == 0.0
+    along_z, along_x = entropy[False, 0.25], entropy[True, 0.25]
+    assert along_x > 0.0 and abs(along_z / along_x - 1.0) > 0.1, (along_z, along_x)
+
+
+def _spin_error(theta: str, gammas, delta_over_m: float = 1.0) -> dict:
+    """The printed p_error of spin-distinguish at one theta, by Gamma."""
+    rows = _rows(["spin-distinguish", "--theta", theta, "--gamma", ",".join(map(repr, gammas)),
+                  "--delta-over-m", repr(delta_over_m)])
+    assert len(rows) == len(gammas) and all(row["converged"] for row in rows)
+    return {row["gamma"]: row["p_error"] for row in rows}
+
+
+@pytest.mark.parametrize("delta_over_m, gammas", [
+    (0.1, (1e-3, 1e-2, 0.05)),
+    (1.0, (1e-3, 1e-2, 0.1, 0.5)),
+    (100.0, (1e-3, 1e-2, 0.1, 0.5)),
+])
+def test_spin_pair_error_across_the_boost_halves_along_it(delta_over_m, gammas):
+    # for the isotropic packet D = -R diag(s, s, 2s) R^T, so |r| = 1 - s across the
+    # boost and 1 - 2s along it: p_error(pi/2) = p_error(0)/2 exactly, and the cubic
+    # grid treats x and z alike.  The printed ratio is within RATIO_DIGITS of the float
+    # ratio, which the kernel's rounding moves by less than 1e-14.
+    along = _spin_error("0", gammas, delta_over_m)
+    across = _spin_error("1.5707963267948966", gammas, delta_over_m)
+    for gamma in gammas:
+        assert along[gamma] > 0.0
+        assert abs(2.0 * across[gamma] / along[gamma] - 1.0) <= RATIO_DIGITS + 1e-14, gamma
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_oblique_spin_pair_error_tends_to_its_theta_shape(theta):
+    # p_error(theta) / p_error(0) -> (sin^2 theta + 2 cos^2 theta)/2 as Gamma -> 0, with a
+    # gap of order Gamma^2 that falls a hundredfold per decade (6.8e-9 at theta = 0.5 and
+    # Gamma = 1e-3); each printed ratio is within RATIO_DIGITS of the float ratio, so the
+    # test asks for a fall of at least fifty-fold with that slack on either side
+    gammas = (0.1, 0.01, 0.001)
+    along, oblique = _spin_error("0", gammas), _spin_error(repr(theta), gammas)
+    shape = (math.sin(theta) ** 2 + 2.0 * math.cos(theta) ** 2) / 2.0
+    gaps = [abs(oblique[gamma] / along[gamma] / shape - 1.0) for gamma in gammas]
+    assert gaps[-1] > RATIO_DIGITS, gaps
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse - RATIO_DIGITS >= 50.0 * (fine + RATIO_DIGITS), gaps
 
 
 def _trace_distance(gamma: float, theta: float) -> float:

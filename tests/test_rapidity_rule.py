@@ -95,7 +95,7 @@ def test_the_3d_moments_are_minus_r_diag_s_s_2s_rt(theta, convention):
 
 def test_s_reads_no_numpy():
     probe = ("import json, sys; from relqi import spin_half; "
-             "spin_half.wigner_sin2_mean(0.5, 1.0); "
+             f"spin_half.wigner_sin2_mean(0.5, 1.0, {NODES}); "
              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
                          capture_output=True, text=True, check=True)
@@ -106,7 +106,7 @@ def test_wide_packets_compute_or_say_why():
     s = sh.wigner_sin2_mean(0.3, 1e200, 2 * NODES)
     assert 0.0 < s < 0.5
     with pytest.raises(wp.NumericalError, match="too wide for floats"):
-        sh.wigner_sin2_mean(0.3, 1e308)
+        sh.wigner_sin2_mean(0.3, 1e308, 2 * NODES)
 
 
 @pytest.mark.parametrize("args", [(1.0, 1.0, 8), (-0.1, 1.0, 8), (0.5, 0.0, 8),

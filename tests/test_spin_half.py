@@ -106,7 +106,7 @@ def test_disjoint_supports_with_orthogonal_spins_mix():
     amps = np.zeros((2 * n, 2), dtype=complex)
     amps[:n, 0] = up.amps[:, 0] / np.sqrt(2.0)
     amps[n:, 1] = up.amps[:, 0] / np.sqrt(2.0)
-    psi = sh.SpinorPacket(grid=grid, amps=amps, mass=1.0)
+    psi = sh.SpinorPacket(grid=grid, amps=amps)
     np.testing.assert_allclose(sh.reduced_spin_density(psi), np.eye(2) / 2, atol=1e-8)
 
 
@@ -441,12 +441,6 @@ def test_the_kernel_overflow_case_computes_at_12_nodes():
     assert np.isfinite(d).all() and math.isfinite(s)
 
 
-def test_mass_mismatch_rejected():
-    psi = sh.gaussian_packet(0.5, 1.0, 4)
-    with pytest.raises(ValueError, match="mass"):
-        sh.SpinorPacket(grid=psi.grid, amps=psi.amps, mass=2.0)
-
-
 @pytest.mark.parametrize("n", range(4, 33))
 def test_identity_boost_rows_are_exactly_zero(n):
     # Gamma = 0 is the identity boost: every W_n of the unfolded rule is I,
@@ -475,4 +469,4 @@ def test_identity_boost_row_prints_zero(tmp_path):
 def test_packet_norm_defect_is_a_numerical_error():
     psi = sh.gaussian_packet(0.5, 1.0, 4)
     with pytest.raises(wp.NumericalError, match="packet norm"):
-        sh.SpinorPacket(grid=psi.grid, amps=2.0 * psi.amps, mass=1.0)
+        sh.SpinorPacket(grid=psi.grid, amps=2.0 * psi.amps)

@@ -5,6 +5,9 @@ Amplitudes g(sigma1, sigma2, p1, p2) live on one INVARIANT-convention grid
 the pair nodes are its node pairs.  Boosts act on each particle separately:
 nodes transport, invariant weights ride along unchanged, and each spin
 index is rotated by the SU(2) Wigner matrix of its own momentum.
+wavepacket checks the amplitude, builds its Gaussian profile and traces
+both momenta out; this module adds the singlet, the mass rule and the
+Wigner action.
 Entanglement is quantified by the Wootters concurrence of the 4x4
 spin-spin reduction.
 
@@ -25,11 +28,12 @@ n/2n convergence check is made in `relqi.cli`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import geometry, qmatrix, spin_half
 from ._numpy import np
-from .wavepacket import GaussianSpec, Measure, MomentumGrid, NumericalError, gauss_grid, normalize
+from .wavepacket import (GaussianSpec, Measure, MomentumGrid, checked_amplitudes,
+                         gaussian_profile, momentum_trace)
 
 
 @dataclass(frozen=True)
@@ -40,19 +44,13 @@ class TwoParticleAmplitude:
     g: np.ndarray   # (n, n, 2, 2) complex, indices (p1, p2, sigma1, sigma2)
 
     def __post_init__(self):
-        g = np.ascontiguousarray(self.g, dtype=complex)
         if self.grid.convention is not Measure.INVARIANT:
             raise ValueError("two-particle states use the INVARIANT convention")
         if self.grid.mass <= 0.0:
             raise ValueError("two-particle grids must carry a positive mass")
-        if g.shape != (self.grid.n, self.grid.n, 2, 2):
-            raise ValueError("amplitude shape does not match the product grid")
-        w = self.grid.weights
-        nrm = float(np.sqrt(np.real(np.einsum("n,m,nmab,nmab->", w, w, g, g.conj()))))
-        if abs(nrm - 1.0) > 1e-8:
-            raise NumericalError(f"state norm {nrm:.12g} differs from 1")
-        g.setflags(write=False)
-        object.__setattr__(self, "g", g)
+        n, w = self.grid.n, self.grid.weights
+        object.__setattr__(self, "g", checked_amplitudes(np.outer(w, w).ravel(), self.g,
+                                                         (n, n, 2, 2), "state"))
 
 
 def bell_gaussian(delta: float, mass: float, nodes_per_axis: int) -> TwoParticleAmplitude:
@@ -65,8 +63,8 @@ def bell_gaussian(delta: float, mass: float, nodes_per_axis: int) -> TwoParticle
     """
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
-    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, Measure.INVARIANT, mass=mass)
-    h = normalize(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta**2)))
+    grid, h = gaussian_profile(GaussianSpec.isotropic(delta), nodes_per_axis, Measure.INVARIANT,
+                               mass=mass)
     singlet = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
     g = h[:, None, None, None] * h[None, :, None, None] * singlet[None, None, :, :]
     return TwoParticleAmplitude(grid=grid, g=g)
@@ -78,19 +76,15 @@ def boost_pair(lam: np.ndarray, state: TwoParticleAmplitude) -> TwoParticleAmpli
     Both particles sit on the same nodes, so one Wigner matrix u_n per node
     rotates the spin of either particle at p = node n.
     """
-    mass = state.grid.mass
-    p4, u = geometry.wigner_su2_batch(lam, state.grid.nodes, mass)
+    p4, u = geometry.wigner_su2_batch(lam, state.grid.nodes, state.grid.mass)
     g = np.einsum("nab,mcd,nmbd->nmac", u, u, state.g)
-    grid = MomentumGrid(nodes=p4[:, 1:], weights=state.grid.weights,
-                        convention=Measure.INVARIANT, mass=mass)
-    return TwoParticleAmplitude(grid=grid, g=g)
+    return TwoParticleAmplitude(grid=replace(state.grid, nodes=p4[:, 1:]), g=g)
 
 
 def spin_spin_density(state: TwoParticleAmplitude) -> np.ndarray:
-    """4x4 spin-spin state, both momenta integrated out."""
+    """4x4 spin-spin state, both momenta integrated out over the node pairs."""
     w = state.grid.weights
-    rho = np.einsum("n,m,nmab,nmcd->abcd", w, w, state.g, state.g.conj()).reshape(4, 4)
-    return qmatrix.hermitize(rho)
+    return momentum_trace(np.outer(w, w).ravel(), state.g.reshape(-1, 4))
 
 
 def concurrence(rho) -> float:

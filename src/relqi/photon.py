@@ -7,8 +7,11 @@ helicity basis is eps_pm(k) = R(khat) (1, +-i, 0)/sqrt(2) with R the
 standard rotation, and the measurement vector attached to a real direction
 d is its transverse projection b_d(k) = d - (d.khat) khat.  A packet is its
 grid and the helicity amplitudes f_pm(k), one (n, 2) array, and its
-polarization vector at k is alpha = f_+ eps_+ + f_- eps_-.  The effective
-3x3 polarization matrix rho_mn = integral dmu alpha_m alpha_n^*
+polarization vector at k is alpha = f_+ eps_+ + f_- eps_-.  wavepacket
+checks the amplitudes, builds a beam's Gaussian profile and traces the
+momentum out; this module adds the helicity factor, the massless rule and
+the standard-rotation action.  The effective 3x3 polarization matrix
+rho_mn = integral dmu alpha_m alpha_n^*, the momentum trace of alpha,
 coincides entry by entry with the tomographic reconstruction from POVM
 expectation values; the tests check the two routes against each other.
 
@@ -43,13 +46,13 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import geometry, qmatrix
+from . import geometry
 from ._numpy import np
 from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
-                         NumericalError, _gauss_floats, ensure_same_grid, gauss_grid, norm,
-                         normalize)
+                         NumericalError, _gauss_floats, checked_amplitudes, ensure_same_grid,
+                         gaussian_profile, momentum_trace)
 
 
 def directions(nodes) -> np.ndarray:
@@ -89,18 +92,12 @@ class PhotonPacket:
     amps: np.ndarray   # (n, 2) complex, columns helicity +1 and -1
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=complex)
         if self.grid.convention is not Measure.INVARIANT:
             raise ValueError("photon packets require the INVARIANT measure convention")
         if self.grid.mass != 0.0:
             raise ValueError("photon grids must be massless")
-        if amps.shape != (self.grid.n, 2):
-            raise ValueError("amplitudes must have shape (n_nodes, 2)")
-        nrm = norm(self.grid, amps)
-        if abs(nrm - 1.0) > 1e-8:
-            raise NumericalError(f"packet norm {nrm:.12g} differs from 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", checked_amplitudes(self.grid.weights, self.amps,
+                                                            (self.grid.n, 2)))
 
     def alpha_vectors(self) -> np.ndarray:
         """Polarization 3-vector f_+ eps_+ + f_- eps_- at every node."""
@@ -155,15 +152,11 @@ def gaussian_beam(
     if helicity not in (1, -1):
         raise ValueError("helicity must be +1 or -1")
     _beam_axis(k_mean, delta_z, delta_r, nodes_per_axis)
-    grid = gauss_grid(GaussianSpec.beam(k_mean, delta_z, delta_r),
-                      nodes_per_axis, Measure.INVARIANT, mass=0.0)
-    k = grid.nodes
+    grid, h = gaussian_profile(GaussianSpec.beam(k_mean, delta_z, delta_r), nodes_per_axis,
+                               Measure.INVARIANT)
     amps = np.zeros((grid.n, 2), dtype=complex)
-    amps[:, 0 if helicity > 0 else 1] = np.exp(
-        -((k[:, 2] - k_mean) ** 2) / (2.0 * delta_z**2)
-        - (k[:, 0] ** 2 + k[:, 1] ** 2) / (2.0 * delta_r**2)
-    )
-    return PhotonPacket(grid=grid, amps=normalize(grid, amps))
+    amps[:, 0 if helicity > 0 else 1] = h
+    return PhotonPacket(grid=grid, amps=amps)
 
 
 @dataclass(frozen=True)
@@ -178,10 +171,8 @@ class PolarizationPOVM:
     bvecs: np.ndarray    # (3, n, 3) real
 
     def probabilities(self, packet: PhotonPacket) -> np.ndarray:
-        """(p_x, p_y, p_z) on a packet."""
-        ensure_same_grid(self.grid, packet.grid)
-        overlaps = np.einsum("mnc,nc->mn", self.bvecs, packet.alpha_vectors())
-        return np.einsum("n,mn->m", self.grid.weights, np.abs(overlaps) ** 2)
+        """(p_x, p_y, p_z) on a packet: the expectations of the three axis elements."""
+        return np.array([self.expectation(packet, axis) for axis in np.eye(3)])
 
     def expectation(self, packet: PhotonPacket, direction) -> float:
         """Expectation of the element attached to a (possibly complex) direction.
@@ -211,8 +202,7 @@ def build_povm(grid: MomentumGrid) -> PolarizationPOVM:
 
 def effective_density(psi: PhotonPacket) -> np.ndarray:
     """3x3 polarization matrix integral dmu alpha alpha^dagger."""
-    alpha = psi.alpha_vectors()
-    return qmatrix.hermitize(np.einsum("n,nm,nc->mc", psi.grid.weights, alpha, alpha.conj()))
+    return momentum_trace(psi.grid.weights, psi.alpha_vectors())
 
 
 def effective_density_tomography(psi: PhotonPacket) -> np.ndarray:
@@ -242,40 +232,20 @@ def boost_photon(lam: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     the helicity amplitudes ride along unchanged (polarization vectors
     follow the standard-rotation transport).
     """
-    k = psi.grid.nodes
-    k4 = np.concatenate([np.linalg.norm(k, axis=1)[:, None], k], axis=1)
+    k4 = np.concatenate([psi.grid.k0()[:, None], psi.grid.nodes], axis=1)
     k4_out = k4 @ np.asarray(lam, dtype=float).T
     if np.any(k4_out[:, 0] <= 0.0):
         raise ValueError("transported photon energies are not positive")
-    grid = MomentumGrid(
-        nodes=k4_out[:, 1:],
-        weights=psi.grid.weights,
-        convention=Measure.INVARIANT,
-        mass=0.0,
-    )
-    return PhotonPacket(grid=grid, amps=psi.amps)
+    return PhotonPacket(grid=replace(psi.grid, nodes=k4_out[:, 1:]), amps=psi.amps)
 
 
 def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     """Rotate a packet exactly: nodes and polarization 3-vectors by `rot`."""
     rot = np.asarray(rot, dtype=float)
-    nodes = psi.grid.nodes @ rot.T
-    grid = MomentumGrid(
-        nodes=nodes,
-        weights=psi.grid.weights,
-        convention=Measure.INVARIANT,
-        mass=0.0,
-    )
+    grid = replace(psi.grid, nodes=psi.grid.nodes @ rot.T)
     alpha = psi.alpha_vectors() @ rot.T
-    eps_p, eps_m = helicity_vectors_batch(directions(nodes))
-    amps = np.stack(
-        [
-            np.einsum("nc,nc->n", eps_p.conj(), alpha),
-            np.einsum("nc,nc->n", eps_m.conj(), alpha),
-        ],
-        axis=1,
-    )
-    return PhotonPacket(grid=grid, amps=amps)
+    eps = np.conj(helicity_vectors_batch(directions(grid.nodes)))  # (2, n, 3)
+    return PhotonPacket(grid=grid, amps=np.einsum("hnc,nc->nh", eps, alpha))
 
 
 @functools.lru_cache(maxsize=2)

@@ -1,11 +1,13 @@
 """Massive spin-1/2 wave packets under Lorentz boosts.
 
 A packet is a two-component spinor amplitude on a PLAIN-convention momentum
-grid.  Boosts transport each node q to the spatial part of L q, rotate the
-spinor by the SU(2) Wigner rotation of the little group at q, multiply by
-the energy-ratio prefactor sqrt(q0 / (Lq)0), and scale the weight by the
-inverse Jacobian (Lq)0 / q0, so the quadrature norm is conserved exactly
-and no resampling or interpolation ever happens.
+grid of positive mass.  wavepacket checks it, builds its Gaussian profile
+and traces its momentum out; this module adds the spinor, the mass rule and
+the Wigner action.  Boosts transport each node q to the spatial part of
+L q, rotate the spinor by the SU(2) Wigner rotation of the little group at
+q, multiply by the energy-ratio prefactor sqrt(q0 / (Lq)0), and scale the
+weight by the inverse Jacobian (Lq)0 / q0, so the quadrature norm is
+conserved exactly and no resampling or interpolation ever happens.
 
 Sweeps never build a boosted packet or a Lorentz matrix.  Tracing out the
 momentum of a boosted packet with node probabilities p_n is the
@@ -40,12 +42,12 @@ symmetry).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import geometry, qmatrix, wavepacket
+from . import geometry, wavepacket
 from ._numpy import np
 from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
-                         _gauss_floats, gauss_grid)
+                         _gauss_floats, checked_amplitudes, gaussian_profile, momentum_trace)
 
 
 @dataclass(frozen=True)
@@ -56,18 +58,12 @@ class SpinorPacket:
     amps: np.ndarray   # (n, 2) complex
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=complex)
         if self.grid.convention is not Measure.PLAIN:
             raise ValueError("spinor packets require the PLAIN measure convention")
         if self.grid.mass <= 0.0:
             raise ValueError("mass must be positive")
-        if amps.shape != (self.grid.n, 2):
-            raise ValueError("amplitudes must have shape (n_nodes, 2)")
-        nrm = wavepacket.norm(self.grid, amps)
-        if abs(nrm - 1.0) > 1e-8:
-            raise wavepacket.NumericalError(f"packet norm {nrm:.12g} differs from 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", checked_amplitudes(self.grid.weights, self.amps,
+                                                            (self.grid.n, 2)))
 
 
 def gaussian_packet(
@@ -79,13 +75,10 @@ def gaussian_packet(
     """Zero-centered isotropic Gaussian profile times a fixed spinor."""
     if delta <= 0.0 or mass <= 0.0:
         raise ValueError("width and mass must be positive")
-    grid = gauss_grid(GaussianSpec.isotropic(delta), nodes_per_axis, Measure.PLAIN, mass=mass)
-    profile = np.exp(-np.sum(grid.nodes**2, axis=1) / (2.0 * delta * delta))
+    grid, h = gaussian_profile(GaussianSpec.isotropic(delta), nodes_per_axis, Measure.PLAIN,
+                               mass=mass)
     spinor = np.asarray(spinor, dtype=complex)
-    spinor = spinor / np.linalg.norm(spinor)
-    amps = profile[:, None] * spinor[None, :]
-    amps /= wavepacket.norm(grid, amps)
-    return SpinorPacket(grid=grid, amps=amps)
+    return SpinorPacket(grid=grid, amps=h[:, None] * (spinor / np.linalg.norm(spinor)))
 
 
 def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
@@ -94,19 +87,13 @@ def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
     q0 = psi.grid.k0()
     p0 = p4_out[:, 0]
     amps = np.sqrt(q0 / p0)[:, None] * np.einsum("nij,nj->ni", wigner, psi.amps)
-    grid = MomentumGrid(
-        nodes=p4_out[:, 1:],
-        weights=psi.grid.weights * (p0 / q0),
-        convention=Measure.PLAIN,
-        mass=psi.grid.mass,
-    )
+    grid = replace(psi.grid, nodes=p4_out[:, 1:], weights=psi.grid.weights * (p0 / q0))
     return SpinorPacket(grid=grid, amps=amps)
 
 
 def reduced_spin_density(psi: SpinorPacket) -> np.ndarray:
     """2x2 spin state obtained by integrating out the momentum."""
-    tau = np.einsum("n,ni,nj->ij", psi.grid.weights, psi.amps, psi.amps.conj())
-    return qmatrix.hermitize(tau)
+    return momentum_trace(psi.grid.weights, psi.amps)
 
 
 # Nodes per block of the packet rules: no per-node array, (n,) or (n, 4), is

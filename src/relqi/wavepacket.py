@@ -1,4 +1,4 @@
-"""Momentum-space quadrature grids for Gaussian wave packets.
+"""Momentum-space quadrature grids and the amplitudes of Gaussian wave packets.
 
 Integrals over momentum space are discretized with tensor-product
 Gauss-Hermite rules mapped to the center and widths of a target Gaussian,
@@ -28,6 +28,13 @@ and the packet width in its nodes only; each turns the tuples into the
 numpy arrays it computes with.  No convergence check lives here: whether a
 value has converged (recomputed at twice the nodes per axis) is decided
 by one rule in `relqi.cli`.
+
+The packet classes of spin_half, photon and entangle add only their
+physics to one amplitude layer here: `checked_amplitudes` checks every
+packet, `gaussian_profile` builds every packet's grid and Gaussian
+amplitude, and `momentum_trace` integrates the momentum out of any
+amplitude.  Transports move a grid with dataclasses.replace, so only
+gauss_grid calls MomentumGrid.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import qmatrix
 from ._numpy import np
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
@@ -254,6 +262,39 @@ def gauss_grid(
             raise ValueError("invariant-measure grid contains a zero-energy node")
         weights = weights / (TWO_PI_CUBED * 2.0 * k0)
     return MomentumGrid(nodes=nodes, weights=weights, convention=convention, mass=mass)
+
+
+def gaussian_profile(spec: GaussianSpec, nodes_per_axis: int, convention: Measure,
+                     mass: float = 0.0) -> tuple[MomentumGrid, np.ndarray]:
+    """(grid, h): gauss_grid(spec, ...) and h = exp(-|(k - c) / width|^2 / 2) on it, normalized."""
+    grid = gauss_grid(spec, nodes_per_axis, convention, mass)
+    u = (grid.nodes - spec.center) / spec.widths
+    return grid, normalize(grid, np.exp(-0.5 * np.sum(u * u, axis=1)))
+
+
+def checked_amplitudes(weights: np.ndarray, amps, shape: tuple,
+                       state: str = "packet") -> np.ndarray:
+    """`amps` as a read-only contiguous complex array of `shape` and unit norm.
+
+    The norm weighs each of the len(weights) leading entries (a node or a
+    node pair) by its weight.  A norm off 1 by more than 1e-8, or not a
+    number, raises NumericalError naming the `state` norm; another shape,
+    ValueError.
+    """
+    amps = np.ascontiguousarray(amps, dtype=complex)
+    if amps.shape != shape:
+        raise ValueError(f"amplitudes must have shape {shape}, not {amps.shape}")
+    flat = amps.reshape(len(weights), -1)
+    nrm = math.sqrt(float(weights @ np.sum(flat.real**2 + flat.imag**2, axis=1)))
+    if not abs(nrm - 1.0) <= 1e-8:
+        raise NumericalError(f"{state} norm {nrm:.12g} differs from 1")
+    amps.setflags(write=False)
+    return amps
+
+
+def momentum_trace(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """sum_n w_n a_n a_n^dagger of (n, d) amplitudes, Hermitized: the momentum integrated out."""
+    return qmatrix.hermitize(np.einsum("n,ni,nj->ij", weights, amps, amps.conj()))
 
 
 def inner_product(grid: MomentumGrid, f: np.ndarray, g: np.ndarray) -> complex:

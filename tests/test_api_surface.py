@@ -3,9 +3,11 @@
 A public (no leading underscore) top-level `def` or `class` in
 src/relqi/*.py is either referenced by other src code, or exported from
 relqi/__init__.py and named (in backticks) in the README.  Test-only
-helpers live in tests/helpers.py.  numpy is imported by relqi/_numpy.py
-alone, which binds it lazily and binds no other public name; no module
-serves numpy objects through a module-level `__getattr__`.
+helpers live in tests/helpers.py.  Every name a module other than
+__init__.py imports at top level is read in that module.  numpy is
+imported by relqi/_numpy.py alone, which binds it lazily and binds no
+other public name; no module serves numpy objects through a module-level
+`__getattr__`.
 """
 
 import ast
@@ -65,6 +67,24 @@ def test_every_public_name_is_used_in_src_or_exported_and_documented():
         + ", ".join(stray)
     )
 
+
+def test_every_top_level_import_is_read():
+    # __init__.py imports to re-export, and `from __future__` binds no name that is read
+    unused = []
+    for module, tree in _modules().items():
+        if module == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"relqi/{module}.py: {name}" for name in names if name not in read]
+    assert unused == [], f"imported but never read: {', '.join(unused)}"
 
 
 def _readme_exports():

@@ -163,20 +163,24 @@ def test_boosted_singlet_matches_boost_pair(n, delta_over_m, velocity):
     assert conc == pytest.approx(concurrence_sv_oracle(rho_pair), abs=1e-10)
     assert conc == pytest.approx(en.concurrence(rho_pair), abs=1e-10)
     if velocity[:2] == [0.0, 0.0]:  # the row's tau differs from this one in its last bit
-        row = en.sweep_values(delta_over_m, velocity[2], n)
-        assert row["concurrence"] == pytest.approx(conc, rel=1e-14, abs=0.0)
+        row_tau = (0.0, 0.0, spin_half.tanh_half_rapidity(velocity[2]))
+        _, s_row = spin_half.wigner_moments(row_tau, delta_over_m, n, wp.Measure.INVARIANT)
+        row_conc = max(0.0, (1.0 - s_row) * (1.0 - 3.0 * s_row))
+        assert row_conc == pytest.approx(conc, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("delta_over_m", [1e-4, 0.5])
 def test_row_near_speed_1_matches_decimal_node_sum(delta_over_m):
     # beta = 0.9999999999999 (1 - beta^2 ~ 2e-13, beyond a float boost matrix):
-    # the row's tau = (0, 0, tanh(xi/2)) gives the concurrence of the same
-    # INVARIANT rule with every quaternion from the 40-digit oracle
+    # the row's tau = (0, 0, tanh(xi/2)) gives, from the s of the 3-D kernel, the
+    # concurrence of the same INVARIANT rule with every quaternion from the
+    # 40-digit oracle
     tau = (0.0, 0.0, spin_half.tanh_half_rapidity(0.9999999999999))
     d, s = helpers.decimal_moments(tau, delta_over_m, 8, wp.Measure.INVARIANT)
     expected = 1.0 - 4.0 * s + 0.5 * float(np.sum(d * d))
-    row = en.sweep_values(delta_over_m, 0.9999999999999, 8)
-    assert row["concurrence"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    _, s_kernel = spin_half.wigner_moments(tau, delta_over_m, 8, wp.Measure.INVARIANT)
+    concurrence = max(0.0, (1.0 - s_kernel) * (1.0 - 3.0 * s_kernel))
+    assert concurrence == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_sweep_row_memory_bounded():
@@ -262,15 +266,3 @@ def test_sweep_convergence_flag():
     row = cli._sweep_row(helpers.row_args(4, 1e-10), "entangle-sweep",
                          {"delta_over_m": 0.5, "beta": 0.9})
     assert not row["converged"]
-
-
-def test_state_validation():
-    state = en.bell_gaussian(0.5, 1.0, 4)
-    with pytest.raises(ValueError, match="norm"):
-        en.TwoParticleAmplitude(grid=state.grid, g=2.0 * state.g)
-
-
-def test_state_norm_defect_is_a_numerical_error():
-    state = en.bell_gaussian(0.5, 1.0, 4)
-    with pytest.raises(wp.NumericalError, match="state norm"):
-        en.TwoParticleAmplitude(grid=state.grid, g=2.0 * state.g)

@@ -206,22 +206,24 @@ def test_small_gamma_pair_error_matches_decimal_node_sum():
                    math.fsum(probs * 2.0 * (y * z - w * x)),
                    math.fsum(probs * -2.0 * (x * x + y * y))])
     expected = (-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(dz + (0.0, 0.0, 1.0))))
-    p_error = sh.sweep_values(theta, gamma, 1.0, 12)["p_error"]
+    p_error = sh.boosted_pair(tau, 1.0, 12)[2]
     assert p_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_row_at_gamma_1e4_matches_decimal_node_sum():
-    # The row --theta 1 --gamma 0.9999 (boost gamma ~ 1e4, whose float Lorentz
-    # matrix leaves the time axis by 8.0e-9) at tau = 0.9999 (sin 1, 0, cos 1)
-    # prints p_error 0.080030573913 and entropy_bits 0.402286910118 at n = 12: the
-    # same rule's values with every quaternion from the 40-digit oracle
-    row = sh.sweep_values(1.0, 0.9999, 1.0, 12)
-    d, _ = helpers.decimal_moments(0.9999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)]), 1.0, 12)
+    # The boost of the row --theta 1 --gamma 0.9999 (boost gamma ~ 1e4, whose float
+    # Lorentz matrix leaves the time axis by 8.0e-9), tau = 0.9999 (sin 1, 0, cos 1):
+    # the 3-D kernel's pair error and the entropy of its boosted spin-up state at
+    # n = 12 (the row prints 0.080030573913 and 0.402286910118) against the same
+    # rule's values with every quaternion from the 40-digit oracle
+    tau = 0.9999 * np.array([np.sin(1.0), 0.0, np.cos(1.0)])
+    tau_up, _, p_error = sh.boosted_pair(tau, 1.0, 12)
+    d, _ = helpers.decimal_moments(tau, 1.0, 12)
     dz = d[:, 2]
     p = (-2.0 * dz[2] - dz @ dz) / (2.0 * (1.0 + np.linalg.norm(dz + (0.0, 0.0, 1.0))))
-    assert row["p_error"] == pytest.approx(p, rel=1e-12, abs=0.0)
+    assert p_error == pytest.approx(p, rel=1e-12, abs=0.0)
     binary = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-    assert row["entropy_bits"] == pytest.approx(binary, rel=1e-12, abs=0.0)
+    assert qm.entropy(tau_up) == pytest.approx(binary, rel=1e-12, abs=0.0)
 
 
 def bloch_vector(rho):
@@ -245,12 +247,13 @@ def test_wigner_moments_bloch_matrix_matches_boosted_packet():
 
 @pytest.fixture
 def grid_builds(monkeypatch):
-    """Node counts of the 3-D grids and the 1-D Gauss-Hermite rules spin_half builds.
+    """Node counts of the 3-D grids and the 1-D Gauss-Hermite rules built meanwhile.
 
-    Counted from an empty 1-D rule cache.
+    Every 3-D grid is built by wavepacket.gauss_grid.  Counted from an
+    empty 1-D rule cache.
     """
     built = {"grids": [], "rules": []}
-    real_grid, real_matrix = sh.gauss_grid, wp._JACOBI_MATRICES["Gauss-Hermite"]
+    real_grid, real_matrix = wp.gauss_grid, wp._JACOBI_MATRICES["Gauss-Hermite"]
 
     def counting_grid(spec, nodes_per_axis, *args, **kwargs):
         built["grids"].append(nodes_per_axis)
@@ -260,7 +263,7 @@ def grid_builds(monkeypatch):
         built["rules"].append(nodes_per_axis)
         return real_matrix(nodes_per_axis)
 
-    monkeypatch.setattr(sh, "gauss_grid", counting_grid)
+    monkeypatch.setattr(wp, "gauss_grid", counting_grid)
     monkeypatch.setitem(wp._JACOBI_MATRICES, "Gauss-Hermite", counting_matrix)
     wp._gauss_outcome.cache_clear()
     yield built
@@ -464,9 +467,3 @@ def test_identity_boost_row_prints_zero(tmp_path):
     out = tmp_path / "spin.csv"
     assert cli.run(["spin-entropy", "--theta", "0.7", "--gamma", "0", "--out", str(out)]) == 0
     assert out.read_text().split("\n")[1] == "0.7,0,0,1,0,0,1728,true"
-
-
-def test_packet_norm_defect_is_a_numerical_error():
-    psi = sh.gaussian_packet(0.5, 1.0, 4)
-    with pytest.raises(wp.NumericalError, match="packet norm"):
-        sh.SpinorPacket(grid=psi.grid, amps=2.0 * psi.amps)

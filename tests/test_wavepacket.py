@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
+from relqi import entangle, photon, spin_half
 from relqi import wavepacket as wp
 import helpers
 
@@ -133,6 +135,31 @@ def test_grid_immutability():
         grid.nodes[0, 0] = 5.0
     with pytest.raises(ValueError):
         grid.weights[0] = 5.0
+
+
+@pytest.mark.parametrize("make, field, norm_name, wrong_mass", [
+    (lambda: spin_half.gaussian_packet(0.5, 1.0, 4), "amps", "packet norm", 0.0),
+    (lambda: photon.gaussian_beam(100.0, 0.1, 1.0, +1, 4), "amps", "packet norm", 1.0),
+    (lambda: entangle.bell_gaussian(0.5, 1.0, 4), "g", "state norm", 0.0),
+], ids=["SpinorPacket", "PhotonPacket", "TwoParticleAmplitude"])
+def test_every_packet_class_checks_its_amplitudes(make, field, norm_name, wrong_mass):
+    # one check for every class: a norm defect (a norm not a number included) is a
+    # NumericalError, and a wrong shape, measure convention or mass a plain
+    # ValueError; the stored amplitude is read-only
+    packet = make()
+    cls, grid, amps = type(packet), packet.grid, getattr(packet, field)
+    assert not amps.flags.writeable
+    assert np.array_equal(getattr(cls(grid, amps), field), amps)
+    for defect in (2.0 * amps, np.full_like(amps, np.nan)):
+        with pytest.raises(wp.NumericalError, match=norm_name):
+            cls(grid, defect)
+    other = wp.Measure.PLAIN if grid.convention is wp.Measure.INVARIANT else wp.Measure.INVARIANT
+    for bad_grid, bad_amps, reason in ((grid, amps[..., :1], "shape"),
+                                       (replace(grid, convention=other), amps, "convention"),
+                                       (replace(grid, mass=wrong_mass), amps, "mass")):
+        with pytest.raises(ValueError, match=reason) as info:
+            cls(bad_grid, bad_amps)
+        assert not isinstance(info.value, wp.NumericalError)
 
 
 # Largest gaps to numpy's rules by node count: nodes absolute, weights relative.  Each is

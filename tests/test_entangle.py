@@ -266,3 +266,15 @@ def test_sweep_convergence_flag():
     row = cli._sweep_row(helpers.row_args(4, 1e-10), "entangle-sweep",
                          {"delta_over_m": 0.5, "beta": 0.9})
     assert not row["converged"]
+
+
+def test_state_validation():
+    state = en.bell_gaussian(0.5, 1.0, 4)
+    with pytest.raises(ValueError, match="norm"):
+        en.TwoParticleAmplitude(grid=state.grid, g=2.0 * state.g)
+
+
+def test_state_norm_defect_is_a_numerical_error():
+    state = en.bell_gaussian(0.5, 1.0, 4)
+    with pytest.raises(wp.NumericalError, match="state norm"):
+        en.TwoParticleAmplitude(grid=state.grid, g=2.0 * state.g)

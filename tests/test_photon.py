@@ -369,6 +369,12 @@ def test_rotation_invariance_of_povm_probabilities():
     np.testing.assert_allclose(rotated_probs, probs, atol=1e-10)
 
 
+def test_packet_validation():
+    beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 4)
+    with pytest.raises(ValueError, match="norm"):
+        ph.PhotonPacket(grid=beam.grid, amps=2.0 * beam.amps)
+
+
 def beam_means_numpy(k_mean, delta_z, delta_r, n, speeds):
     """_beam_means with numpy: the same per-node terms on the same rule, summed by np.sum."""
     t, w_z = helpers.gauss_rule("Gauss-Hermite", n)
@@ -409,3 +415,9 @@ def test_gauss_rules_are_built_once_per_node_count():
         assert type(x) is tuple and type(w) is tuple  # the shared cached rule is immutable
     with pytest.raises(ValueError, match="Gauss-Laguerre rule breaks down at 196 nodes"):
         wp._gauss_floats("Gauss-Laguerre", 196)
+
+
+def test_profile_norm_defect_is_a_numerical_error():
+    beam = ph.gaussian_beam(100.0, 0.1, 1.0, +1, 4)
+    with pytest.raises(wp.NumericalError, match="packet norm"):
+        ph.PhotonPacket(grid=beam.grid, amps=2.0 * beam.amps)

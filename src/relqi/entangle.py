@@ -28,20 +28,20 @@ n/2n convergence check is made in `relqi.cli`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import geometry, qmatrix, spin_half
 from ._numpy import np
-from .wavepacket import (GaussianSpec, Measure, MomentumGrid, checked_amplitudes,
+from .wavepacket import (GaussianSpec, Measure, MomentumGrid, Record, checked_amplitudes,
                          gaussian_profile, momentum_trace)
 
 
-@dataclass(frozen=True)
-class TwoParticleAmplitude:
-    """Spin-resolved amplitude g(p1, p2) of two particles on one momentum grid."""
+class TwoParticleAmplitude(Record):
+    """Spin-resolved amplitude g(p1, p2) of two particles on one momentum grid: (n, n, 2, 2)
+    complex, indices (p1, p2, sigma1, sigma2)."""
 
-    grid: MomentumGrid
-    g: np.ndarray   # (n, n, 2, 2) complex, indices (p1, p2, sigma1, sigma2)
+    __slots__ = ("grid", "g")
+
+    def __init__(self, grid: MomentumGrid, g: np.ndarray):
+        super().__init__(grid=grid, g=g)
 
     def __post_init__(self):
         if self.grid.convention is not Measure.INVARIANT:
@@ -78,7 +78,7 @@ def boost_pair(lam: np.ndarray, state: TwoParticleAmplitude) -> TwoParticleAmpli
     """
     p4, u = geometry.wigner_su2_batch(lam, state.grid.nodes, state.grid.mass)
     g = np.einsum("nab,mcd,nmbd->nmac", u, u, state.g)
-    return TwoParticleAmplitude(grid=replace(state.grid, nodes=p4[:, 1:]), g=g)
+    return TwoParticleAmplitude(grid=state.grid.with_nodes(p4[:, 1:]), g=g)
 
 
 def spin_spin_density(state: TwoParticleAmplitude) -> np.ndarray:

@@ -46,13 +46,12 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
 
 from . import geometry
 from ._numpy import np
 from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
-                         NumericalError, _gauss_floats, checked_amplitudes, ensure_same_grid,
-                         gaussian_profile, momentum_trace)
+                         NumericalError, Record, _gauss_floats, checked_amplitudes,
+                         ensure_same_grid, gaussian_profile, momentum_trace)
 
 
 def directions(nodes) -> np.ndarray:
@@ -84,12 +83,14 @@ def transversal_b(direction, khat):
     return direction - ell[..., None] * khat, ell
 
 
-@dataclass(frozen=True)
-class PhotonPacket:
-    """Helicity amplitudes f_pm(k) on a massless invariant grid."""
+class PhotonPacket(Record):
+    """Helicity amplitudes f_pm(k) on a massless invariant grid: (n, 2) complex, columns
+    helicity +1 and -1."""
 
-    grid: MomentumGrid
-    amps: np.ndarray   # (n, 2) complex, columns helicity +1 and -1
+    __slots__ = ("grid", "amps")
+
+    def __init__(self, grid: MomentumGrid, amps: np.ndarray):
+        super().__init__(grid=grid, amps=amps)
 
     def __post_init__(self):
         if self.grid.convention is not Measure.INVARIANT:
@@ -159,16 +160,18 @@ def gaussian_beam(
     return PhotonPacket(grid=grid, amps=amps)
 
 
-@dataclass(frozen=True)
-class PolarizationPOVM:
+class PolarizationPOVM(Record):
     """Momentum-diagonal POVM elements for the x, y, z directions.
 
-    Each element is stored as its per-node transverse vector; the three
-    expectation values sum to one on every transverse state by construction.
+    Each element is stored as its per-node transverse vector, bvecs (3, n, 3)
+    real; the three expectation values sum to one on every transverse state
+    by construction.
     """
 
-    grid: MomentumGrid
-    bvecs: np.ndarray    # (3, n, 3) real
+    __slots__ = ("grid", "bvecs")
+
+    def __init__(self, grid: MomentumGrid, bvecs: np.ndarray):
+        super().__init__(grid=grid, bvecs=bvecs)
 
     def probabilities(self, packet: PhotonPacket) -> np.ndarray:
         """(p_x, p_y, p_z) on a packet: the expectations of the three axis elements."""
@@ -236,13 +239,13 @@ def boost_photon(lam: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     k4_out = k4 @ np.asarray(lam, dtype=float).T
     if np.any(k4_out[:, 0] <= 0.0):
         raise ValueError("transported photon energies are not positive")
-    return PhotonPacket(grid=replace(psi.grid, nodes=k4_out[:, 1:]), amps=psi.amps)
+    return PhotonPacket(grid=psi.grid.with_nodes(k4_out[:, 1:]), amps=psi.amps)
 
 
 def rotate_packet(rot: np.ndarray, psi: PhotonPacket) -> PhotonPacket:
     """Rotate a packet exactly: nodes and polarization 3-vectors by `rot`."""
     rot = np.asarray(rot, dtype=float)
-    grid = replace(psi.grid, nodes=psi.grid.nodes @ rot.T)
+    grid = psi.grid.with_nodes(psi.grid.nodes @ rot.T)
     alpha = psi.alpha_vectors() @ rot.T
     eps = np.conj(helicity_vectors_batch(directions(grid.nodes)))  # (2, n, 3)
     return PhotonPacket(grid=grid, amps=np.einsum("hnc,nc->nh", eps, alpha))

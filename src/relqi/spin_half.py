@@ -42,20 +42,21 @@ symmetry).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import geometry, wavepacket
 from ._numpy import np
-from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid,
+from .wavepacket import (DEFAULT_NODES_PER_AXIS, GaussianSpec, Measure, MomentumGrid, Record,
                          _gauss_floats, checked_amplitudes, gaussian_profile, momentum_trace)
 
 
-@dataclass(frozen=True)
-class SpinorPacket:
-    """Two-component spinor amplitudes psi_sigma(p) on a PLAIN momentum grid of positive mass."""
+class SpinorPacket(Record):
+    """Two-component spinor amplitudes psi_sigma(p), (n, 2) complex, on a PLAIN momentum grid
+    of positive mass."""
 
-    grid: MomentumGrid
-    amps: np.ndarray   # (n, 2) complex
+    __slots__ = ("grid", "amps")
+
+    def __init__(self, grid: MomentumGrid, amps: np.ndarray):
+        super().__init__(grid=grid, amps=amps)
 
     def __post_init__(self):
         if self.grid.convention is not Measure.PLAIN:
@@ -87,7 +88,7 @@ def boost_packet(lam: np.ndarray, psi: SpinorPacket) -> SpinorPacket:
     q0 = psi.grid.k0()
     p0 = p4_out[:, 0]
     amps = np.sqrt(q0 / p0)[:, None] * np.einsum("nij,nj->ni", wigner, psi.amps)
-    grid = replace(psi.grid, nodes=p4_out[:, 1:], weights=psi.grid.weights * (p0 / q0))
+    grid = psi.grid.with_nodes(p4_out[:, 1:], psi.grid.weights * (p0 / q0))
     return SpinorPacket(grid=grid, amps=amps)
 
 

@@ -33,8 +33,12 @@ The packet classes of spin_half, photon and entangle add only their
 physics to one amplitude layer here: `checked_amplitudes` checks every
 packet, `gaussian_profile` builds every packet's grid and Gaussian
 amplitude, and `momentum_trace` integrates the momentum out of any
-amplitude.  Transports move a grid with dataclasses.replace, so only
-gauss_grid calls MomentumGrid.
+amplitude.  Transports move a grid with MomentumGrid.with_nodes, which
+checks the moved grid again, so only gauss_grid calls MomentumGrid.
+
+Every packet, grid and profile is a `Record`: a slotted class whose
+fields `__init__` binds once and checks in `__post_init__`, and which
+refuses any later assignment.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from . import qmatrix
 from ._numpy import np
@@ -60,8 +63,33 @@ class Measure(enum.Enum):
     INVARIANT = "invariant"
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
+class Record:
+    """A value whose fields are bound once: assigning or deleting one later raises AttributeError.
+
+    A subclass lists its fields in __slots__ and binds them in __init__
+    through Record.__init__, which then runs the subclass's checks,
+    __post_init__.  A check that normalizes a field rebinds it with
+    object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a record without checks keeps them as given."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class GaussianSpec(Record):
     """Center and per-axis widths of a target Gaussian profile.
 
     Widths are those of the amplitude exp(-(k - c)^2 / (2 width^2)); the
@@ -69,8 +97,10 @@ class GaussianSpec:
     exactly the envelope the quadrature weights absorb.
     """
 
-    center: np.ndarray
-    widths: np.ndarray
+    __slots__ = ("center", "widths")
+
+    def __init__(self, center: np.ndarray, widths: np.ndarray):
+        super().__init__(center=center, widths=widths)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(3)
@@ -92,14 +122,14 @@ class GaussianSpec:
                    widths=np.array([float(delta_r), float(delta_r), float(delta_z)]))
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Quadrature nodes and weights under a declared measure convention."""
+class MomentumGrid(Record):
+    """Quadrature nodes (n, 3) and weights (n,) under a declared measure convention."""
 
-    nodes: np.ndarray      # (n, 3)
-    weights: np.ndarray    # (n,)
-    convention: Measure
-    mass: float = 0.0
+    __slots__ = ("nodes", "weights", "convention", "mass")
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, convention: Measure,
+                 mass: float = 0.0):
+        super().__init__(nodes=nodes, weights=weights, convention=convention, mass=mass)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -126,6 +156,11 @@ class MomentumGrid:
     def k0(self) -> np.ndarray:
         """Per-node on-shell energies sqrt(mass^2 + |k|^2)."""
         return np.sqrt(self.mass * self.mass + np.sum(self.nodes * self.nodes, axis=1))
+
+    def with_nodes(self, nodes: np.ndarray, weights: np.ndarray | None = None) -> "MomentumGrid":
+        """This grid moved to `nodes` (and `weights`, if given), checked again as a new grid."""
+        return type(self)(nodes, self.weights if weights is None else weights, self.convention,
+                          self.mass)
 
 
 # The symmetric Jacobi matrix of each family's three-term recurrence at n nodes: its

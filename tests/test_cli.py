@@ -434,6 +434,18 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("run", ["", "cli.run(['doppler', '--out', '-']); "],
+                         ids=["import", "doppler"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(run):
+    # relqi's records are plain slotted classes (wavepacket.Record), so neither importing
+    # the CLI nor a doppler run pays for dataclasses or the inspect it imports
+    probe = (f"import sys; from relqi import cli; {run}"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stderr.splitlines()[-1] == "[]"
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,12 +153,61 @@ def test_every_packet_class_checks_its_amplitudes(make, field, norm_name, wrong_
         with pytest.raises(wp.NumericalError, match=norm_name):
             cls(grid, defect)
     other = wp.Measure.PLAIN if grid.convention is wp.Measure.INVARIANT else wp.Measure.INVARIANT
+    other_convention = wp.MomentumGrid(grid.nodes, grid.weights, other, grid.mass)
+    other_mass = wp.MomentumGrid(grid.nodes, grid.weights, grid.convention, wrong_mass)
     for bad_grid, bad_amps, reason in ((grid, amps[..., :1], "shape"),
-                                       (replace(grid, convention=other), amps, "convention"),
-                                       (replace(grid, mass=wrong_mass), amps, "mass")):
+                                       (other_convention, amps, "convention"),
+                                       (other_mass, amps, "mass")):
         with pytest.raises(ValueError, match=reason) as info:
             cls(bad_grid, bad_amps)
         assert not isinstance(info.value, wp.NumericalError)
+
+
+RECORDS = {
+    "GaussianSpec": lambda: wp.GaussianSpec.isotropic(0.5),
+    "MomentumGrid": lambda: wp.gauss_grid(wp.GaussianSpec.isotropic(0.5), 4, wp.Measure.PLAIN,
+                                          1.0),
+    "SpinorPacket": lambda: spin_half.gaussian_packet(0.5, 1.0, 4),
+    "PhotonPacket": lambda: photon.gaussian_beam(100.0, 0.1, 1.0, +1, 4),
+    "PolarizationPOVM": lambda: photon.build_povm(photon.gaussian_beam(100.0, 0.1, 1.0, +1,
+                                                                       4).grid),
+    "TwoParticleAmplitude": lambda: entangle.bell_gaussian(0.5, 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_every_record_is_immutable_and_built_by_keyword(make):
+    record = make()
+    cls = type(record)
+    fields = {name: getattr(record, name) for name in cls.__slots__}
+    copy = cls(**fields)
+    for name, value in fields.items():
+        kept = getattr(copy, name)
+        assert kept is value or np.array_equal(kept, value)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+def test_a_moved_grid_is_checked_again():
+    grid = wp.gauss_grid(wp.GaussianSpec.isotropic(0.5), 4, wp.Measure.INVARIANT, 1.0)
+    moved = grid.with_nodes(2.0 * grid.nodes)
+    assert (moved.convention, moved.mass) == (grid.convention, grid.mass)
+    assert np.array_equal(moved.nodes, 2.0 * grid.nodes)
+    assert np.array_equal(moved.weights, grid.weights)
+    assert not moved.nodes.flags.writeable
+    assert np.array_equal(grid.with_nodes(grid.nodes, 2.0 * grid.weights).weights,
+                          2.0 * grid.weights)
+    non_finite = grid.nodes.copy()
+    non_finite[0, 0] = np.nan
+    for nodes, weights, reason in ((non_finite, None, "non-finite"),
+                                   (grid.nodes, np.inf * grid.weights, "non-finite"),
+                                   (grid.nodes[1:], None, "counts differ"),
+                                   (grid.nodes, grid.weights[1:], "counts differ")):
+        with pytest.raises(ValueError, match=reason):
+            grid.with_nodes(nodes, weights)
 
 
 # Largest gaps to numpy's rules by node count: nodes absolute, weights relative.  Each is

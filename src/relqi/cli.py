@@ -19,7 +19,6 @@ import argparse
 import errno
 import gc
 import itertools
-import json
 import math
 import os
 import sys
@@ -94,6 +93,8 @@ def _csv(header: str, rows) -> str:
 
 
 def _json(obj) -> str:
+    import json  # loaded only for a JSON report, and after its rows: a CSV run never pays for it
+
     def clean(x):
         if isinstance(x, dict):
             return {k: clean(v) for k, v in x.items()}
@@ -223,6 +224,8 @@ def _apply_config(args, subparser) -> None:
     """
     if not args.config:
         return
+    import json
+
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             overrides = json.load(handle)

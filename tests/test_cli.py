@@ -446,6 +446,25 @@ def test_start_up_loads_neither_dataclasses_nor_inspect(run):
     assert out.stderr.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("command, loaded", [
+    ([], False),
+    (["spin-entropy"], False),
+    (["entangle-sweep"], False),
+    (["photon-distinguish"], False),
+    (["convergence"], False),
+    (["doppler", "--v=-0.5,0.5"], False),
+    (["channel-audit"], True),  # a JSON report: shows that the probe sees json once loaded
+], ids=["import", "spin-entropy", "entangle-sweep", "photon-distinguish", "convergence",
+        "doppler-csv", "channel-audit"])
+def test_only_json_reports_and_config_load_json(command, loaded):
+    # cli imports json inside _json and _apply_config alone, so a CSV run never loads it
+    run = f"cli.run({command + ['--resolution', '4', '--out', '-']!r}); " if command else ""
+    probe = f"import sys; from relqi import cli; {run}print('json' in sys.modules, file=sys.stderr)"
+    out = subprocess.run([sys.executable, "-c", probe], env=helpers.fresh_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stderr.splitlines()[-1] == str(loaded)
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 
